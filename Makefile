@@ -28,9 +28,10 @@ test: vet
 # O(n²) scan element for element, and the replication layer must
 # reproduce hand-written serial loops moment for moment at every worker
 # count. Already part of `go test ./...`; this target runs just the
-# matrix, verbosely.
+# matrix, verbosely. GOMAXPROCS=2 makes the shared worker pool
+# (internal/parallel) actually interleave even on a 1-CPU host.
 test-diff:
-	go test -run='^TestDifferential' -v ./internal/macsim ./internal/multihop ./internal/replicate ./internal/topology
+	GOMAXPROCS=2 go test -run='^TestDifferential' -v ./internal/macsim ./internal/multihop ./internal/replicate ./internal/topology
 
 # `go test -fuzz` takes one target per invocation, so run them one by one.
 test-fuzz:
@@ -41,10 +42,11 @@ test-fuzz:
 	go test -run='^$$' -fuzz='^FuzzRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzResilientRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 
-# The worker pools and the shared solver cache make the suite
-# concurrency-heavy; run it under the race detector too.
+# The worker pool and the shared solver cache make the suite
+# concurrency-heavy; run it under the race detector too, at GOMAXPROCS=2
+# so the pool's workers interleave on any host.
 test-race:
-	go test -race ./...
+	GOMAXPROCS=2 go test -race ./...
 
 # End-to-end daemon smoke under the race detector: boots selfishmacd
 # in-process on an ephemeral port, runs a tiny replicate job to Done,

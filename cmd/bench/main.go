@@ -298,94 +298,9 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 	return sc, dist, nil
 }
 
-// rebuildNet hides the concrete *topology.Network type so the multihop
-// engine misses its `*topology.Network` probe and takes the re-snapshot
-// path (AdjacencyInto per op and per mobility step) instead of binding
-// the incremental adjacency view. Method promotion keeps the mobility
-// and refill fast paths intact, so the two columns simulate bit-identical
-// trajectories — the differential matrix pins that — and differ only in
-// how adjacency is maintained.
-type rebuildNet struct{ *topology.Network }
-
-// staticMultihopScenario runs both columns over ONE shared static
-// network: the delta column (plain network) binds the pooled engine's
-// adjacency view on the first op and pays no adjacency work afterwards —
-// the "amortised to stage 0" fast path — while the rebuild column
-// re-snapshots the same network every op.
-func staticMultihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
-	nw, err := topology.New(topoCfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	probe, err := multihop.Simulate(nw, cfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	var events int64
-	for _, nd := range probe.Nodes {
-		events += nd.Attempts
-	}
-	return scenario{
-		name:      name,
-		events:    events,
-		fastLabel: "delta",
-		refLabel:  "rebuild",
-		runFast: func() error {
-			_, err := multihop.Simulate(nw, cfg)
-			return err
-		},
-		runRef: func() error {
-			_, err := multihop.Simulate(rebuildNet{nw}, cfg)
-			return err
-		},
-	}, nil
-}
-
-// deltaMultihopScenario pits the engine's two mobile adjacency
-// maintenance paths against each other at full simulation scale: delta
-// (incremental view patch per mobility step) vs rebuild (full refill per
-// step). Fresh same-seed networks per op, as mobile runs mutate them.
-func deltaMultihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
-	newNet := func() (*topology.Network, error) { return topology.New(topoCfg) }
-	nw, err := newNet()
-	if err != nil {
-		return scenario{}, err
-	}
-	probe, err := multihop.Simulate(nw, cfg)
-	if err != nil {
-		return scenario{}, err
-	}
-	var events int64
-	for _, nd := range probe.Nodes {
-		events += nd.Attempts
-	}
-	return scenario{
-		name:      name,
-		events:    events,
-		fastLabel: "delta",
-		refLabel:  "rebuild",
-		runFast: func() error {
-			nw, err := newNet()
-			if err != nil {
-				return err
-			}
-			_, err = multihop.Simulate(nw, cfg)
-			return err
-		},
-		runRef: func() error {
-			nw, err := newNet()
-			if err != nil {
-				return err
-			}
-			_, err = multihop.Simulate(rebuildNet{nw}, cfg)
-			return err
-		},
-	}, nil
-}
-
 // deltaStepScenario isolates the topology layer: one random-waypoint
-// mobility step plus adjacency refresh, patched incrementally through
-// the view (delta) vs stepped-then-refilled from the grid (rebuild), on
+// mobility step plus adjacency refresh, through the view's StepDelta
+// (delta) vs stepped-then-refilled from the grid (rebuild), on
 // twin networks walking the same PRNG trajectory. Events counts the
 // directed links of the warmed-up snapshot. warmup seconds of simulated
 // mobility run before measuring, so configurations with pause phases
@@ -568,32 +483,14 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	}
 	out = append(out, s)
 
-	// Adjacency-maintenance paths head to head. static-n1000 shares one
-	// static network across every op: the delta column's pooled view is
-	// built once and then free (adjacency amortised to stage 0), the
-	// rebuild column re-snapshots per op. mobile-n10000-delta compares the
-	// same two paths under full random-waypoint churn at the largest
-	// population, and delta-vs-rebuild isolates one mobility step +
-	// adjacency refresh at the topology layer.
-	staticHuge := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, Seed: 19}
-	cfgStatic := multihop.DefaultSimConfig(mh1000, 31)
-	cfgStatic.CW = uniformCW(26, 1000)
-	s, err = staticMultihopScenario("multihop/static-n1000", staticHuge, cfgStatic)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	s, err = deltaMultihopScenario("multihop/mobile-n10000-delta", colossal, cfg10000)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = append(out, s)
-	// Two churn regimes for the micro-benchmark: continuous random
-	// waypoint (every node moves every step — the patch path's worst
-	// case, where per-node re-queries cost more than one bulk symmetric
-	// rebuild) and the classic paused RWP (long pause phases, so only a
-	// fraction of nodes move per step and the patch cost tracks the
-	// change, not the population).
+	// Adjacency maintenance at the topology layer: one mobility step +
+	// adjacency refresh through the view (delta) vs Step + AdjacencyInto
+	// (rebuild), in two churn regimes. Continuous random waypoint moves
+	// every node every step, so the view takes its bulk refill; the
+	// classic paused RWP (long pause phases) moves only a fraction of
+	// nodes per step, so the view patches and its cost tracks the change,
+	// not the population. The pair brackets the view's patch-vs-bulk
+	// crossover (topology.bulkMovedPercent).
 	s, err = deltaStepScenario("topology/delta-vs-rebuild-n1000", huge, 0.25, 0)
 	if err != nil {
 		return nil, nil, err

@@ -29,8 +29,8 @@ func TestBenchWritesJSON(t *testing.T) {
 	}
 	// Scenario → engine labels. Most pairs are fast/reference; the
 	// detection scenario relabels to observed/plain (same engine,
-	// observer on vs off) and the adjacency-delta scenarios to
-	// delta/rebuild (patched view vs bulk snapshot).
+	// observer on vs off) and the adjacency scenarios to delta/rebuild
+	// (adjacency view vs Step + AdjacencyInto).
 	wantScenarios := map[string][2]string{
 		"macsim/basic-n20-w336":                  {"fast", "reference"},
 		"macsim/basic-n50-w879":                  {"fast", "reference"},
@@ -41,8 +41,6 @@ func TestBenchWritesJSON(t *testing.T) {
 		"multihop/mobile-n1000-w26":              {"fast", "reference"},
 		"multihop/mobile-n5000-w26":              {"fast", "reference"},
 		"multihop/mobile-n10000-w26":             {"fast", "reference"},
-		"multihop/static-n1000":                  {"delta", "rebuild"},
-		"multihop/mobile-n10000-delta":           {"delta", "rebuild"},
 		"topology/delta-vs-rebuild-n1000":        {"delta", "rebuild"},
 		"topology/delta-vs-rebuild-n1000-paused": {"delta", "rebuild"},
 		"topology/adjacency-n500":                {"fast", "reference"},

@@ -10,6 +10,8 @@
 // single-hop simulations, the 100-node mobile scenario); -quick switches
 // to a fast smoke profile. Each experiment writes <id>.txt with its
 // rendered tables/charts and metric summary, plus any CSV artifacts.
+// An -only list naming an unknown ID is an error that lists the known
+// IDs; nothing runs.
 //
 // -jobs bounds the concurrency at both levels: how many experiment
 // runners execute at once and how many workers each runner fans its
@@ -31,11 +33,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"selfishmac/internal/experiments"
+	"selfishmac/internal/parallel"
 )
 
 func main() {
@@ -124,8 +126,21 @@ func run(ctx context.Context, args []string) error {
 
 	want := map[string]bool{}
 	if *only != "" {
+		var unknown []string
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := experiments.ByID(id); !ok {
+				unknown = append(unknown, id)
+			}
+			want[id] = true
+		}
+		if len(unknown) > 0 {
+			known := make([]string, len(all))
+			for i, r := range all {
+				known[i] = r.ID
+			}
+			return fmt.Errorf("-only: unknown experiment ID(s) %q (known: %s)",
+				unknown, strings.Join(known, ","))
 		}
 	}
 
@@ -141,40 +156,18 @@ func run(ctx context.Context, args []string) error {
 		selected = append(selected, r)
 	}
 
-	// Run the selected experiments over a bounded pool; each result lands
-	// in its registry slot so reporting below is order-deterministic no
-	// matter which runner finishes first.
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
+	// Run the selected experiments over the shared pool; each result
+	// lands in its registry slot so reporting below is order-deterministic
+	// no matter which runner finishes first. A runner the pool never
+	// started (cancelled first) keeps an empty slot; the pool's own error
+	// is only that cancellation, which the accounting below reports.
 	results := make([]runnerResult, len(selected))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				start := time.Now()
-				rep, err := selected[i].Run(ctx, settings)
-				results[i] = runnerResult{rep: rep, err: err, elapsed: time.Since(start)}
-			}
-		}()
-	}
-feed:
-	for i := range selected {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
+	_ = parallel.ForEach(ctx, len(selected), *jobs, func(_, i int) error {
+		start := time.Now()
+		rep, err := selected[i].Run(ctx, settings)
+		results[i] = runnerResult{rep: rep, err: err, elapsed: time.Since(start)}
+		return nil
+	})
 
 	var failures, cancelled int
 	for i, r := range selected {

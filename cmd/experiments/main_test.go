@@ -70,6 +70,24 @@ func TestRunOnlyFilterSkipsOthers(t *testing.T) {
 	}
 }
 
+// An -only list with an unknown ID must fail before anything runs or is
+// written, and name the IDs that do exist.
+func TestRunOnlyUnknownIDFails(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	err := run(context.Background(), []string{"-quick", "-out", dir, "-only", "T1,ZZ"})
+	if err == nil {
+		t.Fatal("-only with an unknown ID succeeded")
+	}
+	for _, want := range []string{`"ZZ"`, "T1", "D4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Error("output directory created for a rejected -only list")
+	}
+}
+
 // TestJobsByteIdentical is the determinism contract of the -jobs flag:
 // the artifact files a parallel run writes must be byte-identical to the
 // serial run's. T1 is static, A4 draws from derived RNG streams, and F2

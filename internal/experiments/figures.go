@@ -9,6 +9,7 @@ import (
 
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
+	"selfishmac/internal/parallel"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/plot"
 	"selfishmac/internal/replicate"
@@ -62,7 +63,7 @@ func figure(ctx context.Context, id, title string, mode phy.AccessMode, s Settin
 		games[k], nes[k] = g, ne
 	}
 	series := make([]figureSeries, len(tablePopulations))
-	err := forEachIndex(ctx, len(tablePopulations), workers, func(k int) error {
+	err := parallel.ForEach(ctx, len(tablePopulations), workers, func(_, k int) error {
 		n := tablePopulations[k]
 		out := &series[k]
 		g, ne := games[k], nes[k]
@@ -302,8 +303,9 @@ func payoffCurve(ctx context.Context, g *core.Game, wMax, points, workers int) (
 	// One fixed-point solve is microseconds of work; batch several per
 	// pool task so dispatch overhead is amortized across the grid.
 	const solveBatch = 8
-	err = forEachChunk(ctx, len(grid), workers, solveBatch, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
+	batches := (len(grid) + solveBatch - 1) / solveBatch
+	err = parallel.ForEach(ctx, batches, workers, func(_, b int) error {
+		for i := b * solveBatch; i < min((b+1)*solveBatch, len(grid)); i++ {
 			u, err := g.NormalizedGlobalPayoff(grid[i])
 			if err != nil {
 				return err

@@ -7,6 +7,7 @@ import (
 
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
+	"selfishmac/internal/parallel"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/plot"
 	"selfishmac/internal/rng"
@@ -99,7 +100,7 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 		games[k] = g
 	}
 	rows := make([]NERow, len(tablePopulations))
-	err = forEachIndex(ctx, len(tablePopulations), s.workerCount(), func(k int) error {
+	err = parallel.ForEach(ctx, len(tablePopulations), s.workerCount(), func(_, k int) error {
 		n := tablePopulations[k]
 		g := games[k]
 		theory, err := g.FindPaperNE()
@@ -146,7 +147,7 @@ func simulatedBestCW(ctx context.Context, id string, g *core.Game, tm phy.Timing
 	grid := cwGrid(wStar)
 	results := make([]*macsim.Result, len(grid))
 	stream := fmt.Sprintf("%s.sim.n%d", id, n)
-	err = forEachIndex(ctx, len(grid), s.workerCount(), func(gi int) error {
+	err = parallel.ForEach(ctx, len(grid), s.workerCount(), func(_, gi int) error {
 		res, err := macsim.RunUniform(tm, cfg.PHY.MaxBackoffStage, grid[gi], n,
 			s.SingleHopSimTime, cfg.Gain, cfg.Cost, rng.DeriveSeed(s.Seed, stream, gi))
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"selfishmac/internal/core"
 	"selfishmac/internal/faults"
 	"selfishmac/internal/multihop"
+	"selfishmac/internal/parallel"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/plot"
 	"selfishmac/internal/replicate"
@@ -48,7 +49,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 		stats faults.Stats
 	}
 	dropRows := make([]dropRow, len(drops))
-	err = forEachIndex(ctx, len(drops), s.workerCount(), func(i int) error {
+	err = parallel.ForEach(ctx, len(drops), s.workerCount(), func(_, i int) error {
 		inner, err := search.NewAnalyticEnv(g, 0, w0)
 		if err != nil {
 			return err
@@ -103,7 +104,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	// median-of-3 has to reject the gross errors.
 	noises := []float64{0, 0.1, 0.2, 0.3}
 	noiseRes := make([]search.Result, len(noises))
-	err = forEachIndex(ctx, len(noises), s.workerCount(), func(i int) error {
+	err = parallel.ForEach(ctx, len(noises), s.workerCount(), func(_, i int) error {
 		inner, err := search.NewAnalyticEnv(g, 0, w0)
 		if err != nil {
 			return err

@@ -3,8 +3,10 @@ package multihop
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"selfishmac/internal/rng"
+	"selfishmac/internal/topology"
 )
 
 // ChurnConfig models node churn — stations leaving and rejoining the
@@ -89,29 +91,28 @@ func (st *churnState) step() {
 // they keep their index (profiles stay length-n) but have no links, so
 // the spatial simulator leaves them idle.
 //
-// AdjacencyLists filters node by node against the base — via the base's
-// NeighborAppender fast path when available (the grid-backed network),
-// so the full base adjacency is never materialised — into buffers the
-// view owns and reuses across calls. One maskedTopology therefore serves
-// every churn stage of an engine run with no per-stage adjacency
-// allocations in steady state. The returned structure is valid until the
-// next AdjacencyLists call; a maskedTopology is not safe for concurrent
-// use.
+// AdjacencyLists filters the base rows — from the base's adjacency view
+// when it is a *topology.Network, from its own AdjacencyLists otherwise —
+// into buffers the mask owns and reuses across calls. One maskedTopology
+// therefore serves every churn stage of an engine run with no per-stage
+// adjacency allocations in steady state. The returned structure is valid
+// until the next AdjacencyLists call; a maskedTopology is not safe for
+// concurrent use.
 //
-// When the base reports position staleness (PositionVersioner, which the
-// grid-backed network implements), AdjacencyLists also skips the refill
-// outright if neither the activity mask nor the base's positions changed
-// since the last call — so an unchanged-membership stage, or the
-// engine-then-simulator double consult within one stage, costs O(n) mask
-// comparison instead of an O(E) refill.
+// The base never moves under a mask: the mask has no Step, so Simulate
+// rejects mobility on it. An unchanged activity mask therefore means an
+// unchanged adjacency, and AdjacencyLists skips the refill outright — so
+// an unchanged-membership stage, or the engine-then-simulator double
+// consult within one stage, costs an O(n) mask comparison instead of an
+// O(E) refill.
 type maskedTopology struct {
 	base   Topology
 	active []bool
-	adj    [][]int // returned view: nil entries for departed/link-less nodes
-	bufs   [][]int // per-node append buffers; capacity persists across refills
+	view   *topology.Adjacency // base rows when base is a *topology.Network
+	adj    [][]int             // returned view: nil entries for departed/link-less nodes
+	bufs   [][]int             // per-node filter buffers; capacity persists across refills
 
-	filled   bool   // adj/bufs hold a refill for (lastMask, lastVer)
-	lastVer  uint64 // base position version at the last refill
+	filled   bool   // adj/bufs hold the refill for lastMask
 	lastMask []bool // activity mask captured at the last refill
 }
 
@@ -123,13 +124,16 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 		m.adj = make([][]int, n)
 		m.bufs = make([][]int, n)
 	}
-	ver, hasVer := m.base.(PositionVersioner)
-	if m.filled && hasVer && ver.PositionVersion() == m.lastVer && masksEqual(m.lastMask, m.active) {
+	if m.filled && slices.Equal(m.lastMask, m.active) {
 		return m.adj
 	}
-	app, canAppend := m.base.(NeighborAppender)
 	var full [][]int
-	if !canAppend {
+	if tn, ok := m.base.(*topology.Network); ok {
+		if m.view == nil {
+			m.view = tn.AdjacencyView()
+		}
+		full = m.view.Rows()
+	} else {
 		full = m.base.AdjacencyLists()
 	}
 	for i := 0; i < n; i++ {
@@ -138,20 +142,9 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 			continue
 		}
 		buf := m.bufs[i][:0]
-		if canAppend {
-			buf = app.AppendNeighbors(i, buf)
-			kept := buf[:0]
-			for _, j := range buf {
-				if m.active[j] {
-					kept = append(kept, j)
-				}
-			}
-			buf = kept
-		} else {
-			for _, j := range full[i] {
-				if m.active[j] {
-					buf = append(buf, j)
-				}
+		for _, j := range full[i] {
+			if m.active[j] {
+				buf = append(buf, j)
 			}
 		}
 		m.bufs[i] = buf
@@ -161,24 +154,9 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 			m.adj[i] = buf
 		}
 	}
-	if hasVer {
-		m.filled = true
-		m.lastVer = ver.PositionVersion()
-		m.lastMask = append(m.lastMask[:0], m.active...)
-	}
+	m.filled = true
+	m.lastMask = append(m.lastMask[:0], m.active...)
 	return m.adj
-}
-
-func masksEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (m *maskedTopology) IsLink(i, j int) bool {

@@ -140,32 +140,33 @@ func diffCases(t *testing.T) []diffCase {
 		{"mobile1000-grid", mobile1000, mob(simCfg(phy.RTSCTS, uniformCW(26, 1000), 1e5, 26), 2e4)},
 		{"range-exceeds-area", bigRange, simCfg(phy.RTSCTS, uniformCW(48, 12), 1e6, 27)},
 		{"churn-masked-300", churnMasked300, simCfg(phy.RTSCTS, uniformCW(64, 300), 2e5, 28)},
-		// The calendar at scale: thousands of concurrent heap entries,
+		// The calendar at scale: thousands of concurrent calendar entries,
 		// constant lazy-shift repair under carrier-sense churn, mobility
-		// re-snapshots at n=5000, and the n=10000 static grid path.
+		// steps at n=5000, and the n=10000 static grid path.
 		{"sparse5000-static", sparse5000, simCfg(phy.RTSCTS, uniformCW(26, 5000), 1e5, 33)},
 		{"mobile5000", mobile5000, mob(simCfg(phy.RTSCTS, uniformCW(26, 5000), 5e4, 34), 2e4)},
 		{"grid10000-static", grid10000, simCfg(phy.RTSCTS, uniformCW(26, 10000), 5e4, 35)},
-		// CW << MaxStage past maxRingSpan: the calendar falls back to the
-		// lazy-shift heap; the reference pins that path stays exact too.
+		// CW << MaxStage past maxRingSpan: the engine routes the config to
+		// the reference loop itself (the case name predates that route).
 		{"huge-cw-heap-fallback", line, simCfg(phy.RTSCTS, uniformCW(3000, 5), 4e6, 36)},
 	}
 }
 
 // rebuildOnly hides the concrete *topology.Network type behind an
 // anonymous embedding, so the engine's `nw.(*topology.Network)` probe
-// misses and it takes the re-snapshot path (AdjacencyInto per mobility
-// step) instead of binding the incremental adjacency view. Method
-// promotion keeps every fast-path interface — MobileTopology,
-// NeighborAppender, AdjacencyReuser — satisfied.
+// misses and it reads adjacency the way it reads any other Topology: a
+// fresh AdjacencyLists per mobility step instead of the adjacency view.
+// Method promotion keeps MobileTopology satisfied.
 type rebuildOnly struct{ *topology.Network }
 
-// TestDifferentialDeltaVsRebuildPath pins the tentpole claim at scale:
-// the incremental delta path must be bit-identical to the rebuild path —
+// TestDifferentialDeltaVsRebuildPath pins the adjacency view at scale:
+// the view path must be bit-identical to the plain AdjacencyLists path —
 // same results, same post-run network state — on mobile networks at
-// n=1000 and n=5000. Both sides run the fast engine, so the populations
-// can be larger and the mobility much churnier than the
-// reference-pinned cases afford.
+// n=1000 and n=5000. Continuous random waypoint moves every node each
+// step (the view's bulk refill); the paused case, warmed up to its
+// steady state, moves a minority (the view's patch). Both sides run the
+// fast engine, so the populations can be larger and the mobility much
+// churnier than the reference-pinned cases afford.
 func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -174,18 +175,37 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 		seed  uint64
 		cfg   SimConfig
 		every float64
+		pause float64 // random-waypoint pause; > 0 warms the network up first
 	}{
-		{"mobile1000-delta", 1000, 3162, 41, simCfg(phy.RTSCTS, uniformCW(26, 1000), 5e5, 41), 2e4},
-		{"mobile1000-fast-mobility", 1000, 3162, 42, simCfg(phy.RTSCTS, uniformCW(64, 1000), 2e5, 42), 2e3},
-		{"mobile5000-delta", 5000, 7071, 43, simCfg(phy.RTSCTS, uniformCW(26, 5000), 2e5, 43), 2e4},
+		{"mobile1000-delta", 1000, 3162, 41, simCfg(phy.RTSCTS, uniformCW(26, 1000), 5e5, 41), 2e4, 0},
+		{"mobile1000-fast-mobility", 1000, 3162, 42, simCfg(phy.RTSCTS, uniformCW(64, 1000), 2e5, 42), 2e3, 0},
+		{"mobile5000-delta", 5000, 7071, 43, simCfg(phy.RTSCTS, uniformCW(26, 5000), 2e5, 43), 2e4, 0},
+		{"paused1000-patch", 1000, 3162, 44, simCfg(phy.RTSCTS, uniformCW(26, 1000), 5e5, 44), 2e4, 600},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.MobilityEvery = tc.every
-			deltaNet := randomNetworkSized(t, tc.n, tc.dim, tc.dim, 250, tc.seed)
-			rebuildNet := randomNetworkSized(t, tc.n, tc.dim, tc.dim, 250, tc.seed)
-			want, err := Simulate(rebuildOnly{rebuildNet}, cfg)
+			net := func() *topology.Network {
+				if tc.pause == 0 {
+					return randomNetworkSized(t, tc.n, tc.dim, tc.dim, 250, tc.seed)
+				}
+				nw, err := topology.New(topology.Config{
+					N: tc.n, Width: tc.dim, Height: tc.dim, Range: 250,
+					MinSpeed: 5, MaxSpeed: 20, Pause: tc.pause, Seed: tc.seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 200; i++ {
+					if err := nw.Step(20); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return nw
+			}
+			deltaNet, plainNet := net(), net()
+			want, err := Simulate(rebuildOnly{plainNet}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,10 +214,10 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatal("delta path diverged from rebuild path")
+				t.Fatal("view path diverged from the AdjacencyLists path")
 			}
-			if !reflect.DeepEqual(deltaNet.AdjacencyLists(), rebuildNet.AdjacencyLists()) {
-				t.Fatal("post-run networks diverged: delta path stepped mobility differently")
+			if !reflect.DeepEqual(deltaNet.AdjacencyLists(), plainNet.AdjacencyLists()) {
+				t.Fatal("post-run networks diverged: the view path stepped mobility differently")
 			}
 		})
 	}

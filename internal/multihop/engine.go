@@ -79,7 +79,7 @@ func NewEngine(nw Topology, strategies []core.Strategy, sim SimConfig) (*Engine,
 		probe.CW[i] = 16
 	}
 	if err := probe.validate(nw.N()); err != nil {
-		return nil, fmt.Errorf("multihop: invalid stage sim config: %w", err)
+		return nil, fmt.Errorf("multihop: stage: %w", err)
 	}
 	return &Engine{nw: nw, strategies: strategies, sim: sim, stopWindow: 0}, nil
 }
@@ -121,12 +121,11 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 	// number of stage views instead of all of them.
 	hist := newObsHistory(n, e.strategies)
 
-	// Per-stage scratch, allocated once: the masked churn view filters
-	// into its own reusable buffers (skipping the refill entirely when
-	// neither mask nor positions changed), grid-backed topologies hold an
-	// incrementally-patched adjacency view — on a static network every
-	// stage after the first consults it for free — and other topologies
-	// refill adjBuf instead of handing back fresh O(n) slices per stage.
+	// Per-stage adjacency: the masked churn view filters into its own
+	// reusable buffers (skipping the refill when the mask is unchanged);
+	// without churn a *topology.Network is read through one adjacency
+	// view, which on a static network every stage after the first
+	// consults for free; other topologies answer AdjacencyLists.
 	var masked *maskedTopology
 	if churn != nil {
 		masked = &maskedTopology{base: e.nw}
@@ -135,7 +134,6 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 	if tn, ok := e.nw.(*topology.Network); ok && churn == nil {
 		view = tn.AdjacencyView()
 	}
-	var adjBuf [][]int
 
 	uniformRun, lastUniform := 0, 0
 	for k := 0; k < maxStages; k++ {
@@ -149,16 +147,10 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			nw = masked
 		}
 		var adj [][]int
-		switch {
-		case view != nil:
+		if view != nil {
 			adj = view.Rows()
-		default:
-			if r, ok := nw.(AdjacencyReuser); ok {
-				adjBuf = r.AdjacencyInto(adjBuf)
-				adj = adjBuf
-			} else {
-				adj = nw.AdjacencyLists()
-			}
+		} else {
+			adj = nw.AdjacencyLists()
 		}
 
 		profile := make([]int, n)

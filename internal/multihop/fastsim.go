@@ -15,14 +15,11 @@ import (
 // jumps the clock directly to the minimum fire slot — the next event
 // horizon over counter expiries, busyUntil/txUntil freezes and pending
 // mobility steps. Idle slots are never visited. The minimum is found
-// through the fire-slot calendar (firering.go): a bucket ring over the
-// bounded fire-slot horizon for every realistic configuration, the
-// lazy-shift min-heap (fireheap.go) beyond it. Either way freeze shifts
-// update fire[] only, stale calendar entries are repaired when visited,
-// and expired sets come back in ascending node order — so event
-// selection costs O(1) amortized per calendar touch instead of the
-// former O(n) scan (and the heap's O(log n) sifts), which dominated the
-// per-op profile at n >= 1000.
+// through the fire-slot calendar (firering.go), a bucket ring over the
+// bounded fire-slot horizon: freeze shifts update fire[] only, stale
+// calendar entries are repaired when visited, and expired sets come back
+// in ascending node order — so event selection costs O(1) amortized per
+// calendar touch instead of an O(n) scan per event.
 //
 // Freeze/resume accounting is carried in the fire slots themselves. With
 // "blocked" meaning max(busyUntil, txUntil) > t:
@@ -42,17 +39,22 @@ import (
 //
 // Those rules bound every fire slot by t + maxDur + maxCW - 1, which is
 // what lets the ring calendar cover the horizon with a fixed number of
-// buckets (see firering.go).
+// buckets (see firering.go). A configuration whose horizon exceeds
+// maxRingSpan — an extreme CW << MaxStage product, never a realistic
+// one — runs the reference loop instead, for Simulate, Simulator and
+// Engine stages alike; macsim.Run falls back the same way past its
+// calendar cap.
 //
 // Mobility steps are applied in catch-up fashion before processing any
 // event at or past their due slot, preserving both the step count and
 // their order relative to MAC events — the network's own PRNG trajectory
-// and final state are identical to the reference. Grid-backed networks
-// (*topology.Network) advance through an incremental adjacency view:
-// the step patches only the neighbor rows incident to nodes that moved,
-// and a static network (MaxSpeed 0) skips adjacency work entirely after
-// the initial snapshot. Other topologies — churn-masked views, test
-// fakes — re-snapshot as before.
+// and final state are identical to the reference. Adjacency has one
+// provider per topology kind: a *topology.Network is read through its
+// topology.Adjacency view, which refreshes itself per mobility step (a
+// patch or a bulk refill, whichever the step's churn favours) and costs
+// nothing on a static network after the first snapshot; any other
+// Topology — the churn mask, test fixtures — through its own
+// AdjacencyLists.
 //
 // Determinism contract: PRNG draws happen in exactly the reference order
 // — per event slot, expired nodes act in ascending node order (isolated
@@ -73,19 +75,17 @@ type simState struct {
 	cfg    SimConfig
 	n      int
 
-	// adj is the active adjacency: the view's patched rows when the
-	// topology is a grid-backed *topology.Network, the state-owned
-	// snapshot buffers (adjOwn) otherwise. The rows are never written by
-	// the engine.
-	adj    [][]int
-	view   *topology.Adjacency
-	adjOwn [][]int
+	// adj is the active adjacency, never written by the engine: the
+	// view's rows when the topology is a *topology.Network (view is nil
+	// otherwise), the topology's own AdjacencyLists for anything else.
+	adj  [][]int
+	view *topology.Adjacency
 
 	src          rng.Source
 	nodes        []spatialNode
-	fire         []int64      // absolute slot at which the node next acts
-	cal          fireCalendar // fire-slot calendar; entries may lag fire[]
-	expired      []int        // scratch: this event's expired nodes, ascending
+	fire         []int64  // absolute slot at which the node next acts
+	cal          fireRing // fire-slot calendar; entries may lag fire[]
+	expired      []int    // scratch: this event's expired nodes, ascending
 	transmitters []int
 	receivers    []int
 	inTx         []bool
@@ -93,6 +93,7 @@ type simState struct {
 	res          SimResult
 
 	tsSlots, tcSlots   int64
+	span               int64 // fire-slot horizon; > maxRingSpan runs the reference
 	totalSlots         int64
 	mobilityEverySlots int64
 	nextMobility       int64
@@ -128,7 +129,7 @@ func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 		st.adj = st.view.Rows()
 	} else {
 		st.view = nil
-		st.snapshotAdj(nw)
+		st.adj = nw.AdjacencyLists()
 	}
 
 	st.tsSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
@@ -156,28 +157,19 @@ func growSlice[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// snapshotAdj refreshes the state-owned adjacency buffers from a
-// non-view topology. Topologies implementing AdjacencyReuser (the churn
-// mask does not, but custom ones may) refill the buffers in place;
-// others fall back to a fresh AdjacencyLists.
-func (st *simState) snapshotAdj(nw Topology) {
-	if r, ok := nw.(AdjacencyReuser); ok {
-		st.adjOwn = r.AdjacencyInto(st.adjOwn)
-		st.adj = st.adjOwn
-		return
-	}
-	st.adj = nw.AdjacencyLists()
-}
-
 // calSpan returns the fire-slot horizon for the current config: no fire
 // slot is ever filed more than maxDur + maxCW - 1 slots past the current
-// event slot (see the freeze/resume rules above).
+// event slot (see the freeze/resume rules above). Windows too large for
+// the ring report a span past maxRingSpan without overflowing.
 func (st *simState) calSpan() int64 {
 	maxCW := 0
 	for _, w := range st.cfg.CW {
 		if w > maxCW {
 			maxCW = w
 		}
+	}
+	if maxCW > maxRingSpan {
+		return maxRingSpan + 1
 	}
 	span := int64(maxCW) << uint(st.cfg.MaxStage)
 	if st.tsSlots > st.tcSlots {
@@ -201,8 +193,10 @@ func (st *simState) reset(seed uint64) {
 		st.fire[i] = int64(st.nodes[i].counter)
 		st.inTx[i] = false
 	}
-	st.cal.configure(st.n, st.calSpan())
-	st.cal.rebuild(st.fire)
+	if st.span = st.calSpan(); st.span <= maxRingSpan {
+		st.cal.init(st.n, st.span)
+		st.cal.rebuild(st.fire)
+	}
 	for i := range st.res.Nodes {
 		st.res.Nodes[i] = NodeStats{}
 	}
@@ -214,8 +208,8 @@ func (st *simState) reset(seed uint64) {
 }
 
 // stepMobility advances the mobility model by one MobilityEvery interval
-// and refreshes the active adjacency: an incremental patch through the
-// view when bound, a re-snapshot otherwise.
+// and refreshes the active adjacency: through the view when bound, a
+// fresh AdjacencyLists otherwise.
 func (st *simState) stepMobility() error {
 	dt := st.cfg.MobilityEvery / 1e6
 	if st.view != nil {
@@ -228,13 +222,18 @@ func (st *simState) stepMobility() error {
 	if err := st.mobile.Step(dt); err != nil {
 		return err
 	}
-	st.snapshotAdj(st.mobile)
+	st.adj = st.mobile.AdjacencyLists()
 	return nil
 }
 
 // run executes the simulation to completion and finalises the state-owned
-// result. On a static topology it performs no allocations.
+// result. On a static topology it performs no allocations. A config whose
+// fire-slot horizon exceeds maxRingSpan runs the reference loop instead
+// and returns its freshly allocated result.
 func (st *simState) run() (*SimResult, error) {
+	if st.span > maxRingSpan {
+		return simulateReference(st.nw, st.mobile, st.cfg)
+	}
 	nw, cfg := st.nw, &st.cfg
 	nodes, fire := st.nodes, st.fire
 	receivers, inTx, drawn := st.receivers, st.inTx, st.drawn
@@ -284,7 +283,7 @@ func (st *simState) run() (*SimResult, error) {
 				// would not have fired).
 				nodes[i].draw(&st.src, cfg.MaxStage)
 				fire[i] = t + 1 + int64(nodes[i].counter)
-				st.cal.push(fire[i], i)
+				st.cal.file(fire[i], int32(i))
 				continue
 			}
 			transmitters = append(transmitters, i)
@@ -374,7 +373,7 @@ func (st *simState) run() (*SimResult, error) {
 				b = nodes[i].txUntil
 			}
 			fire[i] = b + int64(drawn[i])
-			st.cal.push(fire[i], i)
+			st.cal.file(fire[i], int32(i))
 			inTx[i] = false
 		}
 	}

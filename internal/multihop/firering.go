@@ -2,9 +2,8 @@ package multihop
 
 import "math/bits"
 
-// firering.go is the bucket-ring implementation of the fire-slot
-// calendar, plus the fireCalendar front that picks between it and the
-// binary-heap fallback (fireheap.go).
+// firering.go is the fire-slot calendar of the event-skipping engine: a
+// bucket ring.
 //
 // The engine's fire slots live inside a bounded horizon: a node's next
 // fire slot never lies more than maxDur + maxCW - 1 slots past the
@@ -19,19 +18,22 @@ import "math/bits"
 // than W ahead, the first visit to a bucket happens exactly at the
 // entry's filed slot — never early.
 //
-// The lazy freeze-shift algebra carries over from the heap unchanged:
-// carrier holds move fire[] forward without touching the calendar, and a
-// visited entry whose filed slot no longer equals fire[node] is re-filed
-// at the node's true slot — an O(1) list prepend here, against the
-// heap's O(log n) pop+push. Stale repairs dominate calendar traffic at
-// large n (every transmission shifts every neighbor), which is why the
-// ring wins: per-op cost at n=10000 is bounded by total slots plus
-// repairs, each a pointer hop, instead of ~2 sift passes per repair.
+// Freeze shifts are lazy: carrier holds move fire[] forward without
+// touching the calendar, and a visited entry whose filed slot no longer
+// equals fire[node] is re-filed at the node's true slot — an O(1) list
+// prepend. This is exact because shifts only ever move fire slots
+// forward, so a stale entry surfaces no later than its node's true slot.
+// Stale repairs dominate calendar traffic at large n (every
+// transmission shifts every neighbor), and each costs one pointer hop.
+//
+// Configurations whose horizon exceeds maxRingSpan do not use the ring
+// at all: the engine routes them to the reference loop (see
+// simState.run).
 //
 // Determinism: a bucket's list order is filing order, not node order, so
 // the collected expired set is insertion-sorted ascending before it is
-// returned — the same (slot, node) lexicographic order the packed heap
-// keys produced, which the reference loop's ascending node scan requires.
+// returned — the (slot, node) lexicographic order the reference loop's
+// ascending node scan requires.
 type fireRing struct {
 	head []int32 // bucket -> first node filed there, -1 when empty
 	next []int32 // node -> next node in its bucket, -1 at list end
@@ -41,8 +43,7 @@ type fireRing struct {
 
 // maxRingSpan caps the ring's bucket count (1<<17 buckets = 512 KiB of
 // heads). Configurations whose fire-slot horizon exceeds it — extreme
-// CW << MaxStage products — fall back to the heap, which has no horizon
-// bound.
+// CW << MaxStage products — run the reference loop instead.
 const maxRingSpan = 1 << 17
 
 func nextPow2(v int64) int64 {
@@ -143,77 +144,4 @@ func sortExpired(b []int) {
 		}
 		b[j+1] = v
 	}
-}
-
-// fireCalendar is the engine-facing calendar: a bucket ring when the
-// configuration's fire-slot horizon fits maxRingSpan (every realistic
-// config), the lazy-shift binary heap otherwise. Both are exact; the
-// differential matrix pins the engine bit-identical to the reference
-// loop whichever is selected.
-type fireCalendar struct {
-	useRing bool
-	ring    fireRing
-	heap    fireHeap
-}
-
-// configure sizes the calendar for n nodes whose fire slots stay within
-// span slots of the current event slot.
-func (c *fireCalendar) configure(n int, span int64) {
-	c.useRing = span > 0 && span <= maxRingSpan
-	if c.useRing {
-		c.ring.init(n, span)
-	} else {
-		c.heap.init(n)
-	}
-}
-
-// rebuild refills the calendar with one entry per node at fire[i].
-func (c *fireCalendar) rebuild(fire []int64) {
-	if c.useRing {
-		c.ring.rebuild(fire)
-	} else {
-		c.heap.rebuild(fire)
-	}
-}
-
-// push files node i at slot.
-func (c *fireCalendar) push(slot int64, i int) {
-	if c.useRing {
-		c.ring.file(slot, int32(i))
-	} else {
-		c.heap.push(slot, i)
-	}
-}
-
-// nextEvent finds the next slot with a true expiry, collecting the
-// expired nodes ascending (see fireRing.nextEvent for the contract). The
-// heap path repairs stale entries pop-by-pop exactly as the engine's old
-// inline loop did.
-func (c *fireCalendar) nextEvent(fire []int64, limit int64, expired []int) (int64, []int) {
-	if c.useRing {
-		return c.ring.nextEvent(fire, limit, expired)
-	}
-	var t int64
-	for {
-		s, i := c.heap.pop()
-		if s != fire[i] {
-			c.heap.push(fire[i], i)
-			continue
-		}
-		t = s
-		expired = append(expired, i)
-		break
-	}
-	if t >= limit {
-		return t, expired
-	}
-	for c.heap.len() > 0 && c.heap.minSlot() == t {
-		_, i := c.heap.pop()
-		if fire[i] != t {
-			c.heap.push(fire[i], i)
-			continue
-		}
-		expired = append(expired, i)
-	}
-	return t, expired
 }

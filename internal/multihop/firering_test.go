@@ -1,18 +1,21 @@
 package multihop
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
 )
 
-// firering_test.go pins the bucket-ring calendar against the lazy-shift
-// heap it replaced: driven with the same fire-slot trajectory — pushes,
-// silent forward shifts (carrier freezes), expiry collection — both must
-// report identical (slot, expired-set) sequences, as long as the
-// trajectory respects the engine's horizon bound (no fire slot more than
-// span-1 slots past the current event slot).
+// firering_test.go pins the bucket-ring calendar against an eager O(n)
+// min-scan over fire[]: driven with the same fire-slot trajectory —
+// re-keys, silent forward shifts (carrier freezes), expiry collection —
+// the ring must report the scan's (slot, expired-set) sequence, as long
+// as the trajectory respects the engine's horizon bound (no fire slot
+// more than span-1 slots past the current event slot).
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int64]int64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
@@ -23,24 +26,159 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
+// TestFireCalendarSelection pins the engine's calendar route: a fire-slot
+// horizon within maxRingSpan runs on the ring; anything past it —
+// including windows whose cw << MaxStage would overflow — is routed to
+// the reference loop rather than to a wrapped, too-small ring.
 func TestFireCalendarSelection(t *testing.T) {
-	var c fireCalendar
-	c.configure(10, 512)
-	if !c.useRing {
-		t.Fatal("span 512 should select the ring")
-	}
-	c.configure(10, maxRingSpan+1)
-	if c.useRing {
-		t.Fatalf("span %d should fall back to the heap", maxRingSpan+1)
-	}
-	c.configure(10, 0)
-	if c.useRing {
-		t.Fatal("span 0 should fall back to the heap")
+	nw := &fixedGraph{adj: [][]int{{1}, {0}}}
+	// MaxStage 6: the ring holds cw << 6 plus one frame time.
+	for _, tc := range []struct {
+		cw   int
+		ring bool
+	}{
+		{16, true},
+		{maxRingSpan>>6 - 64, true},
+		{maxRingSpan>>6 + 1, false},
+		{1 << 40, false},
+		{math.MaxInt, false},
+	} {
+		sim, err := NewSimulator(nw, simCfg(phy.RTSCTS, []int{tc.cw, 16}, 1e5, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring := sim.st.span <= maxRingSpan; ring != tc.ring {
+			t.Errorf("cw %d: span %d selects ring=%v, want %v", tc.cw, sim.st.span, ring, tc.ring)
+		}
 	}
 }
 
-// TestFireRingMatchesHeapTrajectory runs randomized engine-shaped
-// trajectories through a ring calendar and a heap calendar in lockstep.
+// minScan is the eager reference: the minimum fire slot and every node
+// at it, ascending.
+func minScan(fire []int64, expired []int) (int64, []int) {
+	t := fire[0]
+	for _, f := range fire[1:] {
+		if f < t {
+			t = f
+		}
+	}
+	for i, f := range fire {
+		if f == t {
+			expired = append(expired, i)
+		}
+	}
+	return t, expired
+}
+
+// stepAgainstScan advances ring and the eager scan by one event before
+// limit and fails unless both pick the same slot and the same ascending
+// expired set. Past the last event before limit the ring must report
+// (limit, none), the scan's minimum lying at or beyond limit.
+func stepAgainstScan(t *testing.T, ring *fireRing, fire []int64, limit int64, got, want []int) (int64, []int, []int) {
+	t.Helper()
+	var tw, tg int64
+	tw, want = minScan(fire, want[:0])
+	tg, got = ring.nextEvent(fire, limit, got[:0])
+	if tw >= limit {
+		tw, want = limit, want[:0]
+	}
+	if tg != tw {
+		t.Fatalf("ring slot %d, eager scan %d", tg, tw)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slot %d: expired %v, want %v (order must be ascending)", tg, got, want)
+	}
+	return tg, got, want
+}
+
+// TestFireRingMatchesEagerScan is the calendar's lockstep property test:
+// under randomized engine-shaped churn — fire slots shifted forward
+// without touching the ring, exactly how the engine applies carrier-sense
+// holds — the lazy-repair ring must select the same event slot and the
+// same ascending expired set as the eager scan, at several horizons.
+func TestFireRingMatchesEagerScan(t *testing.T) {
+	const (
+		n      = 150
+		rounds = 3000
+	)
+	for trial, span := range []int64{2, 64, 900, 4096} {
+		src := rng.New(uint64(trial) + 101)
+		fire := make([]int64, n)
+		for i := range fire {
+			fire[i] = int64(src.Intn(int(span)))
+		}
+		var ring fireRing
+		ring.init(n, span)
+		ring.rebuild(fire)
+
+		var got, want []int
+		for round := 0; round < rounds; round++ {
+			var tw int64
+			tw, got, want = stepAgainstScan(t, &ring, fire, 1<<62, got, want)
+			// Freeze-shift a random subset of the other nodes forward
+			// without telling the ring, staying inside the horizon.
+			for k := 0; k < n/4; k++ {
+				j := src.Intn(n)
+				if fire[j] <= tw {
+					continue // expired, re-keyed below
+				}
+				if shifted := fire[j] + int64(src.Intn(40)); shifted <= tw+span-1 {
+					fire[j] = shifted
+				}
+			}
+			// Re-key the expired nodes, engine-style: resume strictly
+			// later with a fresh counter inside the horizon.
+			for _, i := range got {
+				fire[i] = tw + 1 + int64(src.Intn(int(span-1)))
+				ring.file(fire[i], int32(i))
+			}
+		}
+	}
+}
+
+// TestFireHeapLazyShiftMatchesEagerScan keeps the name and the churn
+// regime of the property test first written for the binary-heap
+// calendar the ring replaced: every surviving node is freeze-shifted
+// with probability 1/4 each event, without touching the calendar, and
+// expired nodes are re-keyed up to 128 slots ahead. Shifts are clamped
+// to the ring's horizon, the bound the engine guarantees.
+func TestFireHeapLazyShiftMatchesEagerScan(t *testing.T) {
+	const (
+		n      = 97
+		rounds = 2000
+		span   = int64(256)
+	)
+	var src rng.Source
+	src.Reseed(42)
+	fire := make([]int64, n)
+	for i := range fire {
+		fire[i] = int64(src.Intn(64))
+	}
+	var ring fireRing
+	ring.init(n, span)
+	ring.rebuild(fire)
+
+	var got, want []int
+	for r := 0; r < rounds; r++ {
+		var t0 int64
+		t0, got, want = stepAgainstScan(t, &ring, fire, 1<<62, got, want)
+		for _, i := range got {
+			fire[i] = t0 + 1 + int64(src.Intn(128))
+			ring.file(fire[i], int32(i))
+		}
+		for i := 0; i < n; i++ {
+			if fire[i] > t0 && src.Intn(4) == 0 {
+				fire[i] = min(fire[i]+int64(src.Intn(32)), t0+span-1)
+			}
+		}
+	}
+}
+
+// TestFireRingMatchesHeapTrajectory keeps the name of the ring-vs-heap
+// lockstep test from when a heap calendar served wide spans; the heap
+// is gone and the eager scan stands in as the oracle. Each trial runs a
+// horizon-900 trajectory until the next event lies past the limit, so
+// the ring's limit stop is checked at the end of every trial.
 func TestFireRingMatchesHeapTrajectory(t *testing.T) {
 	const (
 		n     = 150
@@ -53,53 +191,55 @@ func TestFireRingMatchesHeapTrajectory(t *testing.T) {
 		for i := range fire {
 			fire[i] = int64(src.Intn(int(span)))
 		}
-		var ring, heap fireCalendar
-		ring.configure(n, span)
-		heap.configure(n, 0) // force the fallback
-		if !ring.useRing || heap.useRing {
-			t.Fatal("calendar selection did not split as intended")
-		}
+		var ring fireRing
+		ring.init(n, span)
 		ring.rebuild(fire)
-		heap.rebuild(fire)
 
-		var ringExp, heapExp []int
-		for round := 0; ; round++ {
-			var tr, th int64
-			tr, ringExp = ring.nextEvent(fire, limit, ringExp[:0])
-			th, heapExp = heap.nextEvent(fire, limit, heapExp[:0])
-			if tr >= limit || th >= limit {
-				if tr < limit || th < limit {
-					t.Fatalf("trial %d round %d: one calendar ended (ring %d, heap %d)", trial, round, tr, th)
-				}
+		var got, want []int
+		for {
+			var t0 int64
+			t0, got, want = stepAgainstScan(t, &ring, fire, limit, got, want)
+			if t0 >= limit {
 				break
 			}
-			if tr != th {
-				t.Fatalf("trial %d round %d: ring slot %d != heap slot %d", trial, round, tr, th)
-			}
-			if !reflect.DeepEqual(ringExp, heapExp) {
-				t.Fatalf("trial %d round %d: expired sets diverged: ring %v heap %v", trial, round, ringExp, heapExp)
-			}
-			t0 := tr
-			// Freeze-shift a random subset of the still-filed nodes forward
-			// without telling the calendars, staying inside the horizon.
 			for k := 0; k < n/8; k++ {
 				j := src.Intn(n)
-				if fire[j] <= t0 {
-					continue // being re-keyed below, or already collected
+				if fire[j] > t0 {
+					fire[j] = min(fire[j]+int64(src.Intn(40)), t0+span-1)
 				}
-				shifted := fire[j] + int64(src.Intn(40))
-				if max := t0 + span - 1; shifted > max {
-					shifted = max
-				}
-				fire[j] = shifted
 			}
-			// Re-key the expired nodes, engine-style: resume at t+1 with a
-			// fresh counter inside the horizon.
-			for _, i := range ringExp {
+			for _, i := range got {
 				fire[i] = t0 + 1 + int64(src.Intn(int(span)-1))
-				ring.push(fire[i], i)
-				heap.push(fire[i], i)
+				ring.file(fire[i], int32(i))
 			}
+		}
+	}
+}
+
+// The ring must stop at the limit with every entry still filed, and pick
+// up from there when the limit moves on.
+func TestFireRingRespectsLimit(t *testing.T) {
+	fire := []int64{5, 9, 9, 30}
+	var ring fireRing
+	ring.init(len(fire), 32)
+	ring.rebuild(fire)
+	if slot, exp := ring.nextEvent(fire, 5, nil); slot != 5 || len(exp) != 0 {
+		t.Fatalf("limit 5: got (%d, %v), want (5, [])", slot, exp)
+	}
+	if slot, exp := ring.nextEvent(fire, 100, nil); slot != 5 || !reflect.DeepEqual(exp, []int{0}) {
+		t.Fatalf("got (%d, %v), want (5, [0])", slot, exp)
+	}
+	fire[0] = 40 // re-keyed past node 3
+	ring.file(fire[0], 0)
+	for _, want := range []struct {
+		slot int64
+		exp  []int
+	}{{9, []int{1, 2}}, {30, []int{3}}, {40, []int{0}}} {
+		if slot, exp := ring.nextEvent(fire, 100, nil); slot != want.slot || !reflect.DeepEqual(exp, want.exp) {
+			t.Fatalf("got (%d, %v), want (%d, %v)", slot, exp, want.slot, want.exp)
+		}
+		for _, i := range want.exp {
+			fire[i] = 1 << 40 // retire: never filed again
 		}
 	}
 }
@@ -127,5 +267,45 @@ func TestFireRingExpiredAscending(t *testing.T) {
 		if expired[i-1] >= expired[i] {
 			t.Fatalf("expired not ascending at %d: %v", i, expired)
 		}
+	}
+}
+
+// BenchmarkEventSelection times the ring on the engine's event-selection
+// workload: find the next fire slot, collect its expired set in
+// ascending node order, re-key the expired, apply a few lazy freeze
+// shifts. Fire slots are drawn from a fixed horizon, as in the engine,
+// where each event expires O(1) nodes however large the population gets.
+func BenchmarkEventSelection(b *testing.B) {
+	for _, n := range []int{1000, 5000, 10000} {
+		b.Run(fmt.Sprintf("ring-n%d", n), func(b *testing.B) {
+			const span = 4096
+			var src rng.Source
+			src.Reseed(7)
+			fire := make([]int64, n)
+			for i := range fire {
+				fire[i] = int64(src.Intn(span))
+			}
+			var ring fireRing
+			ring.init(n, span)
+			ring.rebuild(fire)
+			expired := make([]int, 0, n)
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				var t int64
+				t, expired = ring.nextEvent(fire, 1<<62, expired[:0])
+				for _, i := range expired {
+					fire[i] = t + 1 + int64(src.Intn(span-64))
+					ring.file(fire[i], int32(i))
+				}
+				// A handful of lazy shifts per event keeps the calendar's
+				// stale-repair cost in the measurement, like carrier
+				// sensing does.
+				for j := 0; j < 8; j++ {
+					if i := src.Intn(n); fire[i] > t && fire[i]+63 < t+span {
+						fire[i] += int64(src.Intn(64))
+					}
+				}
+			}
+		})
 	}
 }

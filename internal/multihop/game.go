@@ -8,6 +8,7 @@ import (
 
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
+	"selfishmac/internal/parallel"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/replicate"
 	"selfishmac/internal/topology"
@@ -412,7 +413,10 @@ func PHNSweepContext(ctx context.Context, nw *topology.Network, sim SimConfig, c
 		}
 	}
 	out := make([]float64, len(cws))
-	err := forEachIndex(ctx, len(cws), workers, sim.MobilityEvery == 0, func(k int) error {
+	if sim.MobilityEvery > 0 {
+		workers = 1 // every run mutates the shared network
+	}
+	err := parallel.ForEach(ctx, len(cws), workers, func(_, k int) error {
 		s := sim
 		s.CW = uniformCWProfile(cws[k], nw.N())
 		r, err := Simulate(nw, s)
@@ -441,4 +445,15 @@ func DefaultSimConfig(duration float64, seed uint64) SimConfig {
 		Gain:     1,
 		Cost:     0.01,
 	}
+}
+
+// uniformCWProfile returns an n-slot profile all at w. Each parallel
+// simulator run needs its own profile slice (SimConfig.CW is retained by
+// the run), so this is per-call, never shared.
+func uniformCWProfile(w, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = w
+	}
+	return out
 }

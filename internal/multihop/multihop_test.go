@@ -1,6 +1,7 @@
 package multihop
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -56,6 +57,102 @@ func TestSimulateValidation(t *testing.T) {
 	cfg.Duration = 0
 	if _, err := Simulate(nw, cfg); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+// TestSimConfigValidate is the config surface's table: every invalid
+// field — non-finite floats included, which ordered comparisons let
+// through — is rejected by every entry point with an error wrapping
+// ErrInvalidSimConfig, and the valid baseline is accepted by all of them.
+func TestSimConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name     string
+		mutate   func(*SimConfig)
+		cwOnly   bool // NewEngine ignores CW, so it cannot reject it
+		wantFail bool
+	}{
+		{"valid", func(*SimConfig) {}, false, false},
+		{"valid mobility", func(c *SimConfig) { c.MobilityEvery = 1e5 }, false, false},
+		{"CW wrong length", func(c *SimConfig) { c.CW = c.CW[:2] }, true, true},
+		{"CW zero", func(c *SimConfig) { c.CW[1] = 0 }, true, true},
+		{"MaxStage negative", func(c *SimConfig) { c.MaxStage = -1 }, false, true},
+		{"MaxStage too large", func(c *SimConfig) { c.MaxStage = 17 }, false, true},
+		{"Duration zero", func(c *SimConfig) { c.Duration = 0 }, false, true},
+		{"Duration NaN", func(c *SimConfig) { c.Duration = nan }, false, true},
+		{"Duration +Inf", func(c *SimConfig) { c.Duration = inf }, false, true},
+		{"Timing.Slot NaN", func(c *SimConfig) { c.Timing.Slot = nan }, false, true},
+		{"Timing.Slot +Inf", func(c *SimConfig) { c.Timing.Slot = inf }, false, true},
+		{"Timing.Ts NaN", func(c *SimConfig) { c.Timing.Ts = nan }, false, true},
+		{"Timing.Ts zero", func(c *SimConfig) { c.Timing.Ts = 0 }, false, true},
+		{"Timing.Tc NaN", func(c *SimConfig) { c.Timing.Tc = nan }, false, true},
+		{"Timing.Tc +Inf", func(c *SimConfig) { c.Timing.Tc = inf }, false, true},
+		{"Gain NaN", func(c *SimConfig) { c.Gain = nan }, false, true},
+		{"Gain +Inf", func(c *SimConfig) { c.Gain = inf }, false, true},
+		{"Gain negative", func(c *SimConfig) { c.Gain = -1 }, false, true},
+		{"Cost NaN", func(c *SimConfig) { c.Cost = nan }, false, true},
+		{"Cost +Inf", func(c *SimConfig) { c.Cost = inf }, false, true},
+		{"MobilityEvery NaN", func(c *SimConfig) { c.MobilityEvery = nan }, false, true},
+		{"MobilityEvery +Inf", func(c *SimConfig) { c.MobilityEvery = inf }, false, true},
+		{"MobilityEvery negative", func(c *SimConfig) { c.MobilityEvery = -1 }, false, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			newCfg := func() SimConfig {
+				cfg := DefaultSimConfig(1e5, 1)
+				cfg.CW = uniformCW(32, 3)
+				tt.mutate(&cfg)
+				return cfg
+			}
+			net := func() *topology.Network { return cliqueNetwork(t, 3) }
+			mobile := newCfg().MobilityEvery > 0
+			entries := map[string]func() error{
+				"Simulate": func() error {
+					_, err := Simulate(net(), newCfg())
+					return err
+				},
+				"SimulateReference": func() error {
+					_, err := SimulateReference(net(), newCfg())
+					return err
+				},
+			}
+			// The reusable simulator rejects mobility by design, so the
+			// valid mobile baseline only runs through the one-shot entries.
+			if !(mobile && !tt.wantFail) {
+				entries["NewSimulator"] = func() error {
+					_, err := NewSimulator(net(), newCfg())
+					return err
+				}
+				entries["Reconfigure"] = func() error {
+					base := DefaultSimConfig(1e5, 1)
+					base.CW = uniformCW(32, 3)
+					sim, err := NewSimulator(net(), base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sim.Reconfigure(newCfg())
+				}
+			}
+			if !tt.cwOnly {
+				entries["NewEngine"] = func() error {
+					strategies := []core.Strategy{core.Constant{W: 32}, core.Constant{W: 32}, core.Constant{W: 32}}
+					_, err := NewEngine(net(), strategies, newCfg())
+					return err
+				}
+			}
+			for name, call := range entries {
+				err := call()
+				if !tt.wantFail {
+					if err != nil {
+						t.Errorf("%s rejected a valid config: %v", name, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrInvalidSimConfig) {
+					t.Errorf("%s: got %v, want an error wrapping ErrInvalidSimConfig", name, err)
+				}
+			}
+		})
 	}
 }
 

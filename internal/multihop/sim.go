@@ -19,6 +19,7 @@ package multihop
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
@@ -41,35 +42,6 @@ type MobileTopology interface {
 	Topology
 	// Step advances mobility by dt seconds.
 	Step(dt float64) error
-}
-
-// NeighborAppender is an optional fast path a Topology may implement:
-// AppendNeighbors appends node i's neighbors to buf — in the same
-// ascending index order AdjacencyLists uses — and returns the extended
-// slice. maskedTopology uses it to filter churn views node by node
-// without materialising the full base adjacency. *topology.Network
-// implements it over its grid index.
-type NeighborAppender interface {
-	AppendNeighbors(i int, buf []int) []int
-}
-
-// AdjacencyReuser is an optional refill fast path: AdjacencyInto fills
-// dst with the adjacency structure, reusing dst's per-node slices, and
-// returns it. The engines use it so mobility re-snapshots and repeated
-// stage snapshots refill one owned buffer instead of allocating O(n)
-// slices each time. Contents and ordering must be identical to
-// AdjacencyLists; *topology.Network implements it.
-type AdjacencyReuser interface {
-	AdjacencyInto(dst [][]int) [][]int
-}
-
-// PositionVersioner is an optional staleness probe: PositionVersion
-// returns a counter that changes whenever node positions change. Views
-// layered over a topology (the churn mask, adjacency consumers) use it
-// to skip refilling their caches when nothing moved since the last
-// consult. *topology.Network implements it.
-type PositionVersioner interface {
-	PositionVersion() uint64
 }
 
 // Observer receives one event per slot in which at least one node starts
@@ -113,11 +85,11 @@ type SimConfig struct {
 	// Gain and Cost are g and e for the measured payoff.
 	Gain float64
 	Cost float64
-	// MobilityStep, when positive, advances the random-waypoint model by
-	// this many seconds of mobility every simulated second of MAC time
-	// ... (the paper's scenario is slow — max 5 m/s — so topology changes
-	// on a much slower timescale than backoff; the simulator re-snapshots
-	// the graph every MobilityEvery microseconds of MAC time).
+	// MobilityEvery, when positive, advances the random-waypoint model
+	// every MobilityEvery microseconds of MAC time, by that same span of
+	// mobility time, and refreshes the adjacency. The paper's scenario is
+	// slow (max 5 m/s), so the topology changes on a much slower
+	// timescale than backoff. Zero keeps the topology fixed for the run.
 	MobilityEvery float64
 	// Observer, when non-nil, is invoked once per slot in which at least
 	// one node starts transmitting, with the slot index and the
@@ -126,7 +98,18 @@ type SimConfig struct {
 	Observer Observer
 }
 
-// Validate checks the configuration against the network size.
+// ErrInvalidSimConfig is wrapped by every error a SimConfig fails
+// validation with, so callers can tell a rejected configuration from a
+// failed run with errors.Is.
+var ErrInvalidSimConfig = errors.New("multihop: invalid sim config")
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// validate checks the configuration against the network size. Every
+// float field must be finite: NaN slips through ordered comparisons, and
+// an infinite duration or mobility period truncates to a nonsense slot
+// count.
 func (c SimConfig) validate(n int) error {
 	var errs []error
 	if len(c.CW) != n {
@@ -137,22 +120,44 @@ func (c SimConfig) validate(n int) error {
 			errs = append(errs, fmt.Errorf("node %d CW %d < 1", i, w))
 		}
 	}
-	if c.Duration <= 0 {
-		errs = append(errs, fmt.Errorf("duration %g must be positive", c.Duration))
+	if !(c.Duration > 0) || !finite(c.Duration) {
+		errs = append(errs, fmt.Errorf("duration %g must be positive and finite", c.Duration))
 	}
 	if c.MaxStage < 0 || c.MaxStage > 16 {
 		errs = append(errs, fmt.Errorf("max backoff stage %d outside [0, 16]", c.MaxStage))
 	}
-	if c.Timing.Slot <= 0 || c.Timing.Ts <= 0 || c.Timing.Tc <= 0 {
-		errs = append(errs, fmt.Errorf("non-positive timing %+v", c.Timing))
+	for _, v := range []float64{c.Timing.Slot, c.Timing.Ts, c.Timing.Tc} {
+		if !(v > 0) || !finite(v) {
+			errs = append(errs, fmt.Errorf("timing %+v needs positive, finite Slot, Ts and Tc", c.Timing))
+			break
+		}
 	}
-	if c.Gain < 0 || c.Cost < 0 {
-		errs = append(errs, errors.New("gain and cost must be non-negative"))
+	if !(c.Gain >= 0) || !(c.Cost >= 0) || !finite(c.Gain) || !finite(c.Cost) {
+		errs = append(errs, fmt.Errorf("gain %g and cost %g must be non-negative and finite", c.Gain, c.Cost))
 	}
-	if c.MobilityEvery < 0 {
-		errs = append(errs, errors.New("MobilityEvery must be non-negative"))
+	if !(c.MobilityEvery >= 0) || !finite(c.MobilityEvery) {
+		errs = append(errs, fmt.Errorf("MobilityEvery %g must be non-negative and finite", c.MobilityEvery))
 	}
-	return errors.Join(errs...)
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidSimConfig, errors.Join(errs...))
+}
+
+// mobileOf checks cfg against the topology and returns the topology as a
+// MobileTopology when cfg enables mobility (nil otherwise).
+func mobileOf(nw Topology, cfg SimConfig) (MobileTopology, error) {
+	if err := cfg.validate(nw.N()); err != nil {
+		return nil, err
+	}
+	if cfg.MobilityEvery == 0 {
+		return nil, nil
+	}
+	mobile, ok := nw.(MobileTopology)
+	if !ok {
+		return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
+	}
+	return mobile, nil
 }
 
 // NodeStats aggregates one node's spatial-simulation outcome.
@@ -231,18 +236,13 @@ func (n *spatialNode) draw(r *rng.Source, maxStage int) {
 // It uses the event-skipping engine (fastsim.go), which jumps the slot
 // clock directly to the next fire slot instead of stepping idle slots.
 // Results, PRNG consumption and mobility stepping are bit-identical to
-// SimulateReference; the differential tests pin this.
+// SimulateReference; the differential tests pin this. Configurations
+// whose fire-slot horizon exceeds the calendar (maxRingSpan) run the
+// reference loop itself.
 func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
-	n := nw.N()
-	if err := cfg.validate(n); err != nil {
-		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
-	}
-	var mobile MobileTopology
-	if cfg.MobilityEvery > 0 {
-		var ok bool
-		if mobile, ok = nw.(MobileTopology); !ok {
-			return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
-		}
+	mobile, err := mobileOf(nw, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return simulateFast(nw, mobile, cfg)
 }
@@ -253,17 +253,17 @@ func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
 // Simulate produces byte-identical results, and cmd/bench measures the
 // speedup against it.
 func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
+	mobile, err := mobileOf(nw, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return simulateReference(nw, mobile, cfg)
+}
+
+// simulateReference is SimulateReference past validation; mobile is nil
+// unless cfg enables mobility.
+func simulateReference(nw Topology, mobile MobileTopology, cfg SimConfig) (*SimResult, error) {
 	n := nw.N()
-	if err := cfg.validate(n); err != nil {
-		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
-	}
-	var mobile MobileTopology
-	if cfg.MobilityEvery > 0 {
-		var ok bool
-		if mobile, ok = nw.(MobileTopology); !ok {
-			return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
-		}
-	}
 	src := rng.New(cfg.Seed)
 	nodes := make([]spatialNode, n)
 	for i := range nodes {

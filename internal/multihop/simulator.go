@@ -1,9 +1,6 @@
 package multihop
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Simulator is the reusable New / Reset(seed) / Run lifecycle over the
 // spatial event-skipping engine: construction allocates every buffer once
@@ -30,11 +27,11 @@ type Simulator struct {
 // simulator bound to the network's current topology snapshot. The
 // simulator deep-copies cfg.CW, so the caller may reuse or mutate it.
 func NewSimulator(nw Topology, cfg SimConfig) (*Simulator, error) {
+	if err := cfg.validate(nw.N()); err != nil {
+		return nil, err
+	}
 	if cfg.MobilityEvery > 0 {
 		return nil, errors.New("multihop: Simulator does not support mobility; use Simulate")
-	}
-	if err := cfg.validate(nw.N()); err != nil {
-		return nil, fmt.Errorf("multihop: invalid sim config: %w", err)
 	}
 	cfg.CW = append([]int(nil), cfg.CW...)
 	s := &Simulator{}
@@ -57,11 +54,11 @@ func (s *Simulator) Reset(seed uint64) {
 // same static network skips adjacency work outright) and allocates
 // nothing in steady state.
 func (s *Simulator) Reconfigure(cfg SimConfig) error {
+	if err := cfg.validate(s.st.n); err != nil {
+		return err
+	}
 	if cfg.MobilityEvery > 0 {
 		return errors.New("multihop: Simulator does not support mobility; use Simulate")
-	}
-	if err := cfg.validate(s.st.n); err != nil {
-		return fmt.Errorf("multihop: invalid sim config: %w", err)
 	}
 	cfg.CW = append(s.st.cfg.CW[:0], cfg.CW...)
 	s.st.init(s.st.nw, nil, cfg)
@@ -72,13 +69,10 @@ func (s *Simulator) Reconfigure(cfg SimConfig) error {
 // cw into the simulator-owned slice) and resets backoff state for the
 // current seed. Call Reset afterwards to pick the replication seed.
 func (s *Simulator) SetCW(cw []int) error {
-	if len(cw) != s.st.n {
-		return fmt.Errorf("multihop: CW profile has %d entries for %d nodes", len(cw), s.st.n)
-	}
-	for i, w := range cw {
-		if w < 1 {
-			return fmt.Errorf("multihop: node %d CW %d < 1", i, w)
-		}
+	cfg := s.st.cfg
+	cfg.CW = cw
+	if err := cfg.validate(s.st.n); err != nil {
+		return err
 	}
 	copy(s.st.cfg.CW, cw)
 	s.st.reset(s.st.cfg.Seed)
@@ -87,7 +81,10 @@ func (s *Simulator) SetCW(cw []int) error {
 
 // Run executes the simulation. The returned SimResult is owned by the
 // simulator and reused: it is valid until the next Reset, SetCW or Run.
-// The lifecycle is always Reset(seed) then Run.
+// The lifecycle is always Reset(seed) then Run. A profile whose fire-slot
+// horizon exceeds the calendar (see Simulate) runs the reference loop,
+// which allocates per Run; SetCW or Reconfigure back into range returns
+// to the allocation-free path.
 func (s *Simulator) Run() (*SimResult, error) {
 	return s.st.run()
 }

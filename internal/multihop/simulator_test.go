@@ -227,3 +227,77 @@ func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("SetCW+Reset+Run allocated %.1f objects per run, want 0", allocs)
 	}
 }
+
+// A Simulator whose profile crosses maxRingSpan must take the reference
+// route and come back: SetCW and Reconfigure into a span past the ring
+// and back again each equal SimulateReference with the same observer
+// stream, and once back in range Reset+Run is allocation-free again.
+func TestSimulatorCrossesReferenceRoute(t *testing.T) {
+	nw := randomNetwork(t, 20, 300, 31)
+	const n = 20
+	small, huge := uniformCW(64, n), uniformCW(3000, n)
+	cfg := simCfg(phy.RTSCTS, small, 5e5, 1)
+	obs := &recordingObserver{}
+	cfg.Observer = obs
+	sim, err := NewSimulator(nw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, cw []int, seed uint64) {
+		t.Helper()
+		obs.events = nil
+		got, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotEvents := obs.events
+		obs.events = nil
+		ref := cfg
+		ref.CW, ref.Seed = cw, seed
+		want, err := SimulateReference(nw, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: simulator diverged from SimulateReference", step)
+		}
+		if !reflect.DeepEqual(gotEvents, obs.events) {
+			t.Fatalf("%s: observer streams diverge: %d events, reference %d", step, len(gotEvents), len(obs.events))
+		}
+	}
+
+	for _, cw := range [][]int{small, huge, small} {
+		if err := sim.SetCW(cw); err != nil {
+			t.Fatal(err)
+		}
+		if wantRef := cw[0] == 3000; (sim.st.span > maxRingSpan) != wantRef {
+			t.Fatalf("SetCW(%d): span %d, reference route %v", cw[0], sim.st.span, wantRef)
+		}
+		sim.Reset(9)
+		check("SetCW", cw, 9)
+	}
+	for _, cw := range [][]int{huge, small} {
+		next := cfg
+		next.CW, next.Seed = cw, 11
+		if err := sim.Reconfigure(next); err != nil {
+			t.Fatal(err)
+		}
+		check("Reconfigure", cw, 11)
+	}
+
+	quiet := cfg // the recording observer allocates by design
+	quiet.Observer = nil
+	if err := sim.Reconfigure(quiet); err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(20)
+	if allocs := testing.AllocsPerRun(5, func() {
+		seed++
+		sim.Reset(seed)
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reset+Run back on the ring allocated %.1f objects per run, want 0", allocs)
+	}
+}

@@ -10,7 +10,7 @@
 //   - Bit-identical at any worker count. Replication i always runs on
 //     seed rng.DeriveSeed(BaseSeed, Stream, i) and writes only its own
 //     metric slots; moments are folded serially in index order after each
-//     round. Workers change wall-clock only (the forEachIndex contract).
+//     round. Workers change wall-clock only (the parallel.ForEach contract).
 //
 //   - Deterministic adaptive stopping. The schedule is defined in rounds
 //     (batch → merge → decide): the first round runs MinReps
@@ -37,9 +37,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"selfishmac/internal/parallel"
 	"selfishmac/internal/rng"
 	"selfishmac/internal/stats"
 )
@@ -260,7 +260,7 @@ func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error))
 			res.Retried = int(retried.Load())
 			return res, err
 		}
-		// Errors surface in index order, like forEachIndex.
+		// Errors surface in index order, like parallel.ForEach.
 		for i := done; i < target; i++ {
 			if errs[i] != nil {
 				return nil, fmt.Errorf("replicate: replication %d (after %d retries): %w",
@@ -319,60 +319,29 @@ func RunFuncContext(ctx context.Context, p Plan, f Func) (*Result, error) {
 	return RunContext(ctx, p, func() (Replicator, error) { return f, nil })
 }
 
-// runRound executes replications [lo, hi) across the worker Replicators.
-// Each replication writes only its own metric slots and error slot, so
-// results are independent of which worker claims which index. Workers
-// check ctx between replications and stop claiming once it is cancelled;
-// the caller then discards the partial round, so the check affects
-// wall-clock only, never the folded moments.
+// runRound executes replications [lo, hi) across the worker Replicators,
+// one per pool worker. Each replication writes only its own metric slots
+// and error slot, so results are independent of which worker claims
+// which index. Workers stop claiming once ctx is cancelled; the caller
+// then discards the partial round, so the check affects wall-clock only,
+// never the folded moments.
 func runRound(ctx context.Context, p Plan, workers []Replicator, values []float64, errs []error, lo, hi int, retried *atomic.Int64) {
-	span := hi - lo
-	nw := len(workers)
-	if nw > span {
-		nw = span
-	}
-	runOne := func(r Replicator, i int) {
+	// Replication errors land in errs, never in the pool's result; the
+	// only error the pool can report is the cancellation the caller
+	// checks itself.
+	_ = parallel.ForEach(ctx, hi-lo, len(workers), func(w, k int) error {
+		i := lo + k
 		seed := rng.DeriveSeed(p.BaseSeed, p.Stream, i)
 		out := values[i*p.Metrics : (i+1)*p.Metrics : (i+1)*p.Metrics]
-		err := r.Replicate(seed, out)
+		err := workers[w].Replicate(seed, out)
 		// Failed replications re-run on seeds derived from the primary
-		// seed, so the attempt-k stream of replication i never collides
+		// seed, so the attempt-a stream of replication i never collides
 		// with any primary stream and is the same at every worker count.
-		for k := 1; err != nil && k <= p.MaxErrRetries && ctx.Err() == nil; k++ {
+		for a := 1; err != nil && a <= p.MaxErrRetries && ctx.Err() == nil; a++ {
 			retried.Add(1)
-			err = r.Replicate(rng.DeriveSeed(seed, "replicate.retry", k), out)
+			err = workers[w].Replicate(rng.DeriveSeed(seed, "replicate.retry", a), out)
 		}
 		errs[i] = err
-	}
-	if nw <= 1 {
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			runOne(workers[0], i)
-		}
-		return
-	}
-	// Work stealing via a shared atomic cursor: fast workers drain the
-	// round; index-owned slots keep the outcome schedule-independent.
-	var next atomic.Int64
-	next.Store(int64(lo))
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(r Replicator) {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= hi {
-					return
-				}
-				runOne(r, i)
-			}
-		}(workers[w])
-	}
-	wg.Wait()
+		return nil
+	})
 }

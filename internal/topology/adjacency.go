@@ -1,10 +1,15 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // adjacency.go is the incremental adjacency view: a reusable snapshot of
-// the network's neighbor lists that is *patched* when mobility moves
-// nodes instead of being rebuilt from scratch each time it is consulted.
+// the network's neighbor lists that mobility steps refresh in place,
+// either by *patching* the rows incident to nodes that moved (sparse
+// change) or by one bulk refill (dense change), whichever is cheaper for
+// the step (see bulkMovedPercent).
 //
 // The view's contract mirrors the grid's determinism contract: every row
 // is in exactly the ascending-index order BruteForceAdjacencyLists
@@ -12,9 +17,10 @@ import "fmt"
 // construction — unmoved neighbors' rows are edited with the same
 // sorted-insert/sorted-delete primitives the cell buckets use, and a
 // moved node's own row is wholesale-replaced with a fresh sorted grid
-// query.
+// query — and the bulk refill is AdjacencyInto itself.
 //
-// Staleness is tracked through Network.PositionVersion: if the network
+// Staleness is tracked through the network's position generation
+// (posGen, bumped by every mutation that moves a node): if the network
 // moved outside the view's control (a plain Step, SetPositions, or
 // another view stepping the same network), the next Rows or Step call
 // rebuilds the rows in place and resynchronises. On a static network the
@@ -27,8 +33,10 @@ type Adjacency struct {
 
 	rows    [][]int
 	delta   Delta
-	moved   []bool // scratch bitmask over nodes, cleared after each Step
-	scratch []int  // fresh-neighbor query buffer
+	moved   []bool  // scratch bitmask over nodes, cleared after each Step
+	oldPos  []Point // positions before the step, for the refill's delta
+	kept    []int   // refill: each moved node's old links still in range
+	scratch []int   // fresh-neighbor query buffer
 }
 
 // Pair is an undirected node pair with A < B.
@@ -93,13 +101,32 @@ func (v *Adjacency) Rows() [][]int {
 	return v.rows
 }
 
+// bulkMovedPercent is StepDelta's crossover between its two refresh
+// strategies, as a percentage of nodes moved in the step. Below it,
+// patching the rows incident to moved nodes wins: its cost tracks the
+// change. At or above it, one symmetric bulk refill (AdjacencyInto)
+// wins: it tests each candidate pair once, while the patch re-queries
+// every moved node in full. The cmd/bench rows bracket it:
+// topology/delta-vs-rebuild-n1000-paused moves ~20% of nodes per step
+// (patch wins), topology/delta-vs-rebuild-n1000 moves all of them
+// (refill wins). A pause-length sweep on the same n=1000 network puts
+// the break-even near 70%.
+const bulkMovedPercent = 70
+
 // StepDelta advances the bound network's random-waypoint mobility by dt
 // seconds — consuming the mobility PRNG exactly like Network.Step — and
-// patches the view in place, touching only the rows incident to nodes
-// that actually moved. It returns the delta (view-owned, valid until the
-// next StepDelta). When no node moves (a static network, or every node
-// pausing), the network's position version is unchanged and the patch
-// phase is skipped entirely.
+// refreshes the view in place. It returns the delta (view-owned, valid
+// until the next StepDelta). When no node moves (a static network, or
+// every node pausing), the network's position version is unchanged and
+// the refresh is skipped entirely.
+//
+// The refresh picks per step between patching the rows incident to
+// moved nodes and a bulk refill of every row, by the share of nodes that
+// moved (bulkMovedPercent). Either way the rows and the delta are
+// identical. A link can only change if at least one endpoint moved, so
+// both walk the moved nodes in ascending order, each over its neighbors
+// in ascending order; a pair whose endpoints both moved is recorded by
+// the earlier one only.
 func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
 	if dt < 0 {
 		return nil, fmt.Errorf("topology: negative time step %g", dt)
@@ -109,16 +136,17 @@ func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
 	n := nw.cfg.N
 	if len(v.moved) != n {
 		v.moved = make([]bool, n)
+		v.oldPos = make([]Point, n)
 	}
 	d := &v.delta
 	d.Moved = d.Moved[:0]
 	d.Gained = d.Gained[:0]
 	d.Lost = d.Lost[:0]
 
+	copy(v.oldPos, nw.pos)
 	for i := range nw.pos {
-		p := nw.pos[i]
 		nw.stepNode(i, dt)
-		if nw.pos[i] != p {
+		if nw.pos[i] != v.oldPos[i] {
 			v.moved[i] = true
 			d.Moved = append(d.Moved, i)
 		}
@@ -129,30 +157,10 @@ func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
 	}
 	nw.posGen++
 
-	// Patch pass, moved nodes in ascending order. A link can only change
-	// if at least one endpoint moved, so diffing each moved node's old row
-	// against a fresh grid query covers every changed pair. For a pair
-	// whose both endpoints moved, the earlier endpoint's diff records it
-	// (the later one sees the same flip again and skips it).
-	for _, i := range d.Moved {
-		fresh := nw.AppendNeighbors(i, v.scratch[:0])
-		old := v.rows[i]
-		a, b := 0, 0
-		for a < len(old) || b < len(fresh) {
-			switch {
-			case b == len(fresh) || (a < len(old) && old[a] < fresh[b]):
-				v.linkLost(i, old[a])
-				a++
-			case a == len(old) || fresh[b] < old[a]:
-				v.linkGained(i, fresh[b])
-				b++
-			default:
-				a++
-				b++
-			}
-		}
-		v.scratch = fresh
-		v.rows[i] = append(v.rows[i][:0], fresh...)
+	if 100*len(d.Moved) >= bulkMovedPercent*n {
+		v.refill()
+	} else {
+		v.patch()
 	}
 	for _, i := range d.Moved {
 		v.moved[i] = false
@@ -161,30 +169,96 @@ func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
 	return d, nil
 }
 
-// linkLost records that the link i–j disappeared and patches j's row.
-// Rows of moved nodes are wholesale-replaced by the caller, so only
-// unmoved neighbors are edited here; a both-moved pair is recorded once,
-// by its first-processed endpoint.
-func (v *Adjacency) linkLost(i, j int) {
-	if v.moved[j] {
-		if j < i {
-			return // already recorded when j was processed
+// patch diffs each moved node's old row against a fresh grid query,
+// edits the unmoved neighbors' rows to match, and replaces the moved
+// node's row.
+func (v *Adjacency) patch() {
+	for _, i := range v.delta.Moved {
+		fresh := v.nw.AppendNeighbors(i, v.scratch[:0])
+		v.scratch = fresh
+		old := v.rows[i]
+		if slices.Equal(old, fresh) {
+			continue // most moved nodes keep their links over one step
 		}
-	} else {
-		v.rows[j] = deleteSorted(v.rows[j], i)
+		a, b := 0, 0
+		for a < len(old) || b < len(fresh) {
+			switch {
+			case b == len(fresh) || (a < len(old) && old[a] < fresh[b]):
+				v.linkChanged(i, old[a], false)
+				a++
+			case a == len(old) || fresh[b] < old[a]:
+				v.linkChanged(i, fresh[b], true)
+				b++
+			default:
+				a++
+				b++
+			}
+		}
+		v.rows[i] = append(v.rows[i][:0], fresh...)
 	}
-	v.delta.Lost = append(v.delta.Lost, orderedPair(i, j))
 }
 
-func (v *Adjacency) linkGained(i, j int) {
-	if v.moved[j] {
-		if j < i {
-			return
-		}
-	} else {
-		v.rows[j] = insertSorted(v.rows[j], i)
+// linkChanged records, for patch, that the link i–j appeared (gained)
+// or disappeared, and edits j's row to match. A moved j's row is
+// replaced by its own pass instead.
+func (v *Adjacency) linkChanged(i, j int, gained bool) {
+	if !v.records(i, j) {
+		return
 	}
-	v.delta.Gained = append(v.delta.Gained, orderedPair(i, j))
+	if gained {
+		if !v.moved[j] {
+			v.rows[j] = insertSorted(v.rows[j], i)
+		}
+		v.delta.Gained = append(v.delta.Gained, orderedPair(i, j))
+	} else {
+		if !v.moved[j] {
+			v.rows[j] = deleteSorted(v.rows[j], i)
+		}
+		v.delta.Lost = append(v.delta.Lost, orderedPair(i, j))
+	}
+}
+
+// refill rebuilds every row with AdjacencyInto. The delta needs no copy
+// of the old rows: a link is lost when an old row's neighbor is out of
+// range at the new positions, checked before the refill, and gained
+// when a new row's neighbor was out of range at the old positions,
+// checked after it — the same range predicate the rows were built with,
+// so the result is exactly the rows' difference. A moved node whose new
+// row is no longer than the old links it kept gained none, which lets
+// the second check skip nearly every row.
+func (v *Adjacency) refill() {
+	nw, d := v.nw, &v.delta
+	v.kept = v.kept[:0]
+	for _, i := range d.Moved {
+		p, kept := nw.pos[i], 0
+		for _, j := range v.rows[i] {
+			if nw.inRange(p, nw.pos[j]) {
+				kept++
+			} else if v.records(i, j) {
+				d.Lost = append(d.Lost, orderedPair(i, j))
+			}
+		}
+		v.kept = append(v.kept, kept)
+	}
+	v.rows = nw.AdjacencyInto(v.rows)
+	for k, i := range d.Moved {
+		if len(v.rows[i]) == v.kept[k] {
+			continue
+		}
+		p := v.oldPos[i]
+		for _, j := range v.rows[i] {
+			if v.records(i, j) && !nw.inRange(p, v.oldPos[j]) {
+				d.Gained = append(d.Gained, orderedPair(i, j))
+			}
+		}
+	}
+}
+
+// records reports whether moved node i's pass records a change to the
+// link i–j: every link except one to a moved node below i, whose own
+// pass has already recorded it.
+func (v *Adjacency) records(i, j int) bool {
+	return j > i || !v.moved[j]
 }
 
 func orderedPair(i, j int) Pair {

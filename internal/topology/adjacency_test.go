@@ -83,15 +83,20 @@ func contains(row []int, j int) bool {
 // configs cover cell-boundary crossings (speeds up to several cells per
 // step), zero-speed legs (MinSpeed 0 draws redrawn by the leg logic),
 // pause phases, and single-cell grids (range wider than the area).
+// Pause lengths from none to long make the moved share of a step land on
+// both sides of bulkMovedPercent, so the patch and the bulk refill are
+// each checked; the test fails if either side goes unexercised.
 func TestDifferentialAdjacencyViewQuick(t *testing.T) {
-	check := func(seed uint64, nRaw, rangeRaw, speedRaw, dtRaw uint8) bool {
+	var patchSteps, bulkSteps int
+	check := func(seed uint64, nRaw, rangeRaw, speedRaw, dtRaw, pauseRaw uint8) bool {
 		n := 2 + int(nRaw)%40
 		rangeM := 40 + float64(rangeRaw)*1.5 // up to > area: one-cell grid
 		maxSpeed := float64(speedRaw % 80)   // up to ~2 cells per 1s step
 		dt := 0.25 + float64(dtRaw%16)/4
+		pause := []float64{0, 0.5, 5, 30}[pauseRaw%4]
 		cfg := Config{
 			N: n, Width: 300, Height: 200, Range: rangeM,
-			MinSpeed: 0, MaxSpeed: maxSpeed, Pause: 0.5, Seed: seed,
+			MinSpeed: 0, MaxSpeed: maxSpeed, Pause: pause, Seed: seed,
 		}
 		nv, nb := twinNetworks(t, cfg)
 		view := nv.AdjacencyView()
@@ -110,6 +115,11 @@ func TestDifferentialAdjacencyViewQuick(t *testing.T) {
 			if err := nb.Step(dt); err != nil {
 				t.Log(err)
 				return false
+			}
+			if m := len(delta.Moved); m > 0 && 100*m >= bulkMovedPercent*n {
+				bulkSteps++
+			} else if m > 0 {
+				patchSteps++
 			}
 			cur := normRows(nb.BruteForceAdjacencyLists())
 			if !reflect.DeepEqual(normRows(view.Rows()), cur) {
@@ -145,9 +155,13 @@ func TestDifferentialAdjacencyViewQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+	if patchSteps == 0 || bulkSteps == 0 {
+		t.Fatalf("crossover not covered: %d patch steps, %d bulk steps", patchSteps, bulkSteps)
+	}
+	t.Logf("%d patch steps, %d bulk steps", patchSteps, bulkSteps)
 }
 
 // TestDifferentialAdjacencyViewResync pins staleness handling: mutations
@@ -215,7 +229,7 @@ func TestDifferentialAdjacencyViewStatic(t *testing.T) {
 	}
 	view := nw.AdjacencyView()
 	rows0 := view.Rows()
-	ver0 := nw.PositionVersion()
+	ver0 := nw.posGen
 	for i := 0; i < 5; i++ {
 		d, err := view.StepDelta(1)
 		if err != nil {
@@ -225,7 +239,7 @@ func TestDifferentialAdjacencyViewStatic(t *testing.T) {
 			t.Fatalf("static network produced a non-empty delta: %+v", d)
 		}
 	}
-	if nw.PositionVersion() != ver0 {
+	if nw.posGen != ver0 {
 		t.Fatal("static steps bumped the position version")
 	}
 	// Same backing rows object: the view never rebuilt.
@@ -249,43 +263,51 @@ func TestDifferentialAdjacencyViewStatic(t *testing.T) {
 
 // TestAdjacencyViewStepAllocsSteadyState pins the perf contract the view
 // exists for: once row capacities have reached their high-water mark,
-// StepDelta + Rows run allocation-free, mobile or static.
+// StepDelta + Rows run allocation-free — static, and mobile on both
+// sides of bulkMovedPercent (continuous motion takes the bulk refill,
+// long pauses the patch).
 func TestAdjacencyViewStepAllocsSteadyState(t *testing.T) {
-	cfg := Config{N: 200, Width: 1000, Height: 1000, Range: 250, MaxSpeed: 10, Seed: 9}
-	nw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name           string
+		cfg            Config
+		minPct, maxPct int // moved share the case must stay within
+	}{
+		{"bulk", Config{N: 200, Width: 1000, Height: 1000, Range: 250, MaxSpeed: 10, Seed: 9}, bulkMovedPercent, 100},
+		{"patch", Config{N: 200, Width: 1000, Height: 1000, Range: 250, MinSpeed: 5, MaxSpeed: 20, Pause: 300, Seed: 9}, 0, bulkMovedPercent - 1},
+		{"static", Config{N: 200, Width: 1000, Height: 1000, Range: 250, Seed: 9}, 0, 0},
 	}
-	view := nw.AdjacencyView()
-	for i := 0; i < 300; i++ { // reach the row-capacity high-water mark
-		if _, err := view.StepDelta(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := view.StepDelta(1); err != nil {
-			t.Fatal(err)
-		}
-		view.Rows()
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state StepDelta allocated %.2f objects per step, want 0", allocs)
-	}
-
-	static, err := New(Config{N: 200, Width: 1000, Height: 1000, Range: 250, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sview := static.AdjacencyView()
-	sview.Rows()
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := sview.StepDelta(1); err != nil {
-			t.Fatal(err)
-		}
-		sview.Rows()
-	})
-	if allocs > 0 {
-		t.Fatalf("static StepDelta allocated %.2f objects per step, want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := nw.AdjacencyView()
+			view.Rows()
+			for i := 0; i < 300; i++ { // reach the row-capacity high-water mark
+				if _, err := view.StepDelta(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				d, err := view.StepDelta(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pct := 100 * len(d.Moved) / tc.cfg.N; pct < tc.minPct || pct > tc.maxPct {
+					t.Fatalf("moved %d%% of nodes, outside the case's [%d, %d]", pct, tc.minPct, tc.maxPct)
+				}
+				moved += len(d.Moved)
+				view.Rows()
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state StepDelta allocated %.2f objects per step, want 0", allocs)
+			}
+			if moved == 0 && tc.maxPct > 0 {
+				t.Fatal("no node moved: the mobile case measured the static path")
+			}
+		})
 	}
 }
 

@@ -236,13 +236,6 @@ func (nw *Network) Step(dt float64) error {
 	return nil
 }
 
-// PositionVersion returns a counter that changes whenever any node
-// position has changed (mobility steps that moved someone, SetPositions).
-// Consumers holding derived structures — adjacency views, masked churn
-// snapshots — compare it to decide whether a refresh is needed; on a
-// static network it never changes.
-func (nw *Network) PositionVersion() uint64 { return nw.posGen }
-
 // SetPositions replaces every node position (copying pts) and re-indexes
 // the spatial grid. Positions must lie inside the deployment area; the
 // waypoint state is unchanged, so mobility resumes toward the existing
@@ -268,11 +261,14 @@ func (nw *Network) SetPositions(pts []Point) error {
 // dist <= Range without the square root, which the adjacency scans pay
 // once per candidate pair.
 func (nw *Network) IsLink(i, j int) bool {
-	if i == j {
-		return false
-	}
-	dx := nw.pos[i].X - nw.pos[j].X
-	dy := nw.pos[i].Y - nw.pos[j].Y
+	return i != j && nw.inRange(nw.pos[i], nw.pos[j])
+}
+
+// inRange is the link predicate on two positions: every adjacency build
+// and check goes through it, so they all agree bit for bit.
+func (nw *Network) inRange(p, q Point) bool {
+	dx := p.X - q.X
+	dy := p.Y - q.Y
 	return dx*dx+dy*dy <= nw.rangeSq
 }
 
@@ -326,9 +322,9 @@ func (nw *Network) AdjacencyLists() [][]int {
 // AdjacencyInto refills dst with the full neighbor structure and returns
 // it, reusing dst's per-node slices (truncated and re-appended, so their
 // capacity persists across snapshots). Passing the previous snapshot back
-// in makes repeated re-snapshots — mobility, churn stages — allocation-
-// free in steady state. Contents and ordering are identical to
-// AdjacencyLists.
+// in makes repeated refills — the adjacency view's builds and bulk
+// refreshes — allocation-free in steady state. Contents and ordering are
+// identical to AdjacencyLists.
 func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 	n := nw.cfg.N
 	if cap(dst) >= n {
