@@ -76,8 +76,6 @@ type Settings struct {
 	// MultihopSimTime is the per-operating-point simulated time of the
 	// spatial simulator, in microseconds.
 	MultihopSimTime float64
-	// MultihopReplicas averages spatial runs over this many seeds.
-	MultihopReplicas int
 	// MultihopNodes scales the Section VII.B scenario (paper: 100).
 	MultihopNodes int
 	// FigurePoints is the number of CW values per figure series.
@@ -133,7 +131,6 @@ func DefaultSettings() Settings {
 	return Settings{
 		SingleHopSimTime: 1000e6,
 		MultihopSimTime:  60e6,
-		MultihopReplicas: 3,
 		MultihopNodes:    100,
 		FigurePoints:     60,
 		Seed:             1,
@@ -148,7 +145,6 @@ func QuickSettings() Settings {
 	return Settings{
 		SingleHopSimTime: 30e6,
 		MultihopSimTime:  4e6,
-		MultihopReplicas: 1,
 		MultihopNodes:    40,
 		FigurePoints:     25,
 		Seed:             1,
@@ -162,9 +158,6 @@ func QuickSettings() Settings {
 func (s Settings) Validate() error {
 	if s.SingleHopSimTime <= 0 || s.MultihopSimTime <= 0 {
 		return fmt.Errorf("experiments: non-positive sim times %g/%g", s.SingleHopSimTime, s.MultihopSimTime)
-	}
-	if s.MultihopReplicas < 1 {
-		return fmt.Errorf("experiments: replicas %d < 1", s.MultihopReplicas)
 	}
 	if s.MultihopNodes < 2 {
 		return fmt.Errorf("experiments: %d multihop nodes < 2", s.MultihopNodes)

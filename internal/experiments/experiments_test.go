@@ -21,11 +21,6 @@ func TestSettingsValidation(t *testing.T) {
 		t.Error("zero sim time accepted")
 	}
 	bad = QuickSettings()
-	bad.MultihopReplicas = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero replicas accepted")
-	}
-	bad = QuickSettings()
 	bad.FigurePoints = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("tiny figure accepted")

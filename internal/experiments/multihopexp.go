@@ -82,12 +82,6 @@ func MultihopQuasiOptimality(ctx context.Context, s Settings) (*Report, error) {
 	}
 
 	minReps, maxReps, relCI := s.replicateBounds()
-	if minReps < s.MultihopReplicas {
-		minReps = s.MultihopReplicas
-	}
-	if maxReps < minReps {
-		maxReps = minReps
-	}
 	res, err := multihop.MeasureQuasiOptimalityContext(ctx, nw, multihop.QuasiOptConfig{
 		Sim:              multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M1.sweep", 0)),
 		Wm:               wm,

@@ -123,15 +123,6 @@ func TestSimConfigValidate(t *testing.T) {
 					_, err := NewSimulator(net(), newCfg())
 					return err
 				}
-				entries["Reconfigure"] = func() error {
-					base := DefaultSimConfig(1e5, 1)
-					base.CW = uniformCW(32, 3)
-					sim, err := NewSimulator(net(), base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return sim.Reconfigure(newCfg())
-				}
 			}
 			if !tt.cwOnly {
 				entries["NewEngine"] = func() error {

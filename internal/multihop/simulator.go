@@ -46,45 +46,11 @@ func (s *Simulator) Reset(seed uint64) {
 	s.st.reset(seed)
 }
 
-// Reconfigure rebinds the simulator to a new config at the same node
-// count: timing, duration, payoff parameters, CW profile and seed may
-// all change; the network stays the one it was constructed with. It is
-// the pooled-engine hot path — at a fixed shape it reuses every buffer
-// (including the adjacency view, so a pooled simulator rebound to the
-// same static network skips adjacency work outright) and allocates
-// nothing in steady state.
-func (s *Simulator) Reconfigure(cfg SimConfig) error {
-	if err := cfg.validate(s.st.n); err != nil {
-		return err
-	}
-	if cfg.MobilityEvery > 0 {
-		return errors.New("multihop: Simulator does not support mobility; use Simulate")
-	}
-	cfg.CW = append(s.st.cfg.CW[:0], cfg.CW...)
-	s.st.init(s.st.nw, nil, cfg)
-	return nil
-}
-
-// SetCW swaps the per-node contention-window profile in place (copying
-// cw into the simulator-owned slice) and resets backoff state for the
-// current seed. Call Reset afterwards to pick the replication seed.
-func (s *Simulator) SetCW(cw []int) error {
-	cfg := s.st.cfg
-	cfg.CW = cw
-	if err := cfg.validate(s.st.n); err != nil {
-		return err
-	}
-	copy(s.st.cfg.CW, cw)
-	s.st.reset(s.st.cfg.Seed)
-	return nil
-}
-
 // Run executes the simulation. The returned SimResult is owned by the
-// simulator and reused: it is valid until the next Reset, SetCW or Run.
-// The lifecycle is always Reset(seed) then Run. A profile whose fire-slot
+// simulator and reused: it is valid until the next Reset or Run. The
+// lifecycle is always Reset(seed) then Run. A profile whose fire-slot
 // horizon exceeds the calendar (see Simulate) runs the reference loop,
-// which allocates per Run; SetCW or Reconfigure back into range returns
-// to the allocation-free path.
+// which allocates per Run.
 func (s *Simulator) Run() (*SimResult, error) {
 	return s.st.run()
 }

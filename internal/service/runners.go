@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"selfishmac/internal/experiments"
 	"selfishmac/internal/macsim"
@@ -25,12 +26,184 @@ func registerBuiltins(s *Server) {
 	s.RegisterRunner("detect", runDetectJob)
 }
 
+// Per-job work bounds. A job's ctx is checked only between engine runs,
+// so one run cannot be cancelled once it starts: its size must be
+// bounded at submit time.
+const (
+	// maxReplicateNodes is the largest network a "replicate" job may
+	// simulate (the largest network any workload runs).
+	maxReplicateNodes = 10000
+	// maxMacsimNodes is the largest single-hop population, for the
+	// "singlehop" and "detect" jobs alike.
+	maxMacsimNodes = 200
+	// maxDurationUs clamps the simulated time of one engine run.
+	maxDurationUs = 600e6
+	// maxReps is the largest replication budget of one job (the daemon
+	// smoke test's long-running job uses it); the replication layer
+	// sizes its per-replication buffers by it up front.
+	maxReps = 1000000
+)
+
+// boundRun rejects a population above maxNodes and clamps the simulated
+// time per run to maxDurationUs.
+func boundRun(kind string, nodes, maxNodes int, durationUs *float64) error {
+	if nodes > maxNodes {
+		return fmt.Errorf("service: %s population %d exceeds %d", kind, nodes, maxNodes)
+	}
+	*durationUs = min(*durationUs, maxDurationUs)
+	return nil
+}
+
+// accessTiming parses a job's access mode, "basic" or "rtscts", into the
+// default PHY's timing.
+func accessTiming(mode string) (phy.Timing, error) {
+	var m phy.AccessMode
+	switch mode {
+	case "basic":
+		m = phy.Basic
+	case "rtscts":
+		m = phy.RTSCTS
+	default:
+		return phy.Timing{}, fmt.Errorf("service: unknown mode %q (want basic or rtscts)", mode)
+	}
+	return phy.Default().Timing(m)
+}
+
+// uniformCW is an n-node profile at window w.
+func uniformCW(n, w int) []int {
+	cw := make([]int, n)
+	for i := range cw {
+		cw[i] = w
+	}
+	return cw
+}
+
+// ScheduleParams is the replication schedule shared by the "replicate"
+// and "singlehop" jobs, embedded in both params structs. Zero fields
+// take the documented defaults.
+type ScheduleParams struct {
+	// BaseSeed scopes the replication seed streams (default 1).
+	BaseSeed uint64 `json:"base_seed,omitempty"`
+	// MinReps/MaxReps/BatchSize/RelCI drive the adaptive schedule
+	// (defaults 3/24/3/0.05; MaxReps at most 1,000,000). RelCI <= 0
+	// disables adaptive stopping.
+	MinReps   int     `json:"min_reps,omitempty"`
+	MaxReps   int     `json:"max_reps,omitempty"`
+	BatchSize int     `json:"batch_size,omitempty"`
+	RelCI     float64 `json:"rel_ci,omitempty"`
+	// MaxErrRetries is the per-replication deterministic retry budget.
+	MaxErrRetries int `json:"max_err_retries,omitempty"`
+	// Workers bounds the replication pool (0 = GOMAXPROCS; larger
+	// values are clamped to GOMAXPROCS, which changes no result: the
+	// replication layer is bit-identical at any worker count).
+	Workers int `json:"workers,omitempty"`
+}
+
+// resolve applies the documented defaults and the work bounds.
+func (p *ScheduleParams) resolve() error {
+	if p.BaseSeed == 0 {
+		p.BaseSeed = 1
+	}
+	if p.MinReps <= 0 {
+		p.MinReps = 3
+	}
+	if p.MaxReps <= 0 {
+		p.MaxReps = 24
+	}
+	if p.BatchSize <= 0 {
+		p.BatchSize = 3
+	}
+	if p.RelCI == 0 {
+		p.RelCI = 0.05
+	}
+	if p.MaxReps > maxReps {
+		return fmt.Errorf("service: max_reps %d exceeds %d", p.MaxReps, maxReps)
+	}
+	p.Workers = min(p.Workers, runtime.GOMAXPROCS(0))
+	return nil
+}
+
+// MetricView is one metric's mean ± CI95 snapshot.
+type MetricView struct {
+	Name string  `json:"name"`
+	Mean float64 `json:"mean"`
+	CI95 float64 `json:"ci95"`
+	N    int     `json:"n"`
+}
+
+// ReplicateProgress is one progress line of a "replicate" or "singlehop"
+// job.
+type ReplicateProgress struct {
+	Round   int          `json:"round"`
+	Reps    int          `json:"reps"`
+	Metrics []MetricView `json:"metrics"`
+}
+
+// ReplicateResult is the terminal payload of a "replicate" or
+// "singlehop" job. On a cancelled job it carries the deterministic
+// prefix (Cancelled true).
+type ReplicateResult struct {
+	Reps      int          `json:"reps"`
+	Rounds    int          `json:"rounds"`
+	Converged bool         `json:"converged"`
+	Cancelled bool         `json:"cancelled"`
+	Retried   int          `json:"retried"`
+	Metrics   []MetricView `json:"metrics"`
+}
+
+// runReplicated runs one replicated job: the plan follows the schedule
+// over the named seed stream, each round streams a ReplicateProgress
+// line, and the result is the ReplicateResult view. factory builds one
+// engine per replication worker; metrics names its outputs, metric 0
+// being the adaptive-stopping target.
+func runReplicated(ctx context.Context, sched ScheduleParams, stream string, metrics []string,
+	factory func() (replicate.Replicator, error), progress func(v any)) (any, error) {
+	plan := replicate.Plan{
+		BaseSeed:      sched.BaseSeed,
+		Stream:        stream,
+		Metrics:       len(metrics),
+		Target:        0,
+		RelTolerance:  max(sched.RelCI, 0), // RelCI <= 0 disables adaptive stopping
+		MinReps:       sched.MinReps,
+		MaxReps:       sched.MaxReps,
+		BatchSize:     sched.BatchSize,
+		Workers:       sched.Workers,
+		MaxErrRetries: sched.MaxErrRetries,
+		OnRound: func(st replicate.RoundStatus) {
+			pr := ReplicateProgress{Round: st.Round, Reps: st.Reps}
+			for m, sum := range st.Summaries {
+				pr.Metrics = append(pr.Metrics, MetricView{Name: metrics[m], Mean: sum.Mean, CI95: sum.CI95, N: sum.N})
+			}
+			progress(pr)
+		},
+	}
+	res, err := replicate.RunContext(ctx, plan, factory)
+	if res == nil {
+		return nil, err
+	}
+	view := &ReplicateResult{
+		Reps:      res.Reps,
+		Rounds:    res.Rounds,
+		Converged: res.Converged,
+		Cancelled: res.Cancelled,
+		Retried:   res.Retried,
+	}
+	for m, name := range metrics {
+		sum := res.Summary(m)
+		view.Metrics = append(view.Metrics, MetricView{Name: name, Mean: sum.Mean, CI95: sum.CI95, N: sum.N})
+	}
+	// On cancellation both the prefix result and ctx's error propagate:
+	// the worker stores the partial view and marks the job Cancelled.
+	return view, err
+}
+
 // ReplicateParams parameterizes a "replicate" job: an adaptively
 // replicated spatial simulation at one uniform-CW operating point,
 // streaming per-round progress. Zero fields take the documented defaults.
 type ReplicateParams struct {
 	// Nodes, Width, Height, Range, TopoSeed describe the topology
-	// (defaults: the sparse 50-node acceptance network).
+	// (defaults: the sparse 50-node acceptance network; at most 10,000
+	// nodes).
 	Nodes    int     `json:"nodes,omitempty"`
 	Width    float64 `json:"width,omitempty"`
 	Height   float64 `json:"height,omitempty"`
@@ -40,23 +213,13 @@ type ReplicateParams struct {
 	// window of the default network).
 	CW int `json:"cw,omitempty"`
 	// DurationUs is the simulated time per replication in microseconds
-	// (default 2e6).
+	// (default 2e6, clamped to 600e6).
 	DurationUs float64 `json:"duration_us,omitempty"`
-	// BaseSeed scopes the replication seed streams (default 1).
-	BaseSeed uint64 `json:"base_seed,omitempty"`
-	// MinReps/MaxReps/BatchSize/RelCI drive the adaptive schedule
-	// (defaults 3/24/3/0.05). RelCI <= 0 disables adaptive stopping.
-	MinReps   int     `json:"min_reps,omitempty"`
-	MaxReps   int     `json:"max_reps,omitempty"`
-	BatchSize int     `json:"batch_size,omitempty"`
-	RelCI     float64 `json:"rel_ci,omitempty"`
-	// MaxErrRetries is the per-replication deterministic retry budget.
-	MaxErrRetries int `json:"max_err_retries,omitempty"`
-	// Workers bounds the replication pool (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
+	ScheduleParams
 }
 
-func (p *ReplicateParams) applyDefaults() {
+// resolve applies the documented defaults and the work bounds.
+func (p *ReplicateParams) resolve() error {
 	if p.Nodes <= 0 {
 		p.Nodes = 50
 	}
@@ -78,47 +241,10 @@ func (p *ReplicateParams) applyDefaults() {
 	if p.DurationUs <= 0 {
 		p.DurationUs = 2e6
 	}
-	if p.BaseSeed == 0 {
-		p.BaseSeed = 1
+	if err := p.ScheduleParams.resolve(); err != nil {
+		return err
 	}
-	if p.MinReps <= 0 {
-		p.MinReps = 3
-	}
-	if p.MaxReps <= 0 {
-		p.MaxReps = 24
-	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = 3
-	}
-	if p.RelCI == 0 {
-		p.RelCI = 0.05
-	}
-}
-
-// MetricView is one metric's mean ± CI95 snapshot.
-type MetricView struct {
-	Name string  `json:"name"`
-	Mean float64 `json:"mean"`
-	CI95 float64 `json:"ci95"`
-	N    int     `json:"n"`
-}
-
-// ReplicateProgress is one progress line of a "replicate" job.
-type ReplicateProgress struct {
-	Round   int          `json:"round"`
-	Reps    int          `json:"reps"`
-	Metrics []MetricView `json:"metrics"`
-}
-
-// ReplicateResult is the terminal payload of a "replicate" job. On a
-// cancelled job it carries the deterministic prefix (Cancelled true).
-type ReplicateResult struct {
-	Reps      int          `json:"reps"`
-	Rounds    int          `json:"rounds"`
-	Converged bool         `json:"converged"`
-	Cancelled bool         `json:"cancelled"`
-	Retried   int          `json:"retried"`
-	Metrics   []MetricView `json:"metrics"`
+	return boundRun("replicate", p.Nodes, maxReplicateNodes, &p.DurationUs)
 }
 
 // replicateMetricNames matches svcReplicator's metric layout.
@@ -145,81 +271,30 @@ func runReplicateJob(ctx context.Context, raw json.RawMessage, progress func(v a
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, fmt.Errorf("service: bad replicate params: %w", err)
 	}
-	p.applyDefaults()
-
-	shape := multihopShape{
-		topo: topology.Config{N: p.Nodes, Width: p.Width, Height: p.Height, Range: p.Range, Seed: p.TopoSeed},
+	if err := p.resolve(); err != nil {
+		return nil, err
 	}
+	topo := topology.Config{N: p.Nodes, Width: p.Width, Height: p.Height, Range: p.Range, Seed: p.TopoSeed}
 	cfg := multihop.DefaultSimConfig(p.DurationUs, rng.DeriveSeed(p.BaseSeed, "service.replicate.sim", 0))
-	cw := make([]int, p.Nodes)
-	for i := range cw {
-		cw[i] = p.CW
-	}
-	cfg.CW = cw
-
-	plan := replicate.Plan{
-		BaseSeed:      p.BaseSeed,
-		Stream:        "service.replicate",
-		Metrics:       len(replicateMetricNames),
-		Target:        0,
-		RelTolerance:  max(p.RelCI, 0), // RelCI <= 0 disables adaptive stopping
-		MinReps:       p.MinReps,
-		MaxReps:       p.MaxReps,
-		BatchSize:     p.BatchSize,
-		Workers:       p.Workers,
-		MaxErrRetries: p.MaxErrRetries,
-		OnRound: func(st replicate.RoundStatus) {
-			pr := ReplicateProgress{Round: st.Round, Reps: st.Reps}
-			for m, sum := range st.Summaries {
-				pr.Metrics = append(pr.Metrics, MetricView{
-					Name: replicateMetricNames[m], Mean: sum.Mean, CI95: sum.CI95, N: sum.N,
-				})
-			}
-			progress(pr)
-		},
-	}
-	// Workers draw simulators from the shape pool — steady-state daemon
-	// traffic at a repeated shape pays SetCW+Reset, not topology and
-	// engine construction — and return them when the job finishes.
-	// RunContext calls the factory serially, so plain append is safe.
-	var acquired []*multihop.Simulator
-	defer func() {
-		for _, sim := range acquired {
-			releaseMultihop(shape, sim)
-		}
-	}()
-	res, err := replicate.RunContext(ctx, plan, func() (replicate.Replicator, error) {
-		sim, err := acquireMultihop(shape, cfg)
+	cfg.CW = uniformCW(p.Nodes, p.CW)
+	return runReplicated(ctx, p.ScheduleParams, "service.replicate", replicateMetricNames, func() (replicate.Replicator, error) {
+		nw, err := topology.New(topo)
 		if err != nil {
 			return nil, err
 		}
-		acquired = append(acquired, sim)
+		sim, err := multihop.NewSimulator(nw, cfg)
+		if err != nil {
+			return nil, err
+		}
 		return svcReplicator{sim}, nil
-	})
-	if res == nil {
-		return nil, err
-	}
-	view := &ReplicateResult{
-		Reps:      res.Reps,
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-		Cancelled: res.Cancelled,
-		Retried:   res.Retried,
-	}
-	for m, name := range replicateMetricNames {
-		sum := res.Summary(m)
-		view.Metrics = append(view.Metrics, MetricView{Name: name, Mean: sum.Mean, CI95: sum.CI95, N: sum.N})
-	}
-	// On cancellation both the prefix result and ctx's error propagate:
-	// the worker stores the partial view and marks the job Cancelled.
-	return view, err
+	}, progress)
 }
 
 // SinglehopParams parameterizes a "singlehop" job: an adaptively
 // replicated single-collision-domain simulation (macsim) at one uniform
 // CW. Zero fields take the documented defaults.
 type SinglehopParams struct {
-	// Nodes is the population (default 20).
+	// Nodes is the population (default 20, max 200).
 	Nodes int `json:"nodes,omitempty"`
 	// CW is the uniform contention window (default 336, the 20-node
 	// efficient-NE window).
@@ -227,23 +302,13 @@ type SinglehopParams struct {
 	// Mode is "basic" (default) or "rtscts".
 	Mode string `json:"mode,omitempty"`
 	// DurationUs is the simulated time per replication in microseconds
-	// (default 1e6).
+	// (default 1e6, clamped to 600e6).
 	DurationUs float64 `json:"duration_us,omitempty"`
-	// BaseSeed scopes the replication seed streams (default 1).
-	BaseSeed uint64 `json:"base_seed,omitempty"`
-	// MinReps/MaxReps/BatchSize/RelCI drive the adaptive schedule
-	// (defaults 3/24/3/0.05). RelCI <= 0 disables adaptive stopping.
-	MinReps   int     `json:"min_reps,omitempty"`
-	MaxReps   int     `json:"max_reps,omitempty"`
-	BatchSize int     `json:"batch_size,omitempty"`
-	RelCI     float64 `json:"rel_ci,omitempty"`
-	// MaxErrRetries is the per-replication deterministic retry budget.
-	MaxErrRetries int `json:"max_err_retries,omitempty"`
-	// Workers bounds the replication pool (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
+	ScheduleParams
 }
 
-func (p *SinglehopParams) applyDefaults() {
+// resolve applies the documented defaults and the work bounds.
+func (p *SinglehopParams) resolve() error {
 	if p.Nodes <= 0 {
 		p.Nodes = 20
 	}
@@ -256,27 +321,16 @@ func (p *SinglehopParams) applyDefaults() {
 	if p.DurationUs <= 0 {
 		p.DurationUs = 1e6
 	}
-	if p.BaseSeed == 0 {
-		p.BaseSeed = 1
+	if err := p.ScheduleParams.resolve(); err != nil {
+		return err
 	}
-	if p.MinReps <= 0 {
-		p.MinReps = 3
-	}
-	if p.MaxReps <= 0 {
-		p.MaxReps = 24
-	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = 3
-	}
-	if p.RelCI == 0 {
-		p.RelCI = 0.05
-	}
+	return boundRun("singlehop", p.Nodes, maxMacsimNodes, &p.DurationUs)
 }
 
 // singlehopMetricNames matches macsimReplicator's metric layout.
 var singlehopMetricNames = []string{"global_payoff_rate", "throughput"}
 
-// macsimReplicator adapts a pooled macsim Engine to the replication
+// macsimReplicator adapts a reusable macsim Engine to the replication
 // layer: metric 0 is the global payoff rate (the adaptive target),
 // metric 1 the global payload-airtime throughput.
 type macsimReplicator struct{ eng *macsim.Engine }
@@ -294,84 +348,29 @@ func runSinglehopJob(ctx context.Context, raw json.RawMessage, progress func(v a
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, fmt.Errorf("service: bad singlehop params: %w", err)
 	}
-	p.applyDefaults()
-	var mode phy.AccessMode
-	switch p.Mode {
-	case "basic":
-		mode = phy.Basic
-	case "rtscts":
-		mode = phy.RTSCTS
-	default:
-		return nil, fmt.Errorf("service: unknown mode %q (want basic or rtscts)", p.Mode)
+	if err := p.resolve(); err != nil {
+		return nil, err
 	}
-	timing, err := phy.Default().Timing(mode)
+	timing, err := accessTiming(p.Mode)
 	if err != nil {
-		return nil, fmt.Errorf("service: singlehop timing: %w", err)
-	}
-	cw := make([]int, p.Nodes)
-	for i := range cw {
-		cw[i] = p.CW
+		return nil, err
 	}
 	cfg := macsim.Config{
 		Timing:   timing,
 		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       cw,
+		CW:       uniformCW(p.Nodes, p.CW),
 		Duration: p.DurationUs,
 		Seed:     rng.DeriveSeed(p.BaseSeed, "service.singlehop.sim", 0),
 		Gain:     1,
 		Cost:     0.01,
 	}
-
-	plan := replicate.Plan{
-		BaseSeed:      p.BaseSeed,
-		Stream:        "service.singlehop",
-		Metrics:       len(singlehopMetricNames),
-		Target:        0,
-		RelTolerance:  max(p.RelCI, 0),
-		MinReps:       p.MinReps,
-		MaxReps:       p.MaxReps,
-		BatchSize:     p.BatchSize,
-		Workers:       p.Workers,
-		MaxErrRetries: p.MaxErrRetries,
-		OnRound: func(st replicate.RoundStatus) {
-			pr := ReplicateProgress{Round: st.Round, Reps: st.Reps}
-			for m, sum := range st.Summaries {
-				pr.Metrics = append(pr.Metrics, MetricView{
-					Name: singlehopMetricNames[m], Mean: sum.Mean, CI95: sum.CI95, N: sum.N,
-				})
-			}
-			progress(pr)
-		},
-	}
-	var acquired []*macsim.Engine
-	defer func() {
-		for _, eng := range acquired {
-			releaseMacsim(eng, p.Nodes)
-		}
-	}()
-	res, err := replicate.RunContext(ctx, plan, func() (replicate.Replicator, error) {
-		eng, err := acquireMacsim(cfg)
+	return runReplicated(ctx, p.ScheduleParams, "service.singlehop", singlehopMetricNames, func() (replicate.Replicator, error) {
+		eng, err := macsim.NewEngine(cfg)
 		if err != nil {
 			return nil, err
 		}
-		acquired = append(acquired, eng)
 		return macsimReplicator{eng}, nil
-	})
-	if res == nil {
-		return nil, err
-	}
-	view := &ReplicateResult{
-		Reps:      res.Reps,
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-		Cancelled: res.Cancelled,
-		Retried:   res.Retried,
-	}
-	for m, name := range singlehopMetricNames {
-		sum := res.Summary(m)
-		view.Metrics = append(view.Metrics, MetricView{Name: name, Mean: sum.Mean, CI95: sum.CI95, N: sum.N})
-	}
-	return view, err
+	}, progress)
 }
 
 // ExperimentParams parameterizes an "experiment" job: one registered
@@ -461,8 +460,7 @@ type DetectParams struct {
 	// Mode is "basic" (default) or "rtscts".
 	Mode string `json:"mode,omitempty"`
 	// DurationUs is the simulated time in microseconds (default 30e6,
-	// clamped to 600e6 — a detect job is one uncancellable engine run,
-	// so its work must be bounded at submit time).
+	// clamped to 600e6).
 	DurationUs float64 `json:"duration_us,omitempty"`
 	// Seed drives the simulation (default 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -472,7 +470,9 @@ type DetectParams struct {
 	MaxFlagLines int `json:"max_flag_lines,omitempty"`
 }
 
-func (p *DetectParams) applyDefaults() {
+// resolve applies the documented defaults and the work bounds, and
+// rejects a cheater count that leaves no honest node.
+func (p *DetectParams) resolve() error {
 	if p.Nodes <= 0 {
 		p.Nodes = 10
 	}
@@ -500,15 +500,19 @@ func (p *DetectParams) applyDefaults() {
 	if p.DurationUs <= 0 {
 		p.DurationUs = 30e6
 	}
-	if p.DurationUs > 600e6 {
-		p.DurationUs = 600e6
-	}
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
 	if p.MaxFlagLines <= 0 {
 		p.MaxFlagLines = 50
 	}
+	if err := boundRun("detect", p.Nodes, maxMacsimNodes, &p.DurationUs); err != nil {
+		return err
+	}
+	if p.Cheaters < 0 || p.Cheaters >= p.Nodes {
+		return fmt.Errorf("service: %d cheaters leave no honest node among %d", p.Cheaters, p.Nodes)
+	}
+	return nil
 }
 
 // DetectFlagLine is one streamed flag event (progress, event "flag").
@@ -550,25 +554,12 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, fmt.Errorf("service: bad detect params: %w", err)
 	}
-	p.applyDefaults()
-	if p.Nodes > 200 {
-		return nil, fmt.Errorf("service: detect population %d exceeds 200", p.Nodes)
+	if err := p.resolve(); err != nil {
+		return nil, err
 	}
-	if p.Cheaters < 0 || p.Cheaters >= p.Nodes {
-		return nil, fmt.Errorf("service: %d cheaters leave no honest node among %d", p.Cheaters, p.Nodes)
-	}
-	var mode phy.AccessMode
-	switch p.Mode {
-	case "basic":
-		mode = phy.Basic
-	case "rtscts":
-		mode = phy.RTSCTS
-	default:
-		return nil, fmt.Errorf("service: unknown mode %q (want basic or rtscts)", p.Mode)
-	}
-	timing, err := phy.Default().Timing(mode)
+	timing, err := accessTiming(p.Mode)
 	if err != nil {
-		return nil, fmt.Errorf("service: detect timing: %w", err)
+		return nil, err
 	}
 
 	flagged := 0
@@ -598,10 +589,7 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 		return nil, fmt.Errorf("service: detect monitor: %w", err)
 	}
 
-	cw := make([]int, p.Nodes)
-	for i := range cw {
-		cw[i] = p.ExpectedCW
-	}
+	cw := uniformCW(p.Nodes, p.ExpectedCW)
 	for i := 0; i < p.Cheaters; i++ {
 		cw[i] = p.CheaterCW
 	}
@@ -615,18 +603,10 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 		Cost:     0.01,
 		Observer: mon,
 	}
-	eng, err := acquireMacsim(cfg)
+	eng, err := macsim.NewEngine(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("service: detect engine: %w", err)
 	}
-	defer func() {
-		// Detach the per-job monitor before pooling so an idle engine
-		// does not pin it (the next acquire reconfigures anyway).
-		cfg.Observer = nil
-		if eng.Reconfigure(cfg) == nil {
-			releaseMacsim(eng, p.Nodes)
-		}
-	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
