@@ -24,14 +24,15 @@ test: vet
 # Differential equivalence: the event-skipping engines must reproduce
 # the reference loops bit for bit across the whole config matrix
 # (heterogeneous CW, per-node frame times, mobility, churn, 500/1000-node
-# grid-index paths), the grid spatial index must match the brute-force
-# O(n²) scan element for element, and the replication layer must
-# reproduce hand-written serial loops moment for moment at every worker
-# count. Already part of `go test ./...`; this target runs just the
+# grid-index paths), the event calendar must match an eager min-scan
+# with entries filed wraps ahead, the grid spatial index must match the
+# brute-force O(n²) scan element for element, and the replication layer
+# must reproduce hand-written serial loops moment for moment at every
+# worker count. Already part of `go test ./...`; this target runs just the
 # matrix, verbosely. GOMAXPROCS=2 makes the shared worker pool
 # (internal/parallel) actually interleave even on a 1-CPU host.
 test-diff:
-	GOMAXPROCS=2 go test -run='^TestDifferential' -v ./internal/macsim ./internal/multihop ./internal/replicate ./internal/topology
+	GOMAXPROCS=2 go test -run='^TestDifferential' -v ./internal/calendar ./internal/macsim ./internal/multihop ./internal/replicate ./internal/topology
 
 # `go test -fuzz` takes one target per invocation, so run them one by one.
 test-fuzz:
@@ -76,13 +77,14 @@ bench-json:
 	go run ./cmd/bench -out BENCH_sim.json
 
 # Smoke-check the bench harness itself: the smallest scenario set plus
-# the adjacency delta-vs-rebuild scenarios, one iteration, quick
-# durations, written to scratch files (never clobbers the committed
-# BENCH_sim.json). CI runs this to catch scenario-setup bit-rot without
-# asserting anything about timing.
+# the adjacency delta-vs-rebuild and event-calendar scenarios, one
+# iteration, quick durations, written to scratch files (never clobbers
+# the committed BENCH_sim.json). CI runs this to catch scenario-setup
+# bit-rot without asserting anything about timing.
 bench-smoke:
 	go run ./cmd/bench -quick -benchtime 1x -only macsim -out /tmp/bench-smoke.json
 	go run ./cmd/bench -quick -benchtime 1x -only delta -out /tmp/bench-smoke-delta.json
+	go run ./cmd/bench -quick -benchtime 1x -only calendar -out /tmp/bench-smoke-calendar.json
 
 # Capture CPU and heap profiles of the n=1000 multihop scenario (the
 # fire-slot calendar's home turf). Inspect with `go tool pprof cpu.pprof`.

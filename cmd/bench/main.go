@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -37,9 +38,11 @@ import (
 	"testing"
 	"time"
 
+	"selfishmac/internal/calendar"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
+	"selfishmac/internal/rng"
 	"selfishmac/internal/stats"
 	"selfishmac/internal/stream"
 	"selfishmac/internal/topology"
@@ -377,6 +380,88 @@ func adjacencyScenario(name string, topoCfg topology.Config) (scenario, error) {
 	}, nil
 }
 
+// calendarScenario isolates the event calendar both engines run on:
+// each op replays the same trajectory of events events through the ring
+// ("ring") and through an eager O(n) min-scan over the same slots
+// ("scan"). Expired nodes redraw from cw << stage — the stage doubling
+// up to maxStage when two or more expire together and resetting when
+// one expires alone — and shifts random nodes per event move forward
+// without telling the calendar, inside the span, the way carrier-sense
+// freezes move multihop fire slots. The ring is sized to span.
+func calendarScenario(name string, n, cw, maxStage int, span int64, shifts, events int) (scenario, error) {
+	slots := make([]int64, n)
+	stage := make([]int, n)
+	expired := make([]int, 0, n)
+	var ring calendar.Ring
+	ring.Init(n, span)
+	var src rng.Source
+	var digest int64 // sum of event slots of the last replay
+	replay := func(onRing bool) func() error {
+		return func() error {
+			src.Reseed(1)
+			for i := range slots {
+				stage[i], slots[i] = 0, int64(src.Intn(cw))
+			}
+			ring.Rebuild(slots)
+			digest = 0
+			for e := 0; e < events; e++ {
+				var t int64
+				if onRing {
+					t, expired = ring.Next(slots, math.MaxInt64, expired[:0])
+				} else {
+					t, expired = minScan(slots, expired[:0])
+				}
+				digest += t
+				for _, i := range expired {
+					if len(expired) == 1 {
+						stage[i] = 0
+					} else {
+						stage[i] = min(stage[i]+1, maxStage)
+					}
+					slots[i] = t + 1 + int64(src.Intn(cw<<stage[i]))
+					if onRing {
+						ring.File(slots[i], int32(i))
+					}
+				}
+				for k := 0; k < shifts; k++ {
+					if i := src.Intn(n); slots[i] > t && slots[i]+63 < t+span {
+						slots[i] += int64(src.Intn(64))
+					}
+				}
+			}
+			return nil
+		}
+	}
+	sc := scenario{name: name, events: int64(events), fastLabel: "ring", refLabel: "scan",
+		runFast: replay(true), runRef: replay(false)}
+	if err := sc.runFast(); err != nil {
+		return scenario{}, err
+	}
+	onRing := digest
+	if err := sc.runRef(); err != nil {
+		return scenario{}, err
+	}
+	if digest != onRing {
+		return scenario{}, fmt.Errorf("%s: ring and scan trajectories diverge", name)
+	}
+	return sc, nil
+}
+
+// minScan is the eager calendar: the minimum slot and every node at it,
+// ascending.
+func minScan(slots []int64, out []int) (int64, []int) {
+	t := slots[0]
+	for _, s := range slots[1:] {
+		t = min(t, s)
+	}
+	for i, s := range slots {
+		if s == t {
+			out = append(out, i)
+		}
+	}
+	return t, out
+}
+
 // scenarios assembles the suite. quick shrinks simulated durations; the
 // default profile is paper-faithful (1000 s single-hop runs in the NE
 // tables use the same engine; here 20 s keeps a full bench under a few
@@ -394,6 +479,22 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	}
 	out = append(out, s)
 	s, err = macsimScenario("macsim/basic-n50-w879", 879, 50, shDur)
+	if err != nil {
+		return nil, nil, err
+	}
+	out = append(out, s)
+
+	// The event calendar alone, in both engines' regimes: macsim's sparse
+	// one (20 nodes, a ring sized to the stage-0 window that backed-off
+	// draws wrap, long idle gaps) and multihop's dense one (10,000 nodes
+	// over a fixed horizon the ring covers — mobile-n10000's CW 26 at
+	// stage 6 — with a few stale repairs per event).
+	s, err = calendarScenario("calendar/sparse-n20-w336", 20, 336, 6, 336, 0, 20000)
+	if err != nil {
+		return nil, nil, err
+	}
+	out = append(out, s)
+	s, err = calendarScenario("calendar/dense-n10000-w1664", 10000, 26<<6, 0, 26<<6+64, 8, 5000)
 	if err != nil {
 		return nil, nil, err
 	}

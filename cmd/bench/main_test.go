@@ -29,11 +29,14 @@ func TestBenchWritesJSON(t *testing.T) {
 	}
 	// Scenario → engine labels. Most pairs are fast/reference; the
 	// detection scenario relabels to observed/plain (same engine,
-	// observer on vs off) and the adjacency scenarios to delta/rebuild
-	// (adjacency view vs Step + AdjacencyInto).
+	// observer on vs off), the adjacency scenarios to delta/rebuild
+	// (adjacency view vs Step + AdjacencyInto) and the calendar scenarios
+	// to ring/scan (bucket ring vs eager min-scan).
 	wantScenarios := map[string][2]string{
 		"macsim/basic-n20-w336":                  {"fast", "reference"},
 		"macsim/basic-n50-w879":                  {"fast", "reference"},
+		"calendar/sparse-n20-w336":               {"ring", "scan"},
+		"calendar/dense-n10000-w1664":            {"ring", "scan"},
 		detectionName:                            {"observed", "plain"},
 		"multihop/sparse-n50-w116":               {"fast", "reference"},
 		"multihop/mobile-n100-w26":               {"fast", "reference"},

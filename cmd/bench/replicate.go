@@ -138,11 +138,6 @@ func measureEngineAllocs(shDur, mhDur float64) ([]AllocResult, error) {
 		return nil, err
 	}
 	seed := uint64(0)
-	// One warm-up run first: the compact calendar grows lazily, so the
-	// first run may allocate once — the contract (0 allocs/op) is about
-	// the steady state after growth.
-	eng.Reset(seed)
-	eng.Run()
 	if res.ReusedAllocsOp, res.ReusedBytesOp, res.ReusedNsOp, err = benchAllocs(func() error {
 		seed++
 		eng.Reset(seed)

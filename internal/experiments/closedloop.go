@@ -209,11 +209,8 @@ func maxIntHelper(a, b int) int {
 // runClosedLoop plays stages where observations are CW *estimates* from
 // simulated promiscuous counts. It returns the final CW profile.
 //
-// One reusable macsim.Engine carries the whole run: stages change only
-// the CW profile and seed, so after the first stage every Reconfigure
-// reuses the engine's buffers instead of paying macsim.Run's full setup.
-// Stage results are bit-identical to fresh Run calls (the macsim
-// differential tests pin the Engine lifecycle).
+// Each stage runs on a fresh engine (macsim.Run): a stage simulates
+// seconds of MAC time, so the engine's setup is noise against it.
 func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, stages int, seed uint64) ([]int, error) {
 	n := len(strategies)
 	p := g.Config().PHY
@@ -224,7 +221,6 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 	observedBy := make([][][]int, n)
 	utilitiesOf := make([][]float64, n)
 	profile := make([]int, n)
-	var eng *macsim.Engine
 	for k := 0; k < stages; k++ {
 		for i, s := range strategies {
 			w := s.ChooseCW(i, observedBy[i], utilitiesOf[i])
@@ -236,21 +232,16 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 		cfg := macsim.Config{
 			Timing:   tm,
 			MaxStage: p.MaxBackoffStage,
-			CW:       profile, // the engine clones its config slices
+			CW:       profile,
 			Duration: stageTime,
 			Seed:     rng.DeriveSeed(seed, "closedloop.stage", k),
 			Gain:     g.Config().Gain,
 			Cost:     g.Config().Cost,
 		}
-		if eng == nil {
-			eng, err = macsim.NewEngine(cfg)
-		} else {
-			err = eng.Reconfigure(cfg)
-		}
+		res, err := macsim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		res := eng.Run()
 		ests, err := detect.EstimateAll(detect.FromSimResult(res), p.MaxBackoffStage)
 		if err != nil {
 			// A stage can be too short for any estimate (a node that

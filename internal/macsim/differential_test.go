@@ -5,11 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/calendar"
 	"selfishmac/internal/phy"
 )
 
 // differential_test.go pins the determinism contract of the event-skipping
-// engine: Run (calendar queue, fast.go) must produce a byte-identical
+// engine: Run (the Engine on the calendar ring, engine.go) must produce a byte-identical
 // Result — every counter, payoff and slot decomposition, bit for bit — to
 // RunReference (the original min-scan loop) for every configuration,
 // because both consume the PRNG stream in the same order.
@@ -62,13 +63,12 @@ func diffConfigs(t testing.TB) []Config {
 	gc := mk(basic, 6, uniform(64, 3), 1e6, 18)
 	gc.Gain, gc.Cost = 2.5, 0.3
 	cfgs = append(cfgs, gc)
-	// Calendar-growth forcers: the compact calendar starts at the stage-0
+	// Calendar-wrap forcers: the calendar is sized to the stage-0
 	// horizon, so configurations whose collisions push draws far past it
-	// exercise the mid-run doubling/re-file path. Tiny windows at a high
-	// stage cap collide constantly (draws up to 2 << 12 against an
-	// initial 64-bucket calendar); the wide-spread profile mixes an
-	// always-growing pair with bystanders whose queued entries must
-	// survive the re-file intact.
+	// file entries several wraps ahead and exercise the re-file path.
+	// Tiny windows at a high stage cap collide constantly (draws up to
+	// 2 << 12 against a 64-bucket ring); the wide-spread profile mixes an
+	// always-colliding pair with bystanders sharing the ring.
 	cfgs = append(cfgs,
 		mk(basic, 12, uniform(2, 8), 1e6, 19),
 		mk(basic, 10, []int{1, 1, 700, 1200}, 1e6, 20),
@@ -103,31 +103,61 @@ func TestDifferentialFastMatchesReference(t *testing.T) {
 	}
 }
 
-// The huge-window fallback path must also match (trivially — it *is* the
-// reference) and must actually engage.
+// A window far past the bucket cap (cw << 16 = 2³⁶ slots) runs on the
+// capped ring, filing entries thousands of wraps ahead, and must still
+// match the reference.
 func TestDifferentialFallbackHugeWindow(t *testing.T) {
 	cfg := Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
 		MaxStage: 16,
-		CW:       []int{fastWindowCap, fastWindowCap}, // cw << 16 overflows the calendar cap
+		CW:       []int{1 << 20, 1 << 20},
 		Duration: 1e5,
 		Seed:     21,
 		Gain:     1,
 		Cost:     0.01,
 	}
-	if _, ok := newFastEngine(&cfg); ok {
-		t.Fatal("calendar engine accepted a window beyond fastWindowCap")
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.cal.Buckets(); got != calendar.MaxBuckets {
+		t.Fatalf("ring has %d buckets, want the %d cap", got, calendar.MaxBuckets)
 	}
 	want, err := RunReference(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("capped ring diverged from reference")
+	}
+}
+
+// Idle gaps billions of ring wraps long (CW 2⁵⁰ on the 2¹⁷-bucket ring)
+// cost one wrap per event, not one scan per wrap: the run finishes at
+// once and still matches the reference.
+func TestDifferentialHugeIdleGap(t *testing.T) {
+	cfg := Config{
+		Timing:   phy.Default().MustTiming(phy.Basic),
+		MaxStage: 6,
+		CW:       []int{1 << 50, 1 << 50},
+		Duration: 1e18,
+		Seed:     5,
+		Gain:     1,
+		Cost:     0.01,
+	}
+	want, err := RunReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.SuccessEvents+want.CollisionEvents < 20 {
+		t.Fatalf("only %d events; the test needs several idle gaps", want.SuccessEvents+want.CollisionEvents)
 	}
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("fallback path diverged from reference")
+		t.Fatalf("huge idle gaps diverged from reference:\nfast: %+v\nref:  %+v", got, want)
 	}
 }
 
@@ -162,7 +192,7 @@ func TestDifferentialSeedSweep(t *testing.T) {
 // The acceptance criterion on the hot loop: after setup, a full run of
 // the calendar engine performs zero allocations.
 func TestFastEngineHotLoopAllocationFree(t *testing.T) {
-	cfg := Config{
+	e, err := NewEngine(Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
 		MaxStage: 6,
 		CW:       uniform(336, 20),
@@ -170,25 +200,36 @@ func TestFastEngineHotLoopAllocationFree(t *testing.T) {
 		Seed:     1,
 		Gain:     1,
 		Cost:     0.01,
-	}
-	e, ok := newFastEngine(&cfg)
-	if !ok {
-		t.Fatal("fast engine rejected a standard config")
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		e.reset()
-		e.run()
+		e.Reset(1)
+		e.Run()
 	})
 	if allocs != 0 {
 		t.Fatalf("hot loop (reset+run) allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestCalendarGrowsLazily pins the compact-calendar contract: the engine
-// starts at the stage-0 horizon (not the cw << MaxStage worst case), the
-// mid-run doubling actually engages for collision-heavy configs, the
-// grown run still matches the reference bit for bit, and the grown
-// capacity is retained so subsequent reset+run pairs allocate nothing.
+// wrapProbe records how far past the current event any node is filed.
+type wrapProbe struct {
+	e       *Engine
+	maxLead int64
+}
+
+func (w *wrapProbe) OnEvent(slot int64, _ []int) {
+	for _, x := range w.e.expiry {
+		w.maxLead = max(w.maxLead, x-slot)
+	}
+}
+
+// TestCalendarGrowsLazily keeps the name of the test for the calendar
+// that doubled on demand; the ring is now fixed at the stage-0 horizon.
+// Tiny windows at a high stage cap get a 64-bucket ring, collisions file
+// entries past a full wrap of it, the run still matches the reference
+// bit for bit, and reset+run pairs allocate nothing.
 func TestCalendarGrowsLazily(t *testing.T) {
 	cfg := Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
@@ -199,36 +240,44 @@ func TestCalendarGrowsLazily(t *testing.T) {
 		Gain:     1,
 		Cost:     0.01,
 	}
-	e, ok := newFastEngine(&cfg)
-	if !ok {
-		t.Fatal("fast engine rejected a growable config")
+	probe := &wrapProbe{}
+	cfg.Observer = probe
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(e.head); got != 64 {
-		t.Fatalf("initial calendar capacity %d, want the 64-bucket floor (stage-0 horizon)", got)
+	probe.e = e
+	if got := e.cal.Buckets(); got != 64 {
+		t.Fatalf("calendar has %d buckets, want the 64-bucket floor (stage-0 horizon)", got)
 	}
-	got := e.run()
-	if grown := len(e.head); grown <= 64 {
-		t.Fatalf("calendar capacity still %d after a collision-heavy run; growth never engaged", grown)
+	got := cloneResult(e.Run())
+	if probe.maxLead < 64 {
+		t.Fatalf("entries filed at most %d slots ahead; the ring never wrapped", probe.maxLead)
+	}
+	if b := e.cal.Buckets(); b != 64 {
+		t.Fatalf("calendar has %d buckets after the run, want 64", b)
 	}
 	want, err := RunReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("grown calendar diverged from reference:\nfast: %+v\nref:  %+v", got, want)
+		t.Fatalf("wrapping calendar diverged from reference:\nfast: %+v\nref:  %+v", got, want)
 	}
+	probe.e = nil // the allocation pin runs unobserved
+	e.cfg.Observer = nil
 	allocs := testing.AllocsPerRun(5, func() {
-		e.reset()
-		e.run()
+		e.Reset(19)
+		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("post-growth hot loop allocated %.1f objects per run, want 0 (capacity must be retained)", allocs)
+		t.Fatalf("wrapping hot loop allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
 // reset must fully restore the engine: repeated runs are bit-identical.
 func TestFastEngineResetReproducible(t *testing.T) {
-	cfg := Config{
+	e, err := NewEngine(Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
 		MaxStage: 6,
 		CW:       []int{32, 64, 128},
@@ -236,17 +285,13 @@ func TestFastEngineResetReproducible(t *testing.T) {
 		Seed:     9,
 		Gain:     1,
 		Cost:     0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e, ok := newFastEngine(&cfg)
-	if !ok {
-		t.Fatal("fast engine rejected a standard config")
-	}
-	first := *e.run()
-	firstNodes := append([]NodeStats(nil), first.Nodes...)
-	e.reset()
-	second := e.run()
-	if first.Slots != second.Slots || first.Time != second.Time ||
-		!reflect.DeepEqual(firstNodes, second.Nodes) {
+	first := cloneResult(e.Run())
+	e.Reset(9)
+	if second := e.Run(); !reflect.DeepEqual(first, second) {
 		t.Fatal("reset run diverged from first run")
 	}
 }

@@ -40,11 +40,11 @@ func TestDifferentialEngineMatchesRun(t *testing.T) {
 	}
 }
 
-// TestDifferentialEngineReconfigure drives one engine through a stage
-// sequence of changing windows, seeds and durations — the closed-loop
-// usage — including a shape change (different node count) and an over-cap
-// window that forces the reference fallback, comparing every stage to a
-// fresh Run.
+// TestDifferentialEngineReconfigure drives a stage sequence of changing
+// windows, seeds, durations and node counts — the closed-loop usage,
+// which builds one engine per stage — including a window far past the
+// calendar's bucket cap, comparing every stage's fresh engine to
+// RunReference and to Run.
 func TestDifferentialEngineReconfigure(t *testing.T) {
 	basic := phy.Default().MustTiming(phy.Basic)
 	mk := func(cw []int, dur float64, seed uint64) Config {
@@ -52,37 +52,35 @@ func TestDifferentialEngineReconfigure(t *testing.T) {
 	}
 	stages := []Config{
 		mk(uniform(128, 6), 1e6, 1),
-		mk([]int{128, 64, 128, 128, 32, 128}, 1e6, 2), // same shape: buffer reuse
-		mk(uniform(16, 6), 5e5, 3),                    // shrinking window: reuse
-		mk(uniform(336, 6), 1e6, 4),                   // growing window within calendar? may rebuild
-		mk(uniform(64, 9), 1e6, 5),                    // node count change: rebuild
-		{Timing: basic, MaxStage: 16, CW: uniform(fastWindowCap, 2), Duration: 1e5,
-			Seed: 6, Gain: 1, Cost: 0.01}, // over-cap: reference fallback
-		mk(uniform(48, 9), 1e6, 7), // back onto the calendar engine
-	}
-	eng, err := NewEngine(stages[0])
-	if err != nil {
-		t.Fatal(err)
+		mk([]int{128, 64, 128, 128, 32, 128}, 1e6, 2),
+		mk(uniform(16, 6), 5e5, 3),
+		mk(uniform(336, 6), 1e6, 4),
+		mk(uniform(64, 9), 1e6, 5), // node count change
+		{Timing: basic, MaxStage: 16, CW: uniform(1<<20, 2), Duration: 1e5,
+			Seed: 6, Gain: 1, Cost: 0.01}, // past the bucket cap: a wrapping ring
+		mk(uniform(48, 9), 1e6, 7),
 	}
 	for si, cfg := range stages {
-		if si > 0 {
-			if err := eng.Reconfigure(cfg); err != nil {
-				t.Fatalf("stage %d: %v", si, err)
-			}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatalf("stage %d: %v", si, err)
 		}
-		want, err := Run(cfg)
+		got := cloneResult(eng.Run())
+		want, err := RunReference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := cloneResult(eng.Run())
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stage %d: reconfigured engine diverged from fresh Run", si)
+			t.Fatalf("stage %d: fresh engine diverged from RunReference", si)
+		}
+		if run, err := Run(cfg); err != nil || !reflect.DeepEqual(got, run) {
+			t.Fatalf("stage %d: fresh engine diverged from Run (err %v)", si, err)
 		}
 	}
 }
 
 // The engine must not retain the caller's slices: mutating the config
-// after NewEngine/Reconfigure cannot change results.
+// after NewEngine cannot change results.
 func TestEngineCopiesConfig(t *testing.T) {
 	cw := []int{32, 64, 96}
 	cfg := Config{Timing: phy.Default().MustTiming(phy.Basic), MaxStage: 6,
@@ -100,8 +98,10 @@ func TestEngineCopiesConfig(t *testing.T) {
 	}
 }
 
-// The acceptance criterion: post-construction, the reusable lifecycle —
-// Reset+Run, and same-shape Reconfigure+Run — performs zero allocations.
+// The acceptance criterion: post-construction, Reset+Run performs zero
+// allocations — also when two engines at different windows over the
+// same node count alternate, as stage loops holding one engine per
+// profile do — and each alternating run equals a fresh Run.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	cfg := Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
@@ -126,18 +126,29 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	}
 	alt := cfg
 	alt.CW = uniform(128, 20)
-	flip := false
-	if allocs := testing.AllocsPerRun(5, func() {
-		flip = !flip
-		next := cfg
-		if flip {
-			next = alt
-		}
-		if err := eng.Reconfigure(next); err != nil {
+	cfgs := [2]Config{cfg, alt}
+	var engs [2]*Engine
+	for i, c := range cfgs {
+		if engs[i], err = NewEngine(c); err != nil {
 			t.Fatal(err)
 		}
-		eng.Run()
+	}
+	flip := 0
+	if allocs := testing.AllocsPerRun(5, func() {
+		flip = 1 - flip
+		engs[flip].Reset(cfgs[flip].Seed)
+		engs[flip].Run()
 	}); allocs != 0 {
-		t.Fatalf("same-shape Reconfigure+Run allocated %.1f objects per run, want 0", allocs)
+		t.Fatalf("alternating same-shape Reset+Run allocated %.1f objects per run, want 0", allocs)
+	}
+	for i, c := range cfgs {
+		want, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i].Reset(c.Seed)
+		if got := engs[i].Run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("engine %d diverged from a fresh Run", i)
+		}
 	}
 }

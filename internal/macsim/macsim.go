@@ -201,21 +201,15 @@ func (n *nodeState) draw(r *rng.Source, maxStage int) {
 	n.counter = backoff.Draw(r, n.cw, n.stage, maxStage)
 }
 
-// Run simulates the configured scenario to completion.
-//
-// It uses the event-skipping calendar-queue engine (fast.go), which is
-// bit-identical to RunReference: same PRNG draw order, same counters, same
-// float accumulation order. Configurations whose maximum contention window
-// exceeds the calendar capacity fall back to the reference loop.
+// Run simulates the configured scenario to completion on a fresh Engine,
+// which is bit-identical to RunReference: same PRNG draw order, same
+// counters, same float accumulation order.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("macsim: invalid config: %w", err)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	e, ok := newFastEngine(&cfg)
-	if !ok {
-		return runReference(&cfg), nil
-	}
-	return e.run(), nil
+	return e.Run(), nil
 }
 
 // RunReference simulates the scenario with the original per-event
@@ -226,11 +220,6 @@ func RunReference(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("macsim: invalid config: %w", err)
 	}
-	return runReference(&cfg), nil
-}
-
-// runReference is the historical hot loop, unchanged.
-func runReference(cfg *Config) *Result {
 	src := rng.New(cfg.Seed)
 	n := len(cfg.CW)
 	nodes := make([]nodeState, n)
@@ -305,7 +294,15 @@ func runReference(cfg *Config) *Result {
 		}
 	}
 
+	finalize(&cfg, res, elapsed)
+	return res, nil
+}
+
+// finalize fills res's time and derived per-node rates from its counters
+// after a run covering elapsed microseconds.
+func finalize(cfg *Config, res *Result, elapsed float64) {
 	res.Time = elapsed
+	res.Throughput = 0
 	for i := range res.Nodes {
 		st := &res.Nodes[i]
 		st.PayoffRate = (float64(st.Successes)*cfg.Gain - float64(st.Attempts)*cfg.Cost) / elapsed
@@ -318,7 +315,6 @@ func runReference(cfg *Config) *Result {
 		}
 		res.Throughput += st.Throughput
 	}
-	return res
 }
 
 // RunUniform is a convenience wrapper simulating n nodes all at CW w.

@@ -146,8 +146,8 @@ func diffCases(t *testing.T) []diffCase {
 		{"sparse5000-static", sparse5000, simCfg(phy.RTSCTS, uniformCW(26, 5000), 1e5, 33)},
 		{"mobile5000", mobile5000, mob(simCfg(phy.RTSCTS, uniformCW(26, 5000), 5e4, 34), 2e4)},
 		{"grid10000-static", grid10000, simCfg(phy.RTSCTS, uniformCW(26, 10000), 5e4, 35)},
-		// CW << MaxStage past maxRingSpan: the engine routes the config to
-		// the reference loop itself (the case name predates that route).
+		// CW << MaxStage past the ring's bucket cap: the capped ring wraps
+		// (the case name predates the ring).
 		{"huge-cw-heap-fallback", line, simCfg(phy.RTSCTS, uniformCW(3000, 5), 4e6, 36)},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"selfishmac/internal/calendar"
 	"selfishmac/internal/rng"
 	"selfishmac/internal/topology"
 )
@@ -15,7 +16,7 @@ import (
 // jumps the clock directly to the minimum fire slot — the next event
 // horizon over counter expiries, busyUntil/txUntil freezes and pending
 // mobility steps. Idle slots are never visited. The minimum is found
-// through the fire-slot calendar (firering.go), a bucket ring over the
+// through the event calendar (internal/calendar), a bucket ring over the
 // bounded fire-slot horizon: freeze shifts update fire[] only, stale
 // calendar entries are repaired when visited, and expired sets come back
 // in ascending node order — so event selection costs O(1) amortized per
@@ -37,13 +38,9 @@ import (
 //     resumes at t+1, so it fires at t+1+c; carrier freezes from later
 //     transmitters in the same slot then shift it like any counting node.
 //
-// Those rules bound every fire slot by t + maxDur + maxCW - 1, which is
-// what lets the ring calendar cover the horizon with a fixed number of
-// buckets (see firering.go). A configuration whose horizon exceeds
-// maxRingSpan — an extreme CW << MaxStage product, never a realistic
-// one — runs the reference loop instead, for Simulate, Simulator and
-// Engine stages alike; macsim.Run falls back the same way past its
-// calendar cap.
+// Those rules bound every fire slot by t + maxDur + maxCW - 1, the span
+// the ring is sized to, so no entry wraps; a horizon past the ring's
+// bucket cap (an extreme CW << MaxStage product) wraps and stays exact.
 //
 // Mobility steps are applied in catch-up fashion before processing any
 // event at or past their due slot, preserving both the step count and
@@ -83,9 +80,9 @@ type simState struct {
 
 	src          rng.Source
 	nodes        []spatialNode
-	fire         []int64  // absolute slot at which the node next acts
-	cal          fireRing // fire-slot calendar; entries may lag fire[]
-	expired      []int    // scratch: this event's expired nodes, ascending
+	fire         []int64       // absolute slot at which the node next acts
+	cal          calendar.Ring // fire-slot calendar; entries may lag fire[]
+	expired      []int         // scratch: this event's expired nodes, ascending
 	transmitters []int
 	receivers    []int
 	inTx         []bool
@@ -93,7 +90,6 @@ type simState struct {
 	res          SimResult
 
 	tsSlots, tcSlots   int64
-	span               int64 // fire-slot horizon; > maxRingSpan runs the reference
 	totalSlots         int64
 	mobilityEverySlots int64
 	nextMobility       int64
@@ -159,25 +155,17 @@ func growSlice[T any](s []T, n int) []T {
 
 // calSpan returns the fire-slot horizon for the current config: no fire
 // slot is ever filed more than maxDur + maxCW - 1 slots past the current
-// event slot (see the freeze/resume rules above). Windows too large for
-// the ring report a span past maxRingSpan without overflowing.
+// event slot (see the freeze/resume rules above). Windows past the
+// ring's bucket cap report the cap without overflowing.
 func (st *simState) calSpan() int64 {
 	maxCW := 0
 	for _, w := range st.cfg.CW {
-		if w > maxCW {
-			maxCW = w
-		}
+		maxCW = max(maxCW, w)
 	}
-	if maxCW > maxRingSpan {
-		return maxRingSpan + 1
+	if maxCW > calendar.MaxBuckets {
+		return calendar.MaxBuckets
 	}
-	span := int64(maxCW) << uint(st.cfg.MaxStage)
-	if st.tsSlots > st.tcSlots {
-		span += st.tsSlots
-	} else {
-		span += st.tcSlots
-	}
-	return span
+	return int64(maxCW)<<uint(st.cfg.MaxStage) + max(st.tsSlots, st.tcSlots)
 }
 
 // reset restores the initial trajectory state for the given seed: PRNG
@@ -193,10 +181,8 @@ func (st *simState) reset(seed uint64) {
 		st.fire[i] = int64(st.nodes[i].counter)
 		st.inTx[i] = false
 	}
-	if st.span = st.calSpan(); st.span <= maxRingSpan {
-		st.cal.init(st.n, st.span)
-		st.cal.rebuild(st.fire)
-	}
+	st.cal.Init(st.n, st.calSpan())
+	st.cal.Rebuild(st.fire)
 	for i := range st.res.Nodes {
 		st.res.Nodes[i] = NodeStats{}
 	}
@@ -227,13 +213,8 @@ func (st *simState) stepMobility() error {
 }
 
 // run executes the simulation to completion and finalises the state-owned
-// result. On a static topology it performs no allocations. A config whose
-// fire-slot horizon exceeds maxRingSpan runs the reference loop instead
-// and returns its freshly allocated result.
+// result. On a static topology it performs no allocations.
 func (st *simState) run() (*SimResult, error) {
-	if st.span > maxRingSpan {
-		return simulateReference(st.nw, st.mobile, st.cfg)
-	}
 	nw, cfg := st.nw, &st.cfg
 	nodes, fire := st.nodes, st.fire
 	receivers, inTx, drawn := st.receivers, st.inTx, st.drawn
@@ -251,7 +232,7 @@ func (st *simState) run() (*SimResult, error) {
 		// the reference loop acts them in.
 		var t int64
 		expired := st.expired[:0]
-		t, expired = st.cal.nextEvent(fire, totalSlots, expired)
+		t, expired = st.cal.Next(fire, totalSlots, expired)
 		if t >= totalSlots {
 			// No further MAC event inside the run; apply the mobility
 			// steps the reference loop would still have performed.
@@ -283,7 +264,7 @@ func (st *simState) run() (*SimResult, error) {
 				// would not have fired).
 				nodes[i].draw(&st.src, cfg.MaxStage)
 				fire[i] = t + 1 + int64(nodes[i].counter)
-				st.cal.file(fire[i], int32(i))
+				st.cal.File(fire[i], int32(i))
 				continue
 			}
 			transmitters = append(transmitters, i)
@@ -373,7 +354,7 @@ func (st *simState) run() (*SimResult, error) {
 				b = nodes[i].txUntil
 			}
 			fire[i] = b + int64(drawn[i])
-			st.cal.file(fire[i], int32(i))
+			st.cal.File(fire[i], int32(i))
 			inTx[i] = false
 		}
 	}

@@ -1,54 +1,74 @@
 package multihop
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/calendar"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
 )
 
-// firering_test.go pins the bucket-ring calendar against an eager O(n)
-// min-scan over fire[]: driven with the same fire-slot trajectory —
-// re-keys, silent forward shifts (carrier freezes), expiry collection —
-// the ring must report the scan's (slot, expired-set) sequence, as long
-// as the trajectory respects the engine's horizon bound (no fire slot
-// more than span-1 slots past the current event slot).
+// firering_test.go pins the engine's use of the event calendar
+// (internal/calendar) against an eager O(n) min-scan over fire[]: driven
+// with the same fire-slot trajectory — re-keys, silent forward shifts
+// (carrier freezes), expiry collection — the ring must report the scan's
+// (slot, expired-set) sequence. The trajectories respect the engine's
+// horizon bound (no fire slot more than span-1 slots past the current
+// event slot); the calendar's own tests cover entries filed wraps ahead.
 
+// TestNextPow2 keeps the name of the test for the sizing helper the
+// engine-local ring had: the ring now rounds the engine's span up to a
+// power of two, floored at one bitmap word and capped at MaxBuckets.
 func TestNextPow2(t *testing.T) {
-	cases := map[int64]int64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := nextPow2(in); got != want {
-			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
+	cases := map[int64]int{-5: 64, 1: 64, 64: 64, 65: 128, 336: 512, 1023: 1024, 1024: 1024, 1025: 2048,
+		calendar.MaxBuckets: calendar.MaxBuckets, calendar.MaxBuckets + 1: calendar.MaxBuckets,
+		1 << 62: calendar.MaxBuckets, math.MaxInt64: calendar.MaxBuckets}
+	for span, want := range cases {
+		var ring calendar.Ring
+		ring.Init(1, span)
+		if got := ring.Buckets(); got != want {
+			t.Errorf("span %d: %d buckets, want %d", span, got, want)
 		}
 	}
 }
 
-// TestFireCalendarSelection pins the engine's calendar route: a fire-slot
-// horizon within maxRingSpan runs on the ring; anything past it —
-// including windows whose cw << MaxStage would overflow — is routed to
-// the reference loop rather than to a wrapped, too-small ring.
+// TestFireCalendarSelection pins the engine's calendar route: every
+// fire-slot horizon runs on the ring — sized to the horizon, or capped
+// and wrapping past MaxBuckets, including windows whose cw << MaxStage
+// would overflow — and equals SimulateReference.
 func TestFireCalendarSelection(t *testing.T) {
 	nw := &fixedGraph{adj: [][]int{{1}, {0}}}
 	// MaxStage 6: the ring holds cw << 6 plus one frame time.
 	for _, tc := range []struct {
-		cw   int
-		ring bool
+		cw      int
+		buckets int
 	}{
-		{16, true},
-		{maxRingSpan>>6 - 64, true},
-		{maxRingSpan>>6 + 1, false},
-		{1 << 40, false},
-		{math.MaxInt, false},
+		{16, 2048},
+		{calendar.MaxBuckets>>6 - 64, calendar.MaxBuckets},
+		{calendar.MaxBuckets>>6 + 1, calendar.MaxBuckets},
+		{1 << 40, calendar.MaxBuckets},
+		{math.MaxInt, calendar.MaxBuckets},
 	} {
-		sim, err := NewSimulator(nw, simCfg(phy.RTSCTS, []int{tc.cw, 16}, 1e5, 1))
+		cfg := simCfg(phy.RTSCTS, []int{tc.cw, 16}, 1e5, 1)
+		sim, err := NewSimulator(nw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ring := sim.st.span <= maxRingSpan; ring != tc.ring {
-			t.Errorf("cw %d: span %d selects ring=%v, want %v", tc.cw, sim.st.span, ring, tc.ring)
+		if got := sim.st.cal.Buckets(); got != tc.buckets {
+			t.Errorf("cw %d: ring has %d buckets, want %d", tc.cw, got, tc.buckets)
+		}
+		got, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SimulateReference(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cw %d: ring diverged from SimulateReference", tc.cw)
 		}
 	}
 }
@@ -74,11 +94,11 @@ func minScan(fire []int64, expired []int) (int64, []int) {
 // limit and fails unless both pick the same slot and the same ascending
 // expired set. Past the last event before limit the ring must report
 // (limit, none), the scan's minimum lying at or beyond limit.
-func stepAgainstScan(t *testing.T, ring *fireRing, fire []int64, limit int64, got, want []int) (int64, []int, []int) {
+func stepAgainstScan(t *testing.T, ring *calendar.Ring, fire []int64, limit int64, got, want []int) (int64, []int, []int) {
 	t.Helper()
 	var tw, tg int64
 	tw, want = minScan(fire, want[:0])
-	tg, got = ring.nextEvent(fire, limit, got[:0])
+	tg, got = ring.Next(fire, limit, got[:0])
 	if tw >= limit {
 		tw, want = limit, want[:0]
 	}
@@ -107,9 +127,9 @@ func TestFireRingMatchesEagerScan(t *testing.T) {
 		for i := range fire {
 			fire[i] = int64(src.Intn(int(span)))
 		}
-		var ring fireRing
-		ring.init(n, span)
-		ring.rebuild(fire)
+		var ring calendar.Ring
+		ring.Init(n, span)
+		ring.Rebuild(fire)
 
 		var got, want []int
 		for round := 0; round < rounds; round++ {
@@ -130,7 +150,7 @@ func TestFireRingMatchesEagerScan(t *testing.T) {
 			// later with a fresh counter inside the horizon.
 			for _, i := range got {
 				fire[i] = tw + 1 + int64(src.Intn(int(span-1)))
-				ring.file(fire[i], int32(i))
+				ring.File(fire[i], int32(i))
 			}
 		}
 	}
@@ -154,9 +174,9 @@ func TestFireHeapLazyShiftMatchesEagerScan(t *testing.T) {
 	for i := range fire {
 		fire[i] = int64(src.Intn(64))
 	}
-	var ring fireRing
-	ring.init(n, span)
-	ring.rebuild(fire)
+	var ring calendar.Ring
+	ring.Init(n, span)
+	ring.Rebuild(fire)
 
 	var got, want []int
 	for r := 0; r < rounds; r++ {
@@ -164,7 +184,7 @@ func TestFireHeapLazyShiftMatchesEagerScan(t *testing.T) {
 		t0, got, want = stepAgainstScan(t, &ring, fire, 1<<62, got, want)
 		for _, i := range got {
 			fire[i] = t0 + 1 + int64(src.Intn(128))
-			ring.file(fire[i], int32(i))
+			ring.File(fire[i], int32(i))
 		}
 		for i := 0; i < n; i++ {
 			if fire[i] > t0 && src.Intn(4) == 0 {
@@ -191,9 +211,9 @@ func TestFireRingMatchesHeapTrajectory(t *testing.T) {
 		for i := range fire {
 			fire[i] = int64(src.Intn(int(span)))
 		}
-		var ring fireRing
-		ring.init(n, span)
-		ring.rebuild(fire)
+		var ring calendar.Ring
+		ring.Init(n, span)
+		ring.Rebuild(fire)
 
 		var got, want []int
 		for {
@@ -210,7 +230,7 @@ func TestFireRingMatchesHeapTrajectory(t *testing.T) {
 			}
 			for _, i := range got {
 				fire[i] = t0 + 1 + int64(src.Intn(int(span)-1))
-				ring.file(fire[i], int32(i))
+				ring.File(fire[i], int32(i))
 			}
 		}
 	}
@@ -220,22 +240,22 @@ func TestFireRingMatchesHeapTrajectory(t *testing.T) {
 // up from there when the limit moves on.
 func TestFireRingRespectsLimit(t *testing.T) {
 	fire := []int64{5, 9, 9, 30}
-	var ring fireRing
-	ring.init(len(fire), 32)
-	ring.rebuild(fire)
-	if slot, exp := ring.nextEvent(fire, 5, nil); slot != 5 || len(exp) != 0 {
+	var ring calendar.Ring
+	ring.Init(len(fire), 32)
+	ring.Rebuild(fire)
+	if slot, exp := ring.Next(fire, 5, nil); slot != 5 || len(exp) != 0 {
 		t.Fatalf("limit 5: got (%d, %v), want (5, [])", slot, exp)
 	}
-	if slot, exp := ring.nextEvent(fire, 100, nil); slot != 5 || !reflect.DeepEqual(exp, []int{0}) {
+	if slot, exp := ring.Next(fire, 100, nil); slot != 5 || !reflect.DeepEqual(exp, []int{0}) {
 		t.Fatalf("got (%d, %v), want (5, [0])", slot, exp)
 	}
 	fire[0] = 40 // re-keyed past node 3
-	ring.file(fire[0], 0)
+	ring.File(fire[0], 0)
 	for _, want := range []struct {
 		slot int64
 		exp  []int
 	}{{9, []int{1, 2}}, {30, []int{3}}, {40, []int{0}}} {
-		if slot, exp := ring.nextEvent(fire, 100, nil); slot != want.slot || !reflect.DeepEqual(exp, want.exp) {
+		if slot, exp := ring.Next(fire, 100, nil); slot != want.slot || !reflect.DeepEqual(exp, want.exp) {
 			t.Fatalf("got (%d, %v), want (%d, %v)", slot, exp, want.slot, want.exp)
 		}
 		for _, i := range want.exp {
@@ -253,10 +273,10 @@ func TestFireRingExpiredAscending(t *testing.T) {
 	for i := range fire {
 		fire[i] = 7 // everyone expires at once, filed in index order
 	}
-	var ring fireRing
-	ring.init(n, 64)
-	ring.rebuild(fire)
-	slot, expired := ring.nextEvent(fire, 100, nil)
+	var ring calendar.Ring
+	ring.Init(n, 64)
+	ring.Rebuild(fire)
+	slot, expired := ring.Next(fire, 100, nil)
 	if slot != 7 {
 		t.Fatalf("slot = %d, want 7", slot)
 	}
@@ -267,45 +287,5 @@ func TestFireRingExpiredAscending(t *testing.T) {
 		if expired[i-1] >= expired[i] {
 			t.Fatalf("expired not ascending at %d: %v", i, expired)
 		}
-	}
-}
-
-// BenchmarkEventSelection times the ring on the engine's event-selection
-// workload: find the next fire slot, collect its expired set in
-// ascending node order, re-key the expired, apply a few lazy freeze
-// shifts. Fire slots are drawn from a fixed horizon, as in the engine,
-// where each event expires O(1) nodes however large the population gets.
-func BenchmarkEventSelection(b *testing.B) {
-	for _, n := range []int{1000, 5000, 10000} {
-		b.Run(fmt.Sprintf("ring-n%d", n), func(b *testing.B) {
-			const span = 4096
-			var src rng.Source
-			src.Reseed(7)
-			fire := make([]int64, n)
-			for i := range fire {
-				fire[i] = int64(src.Intn(span))
-			}
-			var ring fireRing
-			ring.init(n, span)
-			ring.rebuild(fire)
-			expired := make([]int, 0, n)
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				var t int64
-				t, expired = ring.nextEvent(fire, 1<<62, expired[:0])
-				for _, i := range expired {
-					fire[i] = t + 1 + int64(src.Intn(span-64))
-					ring.file(fire[i], int32(i))
-				}
-				// A handful of lazy shifts per event keeps the calendar's
-				// stale-repair cost in the measurement, like carrier
-				// sensing does.
-				for j := 0; j < 8; j++ {
-					if i := src.Intn(n); fire[i] > t && fire[i]+63 < t+span {
-						fire[i] += int64(src.Intn(64))
-					}
-				}
-			}
-		})
 	}
 }

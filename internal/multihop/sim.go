@@ -236,9 +236,7 @@ func (n *spatialNode) draw(r *rng.Source, maxStage int) {
 // It uses the event-skipping engine (fastsim.go), which jumps the slot
 // clock directly to the next fire slot instead of stepping idle slots.
 // Results, PRNG consumption and mobility stepping are bit-identical to
-// SimulateReference; the differential tests pin this. Configurations
-// whose fire-slot horizon exceeds the calendar (maxRingSpan) run the
-// reference loop itself.
+// SimulateReference; the differential tests pin this.
 func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
 	mobile, err := mobileOf(nw, cfg)
 	if err != nil {
@@ -257,12 +255,6 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simulateReference(nw, mobile, cfg)
-}
-
-// simulateReference is SimulateReference past validation; mobile is nil
-// unless cfg enables mobility.
-func simulateReference(nw Topology, mobile MobileTopology, cfg SimConfig) (*SimResult, error) {
 	n := nw.N()
 	src := rng.New(cfg.Seed)
 	nodes := make([]spatialNode, n)

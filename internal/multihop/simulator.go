@@ -48,9 +48,7 @@ func (s *Simulator) Reset(seed uint64) {
 
 // Run executes the simulation. The returned SimResult is owned by the
 // simulator and reused: it is valid until the next Reset or Run. The
-// lifecycle is always Reset(seed) then Run. A profile whose fire-slot
-// horizon exceeds the calendar (see Simulate) runs the reference loop,
-// which allocates per Run.
+// lifecycle is always Reset(seed) then Run.
 func (s *Simulator) Run() (*SimResult, error) {
 	return s.st.run()
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/calendar"
 	"selfishmac/internal/phy"
 )
 
@@ -208,10 +209,12 @@ func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// A Simulator whose profile lies past maxRingSpan takes the reference
-// route on every Reset+Run, and each run equals SimulateReference with
-// the same observer stream; a simulator in range on the same network
-// takes the ring and stays allocation-free.
+// TestSimulatorCrossesReferenceRoute keeps the name of the test for the
+// reference route that profiles past the ring's cap used to take. Both
+// profiles now run on the ring — CW 3000's horizon (3000 << 6 slots)
+// exceeds MaxBuckets, so its ring is capped and wraps — and every
+// Reset+Run equals SimulateReference with the same observer stream, and
+// allocates nothing.
 func TestSimulatorCrossesReferenceRoute(t *testing.T) {
 	nw := randomNetwork(t, 20, 300, 31)
 	const n = 20
@@ -223,8 +226,8 @@ func TestSimulatorCrossesReferenceRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantRef := cw[0] == 3000; (sim.st.span > maxRingSpan) != wantRef {
-			t.Fatalf("CW %d: span %d, reference route %v", cw[0], sim.st.span, wantRef)
+		if capped := sim.st.cal.Buckets() == calendar.MaxBuckets; capped != (cw[0] == 3000) {
+			t.Fatalf("CW %d: %d buckets, capped %v", cw[0], sim.st.cal.Buckets(), capped)
 		}
 		for _, seed := range []uint64{9, 11} {
 			obs.events = nil
@@ -249,22 +252,22 @@ func TestSimulatorCrossesReferenceRoute(t *testing.T) {
 					cw[0], seed, len(gotEvents), len(obs.events))
 			}
 		}
-	}
 
-	// The recording observer allocates by design, so the allocation pin
-	// runs unobserved.
-	sim, err := NewSimulator(nw, simCfg(phy.RTSCTS, uniformCW(64, n), 5e5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := uint64(20)
-	if allocs := testing.AllocsPerRun(5, func() {
-		seed++
-		sim.Reset(seed)
-		if _, err := sim.Run(); err != nil {
+		// The recording observer allocates by design, so the allocation
+		// pin runs unobserved.
+		sim, err = NewSimulator(nw, simCfg(phy.RTSCTS, cw, 5e5, 1))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Reset+Run on the ring allocated %.1f objects per run, want 0", allocs)
+		seed := uint64(20)
+		if allocs := testing.AllocsPerRun(5, func() {
+			seed++
+			sim.Reset(seed)
+			if _, err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("CW %d: Reset+Run on the ring allocated %.1f objects per run, want 0", cw[0], allocs)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"selfishmac/internal/experiments"
@@ -42,6 +43,11 @@ const (
 	// smoke test's long-running job uses it); the replication layer
 	// sizes its per-replication buffers by it up front.
 	maxReps = 1000000
+	// maxAdjacencyEntries bounds a "replicate" topology's expected
+	// adjacency size, about 10× the ~196,000 entries of the n=10,000
+	// mobile benchmark network: without it a range covering the area
+	// builds ~10⁸ entries at 10,000 nodes.
+	maxAdjacencyEntries = 2000000
 )
 
 // boundRun rejects a population above maxNodes and clamps the simulated
@@ -244,7 +250,16 @@ func (p *ReplicateParams) resolve() error {
 	if err := p.ScheduleParams.resolve(); err != nil {
 		return err
 	}
-	return boundRun("replicate", p.Nodes, maxReplicateNodes, &p.DurationUs)
+	if err := boundRun("replicate", p.Nodes, maxReplicateNodes, &p.DurationUs); err != nil {
+		return err
+	}
+	// Expected adjacency entries: every ordered pair, times the chance
+	// that a uniformly placed partner lies in range.
+	n := float64(p.Nodes)
+	if entries := n * (n - 1) * min(1, math.Pi*p.Range*p.Range/(p.Width*p.Height)); entries > maxAdjacencyEntries {
+		return fmt.Errorf("service: replicate topology expects %.0f adjacency entries, exceeds %d", entries, maxAdjacencyEntries)
+	}
+	return nil
 }
 
 // replicateMetricNames matches svcReplicator's metric layout.

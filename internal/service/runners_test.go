@@ -84,7 +84,7 @@ func TestPooledMultihopSteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestReplicatedJobBounds pins the per-job work bounds: an oversize
-// population or replication budget is rejected, both through resolve
+// population, topology density or replication budget is rejected, both through resolve
 // and as a failed job, while an oversize duration and worker count are
 // clamped.
 func TestReplicatedJobBounds(t *testing.T) {
@@ -126,6 +126,7 @@ func TestReplicatedJobBounds(t *testing.T) {
 		{"replicate duration", "replicate", `{"duration_us":1e12}`, "", resolved{600e6, 0}},
 		{"replicate workers", "replicate", `{"workers":1000}`, "", resolved{2e6, procs}},
 		{"replicate max_reps", "replicate", `{"max_reps":1000001}`, "max_reps 1000001 exceeds 1000000", resolved{}},
+		{"replicate density", "replicate", `{"nodes":10000,"range":2000}`, "adjacency entries, exceeds 2000000", resolved{}},
 		{"singlehop nodes", "singlehop", `{"nodes":201}`, "singlehop population 201 exceeds 200", resolved{}},
 		{"singlehop duration", "singlehop", `{"duration_us":1e12}`, "", resolved{600e6, 0}},
 		{"singlehop workers", "singlehop", `{"workers":1000}`, "", resolved{1e6, procs}},

@@ -624,12 +624,15 @@ func TestReplicateJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplicateJobCancelledKeepsPrefix submits a longer replicate job and
+// TestReplicateJobCancelledKeepsPrefix submits a replicate job with the
+// largest replication budget, far more than the test can finish, and
 // cancels it mid-flight: the job must end Cancelled with a prefix result.
+// The schedule is adaptive, so rounds of two replications fold and report
+// progress, but its tolerance is too tight ever to stop it early.
 func TestReplicateJobCancelledKeepsPrefix(t *testing.T) {
 	s := newTestServer(t, nil)
 	params := `{"nodes":12,"width":300,"height":300,"range":120,"duration_us":2000000,` +
-		`"min_reps":200,"max_reps":200,"batch_size":2,"rel_ci":-1,"workers":1}`
+		`"min_reps":2,"max_reps":1000000,"batch_size":2,"rel_ci":1e-12,"workers":1}`
 	j, err := s.Submit(SubmitRequest{Kind: "replicate", Params: json.RawMessage(params)})
 	if err != nil {
 		t.Fatal(err)
@@ -649,16 +652,9 @@ func TestReplicateJobCancelledKeepsPrefix(t *testing.T) {
 		}
 	}
 	if err := s.Cancel(j.ID); err != nil {
-		if errors.Is(err, ErrJobFinished) {
-			t.Skip("job finished before the cancel landed")
-		}
 		t.Fatal(err)
 	}
-	state := waitTerminal(t, j)
-	if state == StateDone {
-		t.Skip("job finished before the cancel landed")
-	}
-	if state != StateCancelled {
+	if state := waitTerminal(t, j); state != StateCancelled {
 		t.Fatalf("state = %s, want cancelled", state)
 	}
 	result, _, _ := j.resultNow()
@@ -669,8 +665,8 @@ func TestReplicateJobCancelledKeepsPrefix(t *testing.T) {
 	if !view.Cancelled {
 		t.Error("prefix result not flagged Cancelled")
 	}
-	if view.Reps <= 0 || view.Reps >= 200 {
-		t.Errorf("prefix reps = %d, want partial progress in (0, 200)", view.Reps)
+	if view.Reps <= 0 || view.Reps >= 1000000 {
+		t.Errorf("prefix reps = %d, want partial progress in (0, 1000000)", view.Reps)
 	}
 }
 
