@@ -94,10 +94,9 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # Regenerate BENCH_replicate.json, the replication-layer trajectory:
-# fresh vs reused engine allocs/op, fixed-R wall-clock at 1/2/4/8
-# workers plus the honest workers=NumCPU saturation row (speedup is
-# bounded by GOMAXPROCS — the file records both), and adaptive-vs-fixed
-# replication counts. Commit the refreshed file with any PR that
+# fixed-R wall-clock at 1/2/4/8 workers plus the honest workers=NumCPU
+# saturation row (speedup is bounded by GOMAXPROCS — the file records
+# both), and adaptive-vs-fixed replication counts. Commit the refreshed file with any PR that
 # touches internal/replicate or the engine lifecycles.
 bench-replicate:
 	go run ./cmd/bench -replicate -out BENCH_replicate.json

@@ -7,23 +7,16 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"testing"
 	"time"
 
-	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
-	"selfishmac/internal/phy"
 	"selfishmac/internal/replicate"
 	"selfishmac/internal/topology"
 )
 
-// replicate.go measures the replication layer (internal/replicate) and
-// the reusable engine lifecycles behind it, writing BENCH_replicate.json:
+// replicate.go measures the replication layer (internal/replicate),
+// writing BENCH_replicate.json:
 //
-//   - engine_allocs: allocs/op and bytes/op of a fresh one-shot run
-//     (macsim.Run, multihop.Simulate) vs the reusable Reset+Run
-//     lifecycle (macsim.Engine, multihop.Simulator) on the same
-//     workload — the steady state must be 0 allocs/op.
 //   - worker_scaling: wall-clock of one fixed-R replicated measurement
 //     at 1/2/4/8 workers. Speedups are hardware-bound: on a single-CPU
 //     host (GOMAXPROCS=1) all worker counts serialize and the honest
@@ -31,17 +24,6 @@ import (
 //   - adaptive: replications spent by the adaptive CI-targeted schedule
 //     vs the fixed worst-case R across a CW sweep, with the CI each
 //     point reached.
-
-// AllocResult compares the fresh and reused lifecycle of one engine.
-type AllocResult struct {
-	Name           string  `json:"name"`
-	FreshAllocsOp  int64   `json:"fresh_allocs_per_op"`
-	FreshBytesOp   int64   `json:"fresh_bytes_per_op"`
-	FreshNsOp      float64 `json:"fresh_ns_per_op"`
-	ReusedAllocsOp int64   `json:"reused_allocs_per_op"`
-	ReusedBytesOp  int64   `json:"reused_bytes_per_op"`
-	ReusedNsOp     float64 `json:"reused_ns_per_op"`
-}
 
 // ScalingResult is one worker count's wall-clock for the fixed workload.
 type ScalingResult struct {
@@ -78,26 +60,8 @@ type ReplicateFile struct {
 	NumCPU        int             `json:"num_cpu"`
 	Profile       string          `json:"profile"`
 	Note          string          `json:"note"`
-	EngineAllocs  []AllocResult   `json:"engine_allocs"`
 	WorkerScaling []ScalingResult `json:"worker_scaling"`
 	Adaptive      AdaptiveResult  `json:"adaptive"`
-}
-
-func benchAllocs(fn func() error) (allocs, bytes int64, ns float64, err error) {
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if e := fn(); e != nil {
-				benchErr = e
-				b.Fatal(e)
-			}
-		}
-	})
-	if benchErr != nil {
-		return 0, 0, 0, benchErr
-	}
-	return r.AllocsPerOp(), r.AllocedBytesPerOp(), float64(r.NsPerOp()), nil
 }
 
 // replicateWorkload is the shared spatial scenario: the sparse 50-node
@@ -110,70 +74,6 @@ func replicateWorkload(dur float64) (*topology.Network, multihop.SimConfig, erro
 	cfg := multihop.DefaultSimConfig(dur, 7)
 	cfg.CW = uniformCW(116, 50)
 	return nw, cfg, nil
-}
-
-func measureEngineAllocs(shDur, mhDur float64) ([]AllocResult, error) {
-	var out []AllocResult
-
-	// macsim: one-shot Run vs Engine Reset+Run.
-	mcfg := macsim.Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       uniformCW(336, 20),
-		Duration: shDur,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	}
-	res := AllocResult{Name: "macsim/basic-n20-w336"}
-	var err error
-	if res.FreshAllocsOp, res.FreshBytesOp, res.FreshNsOp, err = benchAllocs(func() error {
-		_, err := macsim.Run(mcfg)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	eng, err := macsim.NewEngine(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	seed := uint64(0)
-	if res.ReusedAllocsOp, res.ReusedBytesOp, res.ReusedNsOp, err = benchAllocs(func() error {
-		seed++
-		eng.Reset(seed)
-		eng.Run()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out = append(out, res)
-
-	// multihop: one-shot Simulate vs Simulator Reset+Run.
-	nw, scfg, err := replicateWorkload(mhDur)
-	if err != nil {
-		return nil, err
-	}
-	res = AllocResult{Name: "multihop/sparse-n50-w116"}
-	if res.FreshAllocsOp, res.FreshBytesOp, res.FreshNsOp, err = benchAllocs(func() error {
-		_, err := multihop.Simulate(nw, scfg)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	sim, err := multihop.NewSimulator(nw, scfg)
-	if err != nil {
-		return nil, err
-	}
-	if res.ReusedAllocsOp, res.ReusedBytesOp, res.ReusedNsOp, err = benchAllocs(func() error {
-		seed++
-		sim.Reset(seed)
-		_, err := sim.Run()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out = append(out, res)
-	return out, nil
 }
 
 func measureWorkerScaling(ctx context.Context, mhDur float64, reps int) ([]ScalingResult, error) {
@@ -288,12 +188,12 @@ func measureAdaptive(ctx context.Context, mhDur float64, minReps, maxReps int, r
 // runReplicate drives the -replicate mode. An interrupt mid-suite stops
 // measuring and writes whatever stages completed.
 func runReplicate(ctx context.Context, out string, quick bool) error {
-	shDur, mhDur := 20e6, 10e6
+	mhDur := 10e6
 	minReps, maxReps := 4, 24
 	scalingReps := 16
 	relCI := 0.05
 	if quick {
-		shDur, mhDur = 1e6, 5e5
+		mhDur = 5e5
 		minReps, maxReps = 2, 6
 		scalingReps = 4
 	}
@@ -307,8 +207,7 @@ func runReplicate(ctx context.Context, out string, quick bool) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Profile:    profile,
-		Note: "Replication-layer benchmarks: engine_allocs compares fresh one-shot runs vs the " +
-			"reusable Reset+Run lifecycle (steady state must be 0 allocs/op); worker_scaling is " +
+		Note: "Replication-layer benchmarks: worker_scaling is " +
 			"wall-clock of one fixed-R measurement at 1/2/4/8 workers plus workers=num_cpu, the " +
 			"saturation row the hardware can honestly deliver (parallel speedup is bounded by " +
 			"gomaxprocs — on a 1-CPU host all counts measure ~1x); adaptive counts replications " +
@@ -336,13 +235,6 @@ func runReplicate(ctx context.Context, out string, quick bool) error {
 	}
 
 	var err error
-	if file.EngineAllocs, err = measureEngineAllocs(shDur, mhDur); err != nil {
-		return err
-	}
-	for _, a := range file.EngineAllocs {
-		fmt.Printf("%-28s fresh %5d allocs/op %9d B/op | reused %3d allocs/op %6d B/op\n",
-			a.Name, a.FreshAllocsOp, a.FreshBytesOp, a.ReusedAllocsOp, a.ReusedBytesOp)
-	}
 	if file.WorkerScaling, err = measureWorkerScaling(ctx, mhDur, scalingReps); err != nil {
 		if ctx.Err() != nil {
 			return interrupted(err)

@@ -108,9 +108,8 @@ func (st *churnState) step() {
 type maskedTopology struct {
 	base   Topology
 	active []bool
-	view   *topology.Adjacency // base rows when base is a *topology.Network
-	adj    [][]int             // returned view: nil entries for departed/link-less nodes
-	bufs   [][]int             // per-node filter buffers; capacity persists across refills
+	adj    [][]int // returned view: nil entries for departed/link-less nodes
+	bufs   [][]int // per-node filter buffers; capacity persists across refills
 
 	filled   bool   // adj/bufs hold the refill for lastMask
 	lastMask []bool // activity mask captured at the last refill
@@ -129,10 +128,7 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 	}
 	var full [][]int
 	if tn, ok := m.base.(*topology.Network); ok {
-		if m.view == nil {
-			m.view = tn.AdjacencyView()
-		}
-		full = m.view.Rows()
+		full = tn.AdjacencyView().Rows()
 	} else {
 		full = m.base.AdjacencyLists()
 	}

@@ -121,17 +121,20 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 	// number of stage views instead of all of them.
 	hist := newObsHistory(n, e.strategies)
 
-	// Per-stage adjacency: the masked churn view filters into its own
-	// reusable buffers (skipping the refill when the mask is unchanged);
-	// without churn a *topology.Network is read through one adjacency
-	// view, which on a static network every stage after the first
-	// consults for free; other topologies answer AdjacencyLists.
+	// Per-stage adjacency, read at the stage start: the masked churn
+	// view filters into its own reusable buffers (skipping the refill
+	// when the mask is unchanged); without churn a static
+	// *topology.Network is read through its adjacency view, which every
+	// stage after the first consults for free; other topologies answer
+	// AdjacencyLists. A mobile network answers AdjacencyLists too: the
+	// stage's Simulate steps the view's shared rows in place, and the
+	// history must record the topology the stage started from.
 	var masked *maskedTopology
 	if churn != nil {
 		masked = &maskedTopology{base: e.nw}
 	}
 	var view *topology.Adjacency
-	if tn, ok := e.nw.(*topology.Network); ok && churn == nil {
+	if tn, ok := e.nw.(*topology.Network); ok && churn == nil && e.sim.MobilityEvery == 0 {
 		view = tn.AdjacencyView()
 	}
 

@@ -1,9 +1,13 @@
 package multihop
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"selfishmac/internal/core"
+	"selfishmac/internal/rng"
+	"selfishmac/internal/topology"
 )
 
 // fixedGraph is a deterministic Topology for engine tests.
@@ -226,5 +230,76 @@ func TestSimulateImmobileTopologyRejectsMobility(t *testing.T) {
 	cfg.MobilityEvery = 0
 	if _, err := Simulate(g, cfg); err != nil {
 		t.Fatalf("static simulation on a fixed graph failed: %v", err)
+	}
+}
+
+// A mobile Engine.Run must record each stage's observations under the
+// topology the stage started from, although the stage's Simulate steps
+// the network — and its shared adjacency rows — in place. The trace is
+// pinned against a hand-written loop that snapshots AdjacencyLists at
+// every stage start and keeps the full observation history.
+func TestEngineMobileTraceMatchesStageStartSnapshots(t *testing.T) {
+	const n, stages = 60, 8
+	net := func() *topology.Network {
+		nw, err := topology.New(topology.Config{
+			N: n, Width: 1000, Height: 1000, Range: 250, MinSpeed: 5, MaxSpeed: 20, Seed: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	strategies := make([]core.Strategy, n)
+	for i := range strategies {
+		strategies[i] = core.GTFT{Initial: 16 + (i*37)%240, R0: 2, Beta: 0.9}
+	}
+	sim := stageSim(1e6)
+	sim.MobilityEvery = 2e5
+
+	eng, err := NewEngine(net(), strategies, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nw := net()
+	observed := make([][][]int, n)
+	utilities := make([][]float64, n)
+	linksChanged := false
+	for k := 0; k < stages; k++ {
+		adj := nw.AdjacencyLists()
+		profile := make([]int, n)
+		for i, s := range strategies {
+			profile[i] = max(1, s.ChooseCW(0, observed[i], utilities[i]))
+		}
+		cfg := sim
+		cfg.CW = profile
+		cfg.Seed = rng.DeriveSeed(sim.Seed, "multihop.engine.stage", k)
+		res, err := Simulate(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := StageRecord{Profile: profile, PayoffRates: make([]float64, n), HiddenFraction: res.HiddenFraction}
+		for i := range adj {
+			want.PayoffRates[i] = res.Nodes[i].PayoffRate
+			local := []int{profile[i]}
+			for _, j := range adj[i] {
+				local = append(local, profile[j])
+			}
+			observed[i] = append(observed[i], local)
+			utilities[i] = append(utilities[i], want.PayoffRates[i])
+		}
+		if !reflect.DeepEqual(got.Stages[k], want) {
+			t.Fatalf("stage %d: engine trace diverged from the stage-start snapshot loop", k)
+		}
+		if !slices.EqualFunc(adj, nw.AdjacencyLists(), slices.Equal[[]int]) {
+			linksChanged = true
+		}
+	}
+	if !linksChanged {
+		t.Fatal("no stage changed a link: the case does not exercise mobile history")
 	}
 }

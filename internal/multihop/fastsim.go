@@ -2,7 +2,6 @@ package multihop
 
 import (
 	"fmt"
-	"sync"
 
 	"selfishmac/internal/calendar"
 	"selfishmac/internal/rng"
@@ -59,13 +58,10 @@ import (
 // so Simulate and SimulateReference produce byte-identical SimResults.
 //
 // The state lives in simState so the engine is reusable: init sizes
-// every buffer (reusing capacity from a previous binding, so pooled
-// states re-init without allocating), reset restores the initial
-// trajectory state for a new seed, and run executes one simulation into
-// the state-owned result. Simulate draws states from a package pool —
-// steady-state one-shot calls reuse buffers and adjacency views from
-// earlier calls; the exported Simulator (simulator.go) exposes the
-// explicit lifecycle for replication loops.
+// every buffer, reset restores the initial trajectory state for a new
+// seed, and run executes one simulation into the state-owned result.
+// Simulate builds a state per call; the exported Simulator
+// (simulator.go) exposes the explicit lifecycle for replication loops.
 type simState struct {
 	nw     Topology
 	mobile MobileTopology
@@ -95,36 +91,28 @@ type simState struct {
 	nextMobility       int64
 }
 
-// init binds the state to a network and config, (re)sizes every buffer,
-// and resets for cfg.Seed. cfg must already be validated; cfg.CW is
-// retained, so callers that reuse the state must pass an owned slice.
-// Capacity from a previous binding is reused, so re-initialising a
-// pooled state at the same population allocates nothing.
+// init binds the state to a network and config, sizes every buffer, and
+// resets for cfg.Seed. cfg must already be validated; cfg.CW is
+// retained, so callers must pass an owned slice.
 func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 	n := nw.N()
 	st.nw, st.mobile, st.cfg, st.n = nw, mobile, cfg, n
-	st.nodes = growSlice(st.nodes, n)
-	st.fire = growSlice(st.fire, n)
-	st.expired = growSlice(st.expired, n)[:0]
-	st.transmitters = growSlice(st.transmitters, n)[:0]
-	st.receivers = growSlice(st.receivers, n)
-	st.inTx = growSlice(st.inTx, n)
-	st.drawn = growSlice(st.drawn, n)
-	st.res.Nodes = growSlice(st.res.Nodes, n)
+	st.nodes = make([]spatialNode, n)
+	st.fire = make([]int64, n)
+	st.expired = make([]int, 0, n)
+	st.transmitters = make([]int, 0, n)
+	st.receivers = make([]int, n)
+	st.inTx = make([]bool, n)
+	st.drawn = make([]int, n)
+	st.res.Nodes = make([]NodeStats, n)
 
 	if tn, ok := nw.(*topology.Network); ok {
-		// Incremental path: bind (or re-bind) the adjacency view. A pooled
-		// state meeting the same network again keeps the synchronised view
-		// and pays nothing here; a static network shared across many runs
-		// is snapshotted exactly once.
-		if st.view == nil {
-			st.view = tn.AdjacencyView()
-		} else {
-			st.view.Rebind(tn)
-		}
+		// Incremental path: the network's own adjacency view, shared with
+		// every other reader of the network, so a static network is
+		// snapshotted once however many runs it serves.
+		st.view = tn.AdjacencyView()
 		st.adj = st.view.Rows()
 	} else {
-		st.view = nil
 		st.adj = nw.AdjacencyLists()
 	}
 
@@ -134,7 +122,6 @@ func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 	if st.totalSlots < 1 {
 		st.totalSlots = 1
 	}
-	st.mobilityEverySlots = 0
 	if cfg.MobilityEvery > 0 {
 		st.mobilityEverySlots = int64(cfg.MobilityEvery / cfg.Timing.Slot)
 		if st.mobilityEverySlots < 1 {
@@ -142,15 +129,6 @@ func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 		}
 	}
 	st.reset(cfg.Seed)
-}
-
-// growSlice returns s resized to n elements, reusing its capacity when
-// possible. Contents are unspecified; callers overwrite.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
 // calSpan returns the fire-slot horizon for the current config: no fire
@@ -194,8 +172,8 @@ func (st *simState) reset(seed uint64) {
 }
 
 // stepMobility advances the mobility model by one MobilityEvery interval
-// and refreshes the active adjacency: through the view when bound, a
-// fresh AdjacencyLists otherwise.
+// and refreshes the active adjacency: through the network's view when
+// there is one, a fresh AdjacencyLists otherwise.
 func (st *simState) stepMobility() error {
 	dt := st.cfg.MobilityEvery / 1e6
 	if st.view != nil {
@@ -373,41 +351,20 @@ func (st *simState) run() (*SimResult, error) {
 	return res, nil
 }
 
-// statePool recycles simStates across one-shot Simulate calls. Pooled
-// states keep their buffers and their adjacency view: repeated runs at
-// the same population re-init without allocating, and repeated runs over
-// the *same* static network skip the adjacency snapshot entirely. A
-// state's references (topology, CW, observer) are dropped before
-// pooling except the view's network binding, which is exactly the cache
-// the amortisation relies on; sync.Pool releases idle states under GC
-// pressure, so the binding never outlives memory demand.
-var statePool = sync.Pool{New: func() any { return &simState{} }}
-
-// release clears the state's borrowed references and returns it to the
-// pool.
-func (st *simState) release() {
-	st.nw, st.mobile, st.adj = nil, nil, nil
-	st.cfg.CW, st.cfg.Observer = nil, nil
-	statePool.Put(st)
-}
-
-// simulateFast is the one-shot entry behind Simulate: a pooled state per
+// simulateFast is the one-shot entry behind Simulate: a fresh state per
 // call, supporting mobility. The result is copied out of the state so
-// the caller owns it outright.
+// the caller owns it outright and the state's buffers are not retained.
 func simulateFast(nw Topology, mobile MobileTopology, cfg SimConfig) (*SimResult, error) {
-	st := statePool.Get().(*simState)
+	var st simState
 	st.init(nw, mobile, cfg)
 	res, err := st.run()
 	if err != nil {
-		st.release()
 		return nil, err
 	}
-	out := &SimResult{
+	return &SimResult{
 		Nodes:          append([]NodeStats(nil), res.Nodes...),
 		Time:           res.Time,
 		Slots:          res.Slots,
 		HiddenFraction: res.HiddenFraction,
-	}
-	st.release()
-	return out, nil
+	}, nil
 }

@@ -1,8 +1,12 @@
 package multihop
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"selfishmac/internal/bianchi"
@@ -561,6 +565,73 @@ func TestPHNSweep(t *testing.T) {
 	}
 	if _, err := PHNSweep(nw, sim, []int{0}, 0); err == nil {
 		t.Error("CW 0 accepted")
+	}
+}
+
+// A sweep over a network that moved since its adjacency view was built
+// sends every worker into the view's first resync at once: the sweep
+// must equal a serial one on a twin network (and `go test -race` checks
+// the resync is synchronised).
+func TestPHNSweepStaleNetworkConcurrentReaders(t *testing.T) {
+	sweep := func(workers int) []float64 {
+		nw := paperNetwork(t, 14)
+		nw.AdjacencyView().Rows()
+		if err := nw.Step(30); err != nil {
+			t.Fatal(err)
+		}
+		fracs, err := PHNSweepContext(context.Background(), nw, DefaultSimConfig(5e5, 3), []int{16, 32, 64, 128}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fracs
+	}
+	if serial, parallel := sweep(1), sweep(2); !reflect.DeepEqual(parallel, serial) {
+		t.Fatalf("2-worker sweep %v diverged from serial %v", parallel, serial)
+	}
+}
+
+// Simulate builds its state per call and caches nothing a GC could
+// clear, so on twin mobile networks the same sequence of calls
+// allocates the same count call for call, with or without collections
+// between the calls. Each count is taken over one call on each of
+// `twins` identical networks and divided by twins, so a stray runtime
+// allocation during the measurement truncates away.
+func TestSimulateAllocsIndependentOfGC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const twins = 10
+	cfg := DefaultSimConfig(1e6, 5)
+	cfg.CW = uniformCW(32, 100)
+	cfg.MobilityEvery = 1e5
+	calls := func(gc bool) []uint64 {
+		nets := make([]*topology.Network, twins)
+		simulateAll := func() {
+			for _, nw := range nets {
+				if _, err := Simulate(nw, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range nets {
+			nets[i] = paperNetwork(t, 9)
+		}
+		simulateAll() // warm: each network's adjacency view is built
+		var out []uint64
+		for k := 0; k < 5; k++ {
+			if gc {
+				runtime.GC() // twice, so no object survives in a GC victim cache
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			simulateAll()
+			runtime.ReadMemStats(&after)
+			out = append(out, (after.Mallocs-before.Mallocs)/twins)
+		}
+		return out
+	}
+	if plain, collected := calls(false), calls(true); !reflect.DeepEqual(plain, collected) {
+		t.Fatalf("allocations per call depend on GC: %v without, %v with collections", plain, collected)
 	}
 }
 

@@ -21,11 +21,11 @@ import (
 //
 // Staleness is tracked through the network's position generation
 // (posGen, bumped by every mutation that moves a node): if the network
-// moved outside the view's control (a plain Step, SetPositions, or
-// another view stepping the same network), the next Rows or Step call
-// rebuilds the rows in place and resynchronises. On a static network the
-// version never changes, so every consult after the first is free — the
-// "adjacency amortised to stage 0" fast path.
+// moved outside the view's control (a plain Step or SetPositions), the
+// next Rows or StepDelta call rebuilds the rows in place and
+// resynchronises. On a static network the version never changes, so
+// every consult after the first is free — the "adjacency amortised to
+// stage 0" fast path.
 type Adjacency struct {
 	nw    *Network
 	built bool
@@ -55,27 +55,21 @@ type Delta struct {
 	Lost   []Pair
 }
 
-// AdjacencyView returns a fresh incremental view of the network's
-// neighbor lists. Each caller owns its view: views never share row
-// buffers, so concurrent *readers* of one static network may each hold
-// one safely. Stepping a view mutates the underlying network and needs
-// the same exclusive access Network.Step does.
+// AdjacencyView returns the network's incremental view of its neighbor
+// lists. There is one view per network, created on first use, and every
+// caller shares its rows: a static network is snapshotted once however
+// many simulations read it. Rows may be called from several goroutines
+// at once — a parallel sweep over one static network does — because the
+// view's creation and its resync run under the network's mutex. StepDelta
+// mutates the network and needs the same exclusive access Network.Step
+// does.
 func (nw *Network) AdjacencyView() *Adjacency {
-	return &Adjacency{nw: nw}
-}
-
-// Network returns the network the view is bound to.
-func (v *Adjacency) Network() *Network { return v.nw }
-
-// Rebind points the view at another network, keeping its buffers for
-// reuse. Rebinding to the network it is already bound to is a no-op, so
-// pooled engines that see the same network again keep the synchronised
-// rows and skip the rebuild entirely.
-func (v *Adjacency) Rebind(nw *Network) {
-	if v.nw != nw {
-		v.nw = nw
-		v.built = false
+	nw.adjMu.Lock()
+	defer nw.adjMu.Unlock()
+	if nw.adj == nil {
+		nw.adj = &Adjacency{nw: nw}
 	}
+	return nw.adj
 }
 
 // sync rebuilds the rows if the view has never been built or the network
@@ -90,13 +84,16 @@ func (v *Adjacency) sync() {
 }
 
 // Rows returns the current neighbor lists, synchronising first if the
-// network moved. The structure is view-owned and patched in place by
-// StepDelta; it is valid until the next StepDelta, Rebind, or network
-// mutation. Per-row contents and ordering are identical to
-// Network.AdjacencyLists; the one representational difference is that a
-// row emptied by patching is empty-but-non-nil rather than nil (callers
-// test len, as the engines do).
+// network moved. The structure is owned by the view and shared by every
+// caller: StepDelta patches it in place, and the first Rows after any
+// other network mutation refills it in place. Per-row contents and
+// ordering are identical to Network.AdjacencyLists; the one
+// representational difference is that a row emptied by patching is
+// empty-but-non-nil rather than nil (callers test len, as the engines
+// do).
 func (v *Adjacency) Rows() [][]int {
+	v.nw.adjMu.Lock()
+	defer v.nw.adjMu.Unlock()
 	v.sync()
 	return v.rows
 }
@@ -113,7 +110,7 @@ func (v *Adjacency) Rows() [][]int {
 // the break-even near 70%.
 const bulkMovedPercent = 70
 
-// StepDelta advances the bound network's random-waypoint mobility by dt
+// StepDelta advances the network's random-waypoint mobility by dt
 // seconds — consuming the mobility PRNG exactly like Network.Step — and
 // refreshes the view in place. It returns the delta (view-owned, valid
 // until the next StepDelta). When no node moves (a static network, or

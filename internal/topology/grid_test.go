@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,29 @@ func TestAdjacencyIntoRefill(t *testing.T) {
 		buf = nw.AdjacencyInto(buf)
 	}); allocs != 0 {
 		t.Fatalf("warm AdjacencyInto allocated %.1f objects per refill, want 0", allocs)
+	}
+}
+
+// TestAdjacencyIntoColdAllocs pins the cold build: AdjacencyInto without
+// a buffer carves every row out of one slab, so it allocates the same
+// small number of times at any population, and its rows still equal
+// brute force element for element (nil for isolated nodes).
+func TestAdjacencyIntoColdAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{100, 1000} {
+		side := 1000 * math.Sqrt(float64(n)/100) // constant density
+		nw := mustNetwork(t, Config{N: n, Width: side, Height: side, Range: 250, MaxSpeed: 5, Seed: 3})
+		if !reflect.DeepEqual(nw.AdjacencyInto(nil), nw.BruteForceAdjacencyLists()) {
+			t.Fatalf("n=%d: cold build diverged from brute force", n)
+		}
+		allocs := testing.AllocsPerRun(5, func() { nw.AdjacencyInto(nil) })
+		if allocs > 3 {
+			t.Fatalf("n=%d: cold AdjacencyInto allocated %.1f objects, want at most 3", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("cold AdjacencyInto allocations depend on n: %v", counts)
 	}
 }
 

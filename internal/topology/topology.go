@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"selfishmac/internal/rng"
 )
@@ -58,25 +59,38 @@ func PaperConfig(seed uint64) Config {
 	}
 }
 
-// Validate checks the configuration.
+// ErrInvalidTopology is wrapped by every error a Config fails validation
+// with, so callers can tell a rejected configuration from other failures
+// with errors.Is.
+var ErrInvalidTopology = errors.New("topology: invalid config")
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// Validate checks the configuration. Every float field must be finite:
+// NaN slips through ordered comparisons, and an infinite area, range or
+// speed has no meaningful placement or mobility.
 func (c Config) Validate() error {
 	var errs []error
 	if c.N < 1 {
 		errs = append(errs, fmt.Errorf("N = %d must be >= 1", c.N))
 	}
-	if c.Width <= 0 || c.Height <= 0 {
-		errs = append(errs, fmt.Errorf("area %g x %g must be positive", c.Width, c.Height))
+	if !(c.Width > 0) || !(c.Height > 0) || !finite(c.Width) || !finite(c.Height) {
+		errs = append(errs, fmt.Errorf("area %g x %g must be positive and finite", c.Width, c.Height))
 	}
-	if c.Range <= 0 {
-		errs = append(errs, fmt.Errorf("range %g must be positive", c.Range))
+	if !(c.Range > 0) || !finite(c.Range) {
+		errs = append(errs, fmt.Errorf("range %g must be positive and finite", c.Range))
 	}
-	if c.MinSpeed < 0 || c.MaxSpeed < c.MinSpeed {
+	if !(c.MinSpeed >= 0) || !(c.MaxSpeed >= c.MinSpeed) || !finite(c.MaxSpeed) {
 		errs = append(errs, fmt.Errorf("speed bounds [%g, %g] invalid", c.MinSpeed, c.MaxSpeed))
 	}
-	if c.Pause < 0 {
-		errs = append(errs, errors.New("pause must be non-negative"))
+	if !(c.Pause >= 0) || !finite(c.Pause) {
+		errs = append(errs, fmt.Errorf("pause %g must be non-negative and finite", c.Pause))
 	}
-	return errors.Join(errs...)
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidTopology, errors.Join(errs...))
 }
 
 // Network is a set of (possibly mobile) nodes with unit-disk links.
@@ -97,13 +111,18 @@ type Network struct {
 	// to detect staleness, which is what lets static networks (and static
 	// phases of mobile runs) skip adjacency work entirely.
 	posGen uint64
+	// adj is the network's one adjacency view, created on first use.
+	// adjMu guards its creation and its Rows resync, so concurrent
+	// readers of a static network may share it.
+	adjMu sync.Mutex
+	adj   *Adjacency
 }
 
 // New places cfg.N nodes uniformly at random and initialises their
 // random-waypoint state.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("topology: invalid config: %w", err)
+		return nil, err
 	}
 	nw := &Network{
 		cfg:       cfg,
@@ -323,17 +342,18 @@ func (nw *Network) AdjacencyLists() [][]int {
 // it, reusing dst's per-node slices (truncated and re-appended, so their
 // capacity persists across snapshots). Passing the previous snapshot back
 // in makes repeated refills — the adjacency view's builds and bulk
-// refreshes — allocation-free in steady state. Contents and ordering are
-// identical to AdjacencyLists.
+// refreshes — allocation-free in steady state. A dst without room for
+// every node is replaced by rows carved out of one degree-sized slab
+// (emptyRows). Contents and ordering are identical to AdjacencyLists.
 func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 	n := nw.cfg.N
 	if cap(dst) >= n {
 		dst = dst[:n]
+		for i := range dst {
+			dst[i] = dst[i][:0] // nil rows stay nil: isolated nodes match brute force
+		}
 	} else {
-		dst = make([][]int, n)
-	}
-	for i := range dst {
-		dst[i] = dst[i][:0] // nil rows stay nil: isolated nodes match brute force
+		dst = nw.emptyRows()
 	}
 	// Symmetric build: node i only tests candidates j > i, recording each
 	// link in both directions. The j < i entries of row i were appended by
@@ -357,6 +377,40 @@ func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 		}
 	}
 	return dst
+}
+
+// emptyRows returns n empty rows carved out of one slab, each with room
+// for exactly its node's degree, so a cold build costs three allocations
+// however large the network. A degree-0 row stays nil, as in
+// BruteForceAdjacencyLists. Each row's capacity is capped at its degree,
+// so a later append past it reallocates that row alone.
+func (nw *Network) emptyRows() [][]int {
+	n := nw.cfg.N
+	deg := make([]int, n)
+	total := 0
+	var heads [9][]int
+	for i := 0; i < n; i++ {
+		m := nw.g.neighborhood(nw.pos[i], &heads)
+		for k := 0; k < m; k++ {
+			for _, j := range heads[k] {
+				if j > i && nw.IsLink(i, j) {
+					deg[i]++
+					deg[j]++
+					total += 2
+				}
+			}
+		}
+	}
+	slab := make([]int, total)
+	rows := make([][]int, n)
+	off := 0
+	for i, d := range deg {
+		if d > 0 {
+			rows[i] = slab[off : off : off+d]
+			off += d
+		}
+	}
+	return rows
 }
 
 // BruteForceAdjacencyLists rebuilds the adjacency with the original

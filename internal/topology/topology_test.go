@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,29 +17,47 @@ func mustNetwork(t testing.TB, cfg Config) *Network {
 }
 
 func TestValidate(t *testing.T) {
-	good := PaperConfig(1)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("paper config rejected: %v", err)
-	}
-	mutations := []struct {
-		name string
-		mut  func(*Config)
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mut    func(*Config)
+		expect error
 	}{
-		{"no nodes", func(c *Config) { c.N = 0 }},
-		{"zero width", func(c *Config) { c.Width = 0 }},
-		{"zero range", func(c *Config) { c.Range = 0 }},
-		{"inverted speeds", func(c *Config) { c.MinSpeed = 5; c.MaxSpeed = 1 }},
-		{"negative pause", func(c *Config) { c.Pause = -1 }},
+		{"paper config", func(c *Config) {}, nil},
+		{"static paused", func(c *Config) { c.MaxSpeed = 0; c.Pause = 30 }, nil},
+		{"no nodes", func(c *Config) { c.N = 0 }, ErrInvalidTopology},
+		{"zero width", func(c *Config) { c.Width = 0 }, ErrInvalidTopology},
+		{"NaN width", func(c *Config) { c.Width = nan }, ErrInvalidTopology},
+		{"NaN height", func(c *Config) { c.Height = nan }, ErrInvalidTopology},
+		{"infinite width", func(c *Config) { c.Width = inf }, ErrInvalidTopology},
+		{"zero range", func(c *Config) { c.Range = 0 }, ErrInvalidTopology},
+		{"NaN range", func(c *Config) { c.Range = nan }, ErrInvalidTopology},
+		{"infinite range", func(c *Config) { c.Range = inf }, ErrInvalidTopology},
+		{"inverted speeds", func(c *Config) { c.MinSpeed = 5; c.MaxSpeed = 1 }, ErrInvalidTopology},
+		{"NaN min speed", func(c *Config) { c.MinSpeed = nan }, ErrInvalidTopology},
+		{"NaN max speed", func(c *Config) { c.MaxSpeed = nan }, ErrInvalidTopology},
+		{"infinite max speed", func(c *Config) { c.MaxSpeed = inf }, ErrInvalidTopology},
+		{"negative pause", func(c *Config) { c.Pause = -1 }, ErrInvalidTopology},
+		{"NaN pause", func(c *Config) { c.Pause = nan }, ErrInvalidTopology},
+		{"infinite pause", func(c *Config) { c.Pause = inf }, ErrInvalidTopology},
 	}
-	for _, tc := range mutations {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
 			c := PaperConfig(1)
-			tc.mut(&c)
-			if err := c.Validate(); err == nil {
-				t.Fatalf("accepted %s", tc.name)
+			tt.mut(&c)
+			err := c.Validate()
+			_, newErr := New(c)
+			if tt.expect == nil {
+				if err != nil || newErr != nil {
+					t.Fatalf("rejected a valid config: Validate %v, New %v", err, newErr)
+				}
+				return
 			}
-			if _, err := New(c); err == nil {
-				t.Fatalf("New accepted %s", tc.name)
+			if !errors.Is(err, tt.expect) {
+				t.Fatalf("Validate = %v, want %v", err, tt.expect)
+			}
+			if !errors.Is(newErr, tt.expect) {
+				t.Fatalf("New = %v, want %v", newErr, tt.expect)
 			}
 		})
 	}
