@@ -42,6 +42,7 @@ test-fuzz:
 	go test -run='^$$' -fuzz='^FuzzMonitor$$' -fuzztime=$(FUZZTIME) ./internal/stream
 	go test -run='^$$' -fuzz='^FuzzRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzResilientRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
+	go test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=$(FUZZTIME) ./internal/service
 
 # The worker pool and the shared solver cache make the suite
 # concurrency-heavy; run it under the race detector too, at GOMAXPROCS=2

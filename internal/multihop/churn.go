@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"selfishmac/internal/rng"
-	"selfishmac/internal/topology"
 )
 
 // ChurnConfig models node churn — stations leaving and rejoining the
@@ -91,20 +90,19 @@ func (st *churnState) step() {
 // they keep their index (profiles stay length-n) but have no links, so
 // the spatial simulator leaves them idle.
 //
-// AdjacencyLists filters the base rows — from the base's adjacency view
-// when it is a *topology.Network, from its own AdjacencyLists otherwise —
-// into buffers the mask owns and reuses across calls. One maskedTopology
+// Rows filters the base's rows, keeping each one ascending, into
+// buffers the mask owns and reuses across calls. One maskedTopology
 // therefore serves every churn stage of an engine run with no per-stage
 // adjacency allocations in steady state. The returned structure is valid
-// until the next AdjacencyLists call; a maskedTopology is not safe for
-// concurrent use.
+// until the next Rows call; a maskedTopology is not safe for concurrent
+// use.
 //
-// The base never moves under a mask: the mask has no Step, so Simulate
-// rejects mobility on it. An unchanged activity mask therefore means an
-// unchanged adjacency, and AdjacencyLists skips the refill outright — so
-// an unchanged-membership stage, or the engine-then-simulator double
-// consult within one stage, costs an O(n) mask comparison instead of an
-// O(E) refill.
+// The base never moves under a mask: the mask is not a
+// *topology.Network, so Simulate rejects mobility on it. An unchanged
+// activity mask therefore means an unchanged adjacency, and Rows skips
+// the refill outright — so an unchanged-membership stage, or the
+// engine-then-simulator double consult within one stage, costs an O(n)
+// mask comparison instead of an O(E) refill.
 type maskedTopology struct {
 	base   Topology
 	active []bool
@@ -117,7 +115,7 @@ type maskedTopology struct {
 
 func (m *maskedTopology) N() int { return m.base.N() }
 
-func (m *maskedTopology) AdjacencyLists() [][]int {
+func (m *maskedTopology) Rows() [][]int {
 	n := m.base.N()
 	if len(m.adj) != n {
 		m.adj = make([][]int, n)
@@ -126,12 +124,7 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 	if m.filled && slices.Equal(m.lastMask, m.active) {
 		return m.adj
 	}
-	var full [][]int
-	if tn, ok := m.base.(*topology.Network); ok {
-		full = tn.AdjacencyView().Rows()
-	} else {
-		full = m.base.AdjacencyLists()
-	}
+	full := m.base.Rows()
 	for i := 0; i < n; i++ {
 		if !m.active[i] {
 			m.adj[i] = nil // departed: no links
@@ -153,10 +146,6 @@ func (m *maskedTopology) AdjacencyLists() [][]int {
 	m.filled = true
 	m.lastMask = append(m.lastMask[:0], m.active...)
 	return m.adj
-}
-
-func (m *maskedTopology) IsLink(i, j int) bool {
-	return m.active[i] && m.active[j] && m.base.IsLink(i, j)
 }
 
 var _ Topology = (*maskedTopology)(nil)

@@ -152,21 +152,14 @@ func diffCases(t *testing.T) []diffCase {
 	}
 }
 
-// rebuildOnly hides the concrete *topology.Network type behind an
-// anonymous embedding, so the engine's `nw.(*topology.Network)` probe
-// misses and it reads adjacency the way it reads any other Topology: a
-// fresh AdjacencyLists per mobility step instead of the adjacency view.
-// Method promotion keeps MobileTopology satisfied.
-type rebuildOnly struct{ *topology.Network }
-
 // TestDifferentialDeltaVsRebuildPath pins the adjacency view at scale:
-// the view path must be bit-identical to the plain AdjacencyLists path —
-// same results, same post-run network state — on mobile networks at
-// n=1000 and n=5000. Continuous random waypoint moves every node each
-// step (the view's bulk refill); the paused case, warmed up to its
-// steady state, moves a minority (the view's patch). Both sides run the
-// fast engine, so the populations can be larger and the mobility much
-// churnier than the reference-pinned cases afford.
+// Simulate, which steps mobility through the view, must be bit-identical
+// to SimulateReference, which rebuilds the adjacency from scratch after
+// every step — same results, same post-run network state — on mobile
+// networks at n=1000 and n=5000. Continuous random waypoint moves every
+// node each step (the view's bulk refill); the paused case, warmed up to
+// its steady state, moves a minority (the view's patch). The mobility is
+// much churnier than the matrix's mobile cases.
 func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -205,7 +198,7 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 				return nw
 			}
 			deltaNet, plainNet := net(), net()
-			want, err := Simulate(rebuildOnly{plainNet}, cfg)
+			want, err := SimulateReference(plainNet, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +207,7 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatal("view path diverged from the AdjacencyLists path")
+				t.Fatal("view path diverged from the rebuilding reference")
 			}
 			if !reflect.DeepEqual(deltaNet.AdjacencyLists(), plainNet.AdjacencyLists()) {
 				t.Fatal("post-run networks diverged: the view path stepped mobility differently")

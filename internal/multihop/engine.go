@@ -6,7 +6,6 @@ import (
 
 	"selfishmac/internal/core"
 	"selfishmac/internal/rng"
-	"selfishmac/internal/topology"
 )
 
 // Engine plays the multi-hop repeated game G' dynamically: each stage
@@ -121,26 +120,17 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 	// number of stage views instead of all of them.
 	hist := newObsHistory(n, e.strategies)
 
-	// Per-stage adjacency, read at the stage start: the masked churn
-	// view filters into its own reusable buffers (skipping the refill
-	// when the mask is unchanged); without churn a static
-	// *topology.Network is read through its adjacency view, which every
-	// stage after the first consults for free; other topologies answer
-	// AdjacencyLists. A mobile network answers AdjacencyLists too: the
-	// stage's Simulate steps the view's shared rows in place, and the
-	// history must record the topology the stage started from.
+	// With churn, each stage plays on the masked view, which filters
+	// into its own reusable buffers (skipping the refill when the mask is
+	// unchanged).
 	var masked *maskedTopology
 	if churn != nil {
 		masked = &maskedTopology{base: e.nw}
 	}
-	var view *topology.Adjacency
-	if tn, ok := e.nw.(*topology.Network); ok && churn == nil && e.sim.MobilityEvery == 0 {
-		view = tn.AdjacencyView()
-	}
 
 	uniformRun, lastUniform := 0, 0
 	for k := 0; k < maxStages; k++ {
-		// Evolve membership and snapshot the stage's topology view.
+		// Evolve membership and pick the stage's topology.
 		nw := e.nw
 		var active []bool
 		if churn != nil {
@@ -149,13 +139,6 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			masked.active = active
 			nw = masked
 		}
-		var adj [][]int
-		if view != nil {
-			adj = view.Rows()
-		} else {
-			adj = nw.AdjacencyLists()
-		}
-
 		profile := make([]int, n)
 		for i, s := range e.strategies {
 			w := s.ChooseCW(0, hist.observed(i), hist.utilities(i))
@@ -164,6 +147,11 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			}
 			profile[i] = w
 		}
+		// Record the observations under the topology the stage starts
+		// from, before a mobile stage's Simulate moves it. A departed
+		// node observes only itself; its neighbors do not see it either
+		// (the masked rows cut it out).
+		hist.record(nw.Rows(), profile)
 
 		sim := e.sim
 		sim.CW = profile
@@ -190,10 +178,7 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			HiddenFraction: res.HiddenFraction,
 			Active:         active,
 		})
-
-		// A departed node observes only itself; its neighbors do not see
-		// it either (adj is the masked view).
-		hist.record(adj, profile, rates)
+		hist.recordRates(rates)
 
 		if cw, ok := uniformProfile(profile, active); ok {
 			if uniformRun > 0 && cw == lastUniform {

@@ -10,21 +10,14 @@ import (
 	"selfishmac/internal/topology"
 )
 
-// fixedGraph is a deterministic Topology for engine tests.
+// fixedGraph is a deterministic Topology for engine tests. Its rows
+// must be ascending, as the Topology contract requires.
 type fixedGraph struct {
 	adj [][]int
 }
 
-func (g *fixedGraph) N() int                  { return len(g.adj) }
-func (g *fixedGraph) AdjacencyLists() [][]int { return g.adj }
-func (g *fixedGraph) IsLink(i, j int) bool {
-	for _, k := range g.adj[i] {
-		if k == j {
-			return true
-		}
-	}
-	return false
-}
+func (g *fixedGraph) N() int        { return len(g.adj) }
+func (g *fixedGraph) Rows() [][]int { return g.adj }
 
 var _ Topology = (*fixedGraph)(nil)
 

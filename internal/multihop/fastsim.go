@@ -2,6 +2,7 @@ package multihop
 
 import (
 	"fmt"
+	"slices"
 
 	"selfishmac/internal/calendar"
 	"selfishmac/internal/rng"
@@ -44,13 +45,11 @@ import (
 // Mobility steps are applied in catch-up fashion before processing any
 // event at or past their due slot, preserving both the step count and
 // their order relative to MAC events — the network's own PRNG trajectory
-// and final state are identical to the reference. Adjacency has one
-// provider per topology kind: a *topology.Network is read through its
-// topology.Adjacency view, which refreshes itself per mobility step (a
-// patch or a bulk refill, whichever the step's churn favours) and costs
-// nothing on a static network after the first snapshot; any other
-// Topology — the churn mask, test fixtures — through its own
-// AdjacencyLists.
+// and final state are identical to the reference. Adjacency comes from
+// one place, the topology's Rows: a *topology.Network's rows are its
+// adjacency view's, which a mobility step refreshes in place (a patch or
+// a bulk refill, whichever the step's churn favours) and which cost
+// nothing on a static network after the first snapshot.
 //
 // Determinism contract: PRNG draws happen in exactly the reference order
 // — per event slot, expired nodes act in ascending node order (isolated
@@ -63,16 +62,13 @@ import (
 // Simulate builds a state per call; the exported Simulator
 // (simulator.go) exposes the explicit lifecycle for replication loops.
 type simState struct {
-	nw     Topology
-	mobile MobileTopology
+	mobile *topology.Network // nil unless the run moves the network
 	cfg    SimConfig
 	n      int
 
-	// adj is the active adjacency, never written by the engine: the
-	// view's rows when the topology is a *topology.Network (view is nil
-	// otherwise), the topology's own AdjacencyLists for anything else.
-	adj  [][]int
-	view *topology.Adjacency
+	// adj is the active adjacency, the topology's Rows, never written by
+	// the engine.
+	adj [][]int
 
 	src          rng.Source
 	nodes        []spatialNode
@@ -94,9 +90,9 @@ type simState struct {
 // init binds the state to a network and config, sizes every buffer, and
 // resets for cfg.Seed. cfg must already be validated; cfg.CW is
 // retained, so callers must pass an owned slice.
-func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
+func (st *simState) init(nw Topology, mobile *topology.Network, cfg SimConfig) {
 	n := nw.N()
-	st.nw, st.mobile, st.cfg, st.n = nw, mobile, cfg, n
+	st.mobile, st.cfg, st.n = mobile, cfg, n
 	st.nodes = make([]spatialNode, n)
 	st.fire = make([]int64, n)
 	st.expired = make([]int, 0, n)
@@ -105,16 +101,7 @@ func (st *simState) init(nw Topology, mobile MobileTopology, cfg SimConfig) {
 	st.inTx = make([]bool, n)
 	st.drawn = make([]int, n)
 	st.res.Nodes = make([]NodeStats, n)
-
-	if tn, ok := nw.(*topology.Network); ok {
-		// Incremental path: the network's own adjacency view, shared with
-		// every other reader of the network, so a static network is
-		// snapshotted once however many runs it serves.
-		st.view = tn.AdjacencyView()
-		st.adj = st.view.Rows()
-	} else {
-		st.adj = nw.AdjacencyLists()
-	}
+	st.adj = nw.Rows()
 
 	st.tsSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
 	st.tcSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Tc))
@@ -172,28 +159,20 @@ func (st *simState) reset(seed uint64) {
 }
 
 // stepMobility advances the mobility model by one MobilityEvery interval
-// and refreshes the active adjacency: through the network's view when
-// there is one, a fresh AdjacencyLists otherwise.
+// through the network's adjacency view, which refreshes the rows in
+// place.
 func (st *simState) stepMobility() error {
-	dt := st.cfg.MobilityEvery / 1e6
-	if st.view != nil {
-		if _, err := st.view.StepDelta(dt); err != nil {
-			return err
-		}
-		st.adj = st.view.Rows()
-		return nil
-	}
-	if err := st.mobile.Step(dt); err != nil {
+	if _, err := st.mobile.AdjacencyView().StepDelta(st.cfg.MobilityEvery / 1e6); err != nil {
 		return err
 	}
-	st.adj = st.mobile.AdjacencyLists()
+	st.adj = st.mobile.Rows()
 	return nil
 }
 
 // run executes the simulation to completion and finalises the state-owned
 // result. On a static topology it performs no allocations.
 func (st *simState) run() (*SimResult, error) {
-	nw, cfg := st.nw, &st.cfg
+	cfg := &st.cfg
 	nodes, fire := st.nodes, st.fire
 	receivers, inTx, drawn := st.receivers, st.inTx, st.drawn
 	adj := st.adj
@@ -279,7 +258,7 @@ func (st *simState) run() (*SimResult, error) {
 						continue
 					}
 					ok = false
-					if !nw.IsLink(i, j) {
+					if _, linked := slices.BinarySearch(adj[i], j); !linked {
 						hidden = true // the interferer was invisible to i
 					}
 				}
@@ -354,7 +333,7 @@ func (st *simState) run() (*SimResult, error) {
 // simulateFast is the one-shot entry behind Simulate: a fresh state per
 // call, supporting mobility. The result is copied out of the state so
 // the caller owns it outright and the state's buffers are not retained.
-func simulateFast(nw Topology, mobile MobileTopology, cfg SimConfig) (*SimResult, error) {
+func simulateFast(nw Topology, mobile *topology.Network, cfg SimConfig) (*SimResult, error) {
 	var st simState
 	st.init(nw, mobile, cfg)
 	res, err := st.run()

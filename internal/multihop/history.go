@@ -75,11 +75,13 @@ func (h *obsHistory) utilities(i int) []float64 {
 	return h.utils[i*h.depth : i*h.depth+h.size]
 }
 
-// record appends one stage: node i's local view is [own CW, neighbor
-// CWs...] under the stage's adjacency, its utility the realized rate.
-// All views are carved from a single stage slab; in windowed mode the
-// slab comes from the ring and is reused once its stage rolls off.
-func (h *obsHistory) record(adj [][]int, profile []int, rates []float64) {
+// record appends one stage's observations: node i's local view is [own
+// CW, neighbor CWs...] under the stage's adjacency. It copies what it
+// needs out of adj, so adj may change afterwards. All views are carved
+// from a single stage slab; in windowed mode the slab comes from the
+// ring and is reused once its stage rolls off. recordRates completes the
+// stage.
+func (h *obsHistory) record(adj [][]int, profile []int) {
 	need := 0
 	for i := range adj {
 		need += 1 + len(adj[i])
@@ -105,20 +107,30 @@ func (h *obsHistory) record(adj [][]int, profile []int, rates []float64) {
 		local := slab[start:len(slab):len(slab)]
 		if h.depth == 0 {
 			h.fullObs[i] = append(h.fullObs[i], local)
-			h.fullUtil[i] = append(h.fullUtil[i], rates[i])
 			continue
 		}
 		row := h.views[i*h.depth : i*h.depth+h.depth]
-		urow := h.utils[i*h.depth : i*h.depth+h.depth]
 		if shift {
 			copy(row, row[1:])
+			urow := h.utils[i*h.depth : i*h.depth+h.depth]
 			copy(urow, urow[1:])
 		}
 		row[h.size-1] = local
-		urow[h.size-1] = rates[i]
 	}
 	if h.depth > 0 {
 		h.slabs[h.stage%h.depth] = slab
 	}
 	h.stage++
+}
+
+// recordRates completes the stage that record opens: node i's utility
+// is its realized payoff rate.
+func (h *obsHistory) recordRates(rates []float64) {
+	for i, r := range rates {
+		if h.depth == 0 {
+			h.fullUtil[i] = append(h.fullUtil[i], r)
+		} else {
+			h.utils[i*h.depth+h.size-1] = r
+		}
+	}
 }

@@ -20,28 +20,26 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
+	"selfishmac/internal/topology"
 )
 
-// Topology is the read view of a network the spatial simulator needs.
-// *topology.Network implements it; tests may substitute fixed graphs.
+// Topology is the read view of a network the spatial simulator needs:
+// its size and its neighbor rows. *topology.Network implements it (the
+// rows are its adjacency view's); the churn mask and test fixtures
+// substitute fixed graphs.
 type Topology interface {
 	// N is the node count.
 	N() int
-	// AdjacencyLists returns every node's neighbor list.
-	AdjacencyLists() [][]int
-	// IsLink reports whether i and j are within range.
-	IsLink(i, j int) bool
-}
-
-// MobileTopology additionally supports advancing a mobility model.
-type MobileTopology interface {
-	Topology
-	// Step advances mobility by dt seconds.
-	Step(dt float64) error
+	// Rows returns every node's neighbor list, ascending. The rows are
+	// owned by the topology and read-only to the caller; they stay valid
+	// until the topology next moves (or, for the churn mask, next
+	// refilters).
+	Rows() [][]int
 }
 
 // Observer receives one event per slot in which at least one node starts
@@ -144,16 +142,17 @@ func (c SimConfig) validate(n int) error {
 	return fmt.Errorf("%w: %w", ErrInvalidSimConfig, errors.Join(errs...))
 }
 
-// mobileOf checks cfg against the topology and returns the topology as a
-// MobileTopology when cfg enables mobility (nil otherwise).
-func mobileOf(nw Topology, cfg SimConfig) (MobileTopology, error) {
+// mobileOf checks cfg against the topology and returns the network to
+// move when cfg enables mobility (nil otherwise). *topology.Network is
+// the only topology that moves.
+func mobileOf(nw Topology, cfg SimConfig) (*topology.Network, error) {
 	if err := cfg.validate(nw.N()); err != nil {
 		return nil, err
 	}
 	if cfg.MobilityEvery == 0 {
 		return nil, nil
 	}
-	mobile, ok := nw.(MobileTopology)
+	mobile, ok := nw.(*topology.Network)
 	if !ok {
 		return nil, errors.New("multihop: MobilityEvery set but the topology is immobile")
 	}
@@ -230,8 +229,8 @@ func (n *spatialNode) draw(r *rng.Source, maxStage int) {
 
 // Simulate runs the spatial DCF over the network's *current* topology
 // snapshot (advancing mobility every MobilityEvery microseconds when
-// configured; the network is mutated in that case and must implement
-// MobileTopology).
+// configured; the network is mutated in that case and must be a
+// *topology.Network).
 //
 // It uses the event-skipping engine (fastsim.go), which jumps the slot
 // clock directly to the next fire slot instead of stepping idle slots.
@@ -246,10 +245,12 @@ func Simulate(nw Topology, cfg SimConfig) (*SimResult, error) {
 }
 
 // SimulateReference runs the spatial DCF with the original slot-by-slot
-// loop, advancing time one slot at a time. It is kept verbatim as the
-// pinned semantics of the simulator: the differential tests assert
-// Simulate produces byte-identical results, and cmd/bench measures the
-// speedup against it.
+// loop, advancing time one slot at a time. It is kept as the pinned
+// semantics of the simulator: the differential tests assert Simulate
+// produces byte-identical results, and cmd/bench measures the speedup
+// against it. On a mobile network it rebuilds the adjacency from scratch
+// after every step, so it is also the oracle for the fast engine's
+// in-place view updates.
 func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 	mobile, err := mobileOf(nw, cfg)
 	if err != nil {
@@ -262,7 +263,7 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 		nodes[i] = spatialNode{cw: cfg.CW[i]}
 		nodes[i].draw(src, cfg.MaxStage)
 	}
-	adj := nw.AdjacencyLists()
+	adj := nw.Rows()
 
 	res := &SimResult{Nodes: make([]NodeStats, n)}
 	tsSlots := int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
@@ -346,7 +347,7 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 						continue
 					}
 					ok = false
-					if !nw.IsLink(i, j) {
+					if _, linked := slices.BinarySearch(adj[i], j); !linked {
 						hidden = true // the interferer was invisible to i
 					}
 				}

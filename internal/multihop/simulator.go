@@ -15,9 +15,9 @@ import "errors"
 //
 // Mobility is not supported: a mobile topology is mutated by the run, so
 // replaying it under a new seed would start from a moved network rather
-// than the configured one. Use Simulate for mobile scenarios. A
-// *topology.Network is read through its shared adjacency view, so it
-// must not move while the simulator is in use.
+// than the configured one. Use Simulate for mobile scenarios. The
+// topology's Rows are read once, at construction, so it must not move
+// while the simulator is in use.
 //
 // A Simulator is not safe for concurrent use; give each goroutine its
 // own (replicate.Run's factory does exactly that).

@@ -70,11 +70,9 @@ type Plan struct {
 	// Target indexes the metric whose confidence interval drives adaptive
 	// stopping (ignored for fixed-R plans).
 	Target int
-	// Tolerance, when positive, stops the batch once the 95% CI
-	// half-width of the target metric is <= Tolerance (absolute).
-	Tolerance float64
-	// RelTolerance, when positive, stops once the half-width is
-	// <= RelTolerance * |mean|. Either tolerance satisfied stops the run.
+	// RelTolerance, when positive, stops the batch once the 95% CI
+	// half-width of the target metric is <= RelTolerance * |mean|. It
+	// must be finite and non-negative.
 	RelTolerance float64
 	// MinReps and MaxReps bound the replication count. With no tolerance
 	// configured the plan is fixed-R: exactly MaxReps replications run.
@@ -116,8 +114,12 @@ type RoundStatus struct {
 	Summaries []stats.Summary
 }
 
-// adaptive reports whether any stopping tolerance is configured.
-func (p Plan) adaptive() bool { return p.Tolerance > 0 || p.RelTolerance > 0 }
+// ErrInvalidPlan is wrapped by every error a Plan fails validation with,
+// so callers can tell a rejected plan from a failed run with errors.Is.
+var ErrInvalidPlan = errors.New("replicate: invalid plan")
+
+// adaptive reports whether a stopping tolerance is configured.
+func (p Plan) adaptive() bool { return p.RelTolerance > 0 }
 
 // normalized validates the plan and fills defaults.
 func (p Plan) normalized() (Plan, error) {
@@ -131,11 +133,16 @@ func (p Plan) normalized() (Plan, error) {
 	if p.MaxReps < 1 {
 		errs = append(errs, fmt.Errorf("MaxReps = %d must be >= 1", p.MaxReps))
 	}
-	if p.MinReps < 0 || p.Tolerance < 0 || p.RelTolerance < 0 || p.BatchSize < 0 || p.MaxErrRetries < 0 {
-		errs = append(errs, errors.New("negative MinReps/Tolerance/RelTolerance/BatchSize/MaxErrRetries"))
+	if p.MinReps < 0 || p.BatchSize < 0 || p.MaxErrRetries < 0 {
+		errs = append(errs, errors.New("negative MinReps/BatchSize/MaxErrRetries"))
+	}
+	// NaN passes every ordered comparison, and +Inf would "converge" on
+	// any CI, so both are rejected outright.
+	if !(p.RelTolerance >= 0) || math.IsInf(p.RelTolerance, 1) {
+		errs = append(errs, fmt.Errorf("RelTolerance = %g must be finite and non-negative", p.RelTolerance))
 	}
 	if len(errs) > 0 {
-		return p, errors.Join(errs...)
+		return p, fmt.Errorf("%w: %w", ErrInvalidPlan, errors.Join(errs...))
 	}
 	if p.adaptive() {
 		if p.MinReps < 2 {
@@ -226,7 +233,7 @@ func Run(p Plan, factory func() (Replicator, error)) (*Result, error) {
 func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error)) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
-		return nil, fmt.Errorf("replicate: invalid plan: %w", err)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return &Result{Cancelled: true, Moments: make([]stats.Welford, p.Metrics)}, err
@@ -288,8 +295,7 @@ func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error))
 		if p.adaptive() && done >= p.MinReps && done >= 2 {
 			w := &res.Moments[p.Target]
 			ci := w.CI95()
-			if (p.Tolerance > 0 && ci <= p.Tolerance) ||
-				(p.RelTolerance > 0 && ci <= p.RelTolerance*math.Abs(w.Mean())) {
+			if ci <= p.RelTolerance*math.Abs(w.Mean()) {
 				res.Converged = true
 				break
 			}

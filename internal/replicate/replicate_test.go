@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,8 +33,8 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 		FixedPlan(3, "t.fixed", 2, 17, 0),
 		{BaseSeed: 3, Stream: "t.adapt", Metrics: 2, Target: 0,
 			RelTolerance: 0.01, MinReps: 3, MaxReps: 40, BatchSize: 4},
-		{BaseSeed: 9, Stream: "t.abs", Metrics: 2, Target: 1,
-			Tolerance: 0.05, MinReps: 2, MaxReps: 64, BatchSize: 5},
+		{BaseSeed: 9, Stream: "t.target1", Metrics: 2, Target: 1,
+			RelTolerance: 0.035, MinReps: 2, MaxReps: 64, BatchSize: 5}, // converges after 10 rounds
 	}
 	for pi, base := range plans {
 		var want *Result
@@ -180,19 +181,32 @@ func TestFactoryPerWorker(t *testing.T) {
 	}
 }
 
-// Plan validation rejects unusable shapes.
+// Plan validation rejects unusable shapes, each under ErrInvalidPlan
+// and before any replication runs.
 func TestPlanValidation(t *testing.T) {
-	bad := []Plan{
-		{Metrics: 0, MaxReps: 3},
-		{Metrics: 2, Target: 2, MaxReps: 3},
-		{Metrics: 1, MaxReps: 0},
-		{Metrics: 1, MaxReps: 3, MinReps: -1},
-		{Metrics: 1, MaxReps: 3, Tolerance: -0.1},
+	tests := []struct {
+		name string
+		plan Plan
+	}{
+		{"no metrics", Plan{Metrics: 0, MaxReps: 3}},
+		{"target out of range", Plan{Metrics: 2, Target: 2, MaxReps: 3}},
+		{"no reps", Plan{Metrics: 1, MaxReps: 0}},
+		{"negative MinReps", Plan{Metrics: 1, MaxReps: 3, MinReps: -1}},
+		{"negative RelTolerance", Plan{Metrics: 1, MaxReps: 3, RelTolerance: -0.1}},
+		{"NaN RelTolerance", Plan{Metrics: 1, MaxReps: 50, RelTolerance: math.NaN()}},
+		{"+Inf RelTolerance", Plan{Metrics: 1, MaxReps: 50, RelTolerance: math.Inf(1)}},
 	}
-	for i, p := range bad {
-		if _, err := RunFunc(p, func(uint64, []float64) error { return nil }); err == nil {
-			t.Errorf("plan %d accepted: %+v", i, p)
-		}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			ran := false
+			_, err := RunFunc(tc.plan, func(uint64, []float64) error { ran = true; return nil })
+			if !errors.Is(err, ErrInvalidPlan) {
+				t.Fatalf("err = %v, want ErrInvalidPlan", err)
+			}
+			if ran {
+				t.Fatal("a replication ran on an invalid plan")
+			}
+		})
 	}
 	// MaxReps=1 with a tolerance: no CI is ever computable; the plan must
 	// still terminate after its single replication.

@@ -254,9 +254,10 @@ func (p *ReplicateParams) resolve() error {
 		return err
 	}
 	// Expected adjacency entries: every ordered pair, times the chance
-	// that a uniformly placed partner lies in range.
+	// that a uniformly placed partner lies in range. The ratios keep
+	// huge extents finite, and a NaN estimate is rejected, not passed.
 	n := float64(p.Nodes)
-	if entries := n * (n - 1) * min(1, math.Pi*p.Range*p.Range/(p.Width*p.Height)); entries > maxAdjacencyEntries {
+	if entries := n * (n - 1) * min(1, math.Pi*(p.Range/p.Width)*(p.Range/p.Height)); !(entries <= maxAdjacencyEntries) {
 		return fmt.Errorf("service: replicate topology expects %.0f adjacency entries, exceeds %d", entries, maxAdjacencyEntries)
 	}
 	return nil

@@ -127,6 +127,7 @@ func TestReplicatedJobBounds(t *testing.T) {
 		{"replicate workers", "replicate", `{"workers":1000}`, "", resolved{2e6, procs}},
 		{"replicate max_reps", "replicate", `{"max_reps":1000001}`, "max_reps 1000001 exceeds 1000000", resolved{}},
 		{"replicate density", "replicate", `{"nodes":10000,"range":2000}`, "adjacency entries, exceeds 2000000", resolved{}},
+		{"replicate density overflow", "replicate", `{"nodes":10000,"width":1e160,"height":1e160,"range":1e200}`, "adjacency entries, exceeds 2000000", resolved{}},
 		{"singlehop nodes", "singlehop", `{"nodes":201}`, "singlehop population 201 exceeds 200", resolved{}},
 		{"singlehop duration", "singlehop", `{"duration_us":1e12}`, "", resolved{600e6, 0}},
 		{"singlehop workers", "singlehop", `{"workers":1000}`, "", resolved{1e6, procs}},

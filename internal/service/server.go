@@ -113,10 +113,14 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	}
 	timeout := s.cfg.DefaultJobTimeout
 	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
-	}
-	if timeout > s.cfg.MaxJobTimeout {
+		// Clamp in seconds, before converting: a Duration overflows past
+		// ~292 years and would wrap to a negative, already-expired
+		// deadline.
 		timeout = s.cfg.MaxJobTimeout
+		if req.TimeoutSec < timeout.Seconds() {
+			// A sub-nanosecond request still gets a positive deadline.
+			timeout = max(time.Duration(req.TimeoutSec*float64(time.Second)), 1)
+		}
 	}
 	seq := s.seq.Add(1)
 	j := &Job{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -550,6 +551,35 @@ func TestSubmitClampsTimeoutToMax(t *testing.T) {
 		t.Errorf("timeout = %v, want clamped to 1m", j.Timeout)
 	}
 	waitTerminal(t, j)
+}
+
+// TestSubmitTimeoutClampsInSeconds pins the clamp against Duration
+// overflow: a timeout_sec past ~292 years used to convert to a negative
+// Duration before the clamp saw it, failing the job at once.
+func TestSubmitTimeoutClampsInSeconds(t *testing.T) {
+	s, err := New(Config{}) // never started: no job runs
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxT := s.Config().MaxJobTimeout
+	for _, tc := range []struct {
+		sec  float64
+		want time.Duration
+	}{
+		{10, 10 * time.Second},
+		{1e10, maxT},
+		{1e300, maxT},
+		{math.Inf(1), maxT},
+		{1e-12, 1},
+	} {
+		j, err := s.Submit(SubmitRequest{Kind: "replicate", TimeoutSec: tc.sec})
+		if err != nil {
+			t.Fatalf("timeout_sec %g: %v", tc.sec, err)
+		}
+		if j.Timeout != tc.want {
+			t.Errorf("timeout_sec %g: Timeout = %v, want %v", tc.sec, j.Timeout, tc.want)
+		}
+	}
 }
 
 func TestProgressTailBounded(t *testing.T) {

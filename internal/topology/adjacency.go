@@ -72,6 +72,11 @@ func (nw *Network) AdjacencyView() *Adjacency {
 	return nw.adj
 }
 
+// Rows returns the network's shared neighbor rows: its adjacency view's
+// Rows. They are ascending, owned by the view, and valid until the
+// network next moves.
+func (nw *Network) Rows() [][]int { return nw.AdjacencyView().Rows() }
+
 // sync rebuilds the rows if the view has never been built or the network
 // has moved since the view last saw it.
 func (v *Adjacency) sync() {

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -321,4 +322,35 @@ func TestAdjacencyViewRejectsNegativeStep(t *testing.T) {
 	if _, err := nw.AdjacencyView().StepDelta(math.Inf(-1)); err == nil {
 		t.Fatal("negative-infinite dt accepted")
 	}
+}
+
+// TestNetworkRowsAreTheViewRows pins Network.Rows as the adjacency
+// view's shared rows — the same backing structure, not a copy — and
+// checks they track the network through both a view step and a plain
+// Step.
+func TestNetworkRowsAreTheViewRows(t *testing.T) {
+	nw, err := New(Config{N: 80, Width: 600, Height: 600, Range: 150, MaxSpeed: 10, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := nw.AdjacencyView()
+	check := func(when string) {
+		t.Helper()
+		rows := nw.Rows()
+		if &rows[0] != &view.Rows()[0] {
+			t.Fatalf("%s: Network.Rows is not the view's rows", when)
+		}
+		if !slices.EqualFunc(rows, nw.AdjacencyLists(), slices.Equal[[]int]) {
+			t.Fatalf("%s: rows differ from AdjacencyLists", when)
+		}
+	}
+	check("initial")
+	if _, err := view.StepDelta(5); err != nil {
+		t.Fatal(err)
+	}
+	check("after StepDelta")
+	if err := nw.Step(5); err != nil {
+		t.Fatal(err)
+	}
+	check("after Step")
 }

@@ -191,7 +191,9 @@ type (
 	// QuasiOptResult reports how close the converged NE is to optimal.
 	QuasiOptResult = multihop.QuasiOptResult
 	// SpatialTopology is the read view of a network the spatial simulator
-	// and the multi-hop engine accept (implemented by *Network).
+	// and the multi-hop engine accept: N and Rows, the shared ascending
+	// neighbor rows. *Network implements it and is the only topology
+	// that moves, so mobility needs a *Network.
 	SpatialTopology = multihop.Topology
 	// MultihopEngine plays the multi-hop repeated game dynamically.
 	MultihopEngine = multihop.Engine
