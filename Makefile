@@ -78,21 +78,26 @@ bench-json:
 	go run ./cmd/bench -out BENCH_sim.json
 
 # Smoke-check the bench harness itself: the smallest scenario set plus
-# the adjacency delta-vs-rebuild and event-calendar scenarios, one
-# iteration, quick durations, written to scratch files (never clobbers
-# the committed BENCH_sim.json). CI runs this to catch scenario-setup
-# bit-rot without asserting anything about timing.
+# the sparse multihop scenario (whose fast engine must match the
+# reference loop before it is timed), the adjacency delta-vs-rebuild and
+# event-calendar scenarios, one iteration, quick durations, written to
+# scratch files (never clobbers the committed BENCH_sim.json). CI runs
+# this to catch scenario-setup bit-rot without asserting anything about
+# timing.
 bench-smoke:
 	go run ./cmd/bench -quick -benchtime 1x -only macsim -out /tmp/bench-smoke.json
+	go run ./cmd/bench -quick -benchtime 1x -only multihop/sparse-n50 -out /tmp/bench-smoke-multihop.json
 	go run ./cmd/bench -quick -benchtime 1x -only delta -out /tmp/bench-smoke-delta.json
 	go run ./cmd/bench -quick -benchtime 1x -only calendar -out /tmp/bench-smoke-calendar.json
 
 # Capture CPU and heap profiles of the n=1000 multihop scenario (the
-# fire-slot calendar's home turf). Inspect with `go tool pprof cpu.pprof`.
+# fire-slot calendar's home turf), then print the 15 functions with the
+# most flat CPU time. Dig further with `go tool pprof cpu.pprof`.
 profile:
-	go run ./cmd/bench -quick -only mobile-n1000-w26 -benchtime 5x \
+	go run ./cmd/bench -quick -only mobile-n1000-w26 -benchtime 1s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -out /tmp/bench-profile.json
 	@echo "wrote cpu.pprof and mem.pprof"
+	go tool pprof -top -nodecount=15 cpu.pprof
 
 # Regenerate BENCH_replicate.json, the replication-layer trajectory:
 # fixed-R wall-clock at 1/2/4/8 workers plus the honest workers=NumCPU

@@ -26,11 +26,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/signal"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -117,7 +119,9 @@ type DetectionStats struct {
 // runRef must simulate the identical trajectory; events is the per-run
 // event count used for the events/sec rate. The labels default to
 // "fast"/"reference"; the detection scenario relabels them
-// "observed"/"plain" (same engine, observer hook on vs off).
+// "observed"/"plain" (same engine, observer hook on vs off). check, when
+// set, runs before the first timed iteration and fails the run if the
+// engines disagree, so no row is recorded for a wrong engine.
 type scenario struct {
 	name      string
 	events    int64
@@ -125,6 +129,7 @@ type scenario struct {
 	refLabel  string
 	runFast   func() error
 	runRef    func() error
+	check     func() error
 }
 
 func uniformCW(w, n int) []int {
@@ -167,7 +172,9 @@ func macsimScenario(name string, w, n int, duration float64) (scenario, error) {
 
 // multihopScenario builds a spatial workload over a random-waypoint
 // network snapshot. Each op reconstructs the network (microseconds,
-// identical for both engines) because mobile runs mutate it.
+// identical for both engines) because mobile runs mutate it. Its check
+// runs SimulateReference on a twin of the probe's network and requires
+// the probe's exact result.
 func multihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
 	newNet := func() (*topology.Network, error) { return topology.New(topoCfg) }
 	nw, err := newNet()
@@ -200,6 +207,20 @@ func multihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConf
 			}
 			_, err = multihop.SimulateReference(nw, cfg)
 			return err
+		},
+		check: func() error {
+			nw, err := newNet()
+			if err != nil {
+				return err
+			}
+			ref, err := multihop.SimulateReference(nw, cfg)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(probe, ref) {
+				return errors.New("Simulate and SimulateReference disagree")
+			}
+			return nil
 		},
 	}, nil
 }
@@ -740,6 +761,11 @@ func run(ctx context.Context, args []string) error {
 		}
 		if refLabel == "" {
 			refLabel = "reference"
+		}
+		if sc.check != nil {
+			if err := sc.check(); err != nil {
+				return fmt.Errorf("%s: %w", sc.name, err)
+			}
 		}
 		fast, err := measure(sc.name, fastLabel, sc.events, sc.runFast)
 		if err != nil {

@@ -1,6 +1,7 @@
 package multihop
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -115,7 +116,36 @@ func diffCases(t *testing.T) []diffCase {
 	}
 	het := simCfg(phy.RTSCTS, []int{16, 200, 48, 48, 999}, 4e6, 7)
 
-	return []diffCase{
+	// One-slot holds: with Ts or Tc a single slot, a carrier hold ends at
+	// t+1 and freezes no counting slot, yet still deafens its neighbors
+	// for the rest of slot t. A dense static clique at CW 2 makes
+	// neighbors transmit in the same slot.
+	holds := func(cfg SimConfig, ts, tc int) SimConfig {
+		cfg.Timing.Ts = float64(ts) * cfg.Timing.Slot
+		cfg.Timing.Tc = float64(tc) * cfg.Timing.Slot
+		return cfg
+	}
+	mobile60 := func(t *testing.T) Topology { return randomNetwork(t, 60, 250, 37) }
+	clique := func(*testing.T) Topology {
+		adj := make([][]int, 8)
+		for i := range adj {
+			for j := range adj {
+				if j != i {
+					adj[i] = append(adj[i], j)
+				}
+			}
+		}
+		return &fixedGraph{adj: adj}
+	}
+	var oneSlot []diffCase
+	for _, h := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {1, 3}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg := holds(mob(simCfg(phy.Basic, uniformCW(4, 60), 1e6, seed), 2e4), h[0], h[1])
+			oneSlot = append(oneSlot, diffCase{fmt.Sprintf("one-slot-holds-ts%d-tc%d-seed%d", h[0], h[1], seed), mobile60, cfg})
+		}
+	}
+
+	return append(oneSlot, []diffCase{
 		{"line5-uniform", line, simCfg(phy.RTSCTS, uniformCW(32, 5), 4e6, 1)},
 		{"line5-heterogeneous", line, simCfg(phy.RTSCTS, []int{8, 64, 16, 128, 32}, 4e6, 2)},
 		{"star6-basic", star, simCfg(phy.Basic, uniformCW(64, 6), 4e6, 3)},
@@ -149,7 +179,9 @@ func diffCases(t *testing.T) []diffCase {
 		// CW << MaxStage past the ring's bucket cap: the capped ring wraps
 		// (the case name predates the ring).
 		{"huge-cw-heap-fallback", line, simCfg(phy.RTSCTS, uniformCW(3000, 5), 4e6, 36)},
-	}
+		{"clique8-cw2", clique, simCfg(phy.Basic, uniformCW(2, 8), 2e6, 38)},
+		{"clique8-cw2-one-slot-holds", clique, holds(simCfg(phy.Basic, uniformCW(2, 8), 2e6, 39), 1, 2)},
+	}...)
 }
 
 // TestDifferentialDeltaVsRebuildPath pins the adjacency view at scale:

@@ -14,7 +14,7 @@ import (
 // them are mid-backoff; this engine tracks, per node, the absolute slot
 // at which it will next reach counter zero and act (its fire slot), and
 // jumps the clock directly to the minimum fire slot — the next event
-// horizon over counter expiries, busyUntil/txUntil freezes and pending
+// horizon over counter expiries, carrier-sense freezes and pending
 // mobility steps. Idle slots are never visited. The minimum is found
 // through the event calendar (internal/calendar), a bucket ring over the
 // bounded fire-slot horizon: freeze shifts update fire[] only, stale
@@ -22,18 +22,21 @@ import (
 // in ascending node order — so event selection costs O(1) amortized per
 // calendar touch instead of an O(n) scan per event.
 //
-// Freeze/resume accounting is carried in the fire slots themselves. With
-// "blocked" meaning max(busyUntil, txUntil) > t:
+// Freeze/resume accounting is carried in the fire slots themselves,
+// against one per-node horizon, blocked: the first slot at which the
+// node's own transmission and every carrier hold it has heard are over
+// (the reference loop's max(busyUntil, txUntil)). A node is blocked at
+// slot t while blocked > t.
 //
-//   - A node counting at slot t (not blocked) that a new transmission
-//     covers until slot `until` freezes for slots t+1 .. until-1; having
-//     already decremented at t, its fire slot shifts by until-t-1.
-//   - A node already blocked until bOld that the new transmission extends
-//     to until > bOld freezes for until-bOld more slots; its fire slot
-//     shifts by until-bOld. (No shift when until <= bOld.)
+//   - A transmission at slot t that lasts until slot `until` shifts each
+//     neighbor's fire slot by the slots it freezes on top of what already
+//     blocked it: until - max(blocked, t+1) when positive. (A node
+//     counting at t has already decremented there, so its freeze starts
+//     at t+1.) The neighbor's blocked horizon then rises to until.
 //   - A transmitter redraws counter c at slot t and resumes counting at
-//     b = max(txUntil, busyUntil) as known at the end of the slot — its
-//     co-transmitters' carrier updates included — so it fires at b + c.
+//     its blocked horizon as known at the end of the slot — its
+//     co-transmitters' carrier holds included — so it fires at
+//     blocked + c.
 //   - An isolated node (empty adjacency) redraws c at its fire slot t and
 //     resumes at t+1, so it fires at t+1+c; carrier freezes from later
 //     transmitters in the same slot then shift it like any counting node.
@@ -78,7 +81,7 @@ type simState struct {
 	transmitters []int
 	receivers    []int
 	inTx         []bool
-	drawn        []int // transmitter's fresh counter, for fire recompute
+	blocked      []int64 // max(busyUntil, txUntil): first slot the node may count again
 	res          SimResult
 
 	tsSlots, tcSlots   int64
@@ -99,7 +102,7 @@ func (st *simState) init(nw Topology, mobile *topology.Network, cfg SimConfig) {
 	st.transmitters = make([]int, 0, n)
 	st.receivers = make([]int, n)
 	st.inTx = make([]bool, n)
-	st.drawn = make([]int, n)
+	st.blocked = make([]int64, n)
 	st.res.Nodes = make([]NodeStats, n)
 	st.adj = nw.Rows()
 
@@ -145,6 +148,7 @@ func (st *simState) reset(seed uint64) {
 		st.nodes[i].draw(&st.src, st.cfg.MaxStage)
 		st.fire[i] = int64(st.nodes[i].counter)
 		st.inTx[i] = false
+		st.blocked[i] = 0
 	}
 	st.cal.Init(st.n, st.calSpan())
 	st.cal.Rebuild(st.fire)
@@ -174,7 +178,7 @@ func (st *simState) stepMobility() error {
 func (st *simState) run() (*SimResult, error) {
 	cfg := &st.cfg
 	nodes, fire := st.nodes, st.fire
-	receivers, inTx, drawn := st.receivers, st.inTx, st.drawn
+	receivers, inTx, blocked := st.receivers, st.inTx, st.blocked
 	adj := st.adj
 	res := &st.res
 	totalSlots := st.totalSlots
@@ -248,7 +252,7 @@ func (st *simState) run() (*SimResult, error) {
 
 			ok := true
 			hidden := false
-			if inTx[r] || nodes[r].busyUntil > t || nodes[r].txUntil > t {
+			if inTx[r] || blocked[r] > t {
 				// Receiver deaf: transmitting itself or in a busy locale.
 				ok = false
 			}
@@ -278,39 +282,29 @@ func (st *simState) run() (*SimResult, error) {
 					nodes[i].stage++
 				}
 			}
-			nodes[i].txUntil = t + dur
-			nodes[i].draw(&st.src, cfg.MaxStage)
-			drawn[i] = nodes[i].counter
-			// Carrier sensing: everyone in range of the transmitter
-			// holds; shift non-transmitters' fire slots by the slots the
-			// new hold freezes on top of what already blocked them.
 			until := t + dur
+			blocked[i] = max(blocked[i], until)
+			nodes[i].draw(&st.src, cfg.MaxStage)
+			// Carrier sensing: everyone in range of the transmitter
+			// holds; shift fire slots by the slots the new hold freezes
+			// on top of what already blocked them. A co-transmitter's
+			// shift is harmless: it is off the calendar until the
+			// re-file below overwrites its fire slot.
 			for _, k := range adj[i] {
-				nd := &nodes[k]
-				if !inTx[k] {
-					bOld := nd.busyUntil
-					if nd.txUntil > bOld {
-						bOld = nd.txUntil
-					}
-					if bOld <= t {
-						fire[k] += until - t - 1
-					} else if until > bOld {
-						fire[k] += until - bOld
-					}
+				b := blocked[k]
+				if s := until - max(b, t+1); s > 0 {
+					fire[k] += s
 				}
-				if nd.busyUntil < until {
-					nd.busyUntil = until
+				if b < until {
+					blocked[k] = until
 				}
 			}
 		}
-		// Transmitters resume counting once their own transmission and
-		// every carrier hold known by the end of the slot are over.
+		// Transmitters resume counting with their fresh counter once
+		// their own transmission and every carrier hold known by the end
+		// of the slot are over.
 		for _, i := range transmitters {
-			b := nodes[i].busyUntil
-			if nodes[i].txUntil > b {
-				b = nodes[i].txUntil
-			}
-			fire[i] = b + int64(drawn[i])
+			fire[i] = blocked[i] + int64(nodes[i].counter)
 			st.cal.File(fire[i], int32(i))
 			inTx[i] = false
 		}
