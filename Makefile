@@ -80,15 +80,16 @@ bench-json:
 # Smoke-check the bench harness itself: the smallest scenario set plus
 # the sparse multihop scenario (whose fast engine must match the
 # reference loop before it is timed), the adjacency delta-vs-rebuild and
-# event-calendar scenarios, one iteration, quick durations, written to
-# scratch files (never clobbers the committed BENCH_sim.json). CI runs
-# this to catch scenario-setup bit-rot without asserting anything about
-# timing.
+# event-calendar scenarios and the backoff-draw layer row, one
+# iteration, quick durations, written to scratch files (never clobbers
+# the committed BENCH_sim.json). CI runs this to catch scenario-setup
+# bit-rot without asserting anything about timing.
 bench-smoke:
 	go run ./cmd/bench -quick -benchtime 1x -only macsim -out /tmp/bench-smoke.json
 	go run ./cmd/bench -quick -benchtime 1x -only multihop/sparse-n50 -out /tmp/bench-smoke-multihop.json
 	go run ./cmd/bench -quick -benchtime 1x -only delta -out /tmp/bench-smoke-delta.json
 	go run ./cmd/bench -quick -benchtime 1x -only calendar -out /tmp/bench-smoke-calendar.json
+	go run ./cmd/bench -quick -benchtime 1x -only backoff -out /tmp/bench-smoke-backoff.json
 
 # Capture CPU and heap profiles of the n=1000 multihop scenario (the
 # fire-slot calendar's home turf), then print the 15 functions with the

@@ -5,7 +5,8 @@
 // the repository's simulator perf trajectory: each entry carries ns/op,
 // allocs/op, bytes/op and events/sec per engine, plus fast-over-reference
 // speedup ratios per scenario, so regressions and future speedups are
-// measurable PR over PR.
+// measurable PR over PR. Layer rows (backoff/draw) time one package's
+// own Benchmark function alone.
 //
 // Usage:
 //
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"selfishmac/internal/calendar"
+	"selfishmac/internal/layerbench"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
@@ -121,7 +123,9 @@ type DetectionStats struct {
 // "fast"/"reference"; the detection scenario relabels them
 // "observed"/"plain" (same engine, observer hook on vs off). check, when
 // set, runs before the first timed iteration and fails the run if the
-// engines disagree, so no row is recorded for a wrong engine.
+// engines disagree, so no row is recorded for a wrong engine. A layer
+// row sets bench instead: a package's own Benchmark function, timed as
+// is and recorded under fastLabel alone, with no reference or speedup.
 type scenario struct {
 	name      string
 	events    int64
@@ -130,6 +134,7 @@ type scenario struct {
 	runFast   func() error
 	runRef    func() error
 	check     func() error
+	bench     func(*testing.B)
 }
 
 func uniformCW(w, n int) []int {
@@ -492,7 +497,8 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	if quick {
 		shDur, mhDur = 1e6, 1e6
 	}
-	var out []scenario
+	// Layer rows: one event is one op of the package benchmark.
+	out := []scenario{{name: "backoff", fastLabel: "draw", events: 1, bench: layerbench.Draw}}
 
 	s, err := macsimScenario("macsim/basic-n20-w336", 336, 20, shDur)
 	if err != nil {
@@ -645,23 +651,16 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	return out, detDist, nil
 }
 
-// measure runs fn under testing.Benchmark and folds in the scenario's
-// deterministic event count.
-func measure(name, engine string, events int64, fn func() error) (EngineResult, error) {
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := fn(); err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-		}
-	})
-	if benchErr != nil {
-		return EngineResult{}, fmt.Errorf("%s/%s: %w", name, engine, benchErr)
+// measure runs bench under testing.Benchmark and folds in the
+// scenario's deterministic event count. A benchmark that fails (b.Fatal)
+// makes testing.Benchmark return a zero result, which measure reports as
+// an error rather than a row of zeros.
+func measure(name, engine string, events int64, bench func(*testing.B)) (EngineResult, error) {
+	r := testing.Benchmark(bench)
+	if r.N == 0 {
+		return EngineResult{}, fmt.Errorf("%s/%s: benchmark failed", name, engine)
 	}
-	ns := float64(r.NsPerOp())
+	ns := float64(r.T.Nanoseconds()) / float64(r.N) // unrounded: a layer op takes a few ns
 	res := EngineResult{
 		Name:         name + "/" + engine,
 		Engine:       engine,
@@ -675,6 +674,23 @@ func measure(name, engine string, events int64, fn func() error) (EngineResult, 
 		res.EventsPerSec = float64(events) / (ns / 1e9)
 	}
 	return res, nil
+}
+
+// measureOp times one scenario op, failing on the op's first error.
+func measureOp(name, engine string, events int64, fn func() error) (EngineResult, error) {
+	var opErr error
+	res, err := measure(name, engine, events, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if opErr = fn(); opErr != nil {
+				b.Fatal(opErr)
+			}
+		}
+	})
+	if opErr != nil {
+		return EngineResult{}, fmt.Errorf("%s/%s: %w", name, engine, opErr)
+	}
+	return res, err
 }
 
 func run(ctx context.Context, args []string) error {
@@ -741,6 +757,7 @@ func run(ctx context.Context, args []string) error {
 		Profile:    profile,
 		Note: "ns/op, allocs/op, bytes/op and events/sec for the event-skipping simulator " +
 			"engines (fast) vs the pinned reference loops; speedups are reference-ns / fast-ns. " +
+			"Layer rows (backoff/draw) time one package benchmark alone. " +
 			"Regenerate with `make bench-json`.",
 		Speedups: map[string]float64{},
 	}
@@ -755,6 +772,16 @@ func run(ctx context.Context, args []string) error {
 			interrupted = true
 			break
 		}
+		if sc.bench != nil {
+			row, err := measure(sc.name, sc.fastLabel, sc.events, sc.bench)
+			if err != nil {
+				return err
+			}
+			file.Benchmarks = append(file.Benchmarks, row)
+			fmt.Printf("%-30s %s %12.1f ns/op %6d allocs/op %10d B/op %12.0f events/s\n",
+				sc.name, sc.fastLabel, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp, row.EventsPerSec)
+			continue
+		}
 		fastLabel, refLabel := sc.fastLabel, sc.refLabel
 		if fastLabel == "" {
 			fastLabel = "fast"
@@ -767,11 +794,11 @@ func run(ctx context.Context, args []string) error {
 				return fmt.Errorf("%s: %w", sc.name, err)
 			}
 		}
-		fast, err := measure(sc.name, fastLabel, sc.events, sc.runFast)
+		fast, err := measureOp(sc.name, fastLabel, sc.events, sc.runFast)
 		if err != nil {
 			return err
 		}
-		ref, err := measure(sc.name, refLabel, sc.events, sc.runRef)
+		ref, err := measureOp(sc.name, refLabel, sc.events, sc.runRef)
 		if err != nil {
 			return err
 		}

@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -50,8 +52,10 @@ func TestBenchWritesJSON(t *testing.T) {
 		"topology/adjacency-n1000":               {"fast", "reference"},
 		"topology/adjacency-n10000":              {"fast", "reference"},
 	}
-	if len(f.Benchmarks) != 2*len(wantScenarios) {
-		t.Fatalf("got %d benchmark entries, want %d", len(f.Benchmarks), 2*len(wantScenarios))
+	// Layer rows: one package benchmark each, no reference, 0 allocs/op.
+	wantLayers := []string{"backoff/draw"}
+	if len(f.Benchmarks) != 2*len(wantScenarios)+len(wantLayers) {
+		t.Fatalf("got %d benchmark entries, want %d", len(f.Benchmarks), 2*len(wantScenarios)+len(wantLayers))
 	}
 	byName := map[string]EngineResult{}
 	for _, b := range f.Benchmarks {
@@ -61,6 +65,11 @@ func TestBenchWritesJSON(t *testing.T) {
 		}
 		if b.EventsPerRun <= 0 || b.EventsPerSec <= 0 {
 			t.Errorf("%s: missing event rate (%d events, %g/s)", b.Name, b.EventsPerRun, b.EventsPerSec)
+		}
+	}
+	for _, name := range wantLayers {
+		if row, ok := byName[name]; !ok || row.AllocsPerOp != 0 {
+			t.Errorf("layer row %s: present %v, %d allocs/op, want 0", name, ok, row.AllocsPerOp)
 		}
 	}
 	for s, labels := range wantScenarios {
@@ -106,5 +115,23 @@ func TestBenchOnlyFilter(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-quick", "-only", "nosuch", "-out", out}); err == nil {
 		t.Fatal("unknown -only filter did not error")
+	}
+}
+
+// A benchmark that fails makes testing.Benchmark return a zero result:
+// measure must report it, not record a row of zeros.
+func TestMeasureFailedBenchmark(t *testing.T) {
+	if row, err := measure("layer", "draw", 1, func(b *testing.B) { b.Fatal("boom") }); err == nil {
+		t.Fatalf("failed benchmark recorded as %+v", row)
+	}
+	row, err := measure("layer", "draw", 1, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+		}
+	})
+	if err != nil || row.Iterations == 0 {
+		t.Fatalf("passing benchmark: %+v, %v", row, err)
+	}
+	if _, err := measureOp("op", "fast", 1, func() error { return errors.New("op failed") }); err == nil || !strings.Contains(err.Error(), "op failed") {
+		t.Fatalf("failing op: %v", err)
 	}
 }

@@ -289,15 +289,13 @@ func (st *simState) run() (*SimResult, error) {
 			// holds; shift fire slots by the slots the new hold freezes
 			// on top of what already blocked them. A co-transmitter's
 			// shift is harmless: it is off the calendar until the
-			// re-file below overwrites its fire slot.
+			// re-file below overwrites its fire slot. Both updates are
+			// max selects, not branches: success and collision holds
+			// mix, so a branch on either would mispredict.
 			for _, k := range adj[i] {
 				b := blocked[k]
-				if s := until - max(b, t+1); s > 0 {
-					fire[k] += s
-				}
-				if b < until {
-					blocked[k] = until
-				}
+				fire[k] += max(until-max(b, t+1), 0)
+				blocked[k] = max(b, until)
 			}
 		}
 		// Transmitters resume counting with their fresh counter once

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Source is a deterministic xoshiro256** PRNG.
@@ -69,19 +70,20 @@ func splitmix64(x uint64) (next, out uint64) {
 	return x, z ^ (z >> 31)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits: one xoshiro256** step,
+// its state updates folded into a single store.
+//
+// Every backoff draw and receiver pick runs through Uint64, so it is
+// written on locals to stay under the compiler's inlining budget (cost
+// 63 of 80) and inline into Intn and Float64. Keep it there:
+// `go build -gcflags=-m ./internal/rng` must print
+// "can inline (*Source).Uint64".
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // DeriveSeed deterministically derives a decorrelated stream seed from a
@@ -125,41 +127,38 @@ func (r *Source) Float64() float64 {
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0,
 // mirroring math/rand's contract.
+//
+// The draw is Lemire's multiply-shift method (unbiased): the high word
+// of a 128-bit product, inline, with the rare rejection loop and the
+// panic out of line so a draw is a single call.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {
-		panic(fmt.Sprintf("rng: Intn called with n = %d", n))
+		panicIntn(n)
 	}
-	return int(r.boundedUint64(uint64(n)))
+	hi, lo := bits.Mul64(r.Uint64(), uint64(n))
+	if lo < uint64(n) {
+		hi = r.reject(hi, lo, uint64(n))
+	}
+	return int(hi)
 }
 
-// boundedUint64 returns a uniform value in [0, n) using Lemire's
-// multiply-shift rejection method (unbiased).
-func (r *Source) boundedUint64(n uint64) uint64 {
-	v := r.Uint64()
-	hi, lo := mul64(v, n)
-	if lo < n {
-		thresh := (-n) % n
-		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, n)
-		}
+// reject finishes a Lemire draw whose first product (hi, lo) had lo
+// below n: it redraws while lo falls under 2^64 mod n, the biased tail,
+// and returns the accepted high word.
+func (r *Source) reject(hi, lo, n uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return hi, lo
+// panicIntn is Intn's cold path, kept out of line so Intn's frame does
+// not carry the formatting call.
+//
+//go:noinline
+func panicIntn(n int) {
+	panic(fmt.Sprintf("rng: Intn called with n = %d", n))
 }
 
 // UniformRange returns a uniform float64 in [lo, hi). It panics if hi < lo.
