@@ -3,7 +3,7 @@
 # How long `test-fuzz` spends per fuzz target.
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-diff test-fuzz test-race smoke-daemon cover bench bench-quick bench-json bench-replicate bench-smoke profile experiments experiments-quick fmt
+.PHONY: all build vet test test-diff test-fuzz test-race smoke-daemon cover bench bench-quick bench-json profile experiments experiments-quick fmt
 
 all: build test test-race
 
@@ -70,26 +70,14 @@ bench:
 bench-quick:
 	go test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
-# Regenerate BENCH_sim.json, the simulator perf trajectory: ns/op,
-# allocs/op and events/sec for the event-skipping engines vs the pinned
-# reference loops, per scenario. Commit the refreshed file with any PR
-# that touches a simulator hot loop.
+# Regenerate BENCH_sim.json, the perf ledger: ns/op, allocs/op and
+# events/sec per row, for the event-skipping engines vs the pinned
+# reference loops, the replication pool vs one worker, and the layer
+# rows. Commit the refreshed file with any PR that touches a hot loop.
+# `go test ./cmd/bench` (TestBenchWritesJSON) runs every scenario once
+# at quick durations, so the suite itself keeps the harness runnable.
 bench-json:
 	go run ./cmd/bench -out BENCH_sim.json
-
-# Smoke-check the bench harness itself: the smallest scenario set plus
-# the sparse multihop scenario (whose fast engine must match the
-# reference loop before it is timed), the adjacency delta-vs-rebuild and
-# event-calendar scenarios and the backoff-draw layer row, one
-# iteration, quick durations, written to scratch files (never clobbers
-# the committed BENCH_sim.json). CI runs this to catch scenario-setup
-# bit-rot without asserting anything about timing.
-bench-smoke:
-	go run ./cmd/bench -quick -benchtime 1x -only macsim -out /tmp/bench-smoke.json
-	go run ./cmd/bench -quick -benchtime 1x -only multihop/sparse-n50 -out /tmp/bench-smoke-multihop.json
-	go run ./cmd/bench -quick -benchtime 1x -only delta -out /tmp/bench-smoke-delta.json
-	go run ./cmd/bench -quick -benchtime 1x -only calendar -out /tmp/bench-smoke-calendar.json
-	go run ./cmd/bench -quick -benchtime 1x -only backoff -out /tmp/bench-smoke-backoff.json
 
 # Capture CPU and heap profiles of the n=1000 multihop scenario (the
 # fire-slot calendar's home turf), then print the 15 functions with the
@@ -99,14 +87,6 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof -out /tmp/bench-profile.json
 	@echo "wrote cpu.pprof and mem.pprof"
 	go tool pprof -top -nodecount=15 cpu.pprof
-
-# Regenerate BENCH_replicate.json, the replication-layer trajectory:
-# fixed-R wall-clock at 1/2/4/8 workers plus the honest workers=NumCPU
-# saturation row (speedup is bounded by GOMAXPROCS — the file records
-# both), and adaptive-vs-fixed replication counts. Commit the refreshed file with any PR that
-# touches internal/replicate or the engine lifecycles.
-bench-replicate:
-	go run ./cmd/bench -replicate -out BENCH_replicate.json
 
 # Regenerate every paper table/figure into results/ (paper-faithful scale).
 experiments:

@@ -1,12 +1,14 @@
-// Command bench measures both simulator engines — the event-skipping
-// production engines (macsim.Run, multihop.Simulate) and the pinned
-// reference loops (macsim.RunReference, multihop.SimulateReference) —
-// and writes the results to a machine-readable JSON file. The file is
-// the repository's simulator perf trajectory: each entry carries ns/op,
-// allocs/op, bytes/op and events/sec per engine, plus fast-over-reference
-// speedup ratios per scenario, so regressions and future speedups are
-// measurable PR over PR. Layer rows (backoff/draw) time one package's
-// own Benchmark function alone.
+// Command bench writes BENCH_sim.json, the repository's perf ledger.
+// Most scenarios are a pair of rows over one bit-identical workload:
+// the event-skipping production engines (macsim.Run, multihop.Simulate)
+// against the pinned reference loops (macsim.RunReference,
+// multihop.SimulateReference), the bucket-ring calendar against an
+// eager min-scan, the adjacency view's delta step against a rebuild, the
+// detection observer on against off, and the replication pool at
+// GOMAXPROCS workers against one. Each row carries ns/op, allocs/op,
+// bytes/op and events/sec, so regressions and speedups are measurable
+// PR over PR; the console line also prints each pair's ratio. Layer rows
+// (backoff/draw) time one package's own Benchmark function alone.
 //
 // Usage:
 //
@@ -15,13 +17,15 @@
 //
 // The default profile runs paper-faithful scenario durations (seconds of
 // simulated time per op); -quick shrinks them for smoke runs. -benchtime
-// is forwarded to the testing package (e.g. "100ms" or "5x").
+// is forwarded to the testing package (e.g. "100ms" or "5x"); a count
+// below layerMinIters is raised to it for layer rows.
 //
 // Events are channel events for macsim (success + collision busy
-// periods), transmission attempts for multihop, and directed links for
-// the topology adjacency-build scenarios; both engines of a scenario
-// simulate the identical (bit-for-bit) trajectory, so their event
-// counts match and events/sec is directly comparable.
+// periods), transmission attempts for multihop, directed links for the
+// topology adjacency-build scenarios and replications for the
+// replication pool; both rows of a scenario run the identical
+// (bit-for-bit) trajectory, so their event counts match and events/sec
+// is directly comparable.
 package main
 
 import (
@@ -36,6 +40,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -46,6 +51,7 @@ import (
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
+	"selfishmac/internal/replicate"
 	"selfishmac/internal/rng"
 	"selfishmac/internal/stats"
 	"selfishmac/internal/stream"
@@ -90,13 +96,12 @@ type EngineResult struct {
 // File is the BENCH_sim.json schema. Extend it by appending scenarios in
 // scenarios(); consumers must ignore unknown fields.
 type File struct {
-	Generated  string             `json:"generated"`
-	GoVersion  string             `json:"go"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Profile    string             `json:"profile"` // "paper" or "quick"
-	Note       string             `json:"note"`
-	Benchmarks []EngineResult     `json:"benchmarks"`
-	Speedups   map[string]float64 `json:"speedups"` // scenario -> reference/fast ns ratio
+	Generated  string         `json:"generated"`
+	GoVersion  string         `json:"go"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	Profile    string         `json:"profile"` // "paper" or "quick"
+	Note       string         `json:"note"`
+	Benchmarks []EngineResult `json:"benchmarks"`
 	// Detection carries the streaming-detection scenario's flag-latency
 	// distribution (absent when -only filters the scenario out).
 	Detection *DetectionStats `json:"detection,omitempty"`
@@ -125,7 +130,7 @@ type DetectionStats struct {
 // set, runs before the first timed iteration and fails the run if the
 // engines disagree, so no row is recorded for a wrong engine. A layer
 // row sets bench instead: a package's own Benchmark function, timed as
-// is and recorded under fastLabel alone, with no reference or speedup.
+// is and recorded under fastLabel alone, with no reference row.
 type scenario struct {
 	name      string
 	events    int64
@@ -435,7 +440,7 @@ func calendarScenario(name string, n, cw, maxStage int, span int64, shifts, even
 				if onRing {
 					t, expired = ring.Next(slots, math.MaxInt64, expired[:0])
 				} else {
-					t, expired = minScan(slots, expired[:0])
+					t, expired = layerbench.MinScan(slots, math.MaxInt64, expired[:0])
 				}
 				digest += t
 				for _, i := range expired {
@@ -473,19 +478,63 @@ func calendarScenario(name string, n, cw, maxStage int, span int64, shifts, even
 	return sc, nil
 }
 
-// minScan is the eager calendar: the minimum slot and every node at it,
-// ascending.
-func minScan(slots []int64, out []int) (int64, []int) {
-	t := slots[0]
-	for _, s := range slots[1:] {
-		t = min(t, s)
+// replicateScenario measures the replication layer's worker pool: one
+// op is a fixed-R replicated measurement, reps replications of
+// Simulate's payoff rate on topoCfg, run by GOMAXPROCS workers ("pool")
+// and by one ("serial"). Each worker builds one reusable Simulator per
+// op. The layer is bit-identical at any worker count, so check requires
+// the two Results to be equal.
+func replicateScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig, reps int) (scenario, error) {
+	nw, err := topology.New(topoCfg)
+	if err != nil {
+		return scenario{}, err
 	}
-	for i, s := range slots {
-		if s == t {
-			out = append(out, i)
+	factory := func() (replicate.Replicator, error) {
+		sim, err := multihop.NewSimulator(nw, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return replicate.Func(func(seed uint64, out []float64) error {
+			sim.Reset(seed)
+			res, err := sim.Run()
+			if err != nil {
+				return err
+			}
+			out[0] = res.GlobalPayoffRate()
+			return nil
+		}), nil
+	}
+	runAt := func(workers int) (*replicate.Result, error) {
+		return replicate.Run(replicate.FixedPlan(3, "bench.scaling", 1, reps, workers), factory)
+	}
+	op := func(workers int) func() error {
+		return func() error {
+			_, err := runAt(workers)
+			return err
 		}
 	}
-	return t, out
+	return scenario{
+		name:      name,
+		events:    int64(reps),
+		fastLabel: "pool",
+		refLabel:  "serial",
+		runFast:   op(0),
+		runRef:    op(1),
+		check: func() error {
+			pool, err := runAt(0)
+			if err != nil {
+				return err
+			}
+			serial, err := runAt(1)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(pool, serial) {
+				return errors.New("pool and serial replication results differ")
+			}
+			return nil
+		},
+	}, nil
 }
 
 // scenarios assembles the suite. quick shrinks simulated durations; the
@@ -539,6 +588,19 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	simCfg := multihop.DefaultSimConfig(mhDur, 7)
 	simCfg.CW = uniformCW(116, 50)
 	s, err = multihopScenario("multihop/sparse-n50-w116", sparse, simCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out = append(out, s)
+
+	// Worker scaling of the replication layer on the same network: 16
+	// replications of 10 s each.
+	repCfg := simCfg
+	repCfg.Duration = 10e6
+	if quick {
+		repCfg.Duration = 5e5
+	}
+	s, err = replicateScenario("replicate/sparse-n50-w116", sparse, repCfg, 16)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -676,6 +738,25 @@ func measure(name, engine string, events int64, bench func(*testing.B)) (EngineR
 	return res, nil
 }
 
+// layerMinIters floors an iteration-count -benchtime for layer rows. A
+// layer op takes nanoseconds, and the testing package's allocation
+// counter is process-wide: at a handful of iterations the row would time
+// the clock and charge the op with any allocation the runtime makes
+// meanwhile (at 1x, backoff/draw intermittently read 5 allocs/op).
+const layerMinIters = 10000
+
+// measureLayer times a layer row at the requested -benchtime, raising an
+// iteration count below layerMinIters to it.
+func measureLayer(sc scenario, benchtime string) (EngineResult, error) {
+	if n, err := strconv.Atoi(strings.TrimSuffix(benchtime, "x")); err == nil && strings.HasSuffix(benchtime, "x") && n < layerMinIters {
+		if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", layerMinIters)); err != nil {
+			return EngineResult{}, err
+		}
+		defer flag.Set("test.benchtime", benchtime)
+	}
+	return measure(sc.name, sc.fastLabel, sc.events, sc.bench)
+}
+
 // measureOp times one scenario op, failing on the op's first error.
 func measureOp(name, engine string, events int64, fn func() error) (EngineResult, error) {
 	var opErr error
@@ -699,7 +780,6 @@ func run(ctx context.Context, args []string) error {
 	quick := fs.Bool("quick", false, "shrink simulated durations (smoke profile)")
 	benchtime := fs.String("benchtime", "1s", "per-benchmark time or iteration count (forwarded to the testing package, e.g. 200ms or 3x)")
 	only := fs.String("only", "", "run only scenarios whose name contains this substring")
-	repl := fs.Bool("replicate", false, "benchmark the replication layer instead of the engine suite (writes BENCH_replicate.json unless -out is set)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file when the run completes")
 	if err := fs.Parse(args); err != nil {
@@ -734,14 +814,6 @@ func run(ctx context.Context, args []string) error {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		return fmt.Errorf("invalid -benchtime: %w", err)
 	}
-	if *repl {
-		target := *out
-		if target == "BENCH_sim.json" {
-			target = "BENCH_replicate.json"
-		}
-		return runReplicate(ctx, target, *quick)
-	}
-
 	suite, detDist, err := scenarios(*quick)
 	if err != nil {
 		return err
@@ -756,10 +828,9 @@ func run(ctx context.Context, args []string) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Profile:    profile,
 		Note: "ns/op, allocs/op, bytes/op and events/sec for the event-skipping simulator " +
-			"engines (fast) vs the pinned reference loops; speedups are reference-ns / fast-ns. " +
-			"Layer rows (backoff/draw) time one package benchmark alone. " +
+			"engines (fast) vs the pinned reference loops, and for the replication pool vs " +
+			"one worker. Layer rows (backoff/draw) time one package benchmark alone. " +
 			"Regenerate with `make bench-json`.",
-		Speedups: map[string]float64{},
 	}
 	interrupted := false
 	for _, sc := range suite {
@@ -773,7 +844,7 @@ func run(ctx context.Context, args []string) error {
 			break
 		}
 		if sc.bench != nil {
-			row, err := measure(sc.name, sc.fastLabel, sc.events, sc.bench)
+			row, err := measureLayer(sc, *benchtime)
 			if err != nil {
 				return err
 			}
@@ -803,11 +874,8 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		file.Benchmarks = append(file.Benchmarks, fast, ref)
-		if fast.NsPerOp > 0 {
-			file.Speedups[sc.name] = ref.NsPerOp / fast.NsPerOp
-		}
 		fmt.Printf("%-30s %s %12.0f ns/op %6d allocs/op %10d B/op %12.0f events/s | %s %12.0f ns/op | speedup %.2fx\n",
-			sc.name, fastLabel, fast.NsPerOp, fast.AllocsPerOp, fast.BytesPerOp, fast.EventsPerSec, refLabel, ref.NsPerOp, file.Speedups[sc.name])
+			sc.name, fastLabel, fast.NsPerOp, fast.AllocsPerOp, fast.BytesPerOp, fast.EventsPerSec, refLabel, ref.NsPerOp, ref.NsPerOp/fast.NsPerOp)
 		if sc.name == detectionName && detDist != nil {
 			st, err := detDist()
 			if err != nil {

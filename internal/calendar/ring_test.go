@@ -2,41 +2,39 @@ package calendar
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/layerbench"
 	"selfishmac/internal/rng"
 )
 
 // ring_test.go pins the ring against an eager O(n) min-scan over
-// slots[]: driven with the same trajectory — re-keys, silent forward
-// shifts, expiry collection, moving limits — the ring must report the
-// scan's (slot, expired-set) sequence at any span, entries filed wraps
-// ahead included.
+// slots[] (layerbench.MinScan): driven with the same trajectory —
+// re-keys, silent forward shifts, expiry collection, moving limits — the
+// ring must report the scan's (slot, expired-set) sequence at any span,
+// entries filed wraps ahead included.
 
-// minScan is the eager reference: the minimum slot and every node at
-// it, ascending; a minimum at or past limit reports (limit, none).
-func minScan(slots []int64, limit int64, out []int) (int64, []int) {
-	t := slots[0]
-	for _, s := range slots[1:] {
-		t = min(t, s)
-	}
-	if t >= limit {
-		return limit, out
-	}
-	for i, s := range slots {
-		if s == t {
-			out = append(out, i)
+// The ring rounds its span up to a power of two, floored at one bitmap
+// word and capped at MaxBuckets, whatever the span.
+func TestRingBucketSizing(t *testing.T) {
+	cases := map[int64]int{-5: 64, 1: 64, 64: 64, 65: 128, 336: 512, 1023: 1024, 1024: 1024, 1025: 2048,
+		MaxBuckets: MaxBuckets, MaxBuckets + 1: MaxBuckets, 1 << 62: MaxBuckets, math.MaxInt64: MaxBuckets}
+	for span, want := range cases {
+		var r Ring
+		r.Init(1, span)
+		if got := r.Buckets(); got != want {
+			t.Errorf("span %d: %d buckets, want %d", span, got, want)
 		}
 	}
-	return t, out
 }
 
 // step advances the ring and the scan by one event before limit and
 // fails unless both pick the same slot and the same ascending set.
 func step(t *testing.T, r *Ring, slots []int64, limit int64, got, want []int) (int64, []int, []int) {
 	t.Helper()
-	tw, want := minScan(slots, limit, want[:0])
+	tw, want := layerbench.MinScan(slots, limit, want[:0])
 	tg, got := r.Next(slots, limit, got[:0])
 	if tg != tw {
 		t.Fatalf("ring slot %d, eager scan %d", tg, tw)
@@ -52,45 +50,66 @@ func step(t *testing.T, r *Ring, slots []int64, limit int64, got, want []int) (i
 // behind the ring's back (also past a wrap), and the limit moves in
 // random strides so it often lands inside an idle gap. The ring must
 // agree with the scan at every step, at spans from the 64-bucket floor
-// to one that covers every re-key.
+// to one that covers every re-key. The shifts pick n/8 random nodes per
+// event, or, in the everySurvivor case, shift each surviving node with
+// probability 1/4, the churn of a dense carrier-sense neighbourhood.
 func TestDifferentialRingMatchesEagerScan(t *testing.T) {
-	const (
-		n      = 120
-		rounds = 4000
-	)
-	for trial, span := range []int64{1, 64, 100, 1000, 1 << 13} {
-		src := rng.New(uint64(trial) + 7)
-		var r Ring
-		r.Init(n, span)
-		w := int64(r.Buckets())
-		slots := make([]int64, n)
-		for i := range slots {
-			slots[i] = int64(src.Intn(int(8 * w)))
+	const rounds = 4000
+	for trial, tc := range []struct {
+		n             int
+		span          int64
+		everySurvivor bool
+	}{
+		{120, 1, false}, {120, 64, false}, {120, 100, false}, {120, 1000, false}, {120, 1 << 13, false},
+		{97, 256, true},
+	} {
+		name := fmt.Sprintf("n%d-span%d", tc.n, tc.span)
+		if tc.everySurvivor {
+			name += "-every-survivor"
 		}
-		r.Rebuild(slots)
+		t.Run(name, func(t *testing.T) {
+			n := tc.n
+			src := rng.New(uint64(trial) + 7)
+			var r Ring
+			r.Init(n, tc.span)
+			w := int64(r.Buckets())
+			slots := make([]int64, n)
+			for i := range slots {
+				slots[i] = int64(src.Intn(int(8 * w)))
+			}
+			r.Rebuild(slots)
 
-		var got, want []int
-		var now, limit int64
-		for round := 0; round < rounds; round++ {
-			if now >= limit {
-				limit = now + 1 + int64(src.Intn(int(2*w)))
-			}
-			now, got, want = step(t, &r, slots, limit, got, want)
-			if now == limit {
-				continue // nothing expired before the limit
-			}
-			for k := 0; k < n/8; k++ {
-				if j := src.Intn(n); slots[j] > now {
-					slots[j] += int64(src.Intn(int(3 * w / 2)))
+			var got, want []int
+			var now, limit int64
+			for round := 0; round < rounds; round++ {
+				if now >= limit {
+					limit = now + 1 + int64(src.Intn(int(2*w)))
 				}
+				now, got, want = step(t, &r, slots, limit, got, want)
+				if now == limit {
+					continue // nothing expired before the limit
+				}
+				if tc.everySurvivor {
+					for j, s := range slots {
+						if s > now && src.Intn(4) == 0 {
+							slots[j] += int64(src.Intn(int(3 * w / 2)))
+						}
+					}
+				} else {
+					for k := 0; k < n/8; k++ {
+						if j := src.Intn(n); slots[j] > now {
+							slots[j] += int64(src.Intn(int(3 * w / 2)))
+						}
+					}
+				}
+				for _, i := range got {
+					wraps := int64(src.Intn(9)) // 0..8 wraps ahead
+					slots[i] = now + 1 + wraps*w + int64(src.Intn(int(w)))
+					r.File(slots[i], int32(i))
+				}
+				now++
 			}
-			for _, i := range got {
-				wraps := int64(src.Intn(9)) // 0..8 wraps ahead
-				slots[i] = now + 1 + wraps*w + int64(src.Intn(int(w)))
-				r.File(slots[i], int32(i))
-			}
-			now++
-		}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func TestDifferentialFastMatchesReference(t *testing.T) {
 // A window far past the bucket cap (cw << 16 = 2³⁶ slots) runs on the
 // capped ring, filing entries thousands of wraps ahead, and must still
 // match the reference.
-func TestDifferentialFallbackHugeWindow(t *testing.T) {
+func TestDifferentialCappedRingHugeWindow(t *testing.T) {
 	cfg := Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
 		MaxStage: 16,
@@ -225,12 +225,11 @@ func (w *wrapProbe) OnEvent(slot int64, _ []int) {
 	}
 }
 
-// TestCalendarGrowsLazily keeps the name of the test for the calendar
-// that doubled on demand; the ring is now fixed at the stage-0 horizon.
-// Tiny windows at a high stage cap get a 64-bucket ring, collisions file
-// entries past a full wrap of it, the run still matches the reference
-// bit for bit, and reset+run pairs allocate nothing.
-func TestCalendarGrowsLazily(t *testing.T) {
+// The ring is sized to the stage-0 horizon: tiny windows at a high stage
+// cap get the 64-bucket floor, collisions file entries past a full wrap
+// of it, the run still matches the reference bit for bit, and reset+run
+// pairs allocate nothing.
+func TestFloorRingWrapsMatchesReference(t *testing.T) {
 	cfg := Config{
 		Timing:   phy.Default().MustTiming(phy.Basic),
 		MaxStage: 12,

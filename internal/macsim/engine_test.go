@@ -40,12 +40,12 @@ func TestDifferentialEngineMatchesRun(t *testing.T) {
 	}
 }
 
-// TestDifferentialEngineReconfigure drives a stage sequence of changing
+// TestDifferentialFreshEnginePerStage drives a stage sequence of changing
 // windows, seeds, durations and node counts — the closed-loop usage,
 // which builds one engine per stage — including a window far past the
 // calendar's bucket cap, comparing every stage's fresh engine to
 // RunReference and to Run.
-func TestDifferentialEngineReconfigure(t *testing.T) {
+func TestDifferentialFreshEnginePerStage(t *testing.T) {
 	basic := phy.Default().MustTiming(phy.Basic)
 	mk := func(cw []int, dur float64, seed uint64) Config {
 		return Config{Timing: basic, MaxStage: 6, CW: cw, Duration: dur, Seed: seed, Gain: 1, Cost: 0.01}

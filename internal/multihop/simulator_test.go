@@ -1,6 +1,7 @@
 package multihop
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestDifferentialSimulatorMatchesSimulate(t *testing.T) {
 // quasi-optimality sweep builds one per candidate window — and each must
 // equal a fresh Simulate; NewSimulator rejects a wrong-length or zero
 // profile.
-func TestSimulatorSetCW(t *testing.T) {
+func TestSimulatorPerWindowMatchesSimulate(t *testing.T) {
 	nw := randomNetwork(t, 20, 300, 31)
 	cfg := simCfg(phy.RTSCTS, uniformCW(64, 20), 1e6, 1)
 	for _, w := range []int{32, 116, 64} {
@@ -91,7 +92,7 @@ func TestSimulatorSetCW(t *testing.T) {
 // duration, timing, CW profile and seed — must each equal a fresh
 // Simulate, however their runs interleave: a network shared by several
 // simulators (one per replication worker) carries no state between them.
-func TestDifferentialSimulatorReconfigure(t *testing.T) {
+func TestDifferentialSimulatorsShareNetwork(t *testing.T) {
 	nw := randomNetwork(t, 30, 300, 37)
 	configs := []SimConfig{
 		simCfg(phy.RTSCTS, uniformCW(32, 30), 5e5, 2),
@@ -125,7 +126,7 @@ func TestDifferentialSimulatorReconfigure(t *testing.T) {
 // Simulators at different configs over one shared network stay on the
 // zero-allocation path when their Reset+Run pairs alternate, even when
 // the stage durations differ.
-func TestSimulatorReconfigureAllocationFree(t *testing.T) {
+func TestSimulatorsShareNetworkAllocationFree(t *testing.T) {
 	nw := randomNetwork(t, 50, 180, 11)
 	var sims [2]*Simulator
 	for i, cfg := range []SimConfig{
@@ -209,25 +210,37 @@ func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSimulatorCrossesReferenceRoute keeps the name of the test for the
-// reference route that profiles past the ring's cap used to take. Both
-// profiles now run on the ring — CW 3000's horizon (3000 << 6 slots)
-// exceeds MaxBuckets, so its ring is capped and wraps — and every
-// Reset+Run equals SimulateReference with the same observer stream, and
-// allocates nothing.
-func TestSimulatorCrossesReferenceRoute(t *testing.T) {
+// TestFireCalendarSelection pins the engine's calendar route: every
+// fire-slot horizon runs on the ring — sized to the horizon, or capped
+// and wrapping past MaxBuckets, including windows whose cw << MaxStage
+// would overflow — and every Reset+Run equals SimulateReference with the
+// same observer stream, and allocates nothing.
+func TestFireCalendarSelection(t *testing.T) {
+	pair := &fixedGraph{adj: [][]int{{1}, {0}}}
 	nw := randomNetwork(t, 20, 300, 31)
-	const n = 20
-	for _, cw := range [][]int{uniformCW(64, n), uniformCW(3000, n)} {
-		cfg := simCfg(phy.RTSCTS, cw, 5e5, 1)
+	// MaxStage 6: the ring holds cw << 6 plus one frame time.
+	for _, tc := range []struct {
+		topo    Topology
+		cw      []int
+		buckets int
+	}{
+		{pair, []int{16, 16}, 2048},
+		{pair, []int{calendar.MaxBuckets>>6 - 64, 16}, calendar.MaxBuckets},
+		{pair, []int{calendar.MaxBuckets>>6 + 1, 16}, calendar.MaxBuckets},
+		{pair, []int{1 << 40, 16}, calendar.MaxBuckets},
+		{pair, []int{math.MaxInt, 16}, calendar.MaxBuckets},
+		{nw, uniformCW(64, 20), 8192},
+		{nw, uniformCW(3000, 20), calendar.MaxBuckets},
+	} {
+		cfg := simCfg(phy.RTSCTS, tc.cw, 5e5, 1)
 		obs := &recordingObserver{}
 		cfg.Observer = obs
-		sim, err := NewSimulator(nw, cfg)
+		sim, err := NewSimulator(tc.topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if capped := sim.st.cal.Buckets() == calendar.MaxBuckets; capped != (cw[0] == 3000) {
-			t.Fatalf("CW %d: %d buckets, capped %v", cw[0], sim.st.cal.Buckets(), capped)
+		if got := sim.st.cal.Buckets(); got != tc.buckets {
+			t.Errorf("CW %d: ring has %d buckets, want %d", tc.cw[0], got, tc.buckets)
 		}
 		for _, seed := range []uint64{9, 11} {
 			obs.events = nil
@@ -240,22 +253,22 @@ func TestSimulatorCrossesReferenceRoute(t *testing.T) {
 			obs.events = nil
 			ref := cfg
 			ref.Seed = seed
-			want, err := SimulateReference(nw, ref)
+			want, err := SimulateReference(tc.topo, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("CW %d seed %d: simulator diverged from SimulateReference", cw[0], seed)
+				t.Fatalf("CW %d seed %d: simulator diverged from SimulateReference", tc.cw[0], seed)
 			}
 			if !reflect.DeepEqual(gotEvents, obs.events) {
 				t.Fatalf("CW %d seed %d: observer streams diverge: %d events, reference %d",
-					cw[0], seed, len(gotEvents), len(obs.events))
+					tc.cw[0], seed, len(gotEvents), len(obs.events))
 			}
 		}
 
 		// The recording observer allocates by design, so the allocation
 		// pin runs unobserved.
-		sim, err = NewSimulator(nw, simCfg(phy.RTSCTS, cw, 5e5, 1))
+		sim, err = NewSimulator(tc.topo, simCfg(phy.RTSCTS, tc.cw, 5e5, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +280,7 @@ func TestSimulatorCrossesReferenceRoute(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Fatalf("CW %d: Reset+Run on the ring allocated %.1f objects per run, want 0", cw[0], allocs)
+			t.Fatalf("CW %d: Reset+Run on the ring allocated %.1f objects per run, want 0", tc.cw[0], allocs)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+
+	"selfishmac/internal/experiments"
 )
 
 // FuzzSubmit posts arbitrary bodies to /api/v1/jobs of a server that is never
@@ -105,9 +107,20 @@ func checkParamBounds(t *testing.T, kind string, raw json.RawMessage) {
 			t.Fatalf("detect: %d cheaters among %d nodes", p.Cheaters, p.Nodes)
 		}
 	case "experiment":
-		// No resolve and no work bounds: the registry fixes each
-		// experiment's size. Decoding must still not panic.
+		// The registry fixes each experiment's size; the params only pick
+		// one, its profile and its fan-out.
 		var p ExperimentParams
-		_ = decodeParams(raw, &p)
+		if decodeParams(raw, &p) != nil || p.resolve() != nil {
+			return
+		}
+		if _, ok := experiments.ByID(p.ID); !ok {
+			t.Fatalf("experiment: unknown id %q accepted", p.ID)
+		}
+		if p.Profile != "quick" && p.Profile != "paper" {
+			t.Fatalf("experiment: profile %q outside {quick, paper}", p.Profile)
+		}
+		if p.Workers > procs {
+			t.Fatalf("experiment: workers %d above GOMAXPROCS %d", p.Workers, procs)
+		}
 	}
 }

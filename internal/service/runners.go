@@ -398,8 +398,27 @@ type ExperimentParams struct {
 	Profile string `json:"profile,omitempty"`
 	// Seed overrides the master seed (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the experiment's internal fan-out (0 = GOMAXPROCS).
+	// Workers bounds the experiment's internal fan-out (0 = GOMAXPROCS;
+	// larger values are clamped to GOMAXPROCS, which changes no result:
+	// every experiment is bit-identical at any worker count).
 	Workers int `json:"workers,omitempty"`
+}
+
+// resolve applies the documented defaults and the work bounds, and
+// rejects an unknown experiment ID or profile.
+func (p *ExperimentParams) resolve() error {
+	if _, ok := experiments.ByID(p.ID); !ok {
+		return fmt.Errorf("service: unknown experiment %q", p.ID)
+	}
+	switch p.Profile {
+	case "":
+		p.Profile = "quick"
+	case "quick", "paper":
+	default:
+		return fmt.Errorf("service: unknown profile %q (want quick or paper)", p.Profile)
+	}
+	p.Workers = min(p.Workers, runtime.GOMAXPROCS(0))
+	return nil
 }
 
 // ExperimentResult is the terminal payload of an "experiment" job.
@@ -415,25 +434,20 @@ func runExperimentJob(ctx context.Context, raw json.RawMessage, progress func(v 
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, fmt.Errorf("service: bad experiment params: %w", err)
 	}
-	runner, ok := experiments.ByID(p.ID)
-	if !ok {
-		return nil, fmt.Errorf("service: unknown experiment %q", p.ID)
+	if err := p.resolve(); err != nil {
+		return nil, err
 	}
-	var settings experiments.Settings
-	switch p.Profile {
-	case "", "quick":
-		settings = experiments.QuickSettings()
-	case "paper":
+	runner, _ := experiments.ByID(p.ID)
+	settings := experiments.QuickSettings()
+	if p.Profile == "paper" {
 		settings = experiments.DefaultSettings()
-	default:
-		return nil, fmt.Errorf("service: unknown profile %q (want quick or paper)", p.Profile)
 	}
 	if p.Seed != 0 {
 		settings.Seed = p.Seed
 	}
 	settings.Workers = p.Workers
 
-	progress(map[string]any{"event": "started", "experiment": runner.ID, "profile": settingsProfile(p.Profile)})
+	progress(map[string]any{"event": "started", "experiment": runner.ID, "profile": p.Profile})
 	rep, err := runner.Run(ctx, settings)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -443,13 +457,6 @@ func runExperimentJob(ctx context.Context, raw json.RawMessage, progress func(v 
 	}
 	progress(map[string]any{"event": "finished", "experiment": runner.ID, "metrics": len(rep.Metrics)})
 	return &ExperimentResult{ID: rep.ID, Title: rep.Title, Metrics: rep.Metrics, Text: rep.Text}, nil
-}
-
-func settingsProfile(p string) string {
-	if p == "" {
-		return "quick"
-	}
-	return p
 }
 
 // DetectParams parameterizes a "detect" job: one deterministic

@@ -12,11 +12,11 @@ import (
 	"selfishmac/internal/topology"
 )
 
-// TestPooledJobsBitIdentical pins that a rerun of the same job is
+// TestJobRerunBitIdentical pins that a rerun of the same job is
 // identical, for both replicated kinds: every job builds its engines
 // fresh and every replication Resets them, so no state carries over from
 // an earlier job.
-func TestPooledJobsBitIdentical(t *testing.T) {
+func TestJobRerunBitIdentical(t *testing.T) {
 	discard := func(any) {}
 	run := func(kind string, params string) any {
 		t.Helper()
@@ -51,11 +51,11 @@ func TestPooledJobsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPooledMultihopSteadyStateAllocationFree pins the replicate job's
+// TestReplicateJobReplicationAllocationFree pins the replicate job's
 // per-replication cost: once its engine is built, every replication —
 // Reset, Run and the metric fold into out — runs on the simulator's
 // 0 allocs/op path, at any stage duration.
-func TestPooledMultihopSteadyStateAllocationFree(t *testing.T) {
+func TestReplicateJobReplicationAllocationFree(t *testing.T) {
 	topo := topology.Config{N: 25, Width: 800, Height: 800, Range: 200, Seed: 5}
 	for _, durationUs := range []float64{5e4, 8e4} {
 		nw, err := topology.New(topo)
@@ -84,9 +84,9 @@ func TestPooledMultihopSteadyStateAllocationFree(t *testing.T) {
 }
 
 // TestReplicatedJobBounds pins the per-job work bounds: an oversize
-// population, topology density or replication budget is rejected, both through resolve
-// and as a failed job, while an oversize duration and worker count are
-// clamped.
+// population, topology density or replication budget, or an unknown
+// experiment ID or profile, is rejected, both through resolve and as a
+// failed job, while an oversize duration and worker count are clamped.
 func TestReplicatedJobBounds(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	type resolved struct {
@@ -114,6 +114,13 @@ func TestReplicatedJobBounds(t *testing.T) {
 			}
 			err = p.resolve()
 			r = resolved{p.DurationUs, p.Workers}
+		case "experiment":
+			var p ExperimentParams
+			if err := decodeParams(json.RawMessage(raw), &p); err != nil {
+				t.Fatal(err)
+			}
+			err = p.resolve()
+			r = resolved{0, p.Workers}
 		}
 		return r, err
 	}
@@ -132,6 +139,9 @@ func TestReplicatedJobBounds(t *testing.T) {
 		{"singlehop duration", "singlehop", `{"duration_us":1e12}`, "", resolved{600e6, 0}},
 		{"singlehop workers", "singlehop", `{"workers":1000}`, "", resolved{1e6, procs}},
 		{"singlehop max_reps", "singlehop", `{"max_reps":1000001}`, "max_reps 1000001 exceeds 1000000", resolved{}},
+		{"experiment id", "experiment", `{"id":"ZZ"}`, `unknown experiment "ZZ"`, resolved{}},
+		{"experiment profile", "experiment", `{"id":"T2","profile":"huge"}`, `unknown profile "huge" (want quick or paper)`, resolved{}},
+		{"experiment workers", "experiment", `{"id":"T2","workers":1000}`, "", resolved{0, procs}},
 	}
 	s := newTestServer(t, nil)
 	for _, tc := range tests {
