@@ -92,8 +92,10 @@ profile:
 experiments:
 	go run ./cmd/experiments -out results
 
+# The fast smoke profile, written to a fresh temp dir so it never
+# overwrites the paper-profile goldens in results/.
 experiments-quick:
-	go run ./cmd/experiments -quick -out results
+	out=$$(mktemp -d) && go run ./cmd/experiments -quick -out $$out && echo "wrote $$out"
 
 fmt:
 	gofmt -w .

@@ -266,7 +266,7 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 		return scenario{}, nil, err
 	}
 	mon, err := stream.NewMonitor(stream.Config{
-		Nodes: n, WindowSlots: windowSlots, Keep: 4,
+		Nodes: n, WindowSlots: windowSlots,
 		MaxStage: base.MaxStage, ExpectedCW: expected, Beta: 0.6,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -131,4 +132,65 @@ func TestRunCreatesOutputDir(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "t1.txt")); err != nil {
 		t.Fatalf("nested output dir not created: %v", err)
 	}
+}
+
+// TestResultsMatchCommitted is the golden-artifact check: the full
+// paper-profile registry at the default seed must write exactly the
+// files committed under results/, byte for byte. A change that alters an
+// output on purpose regenerates results/ with `make experiments` in the
+// same commit. The run costs a few CPU-seconds, so it skips under -short
+// and -race. The goldens are pinned on amd64: other architectures may fuse
+// multiply-adds (FMA) and change the last printed digits.
+func TestResultsMatchCommitted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full paper registry: skipped under -short")
+	}
+	if raceEnabled {
+		t.Skip("full paper registry: skipped under -race")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are pinned on amd64; FMA fusion on %s may change the last digits", runtime.GOARCH)
+	}
+	const golden = "../../results"
+	dir := t.TempDir()
+	if err := run(context.Background(), []string{"-jobs", "2", "-out", dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := readDir(t, golden)
+	got := readDir(t, dir)
+	for name, body := range want {
+		g, ok := got[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: committed but not written", name)
+		case g != body:
+			t.Errorf("%s differs from the committed golden (regenerate with `make experiments` if the change is intended)", name)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: written but not committed under results/", name)
+		}
+	}
+}
+
+// readDir returns every regular file directly under dir, by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(body)
+	}
+	return files
 }

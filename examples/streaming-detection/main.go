@@ -49,7 +49,6 @@ func main() {
 	mon, err := selfishmac.NewStreamMonitor(selfishmac.StreamMonitorConfig{
 		Nodes:       n,
 		WindowSlots: 1500,
-		Keep:        4,
 		MaxStage:    selfishmac.DefaultPHY().MaxBackoffStage,
 		ExpectedCW:  ne.WStar,
 		Beta:        0.6,

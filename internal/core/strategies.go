@@ -21,20 +21,6 @@ type Strategy interface {
 	ChooseCW(self int, observed [][]int, utilities []float64) int
 }
 
-// BoundedHistory is an optional Strategy refinement: a strategy that
-// implements it promises its ChooseCW inspects at most the trailing
-// HistoryDepth() stages of observed/utilities (and is insensitive to the
-// absolute stage index beyond "stage 0 vs later"). Engines may then
-// retain only that window instead of the full O(stages·n) history —
-// multihop.Engine.Run does, which is what keeps long runs at a constant
-// memory footprint. Strategies that scan the whole history (GrimTrigger)
-// or key off the absolute stage count (Deviant) must NOT implement it.
-type BoundedHistory interface {
-	// HistoryDepth returns the number of trailing stages the strategy
-	// reads. Zero means it reads none (a constant strategy).
-	HistoryDepth() int
-}
-
 // TFT is the paper's TIT-FOR-TAT strategy: start cooperatively at Initial
 // and thereafter play the minimum CW observed across all players in the
 // previous stage.
@@ -44,13 +30,9 @@ type TFT struct {
 }
 
 var _ Strategy = TFT{}
-var _ BoundedHistory = TFT{}
 
 // Name implements Strategy.
 func (t TFT) Name() string { return fmt.Sprintf("tft(W0=%d)", t.Initial) }
-
-// HistoryDepth implements BoundedHistory: TFT reads the last stage only.
-func (TFT) HistoryDepth() int { return 1 }
 
 // ChooseCW implements Strategy.
 func (t TFT) ChooseCW(_ int, observed [][]int, _ []float64) int {
@@ -82,19 +64,9 @@ type GTFT struct {
 }
 
 var _ Strategy = GTFT{}
-var _ BoundedHistory = GTFT{}
 
 // Name implements Strategy.
 func (s GTFT) Name() string { return fmt.Sprintf("gtft(W0=%d,r0=%d,β=%g)", s.Initial, s.R0, s.Beta) }
-
-// HistoryDepth implements BoundedHistory: GTFT averages the last R0
-// stages (at least one).
-func (s GTFT) HistoryDepth() int {
-	if s.R0 < 1 {
-		return 1
-	}
-	return s.R0
-}
 
 // ChooseCW implements Strategy.
 func (s GTFT) ChooseCW(self int, observed [][]int, _ []float64) int {
@@ -111,9 +83,8 @@ func (s GTFT) ChooseCW(self int, observed [][]int, _ []float64) int {
 	}
 	// Size the averages to the widest view inside the averaging window
 	// (views vary under churn/mobility as the neighborhood changes): the
-	// decision then depends only on the last r0 stages, which is what
-	// HistoryDepth promises, and a neighbor that appeared mid-window
-	// cannot index out of range.
+	// decision then depends only on the last r0 stages, and a neighbor
+	// that appeared mid-window cannot index out of range.
 	n := 0
 	for stage := k - r0; stage < k; stage++ {
 		if len(observed[stage]) > n {
@@ -156,10 +127,6 @@ type Constant struct {
 }
 
 var _ Strategy = Constant{}
-var _ BoundedHistory = Constant{}
-
-// HistoryDepth implements BoundedHistory: Constant reads nothing.
-func (Constant) HistoryDepth() int { return 0 }
 
 // Name implements Strategy.
 func (c Constant) Name() string {
@@ -185,14 +152,9 @@ type BestResponse struct {
 }
 
 var _ Strategy = (*BestResponse)(nil)
-var _ BoundedHistory = (*BestResponse)(nil)
 
 // Name implements Strategy.
 func (b *BestResponse) Name() string { return fmt.Sprintf("best-response(W0=%d)", b.Initial) }
-
-// HistoryDepth implements BoundedHistory: the myopic optimizer re-solves
-// against the last stage only.
-func (*BestResponse) HistoryDepth() int { return 1 }
 
 // ChooseCW implements Strategy.
 func (b *BestResponse) ChooseCW(self int, observed [][]int, _ []float64) int {

@@ -166,7 +166,7 @@ func GTFTTradeoff(ctx context.Context, s Settings) (*Report, error) {
 			lag := reactionStage(tr, ne.WStar) - warmup
 			// The Section V.D payoff with the measured lag, for a fairly
 			// patient cheater.
-			res, err := g.ShortSightedBest(ne, 0.9, maxIntHelper(lag, 1))
+			res, err := g.ShortSightedBest(ne, 0.9, max(lag, 1))
 			if err != nil {
 				return nil, err
 			}
@@ -197,13 +197,6 @@ func reactionStage(tr *core.Trace, initial int) int {
 		}
 	}
 	return len(tr.Stages)
-}
-
-func maxIntHelper(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runClosedLoop plays stages where observations are CW *estimates* from

@@ -153,13 +153,6 @@ func Malicious(ctx context.Context, s Settings) (*Report, error) {
 	return rep, nil
 }
 
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // LemmaChecks numerically verifies the orderings of Lemma 1 (heterogeneous
 // profiles) and Lemma 4 (single deviations) over randomized instances,
 // reporting violation counts (expected: zero).
@@ -176,7 +169,7 @@ func LemmaChecks(ctx context.Context, s Settings) (*Report, error) {
 			return nil, err
 		}
 		lemma1Viol, lemma4Viol := 0, 0
-		r := newSeededRand(rng.DeriveSeed(s.Seed, "A4", int(mode)))
+		r := rng.New(rng.DeriveSeed(s.Seed, "A4", int(mode)))
 		for trial := 0; trial < trials; trial++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err

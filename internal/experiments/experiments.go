@@ -47,6 +47,14 @@ func (r *Report) Metric(key string, v float64) {
 	r.Metrics[key] = v
 }
 
+// boolMetric encodes a flag as a metric value: 1 for true, 0 for false.
+func boolMetric(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // MetricsSummary renders the metrics sorted by key. It is safe on a nil
 // report and on a report with no metrics (both render empty), so callers
 // can print it unconditionally after a partial failure.

@@ -95,7 +95,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 		key := fmt.Sprintf("drop%02.0f_", drop*100)
 		rep.Metric(key+"abs_err", float64(absErr))
 		rep.Metric(key+"measurements", float64(r.Measurements))
-		rep.Metric(key+"degraded", b2f(r.Degraded))
+		rep.Metric(key+"degraded", boolMetric(r.Degraded))
 	}
 	text = append(text, tb.Render())
 	rep.Artifacts = append(rep.Artifacts, Artifact{Name: "a9_drop_sweep.csv", Content: csv.String()})
@@ -163,7 +163,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 		"leader crash after 5 measurements (20%% drop): deputy %d announced W=%d (|err|=%d, failover=%v, degraded=%v)",
 		crashRes.Leader, crashRes.W, crashErr, crashRes.FailedOver, crashRes.Degraded))
 	rep.Metric("crash_abs_err", float64(crashErr))
-	rep.Metric("crash_failed_over", b2f(crashRes.FailedOver))
+	rep.Metric("crash_failed_over", boolMetric(crashRes.FailedOver))
 	rep.Metric("crash_deputy", float64(crashRes.Leader))
 
 	// (d) Probe budget exhaustion: best-so-far with the Degraded flag.
@@ -187,7 +187,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	text = append(text, fmt.Sprintf(
 		"probe budget 12: announced best-so-far W=%d after %d measurements (degraded=%v)",
 		budgetRes.W, budgetRes.Measurements, budgetRes.Degraded))
-	rep.Metric("budget_degraded", b2f(budgetRes.Degraded))
+	rep.Metric("budget_degraded", boolMetric(budgetRes.Degraded))
 	rep.Metric("budget_found_w", float64(budgetRes.W))
 
 	// (e) TFT convergence under node churn on a static spatial network.
@@ -276,11 +276,4 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 
 	rep.Text = strings.Join(text, "\n")
 	return rep, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -12,10 +12,6 @@ import (
 	"selfishmac/internal/search"
 )
 
-// newSeededRand is a tiny helper shared by experiments needing ad-hoc
-// randomness decoupled from simulator seeds.
-func newSeededRand(seed uint64) *rng.Source { return rng.New(seed) }
-
 // SearchAlgorithm reproduces Section V.C: the distributed efficient-NE
 // search from several starting points, in three environments (exact
 // payoffs, 20% message loss, simulator-measured payoffs — the latter only
@@ -124,7 +120,7 @@ func TFTConvergence(ctx context.Context, s Settings) (*Report, error) {
 	var text []string
 
 	// (a) Plain TFT from heterogeneous starts.
-	r := newSeededRand(rng.DeriveSeed(s.Seed, "A5.start", 0))
+	r := rng.New(rng.DeriveSeed(s.Seed, "A5.start", 0))
 	initial := make([]core.Strategy, 6)
 	minW := int(^uint(0) >> 1)
 	for i := range initial {

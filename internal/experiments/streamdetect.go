@@ -59,8 +59,8 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	malW := maxIntHelper(1, ne.WStar/8)
-	slyW := maxIntHelper(1, int(0.8*float64(ne.WStar)))
+	malW := max(1, ne.WStar/8)
+	slyW := max(1, int(0.8*float64(ne.WStar)))
 	mixes := []streamMix{
 		{"honest", "all honest", nil, nil},
 		{"malicious", fmt.Sprintf("1 malicious (W=%d)", malW), []int{0}, []int{malW}},
@@ -112,7 +112,6 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 			monCfg := stream.Config{
 				Nodes:       n,
 				WindowSlots: streamDetectWindow,
-				Keep:        4,
 				MaxStage:    p.MaxBackoffStage,
 				ExpectedCW:  ne.WStar,
 				Beta:        beta,

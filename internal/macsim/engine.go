@@ -1,7 +1,6 @@
 package macsim
 
 import (
-	"fmt"
 	"math"
 
 	"selfishmac/internal/backoff"
@@ -60,7 +59,7 @@ type Engine struct {
 // them.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("macsim: invalid config: %w", err)
+		return nil, err
 	}
 	n := len(cfg.CW)
 	e := &Engine{

@@ -28,6 +28,7 @@ package macsim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
@@ -81,7 +82,15 @@ type Config struct {
 	Observer Observer
 }
 
-// Validate checks the configuration.
+// ErrInvalidConfig is wrapped by every error a Config fails validation
+// with, so callers can tell a rejected configuration from a failed run
+// with errors.Is.
+var ErrInvalidConfig = errors.New("macsim: invalid config")
+
+// Validate checks the configuration. Every float must be finite: NaN
+// slips through ordered comparisons, and an infinite duration never ends
+// the run. Each check is written so that NaN fails it, and the
+// math.MaxFloat64 bound rejects +Inf.
 func (c Config) Validate() error {
 	var errs []error
 	if len(c.CW) == 0 {
@@ -92,17 +101,20 @@ func (c Config) Validate() error {
 			errs = append(errs, fmt.Errorf("node %d CW %d < 1", i, w))
 		}
 	}
-	if c.Duration <= 0 {
-		errs = append(errs, fmt.Errorf("duration %g must be positive", c.Duration))
+	if !(c.Duration > 0 && c.Duration <= math.MaxFloat64) {
+		errs = append(errs, fmt.Errorf("duration %g must be positive and finite", c.Duration))
 	}
 	if c.MaxStage < 0 || c.MaxStage > 16 {
 		errs = append(errs, fmt.Errorf("max backoff stage %d outside [0, 16]", c.MaxStage))
 	}
-	if c.Timing.Slot <= 0 || c.Timing.Ts <= 0 || c.Timing.Tc <= 0 {
-		errs = append(errs, fmt.Errorf("non-positive timing %+v", c.Timing))
+	for _, v := range []float64{c.Timing.Slot, c.Timing.Ts, c.Timing.Tc} {
+		if !(v > 0 && v <= math.MaxFloat64) {
+			errs = append(errs, fmt.Errorf("timing %+v needs positive, finite Slot, Ts and Tc", c.Timing))
+			break
+		}
 	}
-	if c.Gain < 0 || c.Cost < 0 {
-		errs = append(errs, errors.New("gain and cost must be non-negative"))
+	if !(c.Gain >= 0 && c.Gain <= math.MaxFloat64) || !(c.Cost >= 0 && c.Cost <= math.MaxFloat64) {
+		errs = append(errs, fmt.Errorf("gain %g and cost %g must be non-negative and finite", c.Gain, c.Cost))
 	}
 	if c.PerNodeTs != nil && len(c.PerNodeTs) != len(c.CW) {
 		errs = append(errs, fmt.Errorf("PerNodeTs has %d entries for %d nodes", len(c.PerNodeTs), len(c.CW)))
@@ -111,16 +123,19 @@ func (c Config) Validate() error {
 		errs = append(errs, fmt.Errorf("PerNodeTc has %d entries for %d nodes", len(c.PerNodeTc), len(c.CW)))
 	}
 	for i, d := range c.PerNodeTs {
-		if d <= 0 {
-			errs = append(errs, fmt.Errorf("PerNodeTs[%d] = %g must be positive", i, d))
+		if !(d > 0 && d <= math.MaxFloat64) {
+			errs = append(errs, fmt.Errorf("PerNodeTs[%d] = %g must be positive and finite", i, d))
 		}
 	}
 	for i, d := range c.PerNodeTc {
-		if d <= 0 {
-			errs = append(errs, fmt.Errorf("PerNodeTc[%d] = %g must be positive", i, d))
+		if !(d > 0 && d <= math.MaxFloat64) {
+			errs = append(errs, fmt.Errorf("PerNodeTc[%d] = %g must be positive and finite", i, d))
 		}
 	}
-	return errors.Join(errs...)
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
 }
 
 // tsOf returns the success hold for transmitter i.
@@ -218,7 +233,7 @@ func Run(cfg Config) (*Result, error) {
 // results, and cmd/bench measures the speedup against it.
 func RunReference(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("macsim: invalid config: %w", err)
+		return nil, err
 	}
 	src := rng.New(cfg.Seed)
 	n := len(cfg.CW)

@@ -1,6 +1,7 @@
 package macsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -43,16 +44,30 @@ func TestValidate(t *testing.T) {
 		{"bad stage", func(c *Config) { c.MaxStage = -1 }},
 		{"bad timing", func(c *Config) { c.Timing.Slot = 0 }},
 		{"negative cost", func(c *Config) { c.Cost = -1 }},
+		{"NaN duration", func(c *Config) { c.Duration = math.NaN() }},
+		{"+Inf duration", func(c *Config) { c.Duration = math.Inf(1) }},
+		{"NaN slot", func(c *Config) { c.Timing.Slot = math.NaN() }},
+		{"+Inf Ts", func(c *Config) { c.Timing.Ts = math.Inf(1) }},
+		{"+Inf Tc", func(c *Config) { c.Timing.Tc = math.Inf(1) }},
+		{"NaN gain", func(c *Config) { c.Gain = math.NaN() }},
+		{"+Inf gain", func(c *Config) { c.Gain = math.Inf(1) }},
+		{"-Inf cost", func(c *Config) { c.Cost = math.Inf(-1) }},
+		{"NaN cost", func(c *Config) { c.Cost = math.NaN() }},
+		{"NaN PerNodeTs", func(c *Config) { c.PerNodeTs = []float64{c.Timing.Ts, math.NaN()} }},
+		{"+Inf PerNodeTc", func(c *Config) { c.PerNodeTc = []float64{math.Inf(1), c.Timing.Tc} }},
 	}
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
 			c := defaultConfig(t, []int{32, 32})
 			tc.mut(&c)
-			if err := c.Validate(); err == nil {
-				t.Fatalf("Validate accepted %s", tc.name)
+			if err := c.Validate(); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("Validate on %s: got %v, want an error wrapping ErrInvalidConfig", tc.name, err)
 			}
-			if _, err := Run(c); err == nil {
-				t.Fatalf("Run accepted %s", tc.name)
+			if _, err := Run(c); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("Run on %s: got %v, want an error wrapping ErrInvalidConfig", tc.name, err)
+			}
+			if _, err := NewEngine(c); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("NewEngine on %s: got %v, want an error wrapping ErrInvalidConfig", tc.name, err)
 			}
 		})
 	}

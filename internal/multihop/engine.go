@@ -115,10 +115,10 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		churn = newChurnState(*e.churn, n)
 	}
 	trace := &Trace{ConvergedAt: -1}
-	// The observation history is windowed to the strategies' declared
-	// depth when possible (see history.go), so long runs hold a constant
-	// number of stage views instead of all of them.
-	hist := newObsHistory(n, e.strategies)
+	// observedBy[i] is node i's history of local views, utilitiesOf[i]
+	// its realized payoff rates, one entry per stage.
+	observedBy := make([][][]int, n)
+	utilitiesOf := make([][]float64, n)
 
 	// With churn, each stage plays on the masked view, which filters
 	// into its own reusable buffers (skipping the refill when the mask is
@@ -141,7 +141,7 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		}
 		profile := make([]int, n)
 		for i, s := range e.strategies {
-			w := s.ChooseCW(0, hist.observed(i), hist.utilities(i))
+			w := s.ChooseCW(0, observedBy[i], utilitiesOf[i])
 			if w < 1 {
 				w = 1
 			}
@@ -151,7 +151,7 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		// from, before a mobile stage's Simulate moves it. A departed
 		// node observes only itself; its neighbors do not see it either
 		// (the masked rows cut it out).
-		hist.record(nw.Rows(), profile)
+		appendLocalViews(observedBy, nw.Rows(), profile)
 
 		sim := e.sim
 		sim.CW = profile
@@ -178,7 +178,9 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			HiddenFraction: res.HiddenFraction,
 			Active:         active,
 		})
-		hist.recordRates(rates)
+		for i, r := range rates {
+			utilitiesOf[i] = append(utilitiesOf[i], r)
+		}
 
 		if cw, ok := uniformProfile(profile, active); ok {
 			if uniformRun > 0 && cw == lastUniform {
@@ -199,6 +201,26 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		trace.ConvergedCW = lastUniform
 	}
 	return trace, nil
+}
+
+// appendLocalViews appends one stage's observations: node i's local view
+// is [own CW, neighbor CWs...] under adjacency rows. The views are carved
+// from one slab per stage and copy what they need, so rows may change
+// afterwards.
+func appendLocalViews(observedBy [][][]int, rows [][]int, profile []int) {
+	need := 0
+	for i := range rows {
+		need += 1 + len(rows[i])
+	}
+	slab := make([]int, 0, need)
+	for i := range rows {
+		start := len(slab)
+		slab = append(slab, profile[i])
+		for _, j := range rows[i] {
+			slab = append(slab, profile[j])
+		}
+		observedBy[i] = append(observedBy[i], slab[start:len(slab):len(slab)])
+	}
 }
 
 // uniformProfile reports whether the profile is uniform — over the active

@@ -139,7 +139,8 @@ func LocalUniformUtility(model *bianchi.Model, nPlayers, w int, phn, gain, cost 
 // measurement.
 type QuasiOptConfig struct {
 	// Sim carries the channel and payoff parameters. Sim.CW is ignored
-	// (profiles are constructed by the measurement).
+	// (profiles are constructed by the measurement). The measurement runs
+	// on a static snapshot: Sim.MobilityEvery must be zero.
 	Sim SimConfig
 	// Wm is the converged CW under test.
 	Wm int
@@ -161,13 +162,10 @@ type QuasiOptConfig struct {
 	// MaxReplicas). Zero disables adaptive stopping.
 	RelCITarget float64
 	// Workers bounds the goroutines fanned out over a point's replicated
-	// simulator runs. 0 or negative means GOMAXPROCS; 1 forces the
-	// serial path. Results are bit-identical at every worker count — the
+	// simulator runs. 0 or negative means GOMAXPROCS; 1 runs them
+	// serially. Results are bit-identical at every worker count — the
 	// replication layer (internal/replicate) schedules deterministic
-	// rounds and merges moments in index order. Runs are only
-	// parallelized (and only adaptively replicated) on a static topology
-	// snapshot (Sim.MobilityEvery == 0): a mobile run mutates the shared
-	// network, so mobile measurements stay serial and fixed-R.
+	// rounds and merges moments in index order.
 	Workers int
 }
 
@@ -205,7 +203,9 @@ type QuasiOptResult struct {
 // given network: it simulates every uniform CW in the sweep (the converged
 // value Wm plus the configured multiples) and reports, per node and
 // globally, how little any other common operating point improves on Wm.
-// All runs share the configured seed, so comparisons are paired.
+// All runs share the configured seed, so comparisons are paired. The
+// network is a static snapshot: a config with Sim.MobilityEvery > 0 is
+// rejected with an error wrapping ErrInvalidSimConfig.
 func MeasureQuasiOptimality(nw *topology.Network, cfg QuasiOptConfig) (*QuasiOptResult, error) {
 	return MeasureQuasiOptimalityContext(context.Background(), nw, cfg)
 }
@@ -220,6 +220,9 @@ func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cf
 	}
 	if len(cfg.SweepMultipliers) == 0 {
 		return nil, errors.New("multihop: empty sweep")
+	}
+	if cfg.Sim.MobilityEvery > 0 {
+		return nil, fmt.Errorf("%w: quasi-optimality runs on a static snapshot, got MobilityEvery %g", ErrInvalidSimConfig, cfg.Sim.MobilityEvery)
 	}
 	n := nw.N()
 	candidates := sweepCWs(cfg.Wm, cfg.SweepMultipliers)
@@ -239,15 +242,11 @@ func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cf
 	if maxReplicas < replicas {
 		maxReplicas = replicas
 	}
-	mobile := cfg.Sim.MobilityEvery > 0
 
 	// Each candidate CW is one replicated measurement. Replication index
 	// — not the candidate — drives the derived seed, so candidates are
-	// compared on paired seeds, like the previous serial double loop.
-	// On a static snapshot the replication layer fans the runs over
-	// reusable Simulators and can stop adaptively; a mobile network is
-	// mutated by every run, so it gets the serial fixed-R schedule in
-	// the same (candidate, replica) order as before.
+	// compared on paired seeds. The replication layer fans the runs over
+	// reusable Simulators and can stop adaptively.
 	atWm := make([]float64, n)
 	best := make([]float64, n)
 	mean := make([]float64, n)
@@ -265,35 +264,15 @@ func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cf
 			MaxReps:      maxReplicas,
 			Workers:      cfg.Workers,
 		}
-		var rres *replicate.Result
-		var err error
-		if mobile {
-			plan.Workers = 1
-			plan.MaxReps = replicas
-			plan.RelTolerance = 0
+		rres, err := replicate.RunContext(ctx, plan, func() (replicate.Replicator, error) {
 			sim := cfg.Sim
 			sim.CW = uniformCWProfile(w, n)
-			rres, err = replicate.RunFuncContext(ctx, plan, func(seed uint64, out []float64) error {
-				s := sim
-				s.Seed = seed
-				r, err := Simulate(nw, s)
-				if err != nil {
-					return err
-				}
-				fillQuasiOptMetrics(r, out)
-				return nil
-			})
-		} else {
-			rres, err = replicate.RunContext(ctx, plan, func() (replicate.Replicator, error) {
-				sim := cfg.Sim
-				sim.CW = uniformCWProfile(w, n)
-				s, err := NewSimulator(nw, sim)
-				if err != nil {
-					return nil, err
-				}
-				return quasiOptReplicator{s}, nil
-			})
-		}
+			s, err := NewSimulator(nw, sim)
+			if err != nil {
+				return nil, err
+			}
+			return quasiOptReplicator{s}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -344,17 +323,13 @@ func (q quasiOptReplicator) Replicate(seed uint64, out []float64) error {
 	if err != nil {
 		return err
 	}
-	fillQuasiOptMetrics(r, out)
-	return nil
-}
-
-func fillQuasiOptMetrics(r *SimResult, out []float64) {
 	var gp float64
 	for i := range r.Nodes {
 		out[i] = r.Nodes[i].PayoffRate
 		gp += r.Nodes[i].PayoffRate
 	}
 	out[len(r.Nodes)] = gp
+	return nil
 }
 
 // sweepCWs maps multipliers to distinct integer CW values >= 1, sorted,
@@ -396,7 +371,8 @@ func summarizeRatios(rs []float64) (minR, meanR float64) {
 // independent of CW when n is large and CW not too small). It returns one
 // HiddenFraction per candidate CW. The sweep points are independent
 // simulator runs fanned out over at most `workers` goroutines (0 means
-// GOMAXPROCS); runs stay serial when mobility would mutate the topology.
+// GOMAXPROCS). The network is a static snapshot: a sim with
+// MobilityEvery > 0 is rejected with an error wrapping ErrInvalidSimConfig.
 func PHNSweep(nw *topology.Network, sim SimConfig, cws []int, workers int) ([]float64, error) {
 	return PHNSweepContext(context.Background(), nw, sim, cws, workers)
 }
@@ -412,10 +388,10 @@ func PHNSweepContext(ctx context.Context, nw *topology.Network, sim SimConfig, c
 			return nil, fmt.Errorf("multihop: CW %d < 1", w)
 		}
 	}
-	out := make([]float64, len(cws))
 	if sim.MobilityEvery > 0 {
-		workers = 1 // every run mutates the shared network
+		return nil, fmt.Errorf("%w: p_hn sweep runs on a static snapshot, got MobilityEvery %g", ErrInvalidSimConfig, sim.MobilityEvery)
 	}
+	out := make([]float64, len(cws))
 	err := parallel.ForEach(ctx, len(cws), workers, func(_, k int) error {
 		s := sim
 		s.CW = uniformCWProfile(cws[k], nw.N())

@@ -543,6 +543,10 @@ func TestQuasiOptimalitySmall(t *testing.T) {
 	if len(res.SweptCWs) < 5 {
 		t.Errorf("sweep evaluated only %v", res.SweptCWs)
 	}
+	cfg.Sim.MobilityEvery = 1e5
+	if _, err := MeasureQuasiOptimality(nw, cfg); !errors.Is(err, ErrInvalidSimConfig) {
+		t.Errorf("mobile quasi-optimality: got %v, want an error wrapping ErrInvalidSimConfig", err)
+	}
 }
 
 func TestPHNSweep(t *testing.T) {
@@ -565,6 +569,10 @@ func TestPHNSweep(t *testing.T) {
 	}
 	if _, err := PHNSweep(nw, sim, []int{0}, 0); err == nil {
 		t.Error("CW 0 accepted")
+	}
+	sim.MobilityEvery = 1e5
+	if _, err := PHNSweep(nw, sim, []int{16}, 0); !errors.Is(err, ErrInvalidSimConfig) {
+		t.Errorf("mobile p_hn sweep: got %v, want an error wrapping ErrInvalidSimConfig", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // ErrLeaderCrashed is the sentinel an Env returns (possibly wrapped) from
@@ -43,10 +42,9 @@ const (
 )
 
 // prober wraps an Env with the resilience machinery shared by
-// ResilientRun and ResilientAcceleratedSearch: per-sample retry with
-// bounded exponential backoff, median-of-k outlier rejection, Ready
-// re-broadcast on missing acknowledgement, leader failover, and a global
-// probe budget.
+// ResilientRun and ResilientAcceleratedSearch: per-sample retry,
+// median-of-k outlier rejection, Ready re-broadcast on missing
+// acknowledgement, leader failover, and a global probe budget.
 type prober struct {
 	env    Env
 	o      Options
@@ -66,9 +64,6 @@ func newProber(env Env, leader int, o Options) *prober {
 	if o.ReadyRepeats == 0 {
 		o.ReadyRepeats = 2
 	}
-	if o.BackoffBase > 0 && o.BackoffMax == 0 {
-		o.BackoffMax = 16 * o.BackoffBase
-	}
 	return &prober{env: env, o: o, res: &Result{Leader: leader}, leader: leader}
 }
 
@@ -86,9 +81,8 @@ func (p *prober) broadcast(t MsgType, w int) {
 	}
 }
 
-// sample performs one raw measurement with retry/backoff and failover.
+// sample performs one raw measurement with retry and failover.
 func (p *prober) sample(w int) (float64, probeStatus) {
-	backoff := p.o.BackoffBase
 	for attempt := 0; ; attempt++ {
 		if p.o.ProbeBudget > 0 && p.used >= p.o.ProbeBudget {
 			return 0, probeBudget
@@ -109,12 +103,6 @@ func (p *prober) sample(w int) (float64, probeStatus) {
 			return 0, probeFailed
 		}
 		p.res.Retries++
-		if backoff > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > p.o.BackoffMax {
-				backoff = p.o.BackoffMax
-			}
-		}
 	}
 }
 
@@ -184,8 +172,8 @@ sampling:
 }
 
 // ResilientRun executes the Section V.C unit-step walk hardened for
-// deployment conditions: transient measurement errors are retried with
-// bounded exponential backoff, each operating point is measured
+// deployment conditions: transient measurement errors are retried up to
+// Options.Retries times, each operating point is measured
 // median-of-k to reject payoff outliers, missed Ready acknowledgements
 // trigger re-broadcasts, a crashed leader is replaced by a deputy that
 // finishes the search, and an exhausted probe budget ends the walk with
@@ -377,7 +365,7 @@ func ResilientAcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, 
 	}
 
 	// Refinement: shrink the step around wm.
-	for step := maxInt(wm/4, 1); step >= 1; step /= 2 {
+	for step := max(wm/4, 1); step >= 1; step /= 2 {
 		for {
 			improved := false
 			for _, dir := range []int{1, -1} {

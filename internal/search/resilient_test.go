@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"selfishmac/internal/phy"
 )
@@ -19,9 +18,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative MinImprove", Options{MinImprove: -0.1}},
 		{"NaN MinImprove", Options{MinImprove: math.NaN()}},
 		{"negative Retries", Options{Retries: -1}},
-		{"negative BackoffBase", Options{BackoffBase: -time.Second}},
-		{"negative BackoffMax", Options{BackoffMax: -time.Second}},
-		{"BackoffMax below BackoffBase", Options{BackoffBase: time.Second, BackoffMax: time.Millisecond}},
 		{"negative MeasureK", Options{MeasureK: -3}},
 		{"negative ProbeBudget", Options{ProbeBudget: -1}},
 		{"negative ReadyRepeats", Options{ReadyRepeats: -2}},

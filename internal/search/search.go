@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // MsgType enumerates the protocol's broadcast messages.
@@ -119,14 +118,6 @@ type Options struct {
 	// Retries is how many times a failed payoff measurement is retried
 	// before the sample is given up. Zero defaults to 2.
 	Retries int
-	// BackoffBase is the delay before the first retry; it doubles per
-	// attempt up to BackoffMax (bounded exponential backoff). Zero means
-	// no sleeping — simulated environments fail deterministically, so
-	// tests stay instant; deployments set a real base.
-	BackoffBase time.Duration
-	// BackoffMax caps the retry delay. Zero with a positive BackoffBase
-	// defaults to 16x the base.
-	BackoffMax time.Duration
 	// MeasureK measures each operating point this many times and keeps
 	// the median, rejecting outlier measurements. Zero defaults to 1
 	// (a single sample, the paper's behavior).
@@ -153,15 +144,6 @@ func (o Options) Validate() error {
 	}
 	if o.Retries < 0 {
 		return fmt.Errorf("search: negative Retries %d", o.Retries)
-	}
-	if o.BackoffBase < 0 {
-		return fmt.Errorf("search: negative BackoffBase %v", o.BackoffBase)
-	}
-	if o.BackoffMax < 0 {
-		return fmt.Errorf("search: negative BackoffMax %v", o.BackoffMax)
-	}
-	if o.BackoffMax > 0 && o.BackoffMax < o.BackoffBase {
-		return fmt.Errorf("search: BackoffMax %v below BackoffBase %v", o.BackoffMax, o.BackoffBase)
 	}
 	if o.MeasureK < 0 {
 		return fmt.Errorf("search: negative MeasureK %d", o.MeasureK)
@@ -316,7 +298,7 @@ func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
 	}
 
 	// Refinement: shrink the step around wm.
-	for step := maxInt(wm/4, 1); step >= 1; step /= 2 {
+	for step := max(wm/4, 1); step >= 1; step /= 2 {
 		for {
 			improved := false
 			for _, dir := range []int{1, -1} {
@@ -345,13 +327,6 @@ func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
 	env.Broadcast(Message{Type: Announce, From: leader, W: wm})
 	res.W = wm
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ErrNoEnv is returned by constructors given a nil dependency.

@@ -589,7 +589,6 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 	mon, err := stream.NewMonitor(stream.Config{
 		Nodes:       p.Nodes,
 		WindowSlots: p.WindowSlots,
-		Keep:        4,
 		MaxStage:    phy.Default().MaxBackoffStage,
 		ExpectedCW:  p.ExpectedCW,
 		Beta:        p.Beta,

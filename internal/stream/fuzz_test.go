@@ -3,16 +3,15 @@ package stream
 import (
 	"errors"
 	"testing"
-
-	"selfishmac/internal/detect"
 )
 
 // FuzzMonitor drives the windowed estimator through arbitrary event
 // scripts — window roll-over, huge idle jumps, non-monotone slots,
 // stage advances, repeated finishes — and asserts the structural
-// invariants: no panics, monotone clocks, windows never holding more
-// attempts than slots, and every error surfaced by the accessors
-// classifiable with errors.Is against the detect/stream sentinels.
+// invariants: no panics, monotone clocks, and every window estimate
+// well formed — at most WindowSlots attempts, 0 < Tau < 1, Ŵ >= 1. Beta 1
+// with an ExpectedCW above any estimate makes every estimate a flag, so
+// OnFlag sees them all.
 //
 // The script is consumed 3 bytes per op: [opcode, a, b].
 //
@@ -20,16 +19,31 @@ import (
 //	opcode % 4 == 2:    OnEvent with a *rewound* slot (non-monotone input)
 //	opcode % 4 == 3:    Advance(a*256+b) (stage boundary)
 func FuzzMonitor(f *testing.F) {
-	f.Add(int64(10), 2, 0.3, []byte{0, 3, 7, 1, 1, 200, 3, 0, 50, 2, 7, 7})
-	f.Add(int64(1), 1, 0.0, []byte{0, 255, 255, 0, 0, 0})
-	f.Add(int64(1<<40), 4, 1.0, []byte{1, 9, 9, 3, 255, 255, 0, 1, 1})
-	f.Add(int64(7), 3, 0.5, []byte{})
+	f.Add(int64(10), []byte{0, 3, 7, 1, 1, 200, 3, 0, 50, 2, 7, 7})
+	f.Add(int64(1), []byte{0, 255, 255, 0, 0, 0})
+	f.Add(int64(1<<40), []byte{1, 9, 9, 3, 255, 255, 0, 1, 1})
+	f.Add(int64(7), []byte{})
 
-	f.Fuzz(func(t *testing.T, windowSlots int64, keep int, alpha float64, script []byte) {
+	f.Fuzz(func(t *testing.T, windowSlots int64, script []byte) {
 		const nodes = 5
+		var flags int64
 		cfg := Config{
-			Nodes: nodes, WindowSlots: windowSlots, Keep: keep,
-			MaxStage: 6, ExpectedCW: 64, Beta: 0.6, Alpha: alpha,
+			Nodes: nodes, WindowSlots: windowSlots,
+			MaxStage: 6, ExpectedCW: 1 << 30, Beta: 1,
+			OnFlag: func(e FlagEvent) {
+				flags++
+				// The clamp keeps attempts <= WindowSlots even under
+				// non-monotone input.
+				if e.Attempts < 1 || e.Attempts > windowSlots {
+					t.Fatalf("window %d holds %d attempts for node %d in %d slots", e.Window, e.Attempts, e.Node, windowSlots)
+				}
+				if !(e.Tau > 0 && e.Tau < 1) {
+					t.Fatalf("window %d node %d: estimated from tau %g", e.Window, e.Node, e.Tau)
+				}
+				if !(e.EstCW >= 1) {
+					t.Fatalf("window %d node %d: estimate %g < 1", e.Window, e.Node, e.EstCW)
+				}
+			},
 		}
 		mon, err := NewMonitor(cfg)
 		if err != nil {
@@ -72,45 +86,12 @@ func FuzzMonitor(f *testing.F) {
 		}
 		mon.Finish(slot)
 
-		// Every retained window respects attempts <= WindowSlots even
-		// under non-monotone input (the clamp guarantees it).
-		buf := make([]int64, nodes)
-		for age := 0; age < keep; age++ {
-			if _, ok := mon.RecentCounts(age, buf); !ok {
-				break
-			}
-			for i, c := range buf {
-				if c < 0 || c > windowSlots {
-					t.Fatalf("retained window holds %d attempts for node %d in %d slots", c, i, windowSlots)
-				}
-			}
+		if mon.Flags() != flags {
+			t.Fatalf("Flags() = %d, OnFlag saw %d", mon.Flags(), flags)
 		}
-
-		// Cumulative observations are structurally valid, and their only
-		// admissible Tau failure is the zero-slot sentinel (empty run).
-		for _, o := range mon.CumulativeObservations(nil) {
-			if _, err := o.Tau(); err != nil {
-				if !errors.Is(err, detect.ErrNoSlots) && !errors.Is(err, detect.ErrAttemptsExceedSlots) {
-					t.Fatalf("cumulative Tau error %v is not a detect sentinel", err)
-				}
-				if errors.Is(err, detect.ErrAttemptsExceedSlots) {
-					t.Fatalf("monitor produced attempts > slots: %+v", o)
-				}
-			}
-		}
-
-		// EWMA accessors either produce a positive finite estimate or a
-		// classifiable sentinel.
 		for i := 0; i < nodes; i++ {
-			cw, err := mon.EWMACW(i)
-			switch {
-			case err == nil:
-				if !(cw >= 1) {
-					t.Fatalf("node %d EWMA CW %g < 1", i, cw)
-				}
-			case errors.Is(err, detect.ErrNoSlots), errors.Is(err, detect.ErrDegenerateTau):
-			default:
-				t.Fatalf("node %d EWMA error %v is not a detect sentinel", i, err)
+			if n := int64(mon.EstimateSummary(i).N); n > mon.Windows() || n != mon.NodeFlags(i) {
+				t.Fatalf("node %d: %d estimates, %d flags, %d windows", i, n, mon.NodeFlags(i), mon.Windows())
 			}
 		}
 

@@ -1,10 +1,10 @@
 // Package stream is the online misbehavior-detection layer between the
 // simulator engines and the serving surface: a Monitor consumes the
 // per-virtual-slot (slot, transmitters) events both engines emit through
-// their Observer hooks, maintains windowed per-peer attempt counts (a
-// ring of fixed windows plus an exponentially-weighted variant), inverts
-// eq. (2)/(3) per completed window with incremental Welford state, and
-// emits flag events with first-detection-latency accounting.
+// their Observer hooks, maintains per-peer attempt counts over fixed
+// windows, inverts eq. (2)/(3) per completed window with incremental
+// Welford state, and emits flag events with first-detection-latency
+// accounting.
 //
 // Relationship to internal/detect: detect is the batch estimator over a
 // finished trace; this package is the same mathematics folded over the
@@ -12,9 +12,11 @@
 // same detect entry points (Observation-style tau division,
 // detect.CollisionProb, detect.EstimateCW), so a streamed window's Ŵ is
 // bit-identical to running the batch estimator on that window's recorded
-// counts — the differential tests pin this. Degenerate windows surface
-// the same errors.Is-able sentinels (detect.ErrDegenerateTau and
-// friends) instead of estimates.
+// counts — the differential tests pin this. A node whose windowed tau is
+// degenerate (no attempts, or an attempt in every slot) gets no estimate
+// for that window and cannot be flagged in it; such windows are counted,
+// not delivered: Windows() minus EstimateSummary(i).N is node i's count
+// of completed windows without an estimate.
 //
 // Determinism and allocation contract: a Monitor attached as an engine
 // Observer performs no PRNG draws and never mutates simulation state, so
@@ -27,8 +29,8 @@
 // WindowSlots virtual slots aligned to the run-wide slot clock —
 // window k covers [k·W, (k+1)·W). A window closes when the first event
 // at or past its end arrives (or at Finish/Advance); fully idle windows
-// are counted but produce no estimates, no EWMA update and no flags — an
-// all-idle window carries no attempt information. The detection-latency
+// are counted but produce no estimates and no flags — an all-idle window
+// carries no attempt information. The detection-latency
 // metric is FirstFlagSlot: the absolute end slot of the first window
 // whose estimate undercut Beta·ExpectedCW, i.e. the number of virtual
 // slots the observer needed before flagging (-1 when never flagged).
@@ -37,7 +39,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"selfishmac/internal/detect"
 	"selfishmac/internal/stats"
@@ -46,11 +47,6 @@ import (
 // ErrInvalidConfig marks a Config rejected by Validate; inspect the
 // wrapped detail with errors.Is/As.
 var ErrInvalidConfig = errors.New("stream: invalid config")
-
-// MaxKeep bounds Config.Keep: the ring is resident memory
-// (Keep·Nodes counters), and a serving daemon must not let one job pin
-// an unbounded slab.
-const MaxKeep = 1 << 16
 
 // FlagEvent is one misbehavior flag: node's windowed estimate undercut
 // Beta·ExpectedCW at the close of a window.
@@ -71,29 +67,10 @@ type FlagEvent struct {
 	P   float64
 	// EstCW is the windowed eq.-(2) estimate Ŵ that triggered the flag.
 	EstCW float64
-	// EWMACW is the exponentially-weighted estimate at this window
-	// (0 when the EWMA is disabled or degenerate).
-	EWMACW float64
 	// ExpectedCW and Margin restate the trigger: Margin = EstCW/ExpectedCW
 	// < Beta.
 	ExpectedCW float64
 	Margin     float64
-}
-
-// WindowEstimate is one node's estimation outcome for one completed
-// non-idle window, delivered to Config.OnEstimate. Err is non-nil — one
-// of the detect sentinels, unwrapped so delivery stays allocation-free —
-// when the node's windowed tau was degenerate (no attempts, or an
-// attempt in every slot).
-type WindowEstimate struct {
-	Node     int
-	Window   int64
-	EndSlot  int64
-	Attempts int64
-	Tau      float64
-	P        float64
-	CW       float64
-	Err      error
 }
 
 // Config parameterises a Monitor.
@@ -103,26 +80,16 @@ type Config struct {
 	Nodes int
 	// WindowSlots is the estimation window width in virtual slots.
 	WindowSlots int64
-	// Keep is the number of completed windows retained in the ring
-	// (attempt counts, for RecentCounts). Minimum 1.
-	Keep int
 	// MaxStage is the backoff cap m used by the eq.-(2) inversion.
 	MaxStage int
 	// ExpectedCW is the CW conforming nodes should operate on.
 	ExpectedCW int
 	// Beta is the GTFT tolerance in (0, 1]: flag when Ŵ < Beta·ExpectedCW.
 	Beta float64
-	// Alpha, when positive (and <= 1), enables the exponentially-weighted
-	// tau tracker: after each non-idle window, ewma = Alpha·tau +
-	// (1−Alpha)·ewma (seeded with the first non-idle window's taus).
-	Alpha float64
 	// OnFlag, when non-nil, receives every flag event as it happens.
 	// Called synchronously from the engine hot loop: implementations
 	// must not allocate if the 0-alloc contract is to hold.
 	OnFlag func(FlagEvent)
-	// OnEstimate, when non-nil, receives every per-node window estimate
-	// (including degenerate ones, with Err set). Same hot-loop caveat.
-	OnEstimate func(WindowEstimate)
 }
 
 // Validate checks the configuration.
@@ -134,9 +101,6 @@ func (c Config) Validate() error {
 	if c.WindowSlots < 1 {
 		errs = append(errs, fmt.Errorf("window of %d slots < 1", c.WindowSlots))
 	}
-	if c.Keep < 1 || c.Keep > MaxKeep {
-		errs = append(errs, fmt.Errorf("keep %d outside [1, %d]", c.Keep, MaxKeep))
-	}
 	if c.MaxStage < 0 || c.MaxStage > 16 {
 		errs = append(errs, fmt.Errorf("max backoff stage %d outside [0, 16]", c.MaxStage))
 	}
@@ -145,9 +109,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.Beta > 0 && c.Beta <= 1) { // rejects NaN too
 		errs = append(errs, fmt.Errorf("beta %g outside (0, 1]", c.Beta))
-	}
-	if !(c.Alpha >= 0 && c.Alpha <= 1) { // rejects NaN too
-		errs = append(errs, fmt.Errorf("alpha %g outside [0, 1]", c.Alpha))
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
@@ -171,14 +132,7 @@ type Monitor struct {
 	dirty    bool  // any attempt recorded in the open window
 
 	cur  []int64 // per-node attempts in the open window
-	cum  []int64 // per-node attempts over the whole run
 	taus []float64
-
-	ringData []int64 // Keep rows of per-node window counts
-	ringWin  []int64 // window index stored in each row (-1 empty)
-
-	ewmaTau  []float64
-	ewmaSeed bool
 
 	est       []stats.Welford // per-node moments over windowed Ŵ
 	firstFlag []int64         // absolute end slot of first flag (-1 never)
@@ -197,11 +151,7 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 		cfg:       cfg,
 		threshold: cfg.Beta * float64(cfg.ExpectedCW),
 		cur:       make([]int64, n),
-		cum:       make([]int64, n),
 		taus:      make([]float64, n),
-		ringData:  make([]int64, cfg.Keep*n),
-		ringWin:   make([]int64, cfg.Keep),
-		ewmaTau:   make([]float64, n),
 		est:       make([]stats.Welford, n),
 		firstFlag: make([]int64, n),
 		nodeFlags: make([]int64, n),
@@ -214,22 +164,14 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 // fresh run. It allocates nothing.
 func (m *Monitor) Reset() {
 	m.base, m.slots, m.winStart, m.windows = 0, 0, 0, 0
-	m.dirty, m.ewmaSeed = false, false
+	m.dirty = false
 	m.flags = 0
 	for i := range m.cur {
 		m.cur[i] = 0
-		m.cum[i] = 0
 		m.taus[i] = 0
-		m.ewmaTau[i] = 0
 		m.est[i] = stats.Welford{}
 		m.firstFlag[i] = -1
 		m.nodeFlags[i] = 0
-	}
-	for i := range m.ringData {
-		m.ringData[i] = 0
-	}
-	for i := range m.ringWin {
-		m.ringWin[i] = -1
 	}
 }
 
@@ -255,7 +197,6 @@ func (m *Monitor) OnEvent(slot int64, transmitters []int) {
 	for _, i := range transmitters {
 		if uint(i) < uint(len(m.cur)) {
 			m.cur[i]++
-			m.cum[i]++
 		}
 	}
 	m.slots = abs + 1
@@ -309,36 +250,13 @@ func (m *Monitor) closeWindow() {
 		for i, c := range m.cur {
 			m.taus[i] = float64(c) / float64(w)
 		}
-		if m.cfg.Alpha > 0 {
-			if !m.ewmaSeed {
-				copy(m.ewmaTau, m.taus)
-				m.ewmaSeed = true
-			} else {
-				a := m.cfg.Alpha
-				for i, tau := range m.taus {
-					m.ewmaTau[i] = a*tau + (1-a)*m.ewmaTau[i]
-				}
-			}
-		}
 		for i := range m.cur {
 			tau := m.taus[i]
-			var est, p float64
-			var err error
 			if tau <= 0 || tau >= 1 {
-				// Bare sentinel, not wrapped: the hot path must not
-				// allocate, and errors.Is works on it directly.
-				err = detect.ErrDegenerateTau
-			} else {
-				p = detect.CollisionProb(m.taus, i)
-				est, err = detect.EstimateCW(tau, p, m.cfg.MaxStage)
+				continue // degenerate: counted in Windows, not estimated
 			}
-			if m.cfg.OnEstimate != nil {
-				m.cfg.OnEstimate(WindowEstimate{
-					Node: i, Window: widx, EndSlot: end,
-					Attempts: m.cur[i], Tau: tau,
-					P: p, CW: est, Err: err,
-				})
-			}
+			p := detect.CollisionProb(m.taus, i)
+			est, err := detect.EstimateCW(tau, p, m.cfg.MaxStage)
 			if err != nil {
 				continue
 			}
@@ -353,16 +271,13 @@ func (m *Monitor) closeWindow() {
 					m.cfg.OnFlag(FlagEvent{
 						Node: i, Window: widx, EndSlot: end,
 						Attempts: m.cur[i], Tau: tau, P: p,
-						EstCW: est, EWMACW: m.ewmaCWAt(i),
+						EstCW:      est,
 						ExpectedCW: float64(m.cfg.ExpectedCW),
 						Margin:     est / float64(m.cfg.ExpectedCW),
 					})
 				}
 			}
 		}
-		row := m.ringData[int(widx%int64(m.cfg.Keep))*m.cfg.Nodes:][:m.cfg.Nodes]
-		copy(row, m.cur)
-		m.ringWin[widx%int64(m.cfg.Keep)] = widx
 		for i := range m.cur {
 			m.cur[i] = 0
 		}
@@ -370,36 +285,6 @@ func (m *Monitor) closeWindow() {
 	}
 	m.windows++
 	m.winStart = end
-}
-
-// ewmaCWAt inverts eq. (2) on the exponentially-weighted taus for node
-// i, or returns 0 when the EWMA is disabled or degenerate.
-func (m *Monitor) ewmaCWAt(i int) float64 {
-	if m.cfg.Alpha <= 0 || !m.ewmaSeed {
-		return 0
-	}
-	tau := m.ewmaTau[i]
-	if tau <= 0 || tau >= 1 {
-		return 0
-	}
-	cw, err := detect.EstimateCW(tau, detect.CollisionProb(m.ewmaTau, i), m.cfg.MaxStage)
-	if err != nil {
-		return 0
-	}
-	return cw
-}
-
-// EWMACW returns the current exponentially-weighted CW estimate for node
-// i; the detect sentinels classify why none is available.
-func (m *Monitor) EWMACW(i int) (float64, error) {
-	if m.cfg.Alpha <= 0 || !m.ewmaSeed {
-		return 0, detect.ErrNoSlots
-	}
-	tau := m.ewmaTau[i]
-	if tau <= 0 || tau >= 1 {
-		return 0, detect.ErrDegenerateTau
-	}
-	return detect.EstimateCW(tau, detect.CollisionProb(m.ewmaTau, i), m.cfg.MaxStage)
 }
 
 // Windows returns the number of completed windows (idle ones included).
@@ -421,44 +306,3 @@ func (m *Monitor) FirstFlagSlot(i int) int64 { return m.firstFlag[i] }
 // EstimateSummary returns the moments of node i's windowed Ŵ estimates
 // (degenerate windows excluded).
 func (m *Monitor) EstimateSummary(i int) stats.Summary { return m.est[i].Snapshot() }
-
-// CumulativeObservations appends the run-wide observation vector — what
-// detect.FromSimResult collects from a finished macsim run — to dst and
-// returns it. Call Finish(result.Slots) first so trailing idle slots are
-// included; the batch estimator then sees identical inputs.
-func (m *Monitor) CumulativeObservations(dst []detect.Observation) []detect.Observation {
-	for _, c := range m.cum {
-		dst = append(dst, detect.Observation{Attempts: c, Slots: m.slots})
-	}
-	return dst
-}
-
-// RecentCounts copies the per-node attempt counts of a retained window
-// into dst (length >= Nodes) and returns that window's index; ok is
-// false when the age-th most recent non-idle window has been evicted or
-// never existed (age 0 is the newest retained window).
-func (m *Monitor) RecentCounts(age int, dst []int64) (window int64, ok bool) {
-	if age < 0 || age >= m.cfg.Keep {
-		return 0, false
-	}
-	// Rows are keyed by the window index they hold; the age-th most
-	// recent is the (age+1)-th largest stored index. Keep is small, so a
-	// selection scan over the rows beats bookkeeping a separate order.
-	bound := int64(math.MaxInt64)
-	for rank := 0; ; rank++ {
-		bestWin, bestRow := int64(-1), -1
-		for r, wn := range m.ringWin {
-			if wn >= 0 && wn < bound && wn > bestWin {
-				bestWin, bestRow = wn, r
-			}
-		}
-		if bestRow < 0 {
-			return 0, false
-		}
-		if rank == age {
-			copy(dst, m.ringData[bestRow*m.cfg.Nodes:][:m.cfg.Nodes])
-			return bestWin, true
-		}
-		bound = bestWin
-	}
-}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -21,10 +22,10 @@ func detectCfg(seed uint64) macsim.Config {
 	}
 }
 
-func monitorCfg(onEst func(WindowEstimate)) Config {
+func monitorCfg() Config {
 	return Config{
-		Nodes: 6, WindowSlots: 200, Keep: 4, MaxStage: 6,
-		ExpectedCW: 64, Beta: 0.6, Alpha: 0.3, OnEstimate: onEst,
+		Nodes: 6, WindowSlots: 200, MaxStage: 6,
+		ExpectedCW: 64, Beta: 0.6,
 	}
 }
 
@@ -44,18 +45,24 @@ func (t *tee) OnEvent(slot int64, tx []int) {
 // TestDifferentialStreamingMatchesBatch pins the tentpole equivalence:
 // every per-window streaming estimate equals the batch detect fold
 // (Observation.Tau → CollisionProb → EstimateCW) over the same recorded
-// trace, bit for bit, and the cumulative observations equal
-// detect.FromSimResult exactly.
+// trace, bit for bit. With Beta 1 and an ExpectedCW above any estimate,
+// every non-degenerate (window, node) pair flags, so the OnFlag stream is
+// the full estimate stream: its (window, node) set must be exactly the
+// batch fold's non-degenerate set.
 func TestDifferentialStreamingMatchesBatch(t *testing.T) {
-	var got []WindowEstimate
-	mon, err := NewMonitor(monitorCfg(func(e WindowEstimate) { got = append(got, e) }))
+	const expected = 1 << 30
+	var got []FlagEvent
+	cfg := monitorCfg()
+	cfg.ExpectedCW, cfg.Beta = expected, 1
+	cfg.OnFlag = func(e FlagEvent) { got = append(got, e) }
+	mon, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &tee{m: mon}
-	cfg := detectCfg(7)
-	cfg.Observer = tr
-	res, err := macsim.Run(cfg)
+	scfg := detectCfg(7)
+	scfg.Observer = tr
+	res, err := macsim.Run(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +84,10 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 		}
 	}
 
-	// Batch-estimate each non-idle window with the detect entry points
-	// and demand exact equality with the streamed estimates.
-	var want []WindowEstimate
+	// Batch-estimate every non-degenerate (window, node) pair with the
+	// detect entry points and demand exact equality with the flags.
+	var want []FlagEvent
+	degenerate := 0
 	for w := 0; w < nWin; w++ {
 		busy := int64(0)
 		for _, c := range counts[w] {
@@ -93,57 +101,53 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 			taus[i] = float64(c) / float64(W)
 		}
 		for i := range counts[w] {
-			e := WindowEstimate{
-				Node: i, Window: int64(w), EndSlot: int64(w+1) * W,
-				Attempts: counts[w][i],
-			}
 			tau, err := detect.Observation{Attempts: counts[w][i], Slots: W}.Tau()
-			if err == nil && tau > 0 && tau < 1 {
-				e.Tau = tau
-				e.P = detect.CollisionProb(taus, i)
-				e.CW, err = detect.EstimateCW(tau, e.P, 6)
-				if err != nil {
-					t.Fatalf("window %d node %d: batch estimate failed: %v", w, i, err)
-				}
-			} else {
-				e.Tau = taus[i]
-				e.Err = detect.ErrDegenerateTau
+			if err != nil || tau <= 0 || tau >= 1 {
+				degenerate++
+				continue
+			}
+			e := FlagEvent{
+				Node: i, Window: int64(w), EndSlot: int64(w+1) * W,
+				Attempts: counts[w][i], Tau: tau, P: detect.CollisionProb(taus, i),
+			}
+			e.EstCW, err = detect.EstimateCW(tau, e.P, 6)
+			if err != nil {
+				t.Fatalf("window %d node %d: batch estimate failed: %v", w, i, err)
+			}
+			if e.EstCW >= expected {
+				t.Fatalf("window %d node %d: estimate %g not below ExpectedCW", w, i, e.EstCW)
 			}
 			want = append(want, e)
 		}
 	}
-	if len(got) == 0 {
-		t.Fatal("monitor emitted no estimates")
+	if len(want) == 0 || degenerate == 0 {
+		t.Fatalf("trace exercises %d estimates and %d degenerate pairs; want both", len(want), degenerate)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("streamed %d estimates, batch fold produced %d", len(got), len(want))
+		t.Fatalf("streamed %d flags, batch fold produced %d non-degenerate estimates", len(got), len(want))
 	}
 	for k := range want {
 		g, w := got[k], want[k]
 		if g.Node != w.Node || g.Window != w.Window || g.EndSlot != w.EndSlot ||
-			g.Attempts != w.Attempts || g.Tau != w.Tau || g.P != w.P || g.CW != w.CW ||
-			!errors.Is(g.Err, w.Err) {
-			t.Fatalf("estimate %d diverges:\n  streamed %+v\n  batch    %+v", k, g, w)
+			g.Attempts != w.Attempts || g.Tau != w.Tau || g.P != w.P || g.EstCW != w.EstCW {
+			t.Fatalf("flag %d diverges:\n  streamed %+v\n  batch    %+v", k, g, w)
 		}
 	}
-
-	// Cumulative: the monitor's run-wide observations are exactly what
-	// the batch estimator reads off the finished result.
-	stream := mon.CumulativeObservations(nil)
-	batch := detect.FromSimResult(res)
-	if !reflect.DeepEqual(stream, batch) {
-		t.Fatalf("cumulative observations diverge:\n  streamed %+v\n  batch    %+v", stream, batch)
+	// Per node, the estimate count is the flagged windows; every other
+	// completed window was degenerate for that node (idle ones included).
+	for i := 0; i < 6; i++ {
+		n := int64(0)
+		for _, e := range want {
+			if e.Node == i {
+				n++
+			}
+		}
+		if got := int64(mon.EstimateSummary(i).N); got != n || mon.NodeFlags(i) != n {
+			t.Errorf("node %d: %d estimates, %d flags; batch has %d", i, got, mon.NodeFlags(i), n)
+		}
 	}
-	se, err := detect.EstimateAll(stream, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, err := detect.EstimateAll(batch, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(se, be) {
-		t.Fatal("cumulative estimates diverge")
+	if mon.Windows() != int64(nWin) {
+		t.Errorf("windows = %d, want %d", mon.Windows(), nWin)
 	}
 }
 
@@ -155,7 +159,7 @@ type monitoredReplicator struct {
 }
 
 func newMonitoredReplicator() (replicate.Replicator, error) {
-	mon, err := NewMonitor(monitorCfg(nil))
+	mon, err := NewMonitor(monitorCfg())
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +219,7 @@ func TestMonitoredReplicationWorkerInvariance(t *testing.T) {
 // 0-alloc contract.
 func TestMonitoredRunAllocationFree(t *testing.T) {
 	var flags int64
-	cfg := monitorCfg(nil)
+	cfg := monitorCfg()
 	cfg.OnFlag = func(FlagEvent) { flags++ }
 	mon, err := NewMonitor(cfg)
 	if err != nil {
@@ -250,12 +254,20 @@ func TestMonitoredRunAllocationFree(t *testing.T) {
 	}
 }
 
-// A deterministic trace exercising window roll-over, idle bulk-skip,
-// Advance and the ring accessor.
+// flagRecorder returns an OnFlag hook and the slice it appends to.
+func flagRecorder() (func(FlagEvent), *[]FlagEvent) {
+	var got []FlagEvent
+	return func(e FlagEvent) { got = append(got, e) }, &got
+}
+
+// A deterministic trace exercising window roll-over, idle bulk-skip and
+// Advance. ExpectedCW is far above any estimate, so every estimated
+// window flags and the flag stream restates each window's counts.
 func TestMonitorWindowMechanics(t *testing.T) {
+	onFlag, flags := flagRecorder()
 	mon, err := NewMonitor(Config{
-		Nodes: 2, WindowSlots: 10, Keep: 2, MaxStage: 5,
-		ExpectedCW: 100, Beta: 0.5,
+		Nodes: 2, WindowSlots: 10, MaxStage: 5,
+		ExpectedCW: 1 << 20, Beta: 1, OnFlag: onFlag,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,74 +296,58 @@ func TestMonitorWindowMechanics(t *testing.T) {
 		t.Fatalf("slots = %d, want 80", got)
 	}
 
-	// Ring: the two retained non-idle windows are 6 (newest) and 5.
-	buf := make([]int64, 2)
-	win, ok := mon.RecentCounts(0, buf)
-	if !ok || win != 6 || buf[0] != 1 || buf[1] != 0 {
-		t.Fatalf("newest retained window = %d counts %v ok=%v", win, buf, ok)
+	// Estimated windows: 0 for both nodes, 5 for node 1 (after the idle
+	// jump), 6 for node 0 (after the stage boundary). Their attempts sum
+	// to the whole trace: 4 for node 0, 2 for node 1.
+	type key struct {
+		node     int
+		window   int64
+		attempts int64
 	}
-	win, ok = mon.RecentCounts(1, buf)
-	if !ok || win != 5 || buf[0] != 0 || buf[1] != 1 {
-		t.Fatalf("second retained window = %d counts %v ok=%v", win, buf, ok)
+	var got []key
+	for _, e := range *flags {
+		got = append(got, key{e.Node, e.Window, e.Attempts})
 	}
-	if _, ok := mon.RecentCounts(2, buf); ok {
-		t.Fatal("age beyond Keep reported ok")
+	want := []key{{0, 0, 3}, {1, 0, 1}, {1, 5, 1}, {0, 6, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flagged (node, window, attempts) = %v, want %v", got, want)
 	}
-
-	// Cumulative counts fold the whole trace.
-	obs := mon.CumulativeObservations(nil)
-	want := []detect.Observation{{Attempts: 4, Slots: 80}, {Attempts: 2, Slots: 80}}
-	if !reflect.DeepEqual(obs, want) {
-		t.Fatalf("cumulative observations %+v, want %+v", obs, want)
+	for i := 0; i < 2; i++ {
+		if n := mon.EstimateSummary(i).N; n != 2 {
+			t.Errorf("node %d: %d estimates, want 2 (6 of 8 windows degenerate)", i, n)
+		}
+	}
+	if mon.FirstFlagSlot(0) != 10 || mon.FirstFlagSlot(1) != 10 {
+		t.Errorf("first flags at %d, %d; want 10, 10", mon.FirstFlagSlot(0), mon.FirstFlagSlot(1))
 	}
 }
 
-// Validate must reject broken configs with the Is-able sentinel, and the
-// EWMA accessor must surface the detect sentinels.
-func TestConfigValidateAndEWMASentinels(t *testing.T) {
+// Validate must reject broken configs with the Is-able sentinel.
+func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},
-		{Nodes: 3, WindowSlots: 0, Keep: 1, ExpectedCW: 64, Beta: 0.5},
-		{Nodes: 3, WindowSlots: 10, Keep: 0, ExpectedCW: 64, Beta: 0.5},
-		{Nodes: 3, WindowSlots: 10, Keep: 1, ExpectedCW: 0, Beta: 0.5},
-		{Nodes: 3, WindowSlots: 10, Keep: 1, ExpectedCW: 64, Beta: 1.5},
-		{Nodes: 3, WindowSlots: 10, Keep: 1, ExpectedCW: 64, Beta: 0.5, Alpha: 2},
-		{Nodes: 3, WindowSlots: 10, Keep: 1, ExpectedCW: 64, Beta: 0.5, MaxStage: 99},
+		{Nodes: 3, WindowSlots: 0, ExpectedCW: 64, Beta: 0.5},
+		{Nodes: 3, WindowSlots: 10, ExpectedCW: 0, Beta: 0.5},
+		{Nodes: 3, WindowSlots: 10, ExpectedCW: 64, Beta: 1.5},
+		{Nodes: 3, WindowSlots: 10, ExpectedCW: 64, Beta: math.NaN()},
+		{Nodes: 3, WindowSlots: 10, ExpectedCW: 64, Beta: 0.5, MaxStage: 99},
 	}
 	for k, cfg := range bad {
 		if _, err := NewMonitor(cfg); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("bad config %d: error %v is not ErrInvalidConfig", k, err)
 		}
 	}
-
-	mon, err := NewMonitor(Config{
-		Nodes: 2, WindowSlots: 10, Keep: 1, MaxStage: 5,
-		ExpectedCW: 64, Beta: 0.5, Alpha: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mon.EWMACW(0); !errors.Is(err, detect.ErrNoSlots) {
-		t.Errorf("unseeded EWMA error %v is not detect.ErrNoSlots", err)
-	}
-	// One busy window: node 0 active, node 1 silent → degenerate EWMA tau.
-	mon.OnEvent(0, []int{0})
-	mon.Finish(10)
-	if _, err := mon.EWMACW(1); !errors.Is(err, detect.ErrDegenerateTau) {
-		t.Errorf("silent node EWMA error %v is not detect.ErrDegenerateTau", err)
-	}
-	if cw, err := mon.EWMACW(0); err != nil || cw <= 0 {
-		t.Errorf("active node EWMA = %g, %v", cw, err)
-	}
 }
 
 // Non-monotone slots (which a buggy or adversarial caller could feed)
-// are clamped: a window never records more attempts than slots, so the
-// batch sentinels cannot fire from streamed counts.
+// are clamped: a window never records more attempts than slots. Ten
+// events at slot 0 land on slots 0..9: windows 0 and 1 hold 4 attempts
+// in 4 slots (tau 1, degenerate), window 2 holds the last 2.
 func TestMonitorClampsNonMonotoneSlots(t *testing.T) {
+	onFlag, flags := flagRecorder()
 	mon, err := NewMonitor(Config{
-		Nodes: 1, WindowSlots: 4, Keep: 1, MaxStage: 5,
-		ExpectedCW: 64, Beta: 0.5,
+		Nodes: 1, WindowSlots: 4, MaxStage: 5,
+		ExpectedCW: 1 << 20, Beta: 1, OnFlag: onFlag,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,15 +356,16 @@ func TestMonitorClampsNonMonotoneSlots(t *testing.T) {
 		mon.OnEvent(0, []int{0}) // same slot over and over
 	}
 	mon.Finish(12)
-	obs := mon.CumulativeObservations(nil)
-	if obs[0].Attempts != 10 || obs[0].Slots != 12 {
-		t.Fatalf("observations %+v", obs[0])
+	if mon.Windows() != 3 || mon.Slots() != 12 {
+		t.Fatalf("windows %d slots %d, want 3 and 12", mon.Windows(), mon.Slots())
 	}
-	if _, err := obs[0].Tau(); err != nil {
-		t.Fatalf("clamped counts still degenerate: %v", err)
+	if n := mon.EstimateSummary(0).N; n != 1 {
+		t.Fatalf("%d estimated windows, want 1", n)
 	}
-	buf := make([]int64, 1)
-	if win, ok := mon.RecentCounts(0, buf); !ok || buf[0] > 4 {
-		t.Fatalf("window %d holds %d attempts in 4 slots (ok=%v)", win, buf[0], ok)
+	if len(*flags) != 1 {
+		t.Fatalf("flags %+v, want one", *flags)
+	}
+	if e := (*flags)[0]; e.Window != 2 || e.Attempts != 2 || e.Tau != 0.5 {
+		t.Fatalf("flag %+v, want window 2 with 2 attempts (tau 0.5)", e)
 	}
 }

@@ -319,7 +319,7 @@ func NewFaultyEnv(inner SearchEnv, cfg FaultConfig) (*FaultyEnv, error) {
 }
 
 // RunResilientSearch executes the Section V.C walk hardened for
-// deployment: retry with bounded backoff, median-of-k measurement,
+// deployment: retry of failed measurements, median-of-k measurement,
 // Ready re-broadcast on missed acknowledgement, deputy failover after a
 // leader crash, and best-so-far degradation on an exhausted probe budget
 // (SearchResult.Degraded).
@@ -384,14 +384,12 @@ type (
 	// StreamFlagEvent is one online misbehavior flag (delivered to
 	// StreamMonitorConfig.OnFlag as it happens).
 	StreamFlagEvent = stream.FlagEvent
-	// StreamWindowEstimate is one per-node, per-window estimation
-	// outcome (delivered to StreamMonitorConfig.OnEstimate).
-	StreamWindowEstimate = stream.WindowEstimate
 )
 
 // NewStreamMonitor builds an online detector. Set it as the simulation
 // config's Observer, run the engine, then call Finish(res.Slots) to
-// close the trailing partial window before reading flag state.
+// close every window the run completed before reading flag state; a
+// trailing partial window stays open.
 func NewStreamMonitor(cfg StreamMonitorConfig) (*StreamMonitor, error) {
 	return stream.NewMonitor(cfg)
 }
