@@ -43,6 +43,7 @@ test-fuzz:
 	go test -run='^$$' -fuzz='^FuzzRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzResilientRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=$(FUZZTIME) ./internal/service
+	go test -run='^$$' -fuzz='^FuzzJobRoutes$$' -fuzztime=$(FUZZTIME) ./internal/service
 
 # The worker pool and the shared solver cache make the suite
 # concurrency-heavy; run it under the race detector too, at GOMAXPROCS=2

@@ -757,7 +757,20 @@ func measureLayer(sc scenario, benchtime string) (EngineResult, error) {
 	return measure(sc.name, sc.fastLabel, sc.events, sc.bench)
 }
 
-// measureOp times one scenario op, failing on the op's first error.
+// allocPasses is how many single ops measureOp counts allocations over
+// after the timed loop.
+const allocPasses = 3
+
+// measureOp times one scenario op, failing on the op's first error. Its
+// allocs/op is the least of the timed loop's average and allocPasses
+// single-op counts. Every one of them reads the process-wide malloc
+// counter, so each over-counts by whatever the runtime allocated
+// meanwhile (a timer-heap growth in the background scavenger, a GC mark
+// worker starting) and never under-counts; the least is the op's own
+// count as soon as one window saw no runtime allocation. A row timed at
+// a handful of iterations would otherwise carry such a stray in its
+// average. Ops that walk state forward (the topology delta rows) keep
+// the loop's amortised average, which is the lower reading for them.
 func measureOp(name, engine string, events int64, fn func() error) (EngineResult, error) {
 	var opErr error
 	res, err := measure(name, engine, events, func(b *testing.B) {
@@ -771,7 +784,20 @@ func measureOp(name, engine string, events int64, fn func() error) (EngineResult
 	if opErr != nil {
 		return EngineResult{}, fmt.Errorf("%s/%s: %w", name, engine, opErr)
 	}
-	return res, err
+	if err != nil {
+		return res, err
+	}
+	var ms runtime.MemStats
+	for range allocPasses {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := fn(); err != nil {
+			return EngineResult{}, fmt.Errorf("%s/%s: %w", name, engine, err)
+		}
+		runtime.ReadMemStats(&ms)
+		res.AllocsPerOp = min(res.AllocsPerOp, int64(ms.Mallocs-before))
+	}
+	return res, nil
 }
 
 func run(ctx context.Context, args []string) error {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,5 +140,80 @@ func TestMeasureFailedBenchmark(t *testing.T) {
 	}
 	if _, err := measureOp("op", "fast", 1, func() error { return errors.New("op failed") }); err == nil || !strings.Contains(err.Error(), "op failed") {
 		t.Fatalf("failing op: %v", err)
+	}
+}
+
+// A scenario row's allocs/op must repeat exactly: measuring the same
+// quick-profile multihop row twice in one process at a few iterations
+// reads the same count, whatever the runtime allocates in the
+// background meanwhile.
+func TestScenarioAllocsRepeat(t *testing.T) {
+	const name = "multihop/mobile-n10000-w26"
+	suite, _, err := scenarios(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(suite, func(sc scenario) bool { return sc.name == name })
+	if i < 0 {
+		t.Fatalf("scenario %s missing", name)
+	}
+	sc := suite[i]
+	benchtime := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "3x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", benchtime)
+	for _, op := range []struct {
+		engine string
+		fn     func() error
+	}{{"fast", sc.runFast}, {"reference", sc.runRef}} {
+		t.Run(op.engine, func(t *testing.T) {
+			first, err := measureOp(name, op.engine, sc.events, op.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := measureOp(name, op.engine, sc.events, op.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.AllocsPerOp != second.AllocsPerOp || first.AllocsPerOp == 0 {
+				t.Errorf("%s/%s: allocs/op %d then %d, want one nonzero count", name, op.engine, first.AllocsPerOp, second.AllocsPerOp)
+			}
+		})
+	}
+}
+
+var allocSink []byte
+
+// measureOp must report an op's own allocation count even when the
+// process-wide counter also sees allocations from elsewhere: here the
+// op makes 5 allocations a call, plus 10 more on the first timed
+// iteration and on the first single-op pass, standing in for the
+// runtime's background allocations.
+func TestMeasureOpIgnoresStrayAllocations(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "3x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", benchtime)
+	calls := 0
+	row, err := measureOp("op", "fast", 1, func() error {
+		calls++
+		n := 5
+		// Call 1 is testing.Benchmark's probe run, calls 2-4 the timed
+		// loop, calls 5-7 the single-op passes.
+		if calls == 2 || calls == 5 {
+			n += 10
+		}
+		for range n {
+			allocSink = make([]byte, 64)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.AllocsPerOp != 5 {
+		t.Fatalf("allocs/op = %d over %d calls, want the op's own 5", row.AllocsPerOp, calls)
 	}
 }

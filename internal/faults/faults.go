@@ -116,7 +116,7 @@ var _ PartialEnv = (*search.AnalyticEnv)(nil)
 
 // FaultyEnv injects the configured faults around an inner search.Env.
 // It implements search.Env, search.AckEnv, and search.FailoverEnv, so
-// the resilient runners get acknowledgement and failover signals for
+// the resilient runner gets acknowledgement and failover signals for
 // free. Not safe for concurrent use (neither is the protocol).
 type FaultyEnv struct {
 	inner search.Env

@@ -126,17 +126,7 @@ func diffCases(t *testing.T) []diffCase {
 		return cfg
 	}
 	mobile60 := func(t *testing.T) Topology { return randomNetwork(t, 60, 250, 37) }
-	clique := func(*testing.T) Topology {
-		adj := make([][]int, 8)
-		for i := range adj {
-			for j := range adj {
-				if j != i {
-					adj[i] = append(adj[i], j)
-				}
-			}
-		}
-		return &fixedGraph{adj: adj}
-	}
+	clique := func(*testing.T) Topology { return cliqueGraph(8) }
 	var oneSlot []diffCase
 	for _, h := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {1, 3}} {
 		for seed := uint64(1); seed <= 5; seed++ {

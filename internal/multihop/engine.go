@@ -163,11 +163,6 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multihop: stage %d: %w", k, err)
 		}
-		// Each stage's slot clock restarts at 0; let observers that track
-		// a run-wide clock advance their base past this stage.
-		if adv, ok := e.sim.Observer.(SlotAdvancer); ok {
-			adv.Advance(res.Slots)
-		}
 		rates := make([]float64, n)
 		for i := range rates {
 			rates[i] = res.Nodes[i].PayoffRate

@@ -234,9 +234,6 @@ func (st *simState) run() (*SimResult, error) {
 		if len(transmitters) == 0 {
 			continue
 		}
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(t, transmitters)
-		}
 
 		for _, i := range transmitters {
 			inTx[i] = true

@@ -42,31 +42,6 @@ type Topology interface {
 	Rows() [][]int
 }
 
-// Observer receives one event per slot in which at least one node starts
-// transmitting: the global slot index and the transmitter set in
-// ascending node order. The slice is engine-owned scratch, valid only for
-// the duration of the call. It is declared structurally identical to
-// macsim.Observer so one implementation (e.g. stream.Monitor) satisfies
-// both without an import cycle.
-//
-// The same observation-stream contract applies: Simulate and
-// SimulateReference emit identical event sequences for the same config,
-// and attaching an observer never changes Results, PRNG consumption, or
-// allocation behavior of the hot loops.
-type Observer interface {
-	OnEvent(slot int64, transmitters []int)
-}
-
-// SlotAdvancer is an optional extension an Observer may implement so
-// multi-stage drivers (Engine.Run) can keep one monotone slot clock
-// across stages: after each stage completes, the engine calls
-// Advance(slots) with that stage's total slot count, and the observer
-// offsets subsequent per-stage slot indices (which restart at 0) by the
-// accumulated base.
-type SlotAdvancer interface {
-	Advance(slots int64)
-}
-
 // SimConfig parameterises one spatial simulation run.
 type SimConfig struct {
 	// Timing carries sigma, Ts, Tc, E[P]; the paper's multi-hop analysis
@@ -89,11 +64,6 @@ type SimConfig struct {
 	// slow (max 5 m/s), so the topology changes on a much slower
 	// timescale than backoff. Zero keeps the topology fixed for the run.
 	MobilityEvery float64
-	// Observer, when non-nil, is invoked once per slot in which at least
-	// one node starts transmitting, with the slot index and the
-	// transmitter set in ascending node order (see the Observer contract).
-	// It never alters the simulation.
-	Observer Observer
 }
 
 // ErrInvalidSimConfig is wrapped by every error a SimConfig fails
@@ -319,9 +289,6 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 		}
 		if len(transmitters) == 0 {
 			continue
-		}
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(t, transmitters)
 		}
 
 		for _, i := range transmitters {

@@ -287,13 +287,6 @@ func ArgmaxIntCoarse(f func(int) float64, lo, hi, stride int) (int, float64, err
 	return best, bestVal, nil
 }
 
-// Derivative estimates f'(x) with a central difference using a
-// scale-aware step.
-func Derivative(f func(float64) float64, x float64) float64 {
-	h := 1e-6 * math.Max(1, math.Abs(x))
-	return (f(x+h) - f(x-h)) / (2 * h)
-}
-
 // SecondDerivative estimates f”(x) with a central difference.
 func SecondDerivative(f func(float64) float64, x float64) float64 {
 	h := 1e-4 * math.Max(1, math.Abs(x))

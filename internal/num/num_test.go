@@ -263,15 +263,6 @@ func TestArgmaxIntCoarseProperty(t *testing.T) {
 	}
 }
 
-func TestDerivative(t *testing.T) {
-	if d := Derivative(math.Sin, 0); math.Abs(d-1) > 1e-6 {
-		t.Fatalf("d/dx sin at 0 = %g, want 1", d)
-	}
-	if d := Derivative(func(x float64) float64 { return x * x }, 3); math.Abs(d-6) > 1e-5 {
-		t.Fatalf("d/dx x^2 at 3 = %g, want 6", d)
-	}
-}
-
 func TestSecondDerivative(t *testing.T) {
 	if d := SecondDerivative(func(x float64) float64 { return x * x }, 1); math.Abs(d-2) > 1e-3 {
 		t.Fatalf("d2/dx2 x^2 = %g, want 2", d)

@@ -7,14 +7,14 @@ import (
 )
 
 // ErrLeaderCrashed is the sentinel an Env returns (possibly wrapped) from
-// LeaderPayoff when the current leader has crash-stopped. The resilient
-// runners react by promoting a deputy through FailoverEnv; the plain
-// runners propagate it like any other measurement error.
+// LeaderPayoff when the current leader has crash-stopped. ResilientRun
+// reacts by promoting a deputy through FailoverEnv; the plain runners
+// propagate it like any other measurement error.
 var ErrLeaderCrashed = errors.New("search: leader crashed")
 
 // AckEnv is an Env that can report whether its most recent broadcast
-// reached every live follower. The resilient runners use it to re-send
-// Ready messages that some follower missed (Options.ReadyRepeats).
+// reached every live follower. ResilientRun uses it to re-send
+// Ready messages that some follower missed (up to readyRepeats times).
 type AckEnv interface {
 	Env
 	// LastBroadcastAcked reports whether every live follower received the
@@ -22,8 +22,8 @@ type AckEnv interface {
 	LastBroadcastAcked() bool
 }
 
-// FailoverEnv is an Env that supports replacing a crashed leader. The
-// resilient runners propose the next node id; the environment may adjust
+// FailoverEnv is an Env that supports replacing a crashed leader.
+// ResilientRun proposes the next node id; the environment may adjust
 // it (e.g. to skip crashed followers) and returns the deputy that
 // actually took over.
 type FailoverEnv interface {
@@ -41,8 +41,12 @@ const (
 	probeFatal                     // unrecoverable (leader crashed, no failover)
 )
 
-// prober wraps an Env with the resilience machinery shared by
-// ResilientRun and ResilientAcceleratedSearch: per-sample retry,
+// readyRepeats is how many times a Ready broadcast is repeated when the
+// environment reports a missed acknowledgement (AckEnv).
+const readyRepeats = 2
+
+// prober wraps an Env with ResilientRun's resilience machinery:
+// per-sample retry,
 // median-of-k outlier rejection, Ready re-broadcast on missing
 // acknowledgement, leader failover, and a global probe budget.
 type prober struct {
@@ -61,9 +65,6 @@ func newProber(env Env, leader int, o Options) *prober {
 	if o.MeasureK == 0 {
 		o.MeasureK = 1
 	}
-	if o.ReadyRepeats == 0 {
-		o.ReadyRepeats = 2
-	}
 	return &prober{env: env, o: o, res: &Result{Leader: leader}, leader: leader}
 }
 
@@ -75,7 +76,7 @@ func (p *prober) broadcast(t MsgType, w int) {
 	if !ok || t == Announce {
 		return
 	}
-	for r := 0; r < p.o.ReadyRepeats && !ack.LastBroadcastAcked(); r++ {
+	for r := 0; r < readyRepeats && !ack.LastBroadcastAcked(); r++ {
 		p.env.Broadcast(Message{Type: t, From: p.leader, W: w})
 		p.res.Rebroadcasts++
 	}
@@ -270,135 +271,6 @@ func ResilientRun(env Env, leader, w0 int, opts Options) (Result, error) {
 // resilientPatience is how many consecutive non-improving, re-verified
 // steps the resilient unit walk tolerates before accepting the peak.
 const resilientPatience = 2
-
-// ResilientAcceleratedSearch runs the O(log W*) accelerated walk through
-// the same hardening machinery as ResilientRun (retry, median-of-k, ack
-// re-broadcast, failover, probe budget with best-so-far degradation).
-func ResilientAcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	o := opts.withDefaults()
-	if w0 < 1 || w0 > o.WMax {
-		return Result{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, o.WMax)
-	}
-	p := newProber(env, leader, o)
-	res := p.res
-	cache := make(map[int]float64)
-	measure := func(w int) (float64, probeStatus) {
-		if v, ok := cache[w]; ok {
-			return v, probeOK
-		}
-		p.broadcast(Ready, w)
-		v, st := p.measure(w)
-		if st == probeOK {
-			cache[w] = v
-		}
-		return v, st
-	}
-
-	p.broadcast(StartSearch, w0)
-	best, st := p.measure(w0)
-	if st != probeOK {
-		return *res, p.startError(st, w0)
-	}
-	cache[w0] = best
-	wm := w0
-
-	finish := func(degraded bool) (Result, error) {
-		res.Degraded = degraded
-		res.W = wm
-		p.broadcast(Announce, wm)
-		return *res, nil
-	}
-
-	// Expansion: geometric steps right, then left if right fails.
-	for _, dir := range []int{1, -1} {
-		step := 1
-		for {
-			w := wm + dir*step
-			if w < 1 || w > o.WMax {
-				break
-			}
-			v, st := measure(w)
-			if st == probeBudget {
-				return finish(true)
-			}
-			if st == probeFatal {
-				res.W = wm
-				return *res, p.fatal
-			}
-			if st == probeFailed || v <= best+o.MinImprove {
-				// Prospective stop: re-measure the incumbent with a fresh
-				// median before trusting it — an outlier-inflated best
-				// would otherwise end the expansion early.
-				p.broadcast(Ready, wm)
-				rb, st2 := p.measure(wm)
-				if st2 == probeBudget {
-					return finish(true)
-				}
-				if st2 == probeFatal {
-					res.W = wm
-					return *res, p.fatal
-				}
-				if st2 == probeOK {
-					cache[wm] = rb
-					if rb < best {
-						best = rb
-						if st == probeOK && v > best+o.MinImprove {
-							best, wm = v, w
-							res.Direction = dir
-							step *= 2
-							continue
-						}
-					}
-				}
-				break
-			}
-			best, wm = v, w
-			res.Direction = dir
-			step *= 2
-		}
-		if wm != w0 {
-			break
-		}
-	}
-
-	// Refinement: shrink the step around wm.
-	for step := max(wm/4, 1); step >= 1; step /= 2 {
-		for {
-			improved := false
-			for _, dir := range []int{1, -1} {
-				w := wm + dir*step
-				if w < 1 || w > o.WMax {
-					continue
-				}
-				v, st := measure(w)
-				if st == probeBudget {
-					return finish(true)
-				}
-				if st == probeFatal {
-					res.W = wm
-					return *res, p.fatal
-				}
-				if st == probeFailed {
-					continue
-				}
-				if v > best+o.MinImprove {
-					best, wm = v, w
-					improved = true
-				}
-			}
-			if !improved {
-				break
-			}
-		}
-		if step == 1 {
-			break
-		}
-	}
-	return finish(false)
-}
 
 // startError maps a failed initial measurement to the error the resilient
 // runners return: without a baseline payoff there is no best-so-far to

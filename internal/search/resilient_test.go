@@ -20,7 +20,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative Retries", Options{Retries: -1}},
 		{"negative MeasureK", Options{MeasureK: -3}},
 		{"negative ProbeBudget", Options{ProbeBudget: -1}},
-		{"negative ReadyRepeats", Options{ReadyRepeats: -2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,9 +36,6 @@ func TestOptionsValidate(t *testing.T) {
 			}
 			if _, err := ResilientRun(env, 0, 4, tc.o); err == nil {
 				t.Error("ResilientRun accepted invalid options")
-			}
-			if _, err := ResilientAcceleratedSearch(env, 0, 4, tc.o); err == nil {
-				t.Error("ResilientAcceleratedSearch accepted invalid options")
 			}
 		})
 	}
@@ -68,22 +64,6 @@ func TestResilientRunMatchesRunFaultFree(t *testing.T) {
 		}
 		if hard.Direction != plain.Direction {
 			t.Errorf("peak %d: direction %d vs %d", peak, hard.Direction, plain.Direction)
-		}
-	}
-}
-
-func TestResilientAcceleratedMatchesFaultFree(t *testing.T) {
-	for _, peak := range []int{3, 47, 312} {
-		plain, err := AcceleratedSearch(tentEnv(peak), 0, 16, Options{WMax: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hard, err := ResilientAcceleratedSearch(tentEnv(peak), 0, 16, Options{WMax: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hard.W != plain.W {
-			t.Errorf("peak %d: resilient accelerated found %d, plain %d", peak, hard.W, plain.W)
 		}
 	}
 }
@@ -322,22 +302,29 @@ func (e *nackEnv) LastBroadcastAcked() bool { return false }
 
 func TestResilientRunRebroadcastsOnMissingAck(t *testing.T) {
 	env := &nackEnv{funcEnv: *tentEnv(12)}
-	res, err := ResilientRun(env, 0, 10, Options{WMax: 100, ReadyRepeats: 3})
+	res, err := ResilientRun(env, 0, 10, Options{WMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rebroadcasts == 0 {
 		t.Fatal("no rebroadcasts despite permanent nack")
 	}
-	// Announce messages must not be re-broadcast: count them.
-	announces := 0
+	// Announce messages must not be re-broadcast: count them. Every
+	// other broadcast goes out once plus readyRepeats re-sends.
+	announces, others := 0, 0
 	for _, m := range env.msgs {
 		if m.Type == Announce {
 			announces++
+		} else {
+			others++
 		}
 	}
 	if announces != 1 {
 		t.Fatalf("%d announce messages, want exactly 1", announces)
+	}
+	if others != (1+readyRepeats)*res.Rebroadcasts/readyRepeats || res.Rebroadcasts%readyRepeats != 0 {
+		t.Fatalf("%d non-announce messages with %d rebroadcasts, want each sent 1+%d times",
+			others, res.Rebroadcasts, readyRepeats)
 	}
 }
 

@@ -84,7 +84,7 @@ type Result struct {
 	// Leader is the node that announced the result — the original leader,
 	// or the deputy after a failover.
 	Leader int
-	// Degraded is set by the resilient runners when the probe budget ran
+	// Degraded is set by ResilientRun when the probe budget ran
 	// out before the walk finished; W is then the best CW found so far.
 	Degraded bool
 	// FailedOver reports that the leader crashed mid-search and a deputy
@@ -112,8 +112,8 @@ type Options struct {
 	// Zero reproduces the paper's strict comparison.
 	MinImprove float64
 
-	// The remaining fields tune the resilient runners (ResilientRun,
-	// ResilientAcceleratedSearch); Run and AcceleratedSearch ignore them.
+	// The remaining fields tune the resilient runner (ResilientRun); Run
+	// and AcceleratedSearch ignore them.
 
 	// Retries is how many times a failed payoff measurement is retried
 	// before the sample is given up. Zero defaults to 2.
@@ -124,13 +124,9 @@ type Options struct {
 	MeasureK int
 	// ProbeBudget bounds the total number of raw LeaderPayoff calls
 	// (including retries and median-of-k samples). When it runs out the
-	// resilient runners announce the best CW so far and set
+	// resilient runner announces the best CW so far and sets
 	// Result.Degraded instead of erroring. Zero means unlimited.
 	ProbeBudget int
-	// ReadyRepeats is how many times a Ready broadcast is repeated when
-	// the environment reports a missed acknowledgement (AckEnv). Zero
-	// defaults to 2.
-	ReadyRepeats int
 }
 
 // Validate rejects nonsensical option combinations. The zero value is
@@ -150,9 +146,6 @@ func (o Options) Validate() error {
 	}
 	if o.ProbeBudget < 0 {
 		return fmt.Errorf("search: negative ProbeBudget %d", o.ProbeBudget)
-	}
-	if o.ReadyRepeats < 0 {
-		return fmt.Errorf("search: negative ReadyRepeats %d", o.ReadyRepeats)
 	}
 	return nil
 }

@@ -6,7 +6,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"selfishmac/internal/experiments"
@@ -51,6 +54,74 @@ func FuzzSubmit(f *testing.F) {
 		case http.StatusBadRequest, http.StatusTooManyRequests:
 		default:
 			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
+}
+
+// FuzzJobRoutes sends arbitrary methods, job ids and raw queries to the
+// per-job read and cancel routes of a server that is never started and
+// holds one queued job, and asserts Handler's route table: no status is
+// a 5xx, each is in its route's documented set (or the mux's 405 for a
+// method no route takes), and a /progress reply's X-Progress-First is at
+// most its X-Progress-Total.
+func FuzzJobRoutes(f *testing.F) {
+	suffixes := []string{"", "/result", "/progress"}
+	// The documented statuses per route and method (HEAD routes as GET).
+	routes := map[string]map[string][]int{
+		"": {
+			http.MethodGet:    {http.StatusOK, http.StatusNotFound},
+			http.MethodDelete: {http.StatusAccepted, http.StatusNotFound, http.StatusConflict},
+		},
+		"/result":   {http.MethodGet: {http.StatusOK, http.StatusNotFound, http.StatusConflict}},
+		"/progress": {http.MethodGet: {http.StatusOK, http.StatusBadRequest, http.StatusNotFound}},
+	}
+	f.Add("GET", "j000001", byte(0), "")
+	f.Add("GET", "j000001", byte(1), "")
+	f.Add("GET", "j000001", byte(2), "since=0")
+	f.Add("GET", "j000001", byte(2), "since=-1")
+	f.Add("GET", "j000001", byte(2), "since=99999999999999999999")
+	f.Add("DELETE", "j000001", byte(0), "")
+	f.Add("HEAD", "nosuch", byte(1), "x=%zz")
+	f.Add("POST", "j000001", byte(2), "")
+	f.Add("", "0", byte(0), "")
+
+	f.Fuzz(func(t *testing.T, method, id string, suffix byte, query string) {
+		if id == "" || id == "." || id == ".." {
+			return // the mux redirects or reroutes these before any job route
+		}
+		s, err := New(Config{QueueCap: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(SubmitRequest{Kind: "replicate"}); err != nil {
+			t.Fatal(err)
+		}
+		sfx := suffixes[int(suffix)%len(suffixes)]
+		req, err := http.NewRequest(method, "/api/v1/jobs/"+url.PathEscape(id)+sfx, nil)
+		if err != nil {
+			return // not a valid HTTP method
+		}
+		req.URL.RawQuery = query
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+
+		routeMethod := req.Method // NewRequest reads "" as GET
+		if routeMethod == http.MethodHead {
+			routeMethod = http.MethodGet
+		}
+		want, ok := routes[sfx][routeMethod]
+		if !ok {
+			want = []int{http.StatusMethodNotAllowed}
+		}
+		if rec.Code >= 500 || !slices.Contains(want, rec.Code) {
+			t.Fatalf("%s %s%s?%s: status %d, want one of %v", method, id, sfx, query, rec.Code, want)
+		}
+		if sfx == "/progress" && rec.Code == http.StatusOK {
+			first, err1 := strconv.Atoi(rec.Header().Get("X-Progress-First"))
+			total, err2 := strconv.Atoi(rec.Header().Get("X-Progress-Total"))
+			if err1 != nil || err2 != nil || first > total {
+				t.Fatalf("progress headers first %q, total %q", rec.Header().Get("X-Progress-First"), rec.Header().Get("X-Progress-Total"))
+			}
 		}
 	})
 }

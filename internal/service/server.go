@@ -283,7 +283,7 @@ func (s *Server) runJob(j *Job) {
 //	GET    /api/v1/jobs               list     → 200
 //	GET    /api/v1/jobs/{id}          status   → 200, 404
 //	GET    /api/v1/jobs/{id}/result   result   → 200, 404, 409 (not finished)
-//	GET    /api/v1/jobs/{id}/progress ndjson   → 200, 404
+//	GET    /api/v1/jobs/{id}/progress ndjson   → 200, 400 (bad since), 404
 //	DELETE /api/v1/jobs/{id}          cancel   → 202, 404, 409 (already terminal)
 //	GET    /healthz                   liveness → 200
 //	GET    /readyz                    readiness→ 200, 503 (draining)

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics the experiment harness
-// reports: streaming moments (Welford), quantiles, histograms, confidence
-// intervals, and simple aggregation over slices.
+// reports: streaming moments (Welford), quantiles, confidence intervals,
+// and simple aggregation over slices.
 package stats
 
 import (
@@ -77,14 +77,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n-1)
-}
-
-// PopVariance returns the population variance (0 for n < 1).
-func (w *Welford) PopVariance() float64 {
-	if w.n < 1 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
 }
 
 // StdDev returns the unbiased sample standard deviation.
@@ -210,94 +202,6 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples >= Hi
-	binWidth float64
-	total    int
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over [lo, hi).
-// It returns an error for a non-positive bin count or an empty range.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: NewHistogram: bins = %d must be positive", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: NewHistogram: empty range [%g, %g)", lo, hi)
-	}
-	return &Histogram{
-		Lo: lo, Hi: hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add folds x into the histogram.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // float round-off at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples added, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Mode returns the center of the most populated bin (ties: lowest bin).
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
-// LinearFit fits y = a + b*x by least squares and returns (a, b).
-// It panics if the inputs differ in length or have fewer than 2 points.
-func LinearFit(xs, ys []float64) (a, b float64) {
-	if len(xs) != len(ys) {
-		panic("stats: LinearFit length mismatch")
-	}
-	if len(xs) < 2 {
-		panic("stats: LinearFit needs at least 2 points")
-	}
-	n := float64(len(xs))
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		panic("stats: LinearFit with constant x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	_ = n
-	return a, b
-}
 
 // JainIndex returns Jain's fairness index (Σx)² / (n·Σx²) for a
 // non-negative allocation vector: 1 means perfectly equal shares, 1/n

@@ -7,7 +7,7 @@ import (
 
 // FuzzMonitor drives the windowed estimator through arbitrary event
 // scripts — window roll-over, huge idle jumps, non-monotone slots,
-// stage advances, repeated finishes — and asserts the structural
+// repeated finishes — and asserts the structural
 // invariants: no panics, monotone clocks, and every window estimate
 // well formed — at most WindowSlots attempts, 0 < Tau < 1, Ŵ >= 1. Beta 1
 // with an ExpectedCW above any estimate makes every estimate a flag, so
@@ -17,7 +17,7 @@ import (
 //
 //	opcode % 4 == 0..1: OnEvent(slot += a*256+b, transmitters from a's low bits)
 //	opcode % 4 == 2:    OnEvent with a *rewound* slot (non-monotone input)
-//	opcode % 4 == 3:    Advance(a*256+b) (stage boundary)
+//	opcode % 4 == 3:    Finish(slot += a*256+b) (mid-run finish)
 func FuzzMonitor(f *testing.F) {
 	f.Add(int64(10), []byte{0, 3, 7, 1, 1, 200, 3, 0, 50, 2, 7, 7})
 	f.Add(int64(1), []byte{0, 255, 255, 0, 0, 0})
@@ -74,8 +74,8 @@ func FuzzMonitor(f *testing.F) {
 				rewound := slot - (a*256 + b)
 				mon.OnEvent(rewound, tx)
 			case 3:
-				mon.Advance(a*256 + b)
-				slot = 0 // stage clocks restart after an advance
+				slot += a*256 + b
+				mon.Finish(slot)
 			}
 			if mon.Slots() < prevSlots {
 				t.Fatalf("slot clock went backwards: %d -> %d", prevSlots, mon.Slots())

@@ -1,7 +1,7 @@
 // Package stream is the online misbehavior-detection layer between the
 // simulator engines and the serving surface: a Monitor consumes the
-// per-virtual-slot (slot, transmitters) events both engines emit through
-// their Observer hooks, maintains per-peer attempt counts over fixed
+// per-virtual-slot (slot, transmitters) events macsim's engines emit
+// through their Observer hook, maintains per-peer attempt counts over fixed
 // windows, inverts eq. (2)/(3) per completed window with incremental
 // Welford state, and emits flag events with first-detection-latency
 // accounting.
@@ -18,7 +18,7 @@
 // not delivered: Windows() minus EstimateSummary(i).N is node i's count
 // of completed windows without an estimate.
 //
-// Determinism and allocation contract: a Monitor attached as an engine
+// Determinism and allocation contract: a Monitor attached as a macsim
 // Observer performs no PRNG draws and never mutates simulation state, so
 // engine Results are byte-identical with or without it; OnEvent and the
 // window-close path allocate nothing after construction (pinned by an
@@ -26,9 +26,9 @@
 // to end.
 //
 // Window semantics: windows are fixed, non-overlapping spans of
-// WindowSlots virtual slots aligned to the run-wide slot clock —
+// WindowSlots virtual slots aligned to the run's slot clock —
 // window k covers [k·W, (k+1)·W). A window closes when the first event
-// at or past its end arrives (or at Finish/Advance); fully idle windows
+// at or past its end arrives (or at Finish); fully idle windows
 // are counted but produce no estimates and no flags — an all-idle window
 // carries no attempt information. The detection-latency
 // metric is FirstFlagSlot: the absolute end slot of the first window
@@ -53,7 +53,7 @@ var ErrInvalidConfig = errors.New("stream: invalid config")
 type FlagEvent struct {
 	// Node is the flagged peer.
 	Node int
-	// Window is the completed window's index (0-based on the run-wide
+	// Window is the completed window's index (0-based on the run's
 	// clock, idle windows included).
 	Window int64
 	// EndSlot is the absolute virtual slot at which the window closed —
@@ -116,16 +116,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Monitor is the online detector. It implements the engines' Observer
-// hook (OnEvent) and the multi-stage SlotAdvancer extension (Advance);
-// one Monitor instance satisfies both macsim.Observer and
-// multihop.Observer. Not safe for concurrent use — attach one Monitor
-// per engine, exactly like the engines themselves.
+// Monitor is the online detector. It implements macsim.Observer
+// (OnEvent). Not safe for concurrent use — attach one Monitor per
+// engine, exactly like the engines themselves.
 type Monitor struct {
 	cfg       Config
 	threshold float64 // Beta·ExpectedCW
 
-	base     int64 // slot offset accumulated by Advance across stages
 	slots    int64 // absolute virtual slots observed so far
 	winStart int64 // absolute start slot of the open window
 	windows  int64 // completed windows (idle ones included)
@@ -163,7 +160,7 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 // Reset restores the just-constructed state so the Monitor can observe a
 // fresh run. It allocates nothing.
 func (m *Monitor) Reset() {
-	m.base, m.slots, m.winStart, m.windows = 0, 0, 0, 0
+	m.slots, m.winStart, m.windows = 0, 0, 0
 	m.dirty = false
 	m.flags = 0
 	for i := range m.cur {
@@ -180,16 +177,15 @@ func (m *Monitor) Reset() {
 // copies what it keeps). Slots are clamped monotone defensively, so a
 // window can never hold more attempts than slots.
 func (m *Monitor) OnEvent(slot int64, transmitters []int) {
-	abs := m.base + slot
-	if abs < m.slots {
-		abs = m.slots
+	if slot < m.slots {
+		slot = m.slots
 	}
 	w := m.cfg.WindowSlots
-	if abs-m.winStart >= w {
+	if slot-m.winStart >= w {
 		m.closeWindow()
-		// Any further whole windows between the one just closed and abs
+		// Any further whole windows between the one just closed and slot
 		// saw no events at all: count them in bulk, estimate nothing.
-		if k := (abs - m.winStart) / w; k > 0 {
+		if k := (slot - m.winStart) / w; k > 0 {
 			m.windows += k
 			m.winStart += k * w
 		}
@@ -199,42 +195,27 @@ func (m *Monitor) OnEvent(slot int64, transmitters []int) {
 			m.cur[i]++
 		}
 	}
-	m.slots = abs + 1
+	m.slots = slot + 1
 	m.dirty = m.dirty || len(transmitters) > 0
 }
 
-// Advance shifts the run-wide slot clock by slots — the multihop engine
-// calls it after each stage (whose local clocks restart at 0), closing
-// every window the stage completed. It satisfies multihop.SlotAdvancer.
-func (m *Monitor) Advance(slots int64) {
-	if slots < 0 {
-		return
-	}
-	m.finishTo(m.base + slots)
-	m.base += slots
-}
-
 // Finish closes every window fully contained in the first totalSlots
-// virtual slots of the run (relative to the current stage base, matching
-// Result.Slots of a single run). Call it once after the run so trailing
-// windows are estimated; a trailing partial window stays open.
+// virtual slots of the run (matching Result.Slots). Call it once after
+// the run so trailing windows are estimated; a trailing partial window
+// stays open.
 func (m *Monitor) Finish(totalSlots int64) {
-	m.finishTo(m.base + totalSlots)
-}
-
-func (m *Monitor) finishTo(absSlots int64) {
-	if absSlots <= m.slots {
-		absSlots = m.slots
+	if totalSlots <= m.slots {
+		totalSlots = m.slots
 	}
 	w := m.cfg.WindowSlots
-	if absSlots-m.winStart >= w {
+	if totalSlots-m.winStart >= w {
 		m.closeWindow()
-		if k := (absSlots - m.winStart) / w; k > 0 {
+		if k := (totalSlots - m.winStart) / w; k > 0 {
 			m.windows += k
 			m.winStart += k * w
 		}
 	}
-	m.slots = absSlots
+	m.slots = totalSlots
 }
 
 // closeWindow estimates and rolls the open window [winStart, winStart+W).

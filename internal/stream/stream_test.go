@@ -261,7 +261,7 @@ func flagRecorder() (func(FlagEvent), *[]FlagEvent) {
 }
 
 // A deterministic trace exercising window roll-over, idle bulk-skip and
-// Advance. ExpectedCW is far above any estimate, so every estimated
+// Finish. ExpectedCW is far above any estimate, so every estimated
 // window flags and the flag stream restates each window's counts.
 func TestMonitorWindowMechanics(t *testing.T) {
 	onFlag, flags := flagRecorder()
@@ -281,14 +281,12 @@ func TestMonitorWindowMechanics(t *testing.T) {
 	if got := mon.Windows(); got != 5 {
 		t.Fatalf("windows = %d after idle jump, want 5", got)
 	}
-	// Advance as a stage boundary: 60 slots total in stage one.
-	mon.Advance(60)
+	// The first event of window 6 closes window 5.
+	mon.OnEvent(62, []int{0})
 	if got := mon.Windows(); got != 6 {
-		t.Fatalf("windows = %d after Advance(60), want 6", got)
+		t.Fatalf("windows = %d after slot 62, want 6", got)
 	}
-	// Stage two: slots restart at 0; absolute slot = 60 + slot.
-	mon.OnEvent(2, []int{0})
-	mon.Finish(20)
+	mon.Finish(80)
 	if got := mon.Windows(); got != 8 {
 		t.Fatalf("windows = %d after Finish, want 8", got)
 	}
@@ -297,7 +295,7 @@ func TestMonitorWindowMechanics(t *testing.T) {
 	}
 
 	// Estimated windows: 0 for both nodes, 5 for node 1 (after the idle
-	// jump), 6 for node 0 (after the stage boundary). Their attempts sum
+	// jump), 6 for node 0 (closed by Finish). Their attempts sum
 	// to the whole trace: 4 for node 0, 2 for node 1.
 	type key struct {
 		node     int

@@ -327,12 +327,6 @@ func RunResilientSearch(env SearchEnv, leader, w0 int, opts SearchOptions) (Sear
 	return search.ResilientRun(env, leader, w0, opts)
 }
 
-// RunResilientAcceleratedSearch is the accelerated walk with the same
-// hardening as RunResilientSearch.
-func RunResilientAcceleratedSearch(env SearchEnv, leader, w0 int, opts SearchOptions) (SearchResult, error) {
-	return search.ResilientAcceleratedSearch(env, leader, w0, opts)
-}
-
 // CW observation and misbehavior detection (the paper's ref [3]
 // assumption, implemented).
 type (
@@ -371,15 +365,15 @@ func RequiredObservationSlots(tau, relErr float64) (int64, error) {
 }
 
 // Streaming detection: the batch estimator folded over the live engine
-// event stream (internal/stream). A StreamMonitor attaches to either
-// simulator through the Observer hook (SimConfig.Observer or
-// SpatialSimConfig.Observer) and flags misbehaving peers while the run
-// is still in flight, with first-detection-latency accounting.
+// event stream (internal/stream). A StreamMonitor attaches to the
+// single-hop simulator through its Observer hook (SimConfig.Observer)
+// and flags misbehaving peers while the run is still in flight, with
+// first-detection-latency accounting.
 type (
 	// StreamMonitorConfig parameterises an online detection monitor.
 	StreamMonitorConfig = stream.Config
-	// StreamMonitor is the online detector; it satisfies both engines'
-	// Observer interfaces. Attach one monitor per engine.
+	// StreamMonitor is the online detector; it satisfies the single-hop
+	// engine's Observer interface. Attach one monitor per engine.
 	StreamMonitor = stream.Monitor
 	// StreamFlagEvent is one online misbehavior flag (delivered to
 	// StreamMonitorConfig.OnFlag as it happens).
