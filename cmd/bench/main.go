@@ -53,14 +53,9 @@ import (
 	"selfishmac/internal/phy"
 	"selfishmac/internal/replicate"
 	"selfishmac/internal/rng"
-	"selfishmac/internal/stats"
 	"selfishmac/internal/stream"
 	"selfishmac/internal/topology"
 )
-
-// detectionName is the streaming-detection scenario; run() keys the
-// flag-latency distribution in File.Detection off it.
-const detectionName = "macsim/detection-n10-w166"
 
 func main() {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,24 +97,6 @@ type File struct {
 	Profile    string         `json:"profile"` // "paper" or "quick"
 	Note       string         `json:"note"`
 	Benchmarks []EngineResult `json:"benchmarks"`
-	// Detection carries the streaming-detection scenario's flag-latency
-	// distribution (absent when -only filters the scenario out).
-	Detection *DetectionStats `json:"detection,omitempty"`
-}
-
-// DetectionStats summarizes the detection scenario's flag latencies over
-// independent seeds: how many virtual slots pass before the cheater's
-// first flag, as a distribution, plus the per-run flag volume.
-type DetectionStats struct {
-	Scenario         string  `json:"scenario"`
-	Runs             int     `json:"runs"`
-	Flagged          int     `json:"flagged"` // runs whose cheater was flagged
-	WindowSlots      int64   `json:"window_slots"`
-	LatencyMeanSlots float64 `json:"latency_mean_slots"`
-	LatencyP50Slots  float64 `json:"latency_p50_slots"`
-	LatencyP90Slots  float64 `json:"latency_p90_slots"`
-	LatencyP99Slots  float64 `json:"latency_p99_slots"`
-	FlagsPerRun      float64 `json:"flags_per_run"`
 }
 
 // scenario is one workload measured under both engines. runFast and
@@ -240,15 +217,13 @@ func multihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConf
 // efficient-NE window, one Wc*/8 cheater) is timed with a stream.Monitor
 // on the observer hook ("observed") and without one ("plain") — the
 // trajectories are bit-identical, so events/sec is directly comparable
-// and the ratio is the observer's overhead. The returned closure
-// computes the flag-latency distribution over independent seeds; run()
-// calls it only when the scenario passes the -only filter.
-func detectionScenario(name string, quick bool) (scenario, func() (*DetectionStats, error), error) {
+// and the ratio is the observer's overhead. Detection latency and false
+// positives are measured by experiment D4, not here.
+func detectionScenario(name string, quick bool) (scenario, error) {
 	const n, expected, cheatCW = 10, 166, 20
-	const windowSlots = 1500
-	dur, distRuns := 30e6, 32
+	dur := 30e6
 	if quick {
-		dur, distRuns = 3e6, 8
+		dur = 3e6
 	}
 	cw := uniformCW(expected, n)
 	cw[0] = cheatCW
@@ -263,27 +238,27 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 	}
 	plainEng, err := macsim.NewEngine(base)
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	mon, err := stream.NewMonitor(stream.Config{
-		Nodes: n, WindowSlots: windowSlots,
+		Nodes: n, WindowSlots: 1500,
 		MaxStage: base.MaxStage, ExpectedCW: expected, Beta: 0.6,
 	})
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	observed := base
 	observed.Observer = mon
 	obsEng, err := macsim.NewEngine(observed)
 	if err != nil {
-		return scenario{}, nil, err
+		return scenario{}, err
 	}
 	obsEng.Reset(base.Seed)
 	probe := obsEng.Run()
 	mon.Finish(probe.Slots)
 	events := probe.SuccessEvents + probe.CollisionEvents
 
-	sc := scenario{
+	return scenario{
 		name:      name,
 		events:    events,
 		fastLabel: "observed",
@@ -300,36 +275,7 @@ func detectionScenario(name string, quick bool) (scenario, func() (*DetectionSta
 			plainEng.Run()
 			return nil
 		},
-	}
-	dist := func() (*DetectionStats, error) {
-		st := &DetectionStats{Scenario: name, Runs: distRuns, WindowSlots: windowSlots}
-		var latencies []float64
-		var flags int64
-		for r := 0; r < distRuns; r++ {
-			mon.Reset()
-			obsEng.Reset(uint64(1000 + r))
-			res := obsEng.Run()
-			mon.Finish(res.Slots)
-			flags += mon.Flags()
-			if s := mon.FirstFlagSlot(0); s >= 0 {
-				st.Flagged++
-				latencies = append(latencies, float64(s))
-			}
-		}
-		st.FlagsPerRun = float64(flags) / float64(distRuns)
-		if len(latencies) > 0 {
-			var sum float64
-			for _, l := range latencies {
-				sum += l
-			}
-			st.LatencyMeanSlots = sum / float64(len(latencies))
-			st.LatencyP50Slots = stats.Quantile(latencies, 0.5)
-			st.LatencyP90Slots = stats.Quantile(latencies, 0.9)
-			st.LatencyP99Slots = stats.Quantile(latencies, 0.99)
-		}
-		return st, nil
-	}
-	return sc, dist, nil
+	}, nil
 }
 
 // deltaStepScenario isolates the topology layer: one random-waypoint
@@ -505,7 +451,8 @@ func replicateScenario(name string, topoCfg topology.Config, cfg multihop.SimCon
 		}), nil
 	}
 	runAt := func(workers int) (*replicate.Result, error) {
-		return replicate.Run(replicate.FixedPlan(3, "bench.scaling", 1, reps, workers), factory)
+		return replicate.Run(context.Background(),
+			replicate.Plan{BaseSeed: 3, Stream: "bench.scaling", Metrics: 1, MaxReps: reps, Workers: workers}, factory)
 	}
 	op := func(workers int) func() error {
 		return func() error {
@@ -541,7 +488,7 @@ func replicateScenario(name string, topoCfg topology.Config, cfg multihop.SimCon
 // default profile is paper-faithful (1000 s single-hop runs in the NE
 // tables use the same engine; here 20 s keeps a full bench under a few
 // minutes while still dominated by the hot loop).
-func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) {
+func scenarios(quick bool) ([]scenario, error) {
 	shDur, mhDur := 20e6, 60e6 // microseconds of simulated time per op
 	if quick {
 		shDur, mhDur = 1e6, 1e6
@@ -551,12 +498,12 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 
 	s, err := macsimScenario("macsim/basic-n20-w336", 336, 20, shDur)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	s, err = macsimScenario("macsim/basic-n50-w879", 879, 50, shDur)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -567,19 +514,19 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	// stage 6 — with a few stale repairs per event).
 	s, err = calendarScenario("calendar/sparse-n20-w336", 20, 336, 6, 336, 0, 20000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	s, err = calendarScenario("calendar/dense-n10000-w1664", 10000, 26<<6, 0, 26<<6+64, 8, 5000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
 	// The streaming-detection observer on the same hot loop.
-	s, detDist, err := detectionScenario(detectionName, quick)
+	s, err = detectionScenario("macsim/detection-n10-w166", quick)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -589,7 +536,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	simCfg.CW = uniformCW(116, 50)
 	s, err = multihopScenario("multihop/sparse-n50-w116", sparse, simCfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -602,7 +549,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	}
 	s, err = replicateScenario("replicate/sparse-n50-w116", sparse, repCfg, 16)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -613,7 +560,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	mob.MobilityEvery = 1e6
 	s, err = multihopScenario("multihop/mobile-n100-w26", paper, mob)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -632,7 +579,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	cfg500.MobilityEvery = 1e6
 	s, err = multihopScenario("multihop/mobile-n500-w26", big, cfg500)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	huge := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, MaxSpeed: 5, Seed: 19}
@@ -641,7 +588,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	cfg1000.MobilityEvery = 5e5
 	s, err = multihopScenario("multihop/mobile-n1000-w26", huge, cfg1000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -660,7 +607,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	cfg5000.MobilityEvery = 5e5
 	s, err = multihopScenario("multihop/mobile-n5000-w26", giant, cfg5000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	colossal := topology.Config{N: 10000, Width: 10000, Height: 10000, Range: 250, MaxSpeed: 5, Seed: 29}
@@ -669,7 +616,7 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	cfg10000.MobilityEvery = 2.5e5
 	s, err = multihopScenario("multihop/mobile-n10000-w26", colossal, cfg10000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -683,13 +630,13 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	// crossover (topology.bulkMovedPercent).
 	s, err = deltaStepScenario("topology/delta-vs-rebuild-n1000", huge, 0.25, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	paused := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, MinSpeed: 5, MaxSpeed: 20, Pause: 600, Seed: 19}
 	s, err = deltaStepScenario("topology/delta-vs-rebuild-n1000-paused", paused, 0.25, 4000)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 
@@ -697,20 +644,20 @@ func scenarios(quick bool) ([]scenario, func() (*DetectionStats, error), error) 
 	// actually removes at these populations.
 	s, err = adjacencyScenario("topology/adjacency-n500", big)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	s, err = adjacencyScenario("topology/adjacency-n1000", huge)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
 	s, err = adjacencyScenario("topology/adjacency-n10000", colossal)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out = append(out, s)
-	return out, detDist, nil
+	return out, nil
 }
 
 // measure runs bench under testing.Benchmark and folds in the
@@ -840,7 +787,7 @@ func run(ctx context.Context, args []string) error {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		return fmt.Errorf("invalid -benchtime: %w", err)
 	}
-	suite, detDist, err := scenarios(*quick)
+	suite, err := scenarios(*quick)
 	if err != nil {
 		return err
 	}
@@ -902,15 +849,6 @@ func run(ctx context.Context, args []string) error {
 		file.Benchmarks = append(file.Benchmarks, fast, ref)
 		fmt.Printf("%-30s %s %12.0f ns/op %6d allocs/op %10d B/op %12.0f events/s | %s %12.0f ns/op | speedup %.2fx\n",
 			sc.name, fastLabel, fast.NsPerOp, fast.AllocsPerOp, fast.BytesPerOp, fast.EventsPerSec, refLabel, ref.NsPerOp, ref.NsPerOp/fast.NsPerOp)
-		if sc.name == detectionName && detDist != nil {
-			st, err := detDist()
-			if err != nil {
-				return err
-			}
-			file.Detection = st
-			fmt.Printf("%-30s latency over %d runs: flagged %d, mean %.0f slots, p50 %.0f, p90 %.0f, p99 %.0f, %.1f flags/run\n",
-				sc.name, st.Runs, st.Flagged, st.LatencyMeanSlots, st.LatencyP50Slots, st.LatencyP90Slots, st.LatencyP99Slots, st.FlagsPerRun)
-		}
 	}
 	if len(file.Benchmarks) == 0 {
 		if interrupted {

@@ -44,7 +44,7 @@ func TestBenchWritesJSON(t *testing.T) {
 		"macsim/basic-n50-w879":                  {"fast", "reference"},
 		"calendar/sparse-n20-w336":               {"ring", "scan"},
 		"calendar/dense-n10000-w1664":            {"ring", "scan"},
-		detectionName:                            {"observed", "plain"},
+		"macsim/detection-n10-w166":              {"observed", "plain"},
 		"multihop/sparse-n50-w116":               {"fast", "reference"},
 		"replicate/sparse-n50-w116":              {"pool", "serial"},
 		"multihop/mobile-n100-w26":               {"fast", "reference"},
@@ -93,15 +93,6 @@ func TestBenchWritesJSON(t *testing.T) {
 				s, fast.EventsPerRun, ref.EventsPerRun)
 		}
 	}
-	if f.Detection == nil {
-		t.Fatal("File.Detection missing: detection scenario ran but no latency distribution")
-	}
-	if f.Detection.Scenario != detectionName || f.Detection.Runs <= 0 {
-		t.Fatalf("detection stats incomplete: %+v", f.Detection)
-	}
-	if f.Detection.Flagged <= 0 || f.Detection.LatencyMeanSlots <= 0 {
-		t.Errorf("Wc*/8 cheater never flagged in %d runs: %+v", f.Detection.Runs, f.Detection)
-	}
 }
 
 func TestBenchOnlyFilter(t *testing.T) {
@@ -149,7 +140,7 @@ func TestMeasureFailedBenchmark(t *testing.T) {
 // background meanwhile.
 func TestScenarioAllocsRepeat(t *testing.T) {
 	const name = "multihop/mobile-n10000-w26"
-	suite, _, err := scenarios(true)
+	suite, err := scenarios(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 		Sim:              selfishmac.DefaultSpatialSimConfig(*duration*1e6, *seed),
 		Wm:               wm,
 		SweepMultipliers: []float64{0.4, 0.6, 0.8, 1.25, 1.6, 2.2, 3},
-		Replicas:         2,
+		MaxReps:          2,
 	})
 	if err != nil {
 		log.Fatal(err)

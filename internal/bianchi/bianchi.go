@@ -405,16 +405,6 @@ func (m *Model) OptimalTau(n int) (float64, error) {
 	return root, nil
 }
 
-// TauOfUniformW returns the solved τ for n nodes all at CW w; convenience
-// wrapper used by monotonicity checks.
-func (m *Model) TauOfUniformW(w, n int) (float64, error) {
-	sol, err := m.SolveUniform(w, n)
-	if err != nil {
-		return 0, err
-	}
-	return sol.Tau[0], nil
-}
-
 func uniformProfile(w, n int) []int {
 	out := make([]int, n)
 	for i := range out {

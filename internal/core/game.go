@@ -180,15 +180,6 @@ func (g *Game) UniformUtilityRate(w int) (float64, error) {
 	return g.UtilityRate(sol, 0), nil
 }
 
-// GlobalUtilityRate returns Σ_i u_i = n·u at the uniform profile.
-func (g *Game) GlobalUtilityRate(w int) (float64, error) {
-	u, err := g.UniformUtilityRate(w)
-	if err != nil {
-		return 0, err
-	}
-	return float64(g.cfg.N) * u, nil
-}
-
 // NormalizedGlobalPayoff returns U/C as plotted in the paper's Figures 2
 // and 3, where U = Σ_i U_i is the total discounted global payoff and
 // C = gT/(σ(1−δ)). The normalization cancels T and δ:

@@ -49,7 +49,6 @@ func ClosedLoop(ctx context.Context, s Settings) (*Report, error) {
 		Headers: []string{"strategy", "stage window (s)", "final min CW", "ci95", "reps", "held NE"},
 	}
 	rep := &Report{ID: "D2", Title: "Closed-loop TFT on estimated CWs"}
-	minReps, maxReps, relCI := s.replicateBounds()
 
 	for _, tc := range []struct {
 		name   string
@@ -65,15 +64,7 @@ func ClosedLoop(ctx context.Context, s Settings) (*Report, error) {
 		// closed-loop runs on derived seeds (replication 0 reuses the
 		// stream of the previous single-run implementation), reported as
 		// the mean final minimum CW with its CI95 half-width.
-		rres, err := replicate.RunFuncContext(ctx, replicate.Plan{
-			BaseSeed:     s.Seed,
-			Stream:       "D2." + tc.metric,
-			Metrics:      1,
-			RelTolerance: relCI,
-			MinReps:      minReps,
-			MaxReps:      maxReps,
-			Workers:      s.workerCount(),
-		}, func(seed uint64, out []float64) error {
+		measure := replicate.Func(func(seed uint64, out []float64) error {
 			strats := make([]core.Strategy, n)
 			for i := range strats {
 				strats[i] = tc.mk()
@@ -91,6 +82,7 @@ func ClosedLoop(ctx context.Context, s Settings) (*Report, error) {
 			out[0] = float64(minW)
 			return nil
 		})
+		rres, err := replicate.Run(ctx, s.plan("D2."+tc.metric, 1), func() (replicate.Replicator, error) { return measure, nil })
 		if err != nil {
 			return nil, err
 		}

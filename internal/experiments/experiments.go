@@ -15,6 +15,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+
+	"selfishmac/internal/replicate"
 )
 
 // Artifact is one named output file (content already rendered).
@@ -97,17 +99,16 @@ type Settings struct {
 	// default) means GOMAXPROCS. Results are bit-identical at every
 	// worker count, including 1 (fully serial).
 	Workers int
-	// ReplicateMin and ReplicateMax bound the replication schedule of
-	// every simulation-backed experiment point (internal/replicate):
-	// each point runs at least ReplicateMin independent seeds and — when
-	// ReplicateRelCI is set and ReplicateMax allows — keeps replicating
-	// in deterministic rounds until the CI95 half-width of its headline
-	// metric drops below ReplicateRelCI of the mean. Zero values fall
-	// back to one replication, preserving older hand-built Settings.
-	ReplicateMin int
-	ReplicateMax int
-	// ReplicateRelCI is the relative CI95 target for adaptive stopping.
-	// Zero disables adaptive stopping (every point runs ReplicateMin).
+	// ReplicateMin, ReplicateMax and ReplicateRelCI are the replication
+	// schedule of every simulation-backed experiment point: the MinReps,
+	// MaxReps and RelTolerance of its internal/replicate Plan. With
+	// ReplicateRelCI set, a point replicates in deterministic rounds,
+	// from ReplicateMin up to ReplicateMax independent seeds, until the
+	// CI95 half-width of its headline metric drops below ReplicateRelCI
+	// of the mean. With ReplicateRelCI 0, every point runs exactly
+	// ReplicateMax replications.
+	ReplicateMin   int
+	ReplicateMax   int
 	ReplicateRelCI float64
 }
 
@@ -120,17 +121,19 @@ func (s Settings) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// replicateBounds resolves the replication schedule, clamping unset
-// fields to the single-run schedule older hand-built Settings expect.
-func (s Settings) replicateBounds() (minReps, maxReps int, relCI float64) {
-	minReps, maxReps, relCI = s.ReplicateMin, s.ReplicateMax, s.ReplicateRelCI
-	if minReps < 1 {
-		minReps = 1
+// plan is the replication plan of one simulation-backed measurement:
+// the settings' seed and schedule on the given seed stream, adaptive
+// stopping driven by metric 0.
+func (s Settings) plan(stream string, metrics int) replicate.Plan {
+	return replicate.Plan{
+		BaseSeed:     s.Seed,
+		Stream:       stream,
+		Metrics:      metrics,
+		RelTolerance: s.ReplicateRelCI,
+		MinReps:      s.ReplicateMin,
+		MaxReps:      s.ReplicateMax,
+		Workers:      s.workerCount(),
 	}
-	if maxReps < minReps {
-		maxReps = minReps
-	}
-	return minReps, maxReps, relCI
 }
 
 // DefaultSettings reproduces the paper's scales (1000 s single-hop
@@ -173,8 +176,8 @@ func (s Settings) Validate() error {
 	if s.FigurePoints < 5 {
 		return fmt.Errorf("experiments: %d figure points < 5", s.FigurePoints)
 	}
-	if s.ReplicateMin < 0 || s.ReplicateMax < 0 || s.ReplicateRelCI < 0 {
-		return fmt.Errorf("experiments: negative replication settings %d/%d/%g",
+	if s.ReplicateMin < 1 || s.ReplicateMax < s.ReplicateMin || s.ReplicateRelCI < 0 {
+		return fmt.Errorf("experiments: replication schedule %d/%d/%g needs 1 <= ReplicateMin <= ReplicateMax and ReplicateRelCI >= 0",
 			s.ReplicateMin, s.ReplicateMax, s.ReplicateRelCI)
 	}
 	return nil

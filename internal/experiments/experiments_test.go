@@ -15,20 +15,22 @@ func TestSettingsValidation(t *testing.T) {
 	if err := QuickSettings().Validate(); err != nil {
 		t.Errorf("quick settings invalid: %v", err)
 	}
-	bad := QuickSettings()
-	bad.SingleHopSimTime = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero sim time accepted")
-	}
-	bad = QuickSettings()
-	bad.FigurePoints = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("tiny figure accepted")
-	}
-	bad = QuickSettings()
-	bad.MultihopNodes = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("single multihop node accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Settings)
+	}{
+		{"zero sim time", func(s *Settings) { s.SingleHopSimTime = 0 }},
+		{"tiny figure", func(s *Settings) { s.FigurePoints = 2 }},
+		{"single multihop node", func(s *Settings) { s.MultihopNodes = 1 }},
+		{"ReplicateMin 0", func(s *Settings) { s.ReplicateMin = 0 }},
+		{"ReplicateMax below ReplicateMin", func(s *Settings) { s.ReplicateMax = s.ReplicateMin - 1 }},
+		{"negative ReplicateRelCI", func(s *Settings) { s.ReplicateRelCI = -0.1 }},
+	} {
+		bad := QuickSettings()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -217,7 +217,6 @@ func simulatedCurve(ctx context.Context, id string, mode phy.AccessMode, g *core
 		seen[w] = true
 		grid = append(grid, w)
 	}
-	minReps, maxReps, relCI := s.replicateBounds()
 	out := &simCurve{
 		xs:   make([]float64, len(grid)),
 		ys:   make([]float64, len(grid)),
@@ -225,15 +224,7 @@ func simulatedCurve(ctx context.Context, id string, mode phy.AccessMode, g *core
 		reps: make([]float64, len(grid)),
 	}
 	for i, w := range grid {
-		rres, err := replicate.RunContext(ctx, replicate.Plan{
-			BaseSeed:     s.Seed,
-			Stream:       fmt.Sprintf("%s.sim.w%d", id, w),
-			Metrics:      1,
-			RelTolerance: relCI,
-			MinReps:      minReps,
-			MaxReps:      maxReps,
-			Workers:      s.workerCount(),
-		}, func() (replicate.Replicator, error) {
+		rres, err := replicate.Run(ctx, s.plan(fmt.Sprintf("%s.sim.w%d", id, w), 1), func() (replicate.Replicator, error) {
 			eng, err := macsim.NewEngine(macsim.Config{
 				Timing:   tm,
 				MaxStage: p.MaxBackoffStage,

@@ -81,14 +81,13 @@ func MultihopQuasiOptimality(ctx context.Context, s Settings) (*Report, error) {
 		return nil, err
 	}
 
-	minReps, maxReps, relCI := s.replicateBounds()
-	res, err := multihop.MeasureQuasiOptimalityContext(ctx, nw, multihop.QuasiOptConfig{
+	res, err := multihop.MeasureQuasiOptimality(ctx, nw, multihop.QuasiOptConfig{
 		Sim:              multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M1.sweep", 0)),
 		Wm:               wm,
 		SweepMultipliers: []float64{0.4, 0.6, 0.8, 1.25, 1.6, 2.2, 3},
-		Replicas:         minReps,
-		MaxReplicas:      maxReps,
-		RelCITarget:      relCI,
+		MinReps:          s.ReplicateMin,
+		MaxReps:          s.ReplicateMax,
+		RelTolerance:     s.ReplicateRelCI,
 		Workers:          s.workerCount(),
 	})
 	if err != nil {
@@ -176,7 +175,7 @@ func HiddenNodeInvariance(ctx context.Context, s Settings) (*Report, error) {
 		return nil, err
 	}
 	cws := []int{8, 16, 26, 40, 64, 104, 160}
-	fracs, err := multihop.PHNSweepContext(ctx, nw, multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M2.phn", 0)), cws, s.workerCount())
+	fracs, err := multihop.PHNSweep(ctx, nw, multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M2.phn", 0)), cws, s.workerCount())
 	if err != nil {
 		return nil, err
 	}

@@ -205,22 +205,13 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 		Seed: rng.DeriveSeed(s.Seed, "A9.topo", 0),
 	}
 	churnRates := []float64{0, 0.02, 0.05}
-	minReps, maxReps, relCI := s.replicateBounds()
 	type churnRow struct {
 		res *replicate.Result
 	}
 	churnRows := make([]churnRow, len(churnRates))
 	for i, rate := range churnRates {
-		rres, err := replicate.RunFuncContext(ctx, replicate.Plan{
-			BaseSeed:     s.Seed,
-			Stream:       fmt.Sprintf("A9.churn%02.0f", rate*100),
-			Metrics:      3, // converged-at stage, converged CW, stages run
-			Target:       0,
-			RelTolerance: relCI,
-			MinReps:      minReps,
-			MaxReps:      maxReps,
-			Workers:      s.workerCount(),
-		}, func(seed uint64, out []float64) error {
+		// Metrics: converged-at stage, converged CW, stages run.
+		measure := replicate.Func(func(seed uint64, out []float64) error {
 			nw, err := topology.New(topoCfg)
 			if err != nil {
 				return err
@@ -252,6 +243,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 			out[2] = float64(len(tr.Stages))
 			return nil
 		})
+		rres, err := replicate.Run(ctx, s.plan(fmt.Sprintf("A9.churn%02.0f", rate*100), 3), func() (replicate.Replicator, error) { return measure, nil })
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,6 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 		Headers: []string{"mix", "beta", "reps", "latency (slots)", "ci95", "TPR", "FPR"},
 	}
 	rep := &Report{ID: "D4", Title: "Streaming misbehavior detection over population mixes"}
-	minReps, maxReps, relCI := s.replicateBounds()
 	var mixCol, betaCol, latCol, latCICol, tprCol, fprCol, repsCol []float64
 
 	for mi, mix := range mixes {
@@ -116,15 +115,8 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 				ExpectedCW:  ne.WStar,
 				Beta:        beta,
 			}
-			rres, err := replicate.RunContext(ctx, replicate.Plan{
-				BaseSeed:     s.Seed,
-				Stream:       fmt.Sprintf("D4.%s.beta%g", mix.key, beta),
-				Metrics:      3, // latency, TPR, FPR; latency drives adaptive stopping
-				RelTolerance: relCI,
-				MinReps:      minReps,
-				MaxReps:      maxReps,
-				Workers:      s.workerCount(),
-			}, func() (replicate.Replicator, error) {
+			// Metrics: latency, TPR, FPR; latency drives adaptive stopping.
+			rres, err := replicate.Run(ctx, s.plan(fmt.Sprintf("D4.%s.beta%g", mix.key, beta), 3), func() (replicate.Replicator, error) {
 				return newStreamDetectRep(simCfg, monCfg, cheater)
 			})
 			if err != nil {

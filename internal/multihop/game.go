@@ -147,26 +147,22 @@ type QuasiOptConfig struct {
 	// SweepMultipliers are the relative common-CW values tried in the
 	// sweep. 1.0 (= Wm itself) is implicitly included.
 	SweepMultipliers []float64
-	// Replicas averages each operating point over at least this many
-	// independent seeds (derived deterministically from Sim.Seed) to
-	// suppress sampling noise in the per-node ratios. 0 or 1 means one
-	// run.
-	Replicas int
-	// MaxReplicas, when greater than Replicas and RelCITarget is set,
-	// enables adaptive precision: each operating point replicates until
-	// the CI95 half-width of the global payoff rate drops below
-	// RelCITarget of its mean, within [Replicas, MaxReplicas]. Zero (or
-	// any value below Replicas) means exactly Replicas runs per point.
-	MaxReplicas int
-	// RelCITarget is the relative CI95 target for adaptive stopping (see
-	// MaxReplicas). Zero disables adaptive stopping.
-	RelCITarget float64
-	// Workers bounds the goroutines fanned out over a point's replicated
-	// simulator runs. 0 or negative means GOMAXPROCS; 1 runs them
-	// serially. Results are bit-identical at every worker count — the
-	// replication layer (internal/replicate) schedules deterministic
-	// rounds and merges moments in index order.
-	Workers int
+	// MinReps, MaxReps, RelTolerance and Workers are the replication
+	// schedule of every operating point, passed unchanged to
+	// internal/replicate's Plan: each point averages independent seeds
+	// (derived deterministically from Sim.Seed) to suppress sampling
+	// noise in the per-node ratios. With RelTolerance 0 exactly MaxReps
+	// replications run; with RelTolerance > 0 a point replicates in
+	// rounds, from MinReps up to MaxReps, until the CI95 half-width of
+	// its global payoff rate drops below RelTolerance of its mean. A plan
+	// the replication layer rejects (MaxReps < 1, say) is an error
+	// wrapping replicate.ErrInvalidPlan. Workers bounds the goroutines a
+	// point's runs fan out over (0 or negative means GOMAXPROCS); results
+	// are bit-identical at every worker count.
+	MinReps      int
+	MaxReps      int
+	RelTolerance float64
+	Workers      int
 }
 
 // QuasiOptResult reports how close the converged NE is to optimal.
@@ -192,9 +188,8 @@ type QuasiOptResult struct {
 	// BestGlobalW is the uniform CW attaining GlobalMax.
 	BestGlobalW int
 	// RepsPerCW[k] is the number of replications actually run for
-	// SweptCWs[k] (Replicas unless adaptive stopping ended earlier or
-	// later), and GlobalCI95PerCW[k] the CI95 half-width of its global
-	// payoff rate.
+	// SweptCWs[k] (MaxReps unless adaptive stopping ended earlier), and
+	// GlobalCI95PerCW[k] the CI95 half-width of its global payoff rate.
 	RepsPerCW       []int
 	GlobalCI95PerCW []float64
 }
@@ -205,16 +200,11 @@ type QuasiOptResult struct {
 // globally, how little any other common operating point improves on Wm.
 // All runs share the configured seed, so comparisons are paired. The
 // network is a static snapshot: a config with Sim.MobilityEvery > 0 is
-// rejected with an error wrapping ErrInvalidSimConfig.
-func MeasureQuasiOptimality(nw *topology.Network, cfg QuasiOptConfig) (*QuasiOptResult, error) {
-	return MeasureQuasiOptimalityContext(context.Background(), nw, cfg)
-}
-
-// MeasureQuasiOptimalityContext is MeasureQuasiOptimality under a
-// context, checked between candidate CWs and at the replication layer's
-// round boundaries. A cancelled sweep returns an error wrapping
-// ctx.Err(), never a partially filled result.
-func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cfg QuasiOptConfig) (*QuasiOptResult, error) {
+// rejected with an error wrapping ErrInvalidSimConfig. ctx is checked
+// between candidate CWs and at the replication layer's round
+// boundaries; a cancelled sweep returns an error wrapping ctx.Err(),
+// never a partially filled result.
+func MeasureQuasiOptimality(ctx context.Context, nw *topology.Network, cfg QuasiOptConfig) (*QuasiOptResult, error) {
 	if cfg.Wm < 1 {
 		return nil, fmt.Errorf("multihop: Wm = %d must be >= 1", cfg.Wm)
 	}
@@ -234,14 +224,6 @@ func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cf
 		RepsPerCW:       make([]int, len(candidates)),
 		GlobalCI95PerCW: make([]float64, len(candidates)),
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	maxReplicas := cfg.MaxReplicas
-	if maxReplicas < replicas {
-		maxReplicas = replicas
-	}
 
 	// Each candidate CW is one replicated measurement. Replication index
 	// — not the candidate — drives the derived seed, so candidates are
@@ -259,12 +241,12 @@ func MeasureQuasiOptimalityContext(ctx context.Context, nw *topology.Network, cf
 			Stream:       "multihop.quasiopt",
 			Metrics:      n + 1,
 			Target:       n,
-			RelTolerance: cfg.RelCITarget,
-			MinReps:      replicas,
-			MaxReps:      maxReplicas,
+			RelTolerance: cfg.RelTolerance,
+			MinReps:      cfg.MinReps,
+			MaxReps:      cfg.MaxReps,
 			Workers:      cfg.Workers,
 		}
-		rres, err := replicate.RunContext(ctx, plan, func() (replicate.Replicator, error) {
+		rres, err := replicate.Run(ctx, plan, func() (replicate.Replicator, error) {
 			sim := cfg.Sim
 			sim.CW = uniformCWProfile(w, n)
 			s, err := NewSimulator(nw, sim)
@@ -371,15 +353,10 @@ func summarizeRatios(rs []float64) (minR, meanR float64) {
 // independent of CW when n is large and CW not too small). It returns one
 // HiddenFraction per candidate CW. The sweep points are independent
 // simulator runs fanned out over at most `workers` goroutines (0 means
-// GOMAXPROCS). The network is a static snapshot: a sim with
-// MobilityEvery > 0 is rejected with an error wrapping ErrInvalidSimConfig.
-func PHNSweep(nw *topology.Network, sim SimConfig, cws []int, workers int) ([]float64, error) {
-	return PHNSweepContext(context.Background(), nw, sim, cws, workers)
-}
-
-// PHNSweepContext is PHNSweep under a context, checked between sweep
-// points.
-func PHNSweepContext(ctx context.Context, nw *topology.Network, sim SimConfig, cws []int, workers int) ([]float64, error) {
+// GOMAXPROCS), with ctx checked between sweep points. The network is a
+// static snapshot: a sim with MobilityEvery > 0 is rejected with an
+// error wrapping ErrInvalidSimConfig.
+func PHNSweep(ctx context.Context, nw *topology.Network, sim SimConfig, cws []int, workers int) ([]float64, error) {
 	if len(cws) == 0 {
 		return nil, errors.New("multihop: empty CW sweep")
 	}

@@ -15,6 +15,7 @@ import (
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/phy"
+	"selfishmac/internal/replicate"
 	"selfishmac/internal/stats"
 	"selfishmac/internal/topology"
 )
@@ -606,9 +607,9 @@ func TestQuasiOptimalitySmall(t *testing.T) {
 		Sim:              DefaultSimConfig(10e6, 5),
 		Wm:               ConvergedCW(profile),
 		SweepMultipliers: []float64{0.5, 0.75, 1.5, 2, 3},
-		Replicas:         3,
+		MaxReps:          3,
 	}
-	res, err := MeasureQuasiOptimality(nw, cfg)
+	res, err := MeasureQuasiOptimality(context.Background(), nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,15 +634,28 @@ func TestQuasiOptimalitySmall(t *testing.T) {
 		t.Errorf("sweep evaluated only %v", res.SweptCWs)
 	}
 	cfg.Sim.MobilityEvery = 1e5
-	if _, err := MeasureQuasiOptimality(nw, cfg); !errors.Is(err, ErrInvalidSimConfig) {
+	if _, err := MeasureQuasiOptimality(context.Background(), nw, cfg); !errors.Is(err, ErrInvalidSimConfig) {
 		t.Errorf("mobile quasi-optimality: got %v, want an error wrapping ErrInvalidSimConfig", err)
+	}
+}
+
+// The replication schedule goes to the replication layer unclamped: a
+// sweep with no replications is a rejected plan, not a silent single run.
+func TestQuasiOptimalityRejectsBadSchedule(t *testing.T) {
+	_, err := MeasureQuasiOptimality(context.Background(), cliqueNetwork(t, 4), QuasiOptConfig{
+		Sim:              DefaultSimConfig(1e5, 1),
+		Wm:               16,
+		SweepMultipliers: []float64{2},
+	})
+	if !errors.Is(err, replicate.ErrInvalidPlan) {
+		t.Fatalf("MaxReps 0: got %v, want an error wrapping replicate.ErrInvalidPlan", err)
 	}
 }
 
 func TestPHNSweep(t *testing.T) {
 	nw := paperNetwork(t, 12)
 	sim := DefaultSimConfig(2e6, 21)
-	fracs, err := PHNSweep(nw, sim, []int{16, 32, 64}, 0)
+	fracs, err := PHNSweep(context.Background(), nw, sim, []int{16, 32, 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,14 +667,14 @@ func TestPHNSweep(t *testing.T) {
 			t.Errorf("fraction %d = %g outside [0,1]", i, f)
 		}
 	}
-	if _, err := PHNSweep(nw, sim, nil, 0); err == nil {
+	if _, err := PHNSweep(context.Background(), nw, sim, nil, 0); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := PHNSweep(nw, sim, []int{0}, 0); err == nil {
+	if _, err := PHNSweep(context.Background(), nw, sim, []int{0}, 0); err == nil {
 		t.Error("CW 0 accepted")
 	}
 	sim.MobilityEvery = 1e5
-	if _, err := PHNSweep(nw, sim, []int{16}, 0); !errors.Is(err, ErrInvalidSimConfig) {
+	if _, err := PHNSweep(context.Background(), nw, sim, []int{16}, 0); !errors.Is(err, ErrInvalidSimConfig) {
 		t.Errorf("mobile p_hn sweep: got %v, want an error wrapping ErrInvalidSimConfig", err)
 	}
 }
@@ -676,7 +690,7 @@ func TestPHNSweepStaleNetworkConcurrentReaders(t *testing.T) {
 		if err := nw.Step(30); err != nil {
 			t.Fatal(err)
 		}
-		fracs, err := PHNSweepContext(context.Background(), nw, DefaultSimConfig(5e5, 3), []int{16, 32, 64, 128}, workers)
+		fracs, err := PHNSweep(context.Background(), nw, DefaultSimConfig(5e5, 3), []int{16, 32, 64, 128}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

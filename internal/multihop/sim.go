@@ -142,16 +142,6 @@ type NodeStats struct {
 	PayoffRate float64
 }
 
-// MeasuredPHN returns the per-node hidden-node survival factor: the
-// fraction of transmissions *not* lost to hidden terminals, conditioned on
-// attempts (1 when the node never transmitted).
-func (s NodeStats) MeasuredPHN() float64 {
-	if s.Attempts == 0 {
-		return 1
-	}
-	return 1 - float64(s.HiddenCollisions)/float64(s.Attempts)
-}
-
 // SimResult is the outcome of a spatial run.
 type SimResult struct {
 	// Nodes holds per-node statistics.
@@ -171,14 +161,6 @@ func (r *SimResult) GlobalPayoffRate() float64 {
 		sum += n.PayoffRate
 	}
 	return sum
-}
-
-// MeanPayoffRate is GlobalPayoffRate / n.
-func (r *SimResult) MeanPayoffRate() float64 {
-	if len(r.Nodes) == 0 {
-		return 0
-	}
-	return r.GlobalPayoffRate() / float64(len(r.Nodes))
 }
 
 type spatialNode struct {

@@ -21,7 +21,7 @@ func TestCancelPrefixBitIdentical(t *testing.T) {
 	ref := base
 	ref.Workers = 1
 	ref.OnRound = func(st RoundStatus) { perRound = append(perRound, st) }
-	full, err := RunFunc(ref, twoMetricFunc(6))
+	full, err := runFunc(ref, twoMetricFunc(6))
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestCancelPrefixBitIdentical(t *testing.T) {
 					cancel()
 				}
 			}
-			res, err := RunFuncContext(ctx, p, twoMetricFunc(6))
+			res, err := Run(ctx, p, func() (Replicator, error) { return twoMetricFunc(6), nil })
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d stopAfter=%d: err = %v, want context.Canceled", workers, stopAfter, err)
@@ -70,7 +70,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	built := false
-	res, err := RunContext(ctx, FixedPlan(1, "t.dead", 1, 4, 1), func() (Replicator, error) {
+	res, err := Run(ctx, Plan{BaseSeed: 1, Stream: "t.dead", Metrics: 1, MaxReps: 4, Workers: 1}, func() (Replicator, error) {
 		built = true
 		return twoMetricFunc(1), nil
 	})
@@ -85,98 +85,29 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// flakyFunc fails whenever the low bits of the seed land in the failure
-// band; because retry seeds are derived deterministically, which attempts
-// fail is a pure function of the plan.
-func flakyFunc(failMod uint64) Func {
-	return func(seed uint64, out []float64) error {
-		if seed%failMod == 0 {
-			return errors.New("transient failure")
+// TestFailingReplicationAttemptedOnce: a failing replication is not
+// retried on another seed; the round completes with every replication
+// attempted once and the lowest-index error surfaces.
+func TestFailingReplicationAttemptedOnce(t *testing.T) {
+	p := Plan{BaseSeed: 1, Stream: "t.once", Metrics: 1, MaxReps: 4, Workers: 1}
+	attempts := map[uint64]int{}
+	_, err := runFunc(p, func(seed uint64, out []float64) error {
+		attempts[seed]++
+		if seed == rng.DeriveSeed(1, "t.once", 1) || seed == rng.DeriveSeed(1, "t.once", 3) {
+			return errors.New("hard failure")
 		}
-		out[0] = noisyMetric(seed, 3)
 		return nil
-	}
-}
-
-// TestRetryRecoversDeterministically: with a retry budget, a plan whose
-// primary seeds sometimes fail completes, reports the retries, and stays
-// bit-identical across worker counts.
-func TestRetryRecoversDeterministically(t *testing.T) {
-	// Find a modulus that fails at least one primary seed of the plan but
-	// no retry chain deeper than the budget.
-	const reps = 24
-	base := Plan{BaseSeed: 11, Stream: "t.retry", Metrics: 1,
-		MinReps: reps, MaxReps: reps, MaxErrRetries: 3}
-	failMod := uint64(0)
-search:
-	for mod := uint64(3); mod < 64; mod++ {
-		primaryFails := 0
-		for i := 0; i < reps; i++ {
-			seed := rng.DeriveSeed(base.BaseSeed, base.Stream, i)
-			depth := 0
-			for seed%mod == 0 {
-				depth++
-				if depth > base.MaxErrRetries {
-					continue search
-				}
-				seed = rng.DeriveSeed(seed, "replicate.retry", depth)
-			}
-			if depth > 0 {
-				primaryFails++
-			}
-		}
-		if primaryFails > 0 {
-			failMod = mod
-			break
-		}
-	}
-	if failMod == 0 {
-		t.Fatal("no suitable failure modulus found")
-	}
-
-	var want *Result
-	for _, workers := range []int{1, 4} {
-		p := base
-		p.Workers = workers
-		got, err := RunFunc(p, flakyFunc(failMod))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Retried == 0 {
-			t.Fatalf("workers=%d: expected retries, got none", workers)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if got.Retried != want.Retried || got.Moments[0] != want.Moments[0] {
-			t.Fatalf("workers=%d: retry path diverged: retried %d/%d, moments %+v vs %+v",
-				workers, got.Retried, want.Retried, got.Summary(0), want.Summary(0))
-		}
-	}
-}
-
-// TestRetryBudgetExhausted: a replication that fails on the primary seed
-// and every retry seed surfaces the lowest-index error, mentioning the
-// spent budget.
-func TestRetryBudgetExhausted(t *testing.T) {
-	p := Plan{BaseSeed: 1, Stream: "t.budget", Metrics: 1,
-		MinReps: 4, MaxReps: 4, Workers: 1, MaxErrRetries: 2}
-	attempts := 0
-	_, err := RunFunc(p, func(seed uint64, out []float64) error {
-		attempts++
-		return errors.New("hard failure")
 	})
-	if err == nil {
-		t.Fatal("expected an error")
+	if err == nil || !strings.Contains(err.Error(), "replication 1:") {
+		t.Fatalf("err = %v, want the error of replication 1", err)
 	}
-	if !strings.Contains(err.Error(), "replication 0") || !strings.Contains(err.Error(), "after 2 retries") {
-		t.Fatalf("error %q does not name the replication and budget", err)
+	for i := 0; i < p.MaxReps; i++ {
+		if n := attempts[rng.DeriveSeed(1, "t.once", i)]; n != 1 {
+			t.Fatalf("replication %d attempted %d times, want once", i, n)
+		}
 	}
-	// Errors surface only after the round completes, so every replication
-	// in the round spends its full budget first.
-	if want := p.MaxReps * (1 + p.MaxErrRetries); attempts != want {
-		t.Fatalf("round ran %d attempts, want %d", attempts, want)
+	if len(attempts) != p.MaxReps {
+		t.Fatalf("%d distinct seeds ran, want %d (no retry seeds)", len(attempts), p.MaxReps)
 	}
 }
 
@@ -187,7 +118,7 @@ func TestOnRoundStreamsCISoFar(t *testing.T) {
 	p := Plan{BaseSeed: 5, Stream: "t.progress", Metrics: 2, Target: 0,
 		RelTolerance: 0.02, MinReps: 2, MaxReps: 40, BatchSize: 3, Workers: 2,
 		OnRound: func(st RoundStatus) { got = append(got, st) }}
-	res, err := RunFunc(p, twoMetricFunc(4))
+	res, err := runFunc(p, twoMetricFunc(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package replicate_test
 
 import (
+	"context"
 	"testing"
 
 	"selfishmac/internal/macsim"
@@ -84,8 +85,8 @@ func TestDifferentialReplicateMacsim(t *testing.T) {
 		return nil
 	})
 	for _, workers := range []int{1, 4} {
-		got, err := replicate.Run(
-			replicate.FixedPlan(42, stream, metrics, diffReps, workers),
+		got, err := replicate.Run(context.Background(),
+			replicate.Plan{BaseSeed: 42, Stream: stream, Metrics: metrics, MaxReps: diffReps, Workers: workers},
 			func() (replicate.Replicator, error) {
 				eng, err := macsim.NewEngine(cfg)
 				if err != nil {
@@ -147,8 +148,8 @@ func TestDifferentialReplicateMultihop(t *testing.T) {
 		return nil
 	})
 	for _, workers := range []int{1, 4} {
-		got, err := replicate.Run(
-			replicate.FixedPlan(7, stream, metrics, diffReps, workers),
+		got, err := replicate.Run(context.Background(),
+			replicate.Plan{BaseSeed: 7, Stream: stream, Metrics: metrics, MaxReps: diffReps, Workers: workers},
 			func() (replicate.Replicator, error) {
 				sim, err := multihop.NewSimulator(nw, cfg)
 				if err != nil {

@@ -24,11 +24,10 @@
 //     (macsim.Engine, multihop.Simulator) amortize their setup across
 //     the whole batch at ~0 allocations per replication.
 //
-// Cancellation (RunContext) and error retries (Plan.MaxErrRetries) keep
-// those properties: cancellation is decided only at round boundaries, so
-// a cancelled run returns the bit-identical prefix of the uncancelled
-// one, and retry seeds are derived per (replication, attempt), so
-// recovery is schedule-independent too.
+// Cancellation keeps those properties: it is decided only at round
+// boundaries, so a cancelled run returns the bit-identical prefix of the
+// uncancelled one. A replication error is not retried: replicators fail
+// only on configuration checks, which no other seed would pass.
 package replicate
 
 import (
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync/atomic"
 
 	"selfishmac/internal/parallel"
 	"selfishmac/internal/rng"
@@ -53,7 +51,9 @@ type Replicator interface {
 	Replicate(seed uint64, out []float64) error
 }
 
-// Func adapts a stateless function to the Replicator interface.
+// Func adapts a stateless function to the Replicator interface. A
+// factory that returns the same Func to every worker shares it between
+// goroutines, so it must be safe for concurrent use when Workers > 1.
 type Func func(seed uint64, out []float64) error
 
 // Replicate implements Replicator.
@@ -85,15 +85,6 @@ type Plan struct {
 	// Workers bounds the goroutines running replications (0 or negative
 	// means GOMAXPROCS; 1 forces the serial path).
 	Workers int
-	// MaxErrRetries is the per-replication error budget: when a
-	// replication fails, it is re-run on a derived retry seed
-	// (rng.DeriveSeed(seed, "replicate.retry", attempt)) up to
-	// MaxErrRetries times before the error is surfaced. Retries are
-	// deterministic — the attempt-k seed of replication i is a pure
-	// function of the plan — so the merged result stays bit-identical at
-	// every worker count even when some replications recover. 0 keeps
-	// the historical fail-fast behavior.
-	MaxErrRetries int
 	// OnRound, when non-nil, is called after each round's fold with a
 	// progress snapshot. Calls happen serially on the controller
 	// goroutine, in round order, after errors are checked and before the
@@ -133,8 +124,8 @@ func (p Plan) normalized() (Plan, error) {
 	if p.MaxReps < 1 {
 		errs = append(errs, fmt.Errorf("MaxReps = %d must be >= 1", p.MaxReps))
 	}
-	if p.MinReps < 0 || p.BatchSize < 0 || p.MaxErrRetries < 0 {
-		errs = append(errs, errors.New("negative MinReps/BatchSize/MaxErrRetries"))
+	if p.MinReps < 0 || p.BatchSize < 0 {
+		errs = append(errs, errors.New("negative MinReps/BatchSize"))
 	}
 	// NaN passes every ordered comparison, and +Inf would "converge" on
 	// any CI, so both are rejected outright.
@@ -166,20 +157,6 @@ func (p Plan) normalized() (Plan, error) {
 	return p, nil
 }
 
-// FixedPlan is a convenience constructor for the fixed-R (no adaptive
-// stopping) plan the experiment harness uses when a tolerance is not
-// configured: exactly reps replications, whatever the variance.
-func FixedPlan(baseSeed uint64, stream string, metrics, reps, workers int) Plan {
-	return Plan{
-		BaseSeed: baseSeed,
-		Stream:   stream,
-		Metrics:  metrics,
-		MinReps:  reps,
-		MaxReps:  reps,
-		Workers:  workers,
-	}
-}
-
 // Result is the merged outcome of a replication batch.
 type Result struct {
 	// Reps is the number of replications actually run; Rounds the number
@@ -194,10 +171,6 @@ type Result struct {
 	// cancellation — the bit-identical prefix of the uncancelled run —
 	// and Reps counts only those folded replications.
 	Cancelled bool
-	// Retried counts replication attempts that failed and were re-run on
-	// a retry seed (see Plan.MaxErrRetries). A replication that needed k
-	// extra attempts contributes k.
-	Retried int
 	// Moments holds the index-ordered fold of every metric.
 	Moments []stats.Welford
 }
@@ -213,24 +186,21 @@ func (r *Result) Summary(m int) stats.Summary { return r.Moments[m].Snapshot() }
 
 // Run executes the plan. factory builds one Replicator per worker (each
 // built exactly once, before any replication runs, and kept for the whole
-// batch — this is where reusable engines pay off). The returned Result is
-// bit-identical at every worker count; on error, the lowest-index
-// replication error is returned.
-func Run(p Plan, factory func() (Replicator, error)) (*Result, error) {
-	return RunContext(context.Background(), p, factory)
-}
-
-// RunContext executes the plan under a context. Cancellation is
-// round-synchronous, which is what keeps it deterministic: the context is
-// checked at every round boundary (and between replications inside a
-// round, so workers stop promptly), but only fully completed rounds are
-// ever folded. When ctx is cancelled mid-plan, RunContext returns a
-// non-nil Result holding the bit-identical prefix — exactly the moments
-// an uncancelled run would have had after the same rounds — with
-// Cancelled set, alongside ctx.Err(). Callers that treat the prefix as a
-// partial answer check res.Cancelled; callers that treat cancellation as
-// failure just propagate the error.
-func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error)) (*Result, error) {
+// batch — this is where reusable engines pay off); a stateless function
+// is passed as a factory returning Func(f). The returned Result is
+// bit-identical at every worker count. Each replication is attempted
+// once: a failed round returns the lowest-index replication error.
+//
+// Cancellation is round-synchronous, which is what keeps it
+// deterministic: the context is checked at every round boundary (and
+// between replications inside a round, so workers stop promptly), but
+// only fully completed rounds are ever folded. When ctx is cancelled
+// mid-plan, Run returns a non-nil Result holding the bit-identical
+// prefix — exactly the moments an uncancelled run would have had after
+// the same rounds — with Cancelled set, alongside ctx.Err(). Callers
+// that treat the prefix as a partial answer check res.Cancelled; callers
+// that treat cancellation as failure just propagate the error.
+func Run(ctx context.Context, p Plan, factory func() (Replicator, error)) (*Result, error) {
 	p, err := p.normalized()
 	if err != nil {
 		return nil, err
@@ -253,25 +223,22 @@ func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error))
 	values := make([]float64, p.MaxReps*p.Metrics)
 	errs := make([]error, p.MaxReps)
 	res := &Result{Moments: make([]stats.Welford, p.Metrics)}
-	var retried atomic.Int64
 
 	done, target := 0, p.MinReps
 	for {
-		runRound(ctx, p, workers, values, errs, done, target, &retried)
+		runRound(ctx, p, workers, values, errs, done, target)
 		if err := ctx.Err(); err != nil {
 			// The round that was in flight is discarded wholesale: folding
 			// a partial round would make the moments depend on which
 			// replications happened to finish before the cancel.
 			res.Reps = done
 			res.Cancelled = true
-			res.Retried = int(retried.Load())
 			return res, err
 		}
 		// Errors surface in index order, like parallel.ForEach.
 		for i := done; i < target; i++ {
 			if errs[i] != nil {
-				return nil, fmt.Errorf("replicate: replication %d (after %d retries): %w",
-					i, p.MaxErrRetries, errs[i])
+				return nil, fmt.Errorf("replicate: replication %d: %w", i, errs[i])
 			}
 		}
 		// Fold the round as one block per metric, merged in index order:
@@ -309,20 +276,7 @@ func RunContext(ctx context.Context, p Plan, factory func() (Replicator, error))
 		}
 	}
 	res.Reps = done
-	res.Retried = int(retried.Load())
 	return res, nil
-}
-
-// RunFunc runs the plan over a stateless replication function. The same
-// function value serves every worker, so it must be safe for concurrent
-// use when Workers > 1.
-func RunFunc(p Plan, f Func) (*Result, error) {
-	return Run(p, func() (Replicator, error) { return f, nil })
-}
-
-// RunFuncContext is RunFunc under a context (see RunContext).
-func RunFuncContext(ctx context.Context, p Plan, f Func) (*Result, error) {
-	return RunContext(ctx, p, func() (Replicator, error) { return f, nil })
 }
 
 // runRound executes replications [lo, hi) across the worker Replicators,
@@ -331,23 +285,14 @@ func RunFuncContext(ctx context.Context, p Plan, f Func) (*Result, error) {
 // which index. Workers stop claiming once ctx is cancelled; the caller
 // then discards the partial round, so the check affects wall-clock only,
 // never the folded moments.
-func runRound(ctx context.Context, p Plan, workers []Replicator, values []float64, errs []error, lo, hi int, retried *atomic.Int64) {
+func runRound(ctx context.Context, p Plan, workers []Replicator, values []float64, errs []error, lo, hi int) {
 	// Replication errors land in errs, never in the pool's result; the
 	// only error the pool can report is the cancellation the caller
 	// checks itself.
 	_ = parallel.ForEach(ctx, hi-lo, len(workers), func(w, k int) error {
 		i := lo + k
-		seed := rng.DeriveSeed(p.BaseSeed, p.Stream, i)
 		out := values[i*p.Metrics : (i+1)*p.Metrics : (i+1)*p.Metrics]
-		err := workers[w].Replicate(seed, out)
-		// Failed replications re-run on seeds derived from the primary
-		// seed, so the attempt-a stream of replication i never collides
-		// with any primary stream and is the same at every worker count.
-		for a := 1; err != nil && a <= p.MaxErrRetries && ctx.Err() == nil; a++ {
-			retried.Add(1)
-			err = workers[w].Replicate(rng.DeriveSeed(seed, "replicate.retry", a), out)
-		}
-		errs[i] = err
+		errs[i] = workers[w].Replicate(rng.DeriveSeed(p.BaseSeed, p.Stream, i), out)
 		return nil
 	})
 }

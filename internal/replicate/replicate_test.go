@@ -1,6 +1,7 @@
 package replicate
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -17,6 +18,11 @@ func noisyMetric(seed uint64, spread float64) float64 {
 	return 10 + spread*(src.Float64()-0.5)
 }
 
+// runFunc runs the plan with f shared by every worker.
+func runFunc(p Plan, f Func) (*Result, error) {
+	return Run(context.Background(), p, func() (Replicator, error) { return f, nil })
+}
+
 func twoMetricFunc(spread float64) Func {
 	return func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, spread)
@@ -30,7 +36,7 @@ func twoMetricFunc(spread float64) Func {
 // be bit-identical at workers 1, 2, 4 and 8, for fixed and adaptive plans.
 func TestWorkerCountBitIdentity(t *testing.T) {
 	plans := []Plan{
-		FixedPlan(3, "t.fixed", 2, 17, 0),
+		{BaseSeed: 3, Stream: "t.fixed", Metrics: 2, MaxReps: 17},
 		{BaseSeed: 3, Stream: "t.adapt", Metrics: 2, Target: 0,
 			RelTolerance: 0.01, MinReps: 3, MaxReps: 40, BatchSize: 4},
 		{BaseSeed: 9, Stream: "t.target1", Metrics: 2, Target: 1,
@@ -41,7 +47,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			p := base
 			p.Workers = workers
-			got, err := RunFunc(p, twoMetricFunc(4))
+			got, err := runFunc(p, twoMetricFunc(4))
 			if err != nil {
 				t.Fatalf("plan %d workers %d: %v", pi, workers, err)
 			}
@@ -63,24 +69,30 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
-// A fixed-R plan runs exactly MaxReps replications in one round and never
-// reports convergence.
+// A fixed-R plan (no RelTolerance) runs exactly MaxReps replications in
+// one round and never reports convergence, whatever MinReps says.
 func TestFixedPlanRunsExactly(t *testing.T) {
-	var calls atomic.Int64
-	res, err := RunFunc(FixedPlan(1, "t.count", 1, 13, 4), func(seed uint64, out []float64) error {
-		calls.Add(1)
-		out[0] = noisyMetric(seed, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reps != 13 || calls.Load() != 13 || res.Rounds != 1 || res.Converged {
-		t.Fatalf("fixed plan ran %d reps (%d calls, %d rounds, converged=%v), want exactly 13 in one round",
-			res.Reps, calls.Load(), res.Rounds, res.Converged)
-	}
-	if res.Moments[0].N() != 13 {
-		t.Fatalf("moments folded %d samples, want 13", res.Moments[0].N())
+	for _, p := range []Plan{
+		{BaseSeed: 1, Stream: "t.count", Metrics: 1, MaxReps: 13, Workers: 4},
+		{BaseSeed: 1, Stream: "t.count", Metrics: 1, MinReps: 2, MaxReps: 5},
+	} {
+		var calls atomic.Int64
+		res, err := runFunc(p, func(seed uint64, out []float64) error {
+			calls.Add(1)
+			out[0] = noisyMetric(seed, 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.MaxReps
+		if res.Reps != want || int(calls.Load()) != want || res.Rounds != 1 || res.Converged {
+			t.Fatalf("MinReps %d: fixed plan ran %d reps (%d calls, %d rounds, converged=%v), want exactly %d in one round",
+				p.MinReps, res.Reps, calls.Load(), res.Rounds, res.Converged, want)
+		}
+		if res.Moments[0].N() != want {
+			t.Fatalf("MinReps %d: moments folded %d samples, want %d", p.MinReps, res.Moments[0].N(), want)
+		}
 	}
 }
 
@@ -91,7 +103,7 @@ func TestAdaptiveStopping(t *testing.T) {
 	base := Plan{BaseSeed: 5, Stream: "t.stop", Metrics: 1, Target: 0,
 		RelTolerance: 0.02, MinReps: 3, MaxReps: 30, BatchSize: 4, Workers: 2}
 
-	quiet, err := RunFunc(base, func(seed uint64, out []float64) error {
+	quiet, err := runFunc(base, func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, 0.01) // CI≈1e-3 ≪ 2% of 10
 		return nil
 	})
@@ -106,7 +118,7 @@ func TestAdaptiveStopping(t *testing.T) {
 		t.Fatalf("reported convergence with CI %g above tolerance", ci)
 	}
 
-	loud, err := RunFunc(base, func(seed uint64, out []float64) error {
+	loud, err := runFunc(base, func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, 50) // CI stays way above 2% of 10
 		return nil
 	})
@@ -120,7 +132,7 @@ func TestAdaptiveStopping(t *testing.T) {
 
 	// Intermediate variance must stop strictly between the bounds at a
 	// round boundary (MinReps + k*BatchSize).
-	mid, err := RunFunc(base, func(seed uint64, out []float64) error {
+	mid, err := runFunc(base, func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, 1.2)
 		return nil
 	})
@@ -141,7 +153,7 @@ func TestAdaptiveStopping(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := RunFunc(FixedPlan(1, "t.err", 1, 10, workers), func(seed uint64, out []float64) error {
+		_, err := runFunc(Plan{BaseSeed: 1, Stream: "t.err", Metrics: 1, MaxReps: 10, Workers: workers}, func(seed uint64, out []float64) error {
 			// Replications 3 and 7 fail (identified via their seeds).
 			if seed == rng.DeriveSeed(1, "t.err", 3) || seed == rng.DeriveSeed(1, "t.err", 7) {
 				return boom
@@ -161,8 +173,8 @@ func TestErrorPropagation(t *testing.T) {
 // Each worker must get its own Replicator, built exactly once.
 func TestFactoryPerWorker(t *testing.T) {
 	var built atomic.Int64
-	p := FixedPlan(1, "t.factory", 1, 20, 4)
-	_, err := Run(p, func() (Replicator, error) {
+	p := Plan{BaseSeed: 1, Stream: "t.factory", Metrics: 1, MaxReps: 20, Workers: 4}
+	_, err := Run(context.Background(), p, func() (Replicator, error) {
 		built.Add(1)
 		return Func(func(seed uint64, out []float64) error {
 			out[0] = noisyMetric(seed, 1)
@@ -176,7 +188,7 @@ func TestFactoryPerWorker(t *testing.T) {
 		t.Fatalf("factory built %d replicators, want 4 (one per worker)", built.Load())
 	}
 	factoryErr := errors.New("no engine")
-	if _, err := Run(p, func() (Replicator, error) { return nil, factoryErr }); !errors.Is(err, factoryErr) {
+	if _, err := Run(context.Background(), p, func() (Replicator, error) { return nil, factoryErr }); !errors.Is(err, factoryErr) {
 		t.Fatalf("factory error not propagated: %v", err)
 	}
 }
@@ -199,7 +211,7 @@ func TestPlanValidation(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			ran := false
-			_, err := RunFunc(tc.plan, func(uint64, []float64) error { ran = true; return nil })
+			_, err := runFunc(tc.plan, func(uint64, []float64) error { ran = true; return nil })
 			if !errors.Is(err, ErrInvalidPlan) {
 				t.Fatalf("err = %v, want ErrInvalidPlan", err)
 			}
@@ -210,7 +222,7 @@ func TestPlanValidation(t *testing.T) {
 	}
 	// MaxReps=1 with a tolerance: no CI is ever computable; the plan must
 	// still terminate after its single replication.
-	res, err := RunFunc(Plan{Metrics: 1, MaxReps: 1, RelTolerance: 0.1, Stream: "t.one"},
+	res, err := runFunc(Plan{Metrics: 1, MaxReps: 1, RelTolerance: 0.1, Stream: "t.one"},
 		func(seed uint64, out []float64) error { out[0] = 1; return nil })
 	if err != nil {
 		t.Fatal(err)

@@ -97,8 +97,6 @@ type ScheduleParams struct {
 	MaxReps   int     `json:"max_reps,omitempty"`
 	BatchSize int     `json:"batch_size,omitempty"`
 	RelCI     float64 `json:"rel_ci,omitempty"`
-	// MaxErrRetries is the per-replication deterministic retry budget.
-	MaxErrRetries int `json:"max_err_retries,omitempty"`
 	// Workers bounds the replication pool (0 = GOMAXPROCS; larger
 	// values are clamped to GOMAXPROCS, which changes no result: the
 	// replication layer is bit-identical at any worker count).
@@ -153,7 +151,6 @@ type ReplicateResult struct {
 	Rounds    int          `json:"rounds"`
 	Converged bool         `json:"converged"`
 	Cancelled bool         `json:"cancelled"`
-	Retried   int          `json:"retried"`
 	Metrics   []MetricView `json:"metrics"`
 }
 
@@ -165,16 +162,15 @@ type ReplicateResult struct {
 func runReplicated(ctx context.Context, sched ScheduleParams, stream string, metrics []string,
 	factory func() (replicate.Replicator, error), progress func(v any)) (any, error) {
 	plan := replicate.Plan{
-		BaseSeed:      sched.BaseSeed,
-		Stream:        stream,
-		Metrics:       len(metrics),
-		Target:        0,
-		RelTolerance:  max(sched.RelCI, 0), // RelCI <= 0 disables adaptive stopping
-		MinReps:       sched.MinReps,
-		MaxReps:       sched.MaxReps,
-		BatchSize:     sched.BatchSize,
-		Workers:       sched.Workers,
-		MaxErrRetries: sched.MaxErrRetries,
+		BaseSeed:     sched.BaseSeed,
+		Stream:       stream,
+		Metrics:      len(metrics),
+		Target:       0,
+		RelTolerance: max(sched.RelCI, 0), // RelCI <= 0 disables adaptive stopping
+		MinReps:      sched.MinReps,
+		MaxReps:      sched.MaxReps,
+		BatchSize:    sched.BatchSize,
+		Workers:      sched.Workers,
 		OnRound: func(st replicate.RoundStatus) {
 			pr := ReplicateProgress{Round: st.Round, Reps: st.Reps}
 			for m, sum := range st.Summaries {
@@ -183,7 +179,7 @@ func runReplicated(ctx context.Context, sched ScheduleParams, stream string, met
 			progress(pr)
 		},
 	}
-	res, err := replicate.RunContext(ctx, plan, factory)
+	res, err := replicate.Run(ctx, plan, factory)
 	if res == nil {
 		return nil, err
 	}
@@ -192,7 +188,6 @@ func runReplicated(ctx context.Context, sched ScheduleParams, stream string, met
 		Rounds:    res.Rounds,
 		Converged: res.Converged,
 		Cancelled: res.Cancelled,
-		Retried:   res.Retried,
 	}
 	for m, name := range metrics {
 		sum := res.Summary(m)

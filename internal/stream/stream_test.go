@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -191,12 +192,12 @@ func TestMonitoredReplicationWorkerInvariance(t *testing.T) {
 		BaseSeed: 99, Stream: "stream.test", Metrics: 4,
 		MinReps: 8, MaxReps: 8, Workers: 1,
 	}
-	serial, err := replicate.Run(plan, newMonitoredReplicator)
+	serial, err := replicate.Run(context.Background(), plan, newMonitoredReplicator)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan.Workers = 4
-	parallel, err := replicate.Run(plan, newMonitoredReplicator)
+	parallel, err := replicate.Run(context.Background(), plan, newMonitoredReplicator)
 	if err != nil {
 		t.Fatal(err)
 	}

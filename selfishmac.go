@@ -34,6 +34,8 @@
 package selfishmac
 
 import (
+	"context"
+
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
 	"selfishmac/internal/detect"
@@ -242,7 +244,7 @@ func TFTConverge(adj [][]int, w0 []int, maxStages int) ([]int, int, bool) {
 
 // MeasureQuasiOptimality runs the Section VII.B experiment.
 func MeasureQuasiOptimality(nw *Network, cfg QuasiOptConfig) (*QuasiOptResult, error) {
-	return multihop.MeasureQuasiOptimality(nw, cfg)
+	return multihop.MeasureQuasiOptimality(context.Background(), nw, cfg)
 }
 
 // DefaultSpatialSimConfig returns paper-flavored spatial settings
