@@ -259,6 +259,9 @@ func cmdGame(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *noise < 0 || math.IsNaN(*noise) {
+		return fmt.Errorf("noise %g is not a non-negative number", *noise)
+	}
 	m, err := parseMode(*mode)
 	if err != nil {
 		return err
@@ -409,7 +412,7 @@ func cmdSearch(args []string) error {
 	mode := fs.String("mode", "rtscts", "access mode: basic or rtscts")
 	w0 := fs.Int("w0", 8, "starting CW")
 	accel := fs.Bool("accel", false, "use the accelerated O(log W*) variant")
-	drop := fs.Float64("drop", 0, "broadcast message-loss probability")
+	drop := fs.Float64("drop", 0, "per-follower broadcast loss probability in [0, 1)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -431,8 +434,8 @@ func cmdSearch(args []string) error {
 		return err
 	}
 	var env selfishmac.SearchEnv = inner
-	if *drop > 0 {
-		lossy, err := selfishmac.NewLossySearchEnv(inner, *drop, *seed)
+	if *drop != 0 {
+		lossy, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: *seed, DropProb: *drop})
 		if err != nil {
 			return err
 		}

@@ -98,6 +98,11 @@ func TestSubcommandFlagErrors(t *testing.T) {
 		{"observe", "-mode", "nonsense"},
 		{"packets", "-mode", "nonsense"},
 		{"observe", "-cheat", "5", "-cheater", "99"},
+		{"search", "-drop", "-0.2"},
+		{"search", "-drop", "NaN"},
+		{"search", "-drop", "1"},
+		{"game", "-noise", "-0.1"},
+		{"game", "-noise", "NaN"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)

@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lossyEnv, err := selfishmac.NewLossySearchEnv(inner, 0.2, 42)
+	lossyEnv, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: 42, DropProb: 0.2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"selfishmac/internal/core"
+	"selfishmac/internal/faults"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/plot"
 	"selfishmac/internal/rng"
@@ -83,7 +84,7 @@ func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		lossy, err := search.NewLossyEnv(inner, 0.2, rng.DeriveSeed(s.Seed, "A1.lossy", w0))
+		lossy, err := faults.New(inner, faults.Config{Seed: rng.DeriveSeed(s.Seed, "A1.lossy", w0), DropProb: 0.2})
 		if err != nil {
 			return nil, err
 		}

@@ -37,12 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative DropProb", Config{DropProb: -0.1}},
 		{"NaN DropProb", Config{DropProb: math.NaN()}},
 		{"DupProb 1", Config{DupProb: 1}},
-		{"DelayProb 1", Config{DelayProb: 1}},
 		{"OutlierProb 1", Config{OutlierProb: 1}},
 		{"FailProb 1", Config{FailProb: 1}},
-		{"FollowerCrashProb 1", Config{FollowerCrashProb: 1}},
-		{"negative MaxDelay", Config{MaxDelay: -1}},
-		{"negative OutlierScale", Config{OutlierScale: -2}},
 		{"negative LeaderCrashAfter", Config{LeaderCrashAfter: -1}},
 	}
 	for _, tc := range cases {
@@ -86,8 +82,8 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 		t.Fatal("zero-config wrapper changed the measured payoffs")
 	}
 	s := env.Stats
-	if s.Dropped != 0 || s.Duplicated != 0 || s.Delayed != 0 || s.Outliers != 0 ||
-		s.TransientFailures != 0 || s.FollowerCrashes != 0 || s.LeaderCrashes != 0 {
+	if s.Dropped != 0 || s.Duplicated != 0 || s.Outliers != 0 ||
+		s.TransientFailures != 0 || s.LeaderCrashes != 0 || s.Failovers != 0 {
 		t.Fatalf("zero config injected faults: %+v", s)
 	}
 	if s.Broadcasts == 0 {
@@ -142,17 +138,15 @@ func TestResilientRunAcceptanceScenario(t *testing.T) {
 func TestScenarioReplaysByteIdentical(t *testing.T) {
 	g := mustGame(t, 10)
 	cfg := Config{
-		Seed:              42,
-		DropProb:          0.25,
-		DupProb:           0.1,
-		DelayProb:         0.1,
-		OutlierProb:       0.1,
-		FailProb:          0.05,
-		LeaderCrashAfter:  6,
-		FollowerCrashProb: 0.002,
+		Seed:             42,
+		DropProb:         0.25,
+		DupProb:          0.1,
+		OutlierProb:      0.1,
+		FailProb:         0.05,
+		LeaderCrashAfter: 6,
 	}
 	opts := search.Options{WMax: g.Config().WMax, MeasureK: 3, Retries: 3}
-	run := func() (search.Result, Stats, []int) {
+	run := func() (search.Result, Stats) {
 		env, err := New(mustEnv(t, g, 8), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -161,18 +155,15 @@ func TestScenarioReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, env.Stats, env.CrashedFollowers()
+		return res, env.Stats
 	}
-	res1, stats1, crashed1 := run()
-	res2, stats2, crashed2 := run()
+	res1, stats1 := run()
+	res2, stats2 := run()
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatalf("results differ across replays:\n%+v\n%+v", res1, res2)
 	}
 	if stats1 != stats2 {
 		t.Fatalf("stats differ across replays:\n%+v\n%+v", stats1, stats2)
-	}
-	if !reflect.DeepEqual(crashed1, crashed2) {
-		t.Fatalf("crashed sets differ: %v vs %v", crashed1, crashed2)
 	}
 }
 
@@ -195,31 +186,6 @@ func TestFaultStreamsAreIndependent(t *testing.T) {
 	noisy := dropsOf(Config{Seed: 7, DropProb: 0.3, OutlierProb: 0.4, FailProb: 0.2, LeaderCrashAfter: 3})
 	if plain != noisy {
 		t.Fatalf("enabling measurement faults changed the drop stream: %d vs %d drops", plain, noisy)
-	}
-}
-
-func TestFollowerCrashStopsProcessing(t *testing.T) {
-	g := mustGame(t, 10)
-	inner := mustEnv(t, g, 8)
-	env, err := New(inner, Config{Seed: 3, FollowerCrashProb: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 9; w < 40; w++ {
-		env.Broadcast(search.Message{Type: search.Ready, From: 0, W: w})
-	}
-	crashed := env.CrashedFollowers()
-	if len(crashed) == 0 {
-		t.Fatal("5% per-broadcast crash probability over 31 broadcasts crashed nobody")
-	}
-	if env.Stats.FollowerCrashes != len(crashed) {
-		t.Fatalf("stats count %d crashes, CrashedFollowers lists %d", env.Stats.FollowerCrashes, len(crashed))
-	}
-	profile := inner.Profile()
-	for _, i := range crashed {
-		if profile[i] == 39 {
-			t.Errorf("crashed follower %d still applied the latest W", i)
-		}
 	}
 }
 
@@ -256,28 +222,38 @@ func TestLeaderCrashAndFailover(t *testing.T) {
 	}
 }
 
-func TestDelayCausesReordering(t *testing.T) {
+// A deputy that missed the last Ready before the crash must leave the
+// acknowledgement set when promoted: deliveries skip the leader, so a
+// stale deputy would keep every later broadcast unacked.
+func TestFailoverDropsDeputyFromAckSet(t *testing.T) {
 	g := mustGame(t, 5)
-	env, err := New(mustEnv(t, g, 8), Config{Seed: 1, DelayProb: 0.3, MaxDelay: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 9; w < 60; w++ {
-		env.Broadcast(search.Message{Type: search.Ready, From: 0, W: w})
-	}
-	if env.Stats.Delayed == 0 {
-		t.Fatal("30% delay probability delayed nothing over 51 broadcasts")
-	}
-	if env.Stats.Reordered == 0 {
-		t.Fatal("delayed messages were never delivered out of order")
-	}
-	if env.Stats.Reordered > env.Stats.Delayed {
-		t.Fatalf("%d reordered > %d delayed", env.Stats.Reordered, env.Stats.Delayed)
+	for seed := uint64(0); seed < 8; seed++ {
+		inner := mustEnv(t, g, 8)
+		env, err := New(inner, Config{Seed: seed, DropProb: 0.5, LeaderCrashAfter: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Broadcast(search.Message{Type: search.Ready, From: 0, W: 20})
+		if _, err := env.LeaderPayoff(20); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.LeaderPayoff(20); err == nil {
+			t.Fatal("leader did not crash after one measurement")
+		}
+		if _, err := env.Failover(1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100 && !env.LastBroadcastAcked(); i++ {
+			env.Broadcast(search.Message{Type: search.Ready, From: 1, W: 20})
+		}
+		if !env.LastBroadcastAcked() {
+			t.Fatalf("seed %d: 100 re-sends after failover never reached a full ack", seed)
+		}
 	}
 }
 
-// A reordered stale Ready reverts its receivers; the cumulative ack must
-// report them stale so the runner re-broadcasts.
+// Acknowledgement is cumulative: a follower that missed one copy of a
+// Ready is acked once any later copy reaches it, so re-sends converge.
 func TestAckIsCumulativeAcrossResends(t *testing.T) {
 	g := mustGame(t, 5)
 	inner := mustEnv(t, g, 8)
@@ -303,7 +279,7 @@ func TestAckIsCumulativeAcrossResends(t *testing.T) {
 
 func TestTransientFailuresAndOutliers(t *testing.T) {
 	g := mustGame(t, 5)
-	env, err := New(mustEnv(t, g, 8), Config{Seed: 5, FailProb: 0.3, OutlierProb: 0.3, OutlierScale: 50})
+	env, err := New(mustEnv(t, g, 8), Config{Seed: 5, FailProb: 0.3, OutlierProb: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,29 +309,126 @@ func TestTransientFailuresAndOutliers(t *testing.T) {
 	}
 }
 
-// FaultyEnv must also wrap a plain (non-PartialEnv) environment, with
-// whole-message semantics.
-type plainEnv struct {
-	delivered []search.Message
-}
-
-func (e *plainEnv) Broadcast(msg search.Message)        { e.delivered = append(e.delivered, msg) }
-func (e *plainEnv) LeaderPayoff(w int) (float64, error) { return -float64(w * w), nil }
-
-func TestMessageModeDropsWholeBroadcasts(t *testing.T) {
-	inner := &plainEnv{}
-	env, err := New(inner, Config{Seed: 2, DropProb: 0.5})
+// With drop as the only fault, FaultyEnv is the lossy broadcast medium of
+// the plain paper walk: 20% per-follower loss leaves stragglers at stale
+// CWs, but the payoff plateau keeps the announced W near-optimal.
+func TestDropOnlyRunConvergesNearNE(t *testing.T) {
+	g := mustGame(t, 10)
+	ne, err := g.FindEfficientNE()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const sent = 100
-	for w := 0; w < sent; w++ {
-		env.Broadcast(search.Message{Type: search.Ready, From: 0, W: w + 1})
+	env, err := New(mustEnv(t, g, 8), Config{Seed: 11, DropProb: 0.2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(inner.delivered) + env.Stats.Dropped; got != sent {
-		t.Fatalf("delivered %d + dropped %d != sent %d", len(inner.delivered), env.Stats.Dropped, sent)
+	res, err := search.Run(env, 0, 8, search.Options{WMax: g.Config().WMax})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if env.Stats.Dropped == 0 || len(inner.delivered) == 0 {
-		t.Fatalf("50%% drop delivered %d and dropped %d of %d", len(inner.delivered), env.Stats.Dropped, sent)
+	if env.Stats.Dropped == 0 {
+		t.Fatal("20% loss over a full walk dropped nothing")
 	}
+	u, err := g.UniformUtilityRate(res.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The walk still has to end on the payoff plateau (within 5% of the
+	// peak utility).
+	if u < 0.95*ne.UStar {
+		t.Errorf("lossy search found W=%d with utility %.3g vs peak %.3g (NE %d)",
+			res.W, u, ne.UStar, ne.WStar)
+	}
+}
+
+// Stats.Dropped counts (message, follower) losses: after each Ready with
+// a fresh W, the followers still at an older CW are exactly the new
+// drops, and the broadcast is acked exactly when there are none. The
+// leader never misses its own broadcast, and its CW is never touched by
+// one.
+func TestDroppedCountsPerFollowerLosses(t *testing.T) {
+	g := mustGame(t, 10)
+	inner := mustEnv(t, g, 8)
+	env, err := New(inner, Config{Seed: 7, DropProb: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missed := 0
+	for w := 9; w < 40; w++ {
+		before := env.Stats.Dropped
+		env.Broadcast(search.Message{Type: search.Ready, From: 0, W: w})
+		profile := inner.Profile()
+		stale := 0
+		for _, cw := range profile[1:] {
+			if cw != w {
+				stale++
+			}
+		}
+		if acked := env.LastBroadcastAcked(); acked != (stale == 0) {
+			t.Fatalf("W=%d: %d followers missed it, acked=%v", w, stale, acked)
+		}
+		if got := env.Stats.Dropped - before; got != stale {
+			t.Fatalf("W=%d: Dropped grew by %d, %d followers missed it", w, got, stale)
+		}
+		if profile[0] != 8 {
+			t.Fatalf("W=%d: broadcast moved the leader's CW to %d", w, profile[0])
+		}
+		missed += stale
+	}
+	if missed == 0 {
+		t.Fatal("30% loss produced no misses")
+	}
+	if env.Stats.Broadcasts != 31 {
+		t.Fatalf("Broadcasts = %d, want 31", env.Stats.Broadcasts)
+	}
+}
+
+// FuzzFaultyResilientRun drives the resilient walk through arbitrary
+// fault configurations on a small analytic game. A bad config must be an
+// error, never a panic; a valid one must announce a W in [1, WMax] (or
+// fail only because the starting CW could not be measured at all); and a
+// second run from the same config must reproduce the same Result and
+// Stats.
+func FuzzFaultyResilientRun(f *testing.F) {
+	f.Add(uint64(0), 0.0, 0.0, 0.0, 0.0, 0, 8)
+	f.Add(uint64(42), 0.25, 0.1, 0.1, 0.05, 6, 8)
+	f.Add(uint64(7), 0.3, 0.05, 0.1, 0.05, 5, 60)
+	f.Add(uint64(1), 0.9, 0.9, 0.9, 0.9, 1, 1)
+	f.Add(uint64(3), 1.0, -0.1, math.NaN(), 0.0, -1, 8)
+	g := mustGame(f, 3)
+	const wMax = 64
+	opts := search.Options{WMax: wMax, MeasureK: 3, Retries: 3}
+	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, outlier, fail float64, crashAfter, w0 int) {
+		cfg := Config{Seed: seed, DropProb: drop, DupProb: dup, OutlierProb: outlier,
+			FailProb: fail, LeaderCrashAfter: crashAfter}
+		if w0 < 1 || w0 > wMax {
+			w0 = 1 + int(uint(w0)%wMax)
+		}
+		run := func() (search.Result, Stats, error) {
+			env, err := New(mustEnv(t, g, w0), cfg)
+			if err != nil {
+				return search.Result{}, Stats{}, err
+			}
+			res, err := search.ResilientRun(env, 0, w0, opts)
+			return res, env.Stats, err
+		}
+		res, stats, err := run()
+		if cfg.Validate() != nil {
+			if err == nil {
+				t.Fatalf("invalid config %+v accepted", cfg)
+			}
+			return
+		}
+		if err != nil {
+			if len(res.Probes) != 0 {
+				t.Fatalf("run failed after measuring %d points: %v", len(res.Probes), err)
+			}
+		} else if res.W < 1 || res.W > wMax {
+			t.Fatalf("announced W=%d outside [1, %d]", res.W, wMax)
+		}
+		res2, stats2, err2 := run()
+		if !reflect.DeepEqual(res, res2) || stats != stats2 || (err == nil) != (err2 == nil) {
+			t.Fatalf("replay differs:\n%+v %+v %v\n%+v %+v %v", res, stats, err, res2, stats2, err2)
+		}
+	})
 }

@@ -192,25 +192,3 @@ func (r *Source) ExpFloat64() float64 {
 		}
 	}
 }
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice of ints.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap, with the
-// Fisher-Yates algorithm. It panics if n < 0.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("rng: Shuffle called with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -5,7 +5,6 @@ import (
 
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
-	"selfishmac/internal/rng"
 )
 
 // AnalyticEnv measures payoffs exactly from the analytic game model with
@@ -68,8 +67,8 @@ func (e *AnalyticEnv) NumNodes() int { return len(e.cw) }
 func (e *AnalyticEnv) LeaderID() int { return e.leader }
 
 // DeliverTo delivers msg to a single node, bypassing the broadcast
-// medium. Fault-injection wrappers use it for per-node drop and targeted
-// re-delivery; it is not appended to Log (the wrapper owns bookkeeping).
+// medium. faults.FaultyEnv uses it for per-follower drop; it is not
+// appended to Log (the wrapper owns bookkeeping).
 func (e *AnalyticEnv) DeliverTo(node int, msg Message) {
 	if node < 0 || node >= len(e.cw) || node == e.leader {
 		return
@@ -91,73 +90,6 @@ func (e *AnalyticEnv) SetLeader(node int) error {
 }
 
 var _ Env = (*AnalyticEnv)(nil)
-
-// LossyEnv wraps perfect analytic payoff measurement with an unreliable
-// broadcast medium: each follower independently misses each message with
-// probability DropProb, so stragglers keep stale CW values and the leader
-// measures a heterogeneous profile. It exercises the protocol's
-// noise robustness (use Options.MinImprove > 0 with it).
-type LossyEnv struct {
-	inner    *AnalyticEnv
-	dropProb float64
-	src      *rng.Source
-	// Deliveries records, per broadcast, which followers actually missed
-	// the message; tests assert real loss from it instead of inferring it
-	// from stale CWs. Announce and other non-CW messages are recorded
-	// with an empty Missed list.
-	Deliveries []Delivery
-	// Dropped counts (message, follower) pairs that were lost.
-	Dropped int
-}
-
-// Delivery is the per-message outcome of one lossy broadcast.
-type Delivery struct {
-	// Msg is the broadcast message.
-	Msg Message
-	// Missed lists the follower indices that did not receive it.
-	Missed []int
-}
-
-// NewLossyEnv wraps env with per-node message loss.
-func NewLossyEnv(env *AnalyticEnv, dropProb float64, seed uint64) (*LossyEnv, error) {
-	if env == nil {
-		return nil, ErrNoEnv
-	}
-	if dropProb < 0 || dropProb >= 1 {
-		return nil, fmt.Errorf("search: drop probability %g outside [0, 1)", dropProb)
-	}
-	return &LossyEnv{inner: env, dropProb: dropProb, src: rng.New(seed)}, nil
-}
-
-// Broadcast implements Env with independent per-node losses. The inner
-// Log records the message as sent; Deliveries records which followers
-// actually received it.
-func (e *LossyEnv) Broadcast(msg Message) {
-	e.inner.Log = append(e.inner.Log, msg)
-	d := Delivery{Msg: msg}
-	if msg.Type == StartSearch || msg.Type == Ready {
-		for i := range e.inner.cw {
-			if i == e.inner.leader {
-				continue
-			}
-			if e.src.Float64() >= e.dropProb {
-				e.inner.cw[i] = msg.W
-			} else {
-				d.Missed = append(d.Missed, i)
-				e.Dropped++
-			}
-		}
-	}
-	e.Deliveries = append(e.Deliveries, d)
-}
-
-// LeaderPayoff implements Env.
-func (e *LossyEnv) LeaderPayoff(w int) (float64, error) { return e.inner.LeaderPayoff(w) }
-
-// Profile returns the followers' current CW values.
-func (e *LossyEnv) Profile() []int { return e.inner.Profile() }
-
-var _ Env = (*LossyEnv)(nil)
 
 // SimEnv measures the leader's payoff by running the event-driven MAC
 // simulator for MeasureTime microseconds per probe — the protocol exactly

@@ -298,94 +298,6 @@ func TestSimEnvSearchLandsOnPlateau(t *testing.T) {
 	}
 }
 
-func TestLossyEnvStillConvergesNearNE(t *testing.T) {
-	g := mustGame(t, 10, phy.RTSCTS)
-	ne, err := g.FindEfficientNE()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := NewAnalyticEnv(g, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := NewLossyEnv(inner, 0.2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(lossy, 0, 8, Options{WMax: g.Config().WMax})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := g.UniformUtilityRate(res.W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 20% message loss the walk still has to end on the payoff
-	// plateau (within 5% of the peak utility).
-	if u < 0.95*ne.UStar {
-		t.Errorf("lossy search found W=%d with utility %.3g vs peak %.3g (NE %d)",
-			res.W, u, ne.UStar, ne.WStar)
-	}
-}
-
-func TestLossyEnvRecordsDeliveryOutcomes(t *testing.T) {
-	g := mustGame(t, 10, phy.RTSCTS)
-	inner, err := NewAnalyticEnv(g, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := NewLossyEnv(inner, 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(lossy, 0, 8, Options{WMax: g.Config().WMax}); err != nil {
-		t.Fatal(err)
-	}
-	if len(lossy.Deliveries) != len(inner.Log) {
-		t.Fatalf("%d delivery records for %d sent messages", len(lossy.Deliveries), len(inner.Log))
-	}
-	// At 30% loss over a full walk some followers must have missed
-	// messages, and the Dropped counter must equal the recorded misses.
-	missed := 0
-	for i, d := range lossy.Deliveries {
-		if d.Msg != inner.Log[i] {
-			t.Fatalf("delivery %d records %+v, log has %+v", i, d.Msg, inner.Log[i])
-		}
-		missed += len(d.Missed)
-		for _, f := range d.Missed {
-			if f == 0 {
-				t.Fatal("the leader cannot miss its own broadcast")
-			}
-		}
-		if d.Msg.Type == Announce && len(d.Missed) != 0 {
-			t.Fatalf("announce recorded misses: %+v", d)
-		}
-	}
-	if missed == 0 {
-		t.Fatal("30% loss produced no recorded misses")
-	}
-	if lossy.Dropped != missed {
-		t.Fatalf("Dropped = %d but deliveries record %d misses", lossy.Dropped, missed)
-	}
-}
-
-func TestLossyEnvValidation(t *testing.T) {
-	g := mustGame(t, 3, phy.Basic)
-	inner, err := NewAnalyticEnv(g, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLossyEnv(nil, 0.1, 1); err == nil {
-		t.Error("nil inner env accepted")
-	}
-	if _, err := NewLossyEnv(inner, 1.0, 1); err == nil {
-		t.Error("drop probability 1 accepted")
-	}
-	if _, err := NewLossyEnv(inner, -0.1, 1); err == nil {
-		t.Error("negative drop probability accepted")
-	}
-}
-
 func TestAnalyticEnvValidation(t *testing.T) {
 	g := mustGame(t, 3, phy.Basic)
 	if _, err := NewAnalyticEnv(nil, 0, 8); err == nil {

@@ -133,6 +133,37 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{5, 1, 3, 2, 4}, 3},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{-1, 1}, 0},
+		{[]float64{2, 2, 9}, 2},
+	}
+	for _, tc := range cases {
+		in := append([]float64(nil), tc.xs...)
+		if got := Median(in); !almostEq(got, tc.want, 1e-12) {
+			t.Errorf("Median(%v) = %g, want %g", tc.xs, got, tc.want)
+		}
+		// Input must not be mutated.
+		for i := range in {
+			if in[i] != tc.xs[i] {
+				t.Fatalf("Median mutated its input: %v -> %v", tc.xs, in)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Median of an empty slice did not panic")
+		}
+	}()
+	Median(nil)
+}
+
 func TestRelErr(t *testing.T) {
 	if RelErr(110, 100) != 0.1 {
 		t.Errorf("RelErr(110,100) = %g", RelErr(110, 100))

@@ -263,8 +263,6 @@ type (
 	SearchResult = search.Result
 	// AnalyticSearchEnv measures payoffs exactly.
 	AnalyticSearchEnv = search.AnalyticEnv
-	// LossySearchEnv adds broadcast message loss.
-	LossySearchEnv = search.LossyEnv
 	// SimSearchEnv measures payoffs with the MAC simulator.
 	SimSearchEnv = search.SimEnv
 )
@@ -272,11 +270,6 @@ type (
 // NewAnalyticSearchEnv builds an exact-payoff search environment.
 func NewAnalyticSearchEnv(g *Game, leader, w0 int) (*AnalyticSearchEnv, error) {
 	return search.NewAnalyticEnv(g, leader, w0)
-}
-
-// NewLossySearchEnv wraps env with per-node broadcast loss.
-func NewLossySearchEnv(env *AnalyticSearchEnv, dropProb float64, seed uint64) (*LossySearchEnv, error) {
-	return search.NewLossyEnv(env, dropProb, seed)
 }
 
 // NewSimSearchEnv builds a simulator-measured search environment.
@@ -297,17 +290,16 @@ func RunAcceleratedSearch(env SearchEnv, leader, w0 int, opts SearchOptions) (Se
 // Fault injection and resilient search (deployment robustness).
 type (
 	// FaultConfig selects which protocol faults a FaultyEnv injects:
-	// broadcast drop, duplication, delay/reordering, payoff outliers,
-	// transient measurement failures, and crash-stop of followers or the
-	// leader. The zero value injects nothing.
+	// per-follower broadcast drop, duplication, payoff outliers,
+	// transient measurement failures, and crash-stop of the leader. The
+	// zero value injects nothing; drop alone makes a lossy broadcast
+	// medium.
 	FaultConfig = faults.Config
 	// FaultStats counts every injected fault.
 	FaultStats = faults.Stats
-	// FaultyEnv wraps any SearchEnv with deterministic, seed-replayable
-	// fault injection.
+	// FaultyEnv wraps an AnalyticSearchEnv with deterministic,
+	// seed-replayable fault injection.
 	FaultyEnv = faults.FaultyEnv
-	// SearchDelivery is one lossy broadcast's per-follower outcome.
-	SearchDelivery = search.Delivery
 	// MultihopChurnConfig models node churn during a multi-hop run
 	// (MultihopEngine.WithChurn).
 	MultihopChurnConfig = multihop.ChurnConfig
@@ -316,7 +308,7 @@ type (
 // NewFaultyEnv wraps inner with the configured fault injection. Every
 // fault stream is derived from cfg.Seed, so a scenario replays
 // byte-identically from its seed alone.
-func NewFaultyEnv(inner SearchEnv, cfg FaultConfig) (*FaultyEnv, error) {
+func NewFaultyEnv(inner *AnalyticSearchEnv, cfg FaultConfig) (*FaultyEnv, error) {
 	return faults.New(inner, cfg)
 }
 
