@@ -3,7 +3,7 @@
 # How long `test-fuzz` spends per fuzz target.
 FUZZTIME ?= 5s
 
-.PHONY: all build vet test test-diff test-fuzz test-race smoke-daemon cover bench bench-quick bench-json profile experiments experiments-quick fmt
+.PHONY: all build vet test test-diff test-fuzz test-race smoke-daemon cover bench bench-quick bench-json profile experiments experiments-quick examples-golden fmt
 
 all: build test test-race
 
@@ -98,6 +98,11 @@ experiments:
 # overwrites the paper-profile goldens in results/.
 experiments-quick:
 	out=$$(mktemp -d) && go run ./cmd/experiments -quick -out $$out && echo "wrote $$out"
+
+# Regenerate each example's pinned output, examples/*/testdata/out.golden,
+# which the example's own test compares byte for byte.
+examples-golden:
+	for d in examples/*/; do mkdir -p $${d}testdata && go run ./$$d > $${d}testdata/out.golden || exit 1; done
 
 fmt:
 	gofmt -w .

@@ -11,23 +11,30 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 
 	// A 10-node network at the basic-access efficient NE... except node 3,
 	// which secretly runs a quarter of the agreed contention window.
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(10, selfishmac.Basic))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ne, err := game.FindPaperNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cw := make([]int, 10)
 	for i := range cw {
@@ -35,15 +42,15 @@ func main() {
 	}
 	const cheater = 3
 	cw[cheater] = ne.WStar / 4
-	fmt.Printf("announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
+	fmt.Fprintf(w, "announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
 
 	// How long must the observer watch? The estimator's error shrinks as
 	// 1/sqrt(slots); ask for 10% relative error on a conforming peer.
 	slots, err := selfishmac.RequiredObservationSlots(ne.TauStar, 0.10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("window for 10%% CW accuracy at tau*=%.4f: %d virtual slots\n", ne.TauStar, slots)
+	fmt.Fprintf(w, "window for 10%% CW accuracy at tau*=%.4f: %d virtual slots\n", ne.TauStar, slots)
 
 	// Simulate the network and collect the observations.
 	p := selfishmac.DefaultPHY()
@@ -57,24 +64,25 @@ func main() {
 		Cost:     0.01,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("observed %d virtual slots over %.0f s\n\n", res.Slots, res.Time/1e6)
+	fmt.Fprintf(w, "observed %d virtual slots over %.0f s\n\n", res.Slots, res.Time/1e6)
 
 	// Estimate every peer's CW and apply the GTFT-style tolerance test.
 	det := selfishmac.MisbehaviorDetector{ExpectedCW: ne.WStar, Beta: 0.8, MinSlots: slots}
 	verdicts, err := det.Inspect(selfishmac.ObservationsFromSim(res), p.MaxBackoffStage)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%-6s %-10s %-12s %-10s %s\n", "node", "true CW", "estimated", "margin", "verdict")
+	fmt.Fprintf(w, "%-6s %-10s %-12s %-10s %s\n", "node", "true CW", "estimated", "margin", "verdict")
 	for i, v := range verdicts {
 		verdict := "ok"
 		if v.Misbehaving {
 			verdict = "MISBEHAVING"
 		}
-		fmt.Printf("%-6d %-10d %-12.1f %-10.2f %s\n", i, cw[i], v.CW, v.Margin, verdict)
+		fmt.Fprintf(w, "%-6d %-10d %-12.1f %-10.2f %s\n", i, cw[i], v.CW, v.Margin, verdict)
 	}
-	fmt.Println("\nwith the cheater identified, TFT/GTFT peers would now match its CW —")
-	fmt.Println("the punishment that makes undercutting unprofitable for long-sighted players.")
+	fmt.Fprintln(w, "\nwith the cheater identified, TFT/GTFT peers would now match its CW —")
+	fmt.Fprintln(w, "the punishment that makes undercutting unprofitable for long-sighted players.")
+	return nil
 }

@@ -13,22 +13,29 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(10, selfishmac.RTSCTS))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exact, err := game.FindEfficientNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("10-player RTS/CTS game; fault-free efficient NE Wc* = %d\n\n", exact.WStar)
+	fmt.Fprintf(w, "10-player RTS/CTS game; fault-free efficient NE Wc* = %d\n\n", exact.WStar)
 
 	const (
 		w0   = 8
@@ -48,51 +55,56 @@ func main() {
 		LeaderCrashAfter: 5,    // the leader's search agent dies mid-walk
 	}
 
-	run := func() (selfishmac.SearchResult, selfishmac.FaultStats) {
+	search := func() (selfishmac.SearchResult, *selfishmac.FaultyEnv, error) {
 		inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
 		if err != nil {
-			log.Fatal(err)
+			return selfishmac.SearchResult{}, nil, err
 		}
 		env, err := selfishmac.NewFaultyEnv(inner, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return selfishmac.SearchResult{}, nil, err
 		}
 		res, err := selfishmac.RunResilientSearch(env, 0, w0, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res, env.Stats
+		return res, env, err
 	}
 
-	res, stats := run()
-	fmt.Printf("resilient walk from W0=%d under faults:\n", w0)
-	fmt.Printf("  announced W=%d (fault-free Wc*=%d), degraded=%v\n", res.W, exact.WStar, res.Degraded)
-	fmt.Printf("  leader crashed and deputy %d finished the search (failover=%v)\n", res.Leader, res.FailedOver)
-	fmt.Printf("  %d operating points probed, %d raw measurements, %d retries, %d Ready re-broadcasts\n",
+	res, env, err := search()
+	if err != nil {
+		return err
+	}
+	stats := env.Stats
+	fmt.Fprintf(w, "resilient walk from W0=%d under faults:\n", w0)
+	fmt.Fprintf(w, "  announced W=%d (fault-free Wc*=%d), degraded=%v\n", res.W, exact.WStar, res.Degraded)
+	fmt.Fprintf(w, "  leader crashed and deputy %d finished the search (failover=%v)\n", res.Leader, res.FailedOver)
+	fmt.Fprintf(w, "  %d operating points probed, %d raw measurements, %d retries, %d Ready re-broadcasts\n",
 		res.ProbeCount(), res.Measurements, res.Retries, res.Rebroadcasts)
-	fmt.Printf("  injected: %d drops, %d outliers, %d transient failures, %d leader crash\n\n",
+	fmt.Fprintf(w, "  injected: %d drops, %d outliers, %d transient failures, %d leader crash\n\n",
 		stats.Dropped, stats.Outliers, stats.TransientFailures, stats.LeaderCrashes)
 
 	// Deterministic replay: the same seed reproduces the run exactly —
 	// a failure seen once can always be replayed from its seed.
-	again, stats2 := run()
-	fmt.Printf("replay from seed %d: W=%d, identical stats: %v\n", seed, again.W, stats == stats2)
+	again, env, err := search()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "replay from seed %d: W=%d, identical stats: %v\n", seed, again.W, stats == env.Stats)
 
 	// A probe budget turns exhaustion into graceful degradation instead
 	// of an error: best-so-far with the Degraded flag.
 	inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	env, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: seed, DropProb: 0.2})
+	env, err = selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: seed, DropProb: 0.2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	budgetOpts := opts
 	budgetOpts.ProbeBudget = 12
 	deg, err := selfishmac.RunResilientSearch(env, 0, w0, budgetOpts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nwith a probe budget of 12: announced best-so-far W=%d, degraded=%v\n", deg.W, deg.Degraded)
+	fmt.Fprintf(w, "\nwith a probe budget of 12: announced best-so-far W=%d, degraded=%v\n", deg.W, deg.Degraded)
+	return nil
 }

@@ -12,22 +12,29 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(10, selfishmac.RTSCTS))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	exact, err := game.FindEfficientNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("10-player RTS/CTS game; exact efficient NE Wc* = %d\n\n", exact.WStar)
+	fmt.Fprintf(w, "10-player RTS/CTS game; exact efficient NE Wc* = %d\n\n", exact.WStar)
 
 	const w0 = 8
 	opts := selfishmac.SearchOptions{WMax: game.Config().WMax}
@@ -35,27 +42,27 @@ func main() {
 	// Paper's unit-step walk with exact payoff measurement.
 	env1, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	paper, err := selfishmac.RunSearch(env1, 0, w0, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("paper walk from W0=%d:        found W=%d in %d probes\n", w0, paper.W, paper.ProbeCount())
+	fmt.Fprintf(w, "paper walk from W0=%d:        found W=%d in %d probes\n", w0, paper.W, paper.ProbeCount())
 
 	// Accelerated variant: geometric expansion + step-halving refinement.
 	env2, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	accel, err := selfishmac.RunAcceleratedSearch(env2, 0, w0, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("accelerated from W0=%d:       found W=%d in %d probes\n", w0, accel.W, accel.ProbeCount())
-	fmt.Println("probe trace (accelerated):")
+	fmt.Fprintf(w, "accelerated from W0=%d:       found W=%d in %d probes\n", w0, accel.W, accel.ProbeCount())
+	fmt.Fprintln(w, "probe trace (accelerated):")
 	for _, p := range accel.Probes {
-		fmt.Printf("  W=%4d payoff=%.5g\n", p.W, p.Payoff)
+		fmt.Fprintf(w, "  W=%4d payoff=%.5g\n", p.W, p.Payoff)
 	}
 
 	// Lossy broadcast medium: 20% of Ready messages are missed per node,
@@ -63,20 +70,21 @@ func main() {
 	// keeps the announced value near-optimal anyway.
 	inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lossyEnv, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: 42, DropProb: 0.2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lossy, err := selfishmac.RunSearch(lossyEnv, 0, w0, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	u, err := game.UniformUtilityRate(lossy.W)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nwith 20%% broadcast loss:     found W=%d in %d probes (payoff %.1f%% of peak)\n",
+	fmt.Fprintf(w, "\nwith 20%% broadcast loss:     found W=%d in %d probes (payoff %.1f%% of peak)\n",
 		lossy.W, lossy.ProbeCount(), 100*u/exact.UStar)
+	return nil
 }

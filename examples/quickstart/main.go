@@ -9,17 +9,24 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	fmt.Println("Efficient NE of the selfish 802.11 MAC game (paper Tables II/III)")
-	fmt.Println()
-	fmt.Printf("%-8s %-6s %-12s %-12s %-10s\n", "mode", "n", "Wc* (paper)", "Wc* (ours)", "tau*")
+func run(w io.Writer) error {
+
+	fmt.Fprintln(w, "Efficient NE of the selfish 802.11 MAC game (paper Tables II/III)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-8s %-6s %-12s %-12s %-10s\n", "mode", "n", "Wc* (paper)", "Wc* (ours)", "tau*")
 	paper := map[selfishmac.AccessMode]map[int]int{
 		selfishmac.Basic:  {5: 76, 20: 336, 50: 879},
 		selfishmac.RTSCTS: {5: 22, 20: 48, 50: 116},
@@ -28,13 +35,13 @@ func main() {
 		for _, n := range []int{5, 20, 50} {
 			game, err := selfishmac.NewGame(selfishmac.DefaultConfig(n, mode))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			ne, err := game.FindPaperNE()
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("%-8s %-6d %-12d %-12d %.5f\n", mode, n, paper[mode][n], ne.WStar, ne.TauStar)
+			fmt.Fprintf(w, "%-8s %-6d %-12d %-12d %.5f\n", mode, n, paper[mode][n], ne.WStar, ne.TauStar)
 		}
 	}
 
@@ -42,16 +49,16 @@ func main() {
 	// per-node transmission probability should match the analytic tau*.
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(5, selfishmac.Basic))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ne, err := game.FindPaperNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	p := selfishmac.DefaultPHY()
 	tm, err := p.Timing(selfishmac.Basic)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cw := make([]int, 5)
 	for i := range cw {
@@ -67,15 +74,16 @@ func main() {
 		Cost:     0.01,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var tau float64
 	for _, nd := range res.Nodes {
 		tau += nd.MeasuredTau
 	}
 	tau /= float64(len(res.Nodes))
-	fmt.Println()
-	fmt.Printf("simulation check (basic, n=5, W=%d, 100 s):\n", ne.WStar)
-	fmt.Printf("  analytic tau* = %.5f, simulated tau = %.5f\n", ne.TauStar, tau)
-	fmt.Printf("  analytic throughput = %.4f, simulated = %.4f\n", ne.ThroughputStar, res.Throughput)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "simulation check (basic, n=5, W=%d, 100 s):\n", ne.WStar)
+	fmt.Fprintf(w, "  analytic tau* = %.5f, simulated tau = %.5f\n", ne.TauStar, tau)
+	fmt.Fprintf(w, "  analytic throughput = %.4f, simulated = %.4f\n", ne.ThroughputStar, res.Throughput)
+	return nil
 }

@@ -13,24 +13,31 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 
 	// A 10-node network at the basic-access efficient NE... except node 0,
 	// which secretly runs an eighth of the agreed contention window.
 	const n = 10
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(n, selfishmac.Basic))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ne, err := game.FindPaperNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cw := make([]int, n)
 	for i := range cw {
@@ -38,7 +45,7 @@ func main() {
 	}
 	const cheater = 0
 	cw[cheater] = ne.WStar / 8
-	fmt.Printf("announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
+	fmt.Fprintf(w, "announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
 
 	// The monitor flags a peer the moment a window's estimate Ŵ drops
 	// under Beta·W*. OnFlag fires synchronously from the engine hot loop.
@@ -55,13 +62,13 @@ func main() {
 		OnFlag: func(ev selfishmac.StreamFlagEvent) {
 			if firstFlag[ev.Node] < 0 {
 				firstFlag[ev.Node] = ev.EndSlot
-				fmt.Printf("FLAG  slot %-7d node %d  window %-3d Ŵ=%.1f  (margin %.2f < β=0.60)\n",
+				fmt.Fprintf(w, "FLAG  slot %-7d node %d  window %-3d Ŵ=%.1f  (margin %.2f < β=0.60)\n",
 					ev.EndSlot, ev.Node, ev.Window, ev.EstCW, ev.Margin)
 			}
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Attach the monitor through the Observer hook and run: the trajectory
@@ -78,22 +85,23 @@ func main() {
 		Observer: mon,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mon.Finish(res.Slots)
 
-	fmt.Printf("\nrun: %d virtual slots over %.0f s, %d estimation windows, %d flag events\n\n",
+	fmt.Fprintf(w, "\nrun: %d virtual slots over %.0f s, %d estimation windows, %d flag events\n\n",
 		res.Slots, res.Time/1e6, mon.Windows(), mon.Flags())
-	fmt.Printf("%-6s %-9s %-8s %s\n", "node", "true CW", "flags", "slots to first flag")
+	fmt.Fprintf(w, "%-6s %-9s %-8s %s\n", "node", "true CW", "flags", "slots to first flag")
 	for i := 0; i < n; i++ {
 		latency := "never flagged"
 		if s := mon.FirstFlagSlot(i); s >= 0 {
 			latency = fmt.Sprintf("%d", s)
 		}
-		fmt.Printf("%-6d %-9d %-8d %s\n", i, cw[i], mon.NodeFlags(i), latency)
+		fmt.Fprintf(w, "%-6d %-9d %-8d %s\n", i, cw[i], mon.NodeFlags(i), latency)
 	}
 	if s := mon.FirstFlagSlot(cheater); s >= 0 {
-		fmt.Printf("\nthe observer needed %d virtual slots to catch node %d — a GTFT peer\n", s, cheater)
-		fmt.Println("could start punishing that early, without waiting for the trace to end.")
+		fmt.Fprintf(w, "\nthe observer needed %d virtual slots to catch node %d — a GTFT peer\n", s, cheater)
+		fmt.Fprintln(w, "could start punishing that early, without waiting for the trace to end.")
 	}
+	return nil
 }

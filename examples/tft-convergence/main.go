@@ -10,47 +10,58 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"selfishmac"
 )
 
 func main() {
-	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	game, err := selfishmac.NewGame(selfishmac.DefaultConfig(4, selfishmac.Basic))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ne, err := game.FindEfficientNE()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("4-player basic-access game, efficient NE Wc* = %d\n\n", ne.WStar)
+	fmt.Fprintf(w, "4-player basic-access game, efficient NE Wc* = %d\n\n", ne.WStar)
 
 	// Scenario 1: heterogeneous TFT initials converge to the minimum in
 	// one stage (the paper's fairness argument).
-	fmt.Println("-- scenario 1: TFT from heterogeneous starts")
-	runAndPrint(game, []selfishmac.Strategy{
+	fmt.Fprintln(w, "-- scenario 1: TFT from heterogeneous starts")
+	if err := runAndPrint(w, game, []selfishmac.Strategy{
 		selfishmac.TFT{Initial: 2 * ne.WStar},
 		selfishmac.TFT{Initial: ne.WStar},
 		selfishmac.TFT{Initial: ne.WStar / 2},
 		selfishmac.TFT{Initial: 3 * ne.WStar / 2},
-	}, nil, 5)
+	}, 5); err != nil {
+		return err
+	}
 
 	// Scenario 2: one malicious node pinned far below Wc* (Section V.E):
 	// TFT retaliation drags everyone down with it.
-	fmt.Println("-- scenario 2: malicious player at W=8")
-	runAndPrint(game, []selfishmac.Strategy{
+	fmt.Fprintln(w, "-- scenario 2: malicious player at W=8")
+	if err := runAndPrint(w, game, []selfishmac.Strategy{
 		selfishmac.Constant{W: 8, Label: "malicious"},
 		selfishmac.TFT{Initial: ne.WStar},
 		selfishmac.TFT{Initial: ne.WStar},
 		selfishmac.TFT{Initial: ne.WStar},
-	}, nil, 5)
+	}, 5); err != nil {
+		return err
+	}
 
 	// Scenario 3: ±15% observation noise. Plain TFT ratchets downward
 	// (it matches the *minimum* of noisy readings each stage); GTFT with
 	// an averaging window and tolerance holds the NE.
-	fmt.Println("-- scenario 3: observation noise, TFT vs GTFT (30 stages)")
+	fmt.Fprintln(w, "-- scenario 3: observation noise, TFT vs GTFT (30 stages)")
 	noise := func(r *selfishmac.RandSource, w int) int {
 		return int(float64(w) * r.UniformRange(0.85, 1.15))
 	}
@@ -60,45 +71,49 @@ func main() {
 		tft[i] = selfishmac.TFT{Initial: ne.WStar}
 		gtft[i] = selfishmac.GTFT{Initial: ne.WStar, R0: 5, Beta: 0.8}
 	}
-	tftFinal := finalProfile(game, tft, noise, 30)
-	gtftFinal := finalProfile(game, gtft, noise, 30)
-	fmt.Printf("TFT  after 30 noisy stages: %v (started at %d)\n", tftFinal, ne.WStar)
-	fmt.Printf("GTFT after 30 noisy stages: %v (started at %d)\n\n", gtftFinal, ne.WStar)
+	tftFinal, err := finalProfile(game, tft, noise, 30)
+	if err != nil {
+		return err
+	}
+	gtftFinal, err := finalProfile(game, gtft, noise, 30)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "TFT  after 30 noisy stages: %v (started at %d)\n", tftFinal, ne.WStar)
+	fmt.Fprintf(w, "GTFT after 30 noisy stages: %v (started at %d)\n\n", gtftFinal, ne.WStar)
+	return nil
 }
 
-func runAndPrint(game *selfishmac.Game, strats []selfishmac.Strategy, noise selfishmac.ObservationNoise, stages int) {
-	opts := []selfishmac.EngineOption{}
-	if noise != nil {
-		opts = append(opts, selfishmac.WithNoise(noise))
-	}
-	eng, err := selfishmac.NewEngine(game, strats, opts...)
+func runAndPrint(w io.Writer, game *selfishmac.Game, strats []selfishmac.Strategy, stages int) error {
+	eng, err := selfishmac.NewEngine(game, strats)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tr, err := eng.Run(stages)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for k, st := range tr.Stages {
-		fmt.Printf("stage %d: profile=%v  global utility=%.4g/us\n", k, st.Profile, sum(st.UtilityRates))
+		fmt.Fprintf(w, "stage %d: profile=%v  global utility=%.4g/us\n", k, st.Profile, sum(st.UtilityRates))
 	}
 	if tr.ConvergedAt >= 0 {
-		fmt.Printf("=> converged at stage %d to CW %d\n\n", tr.ConvergedAt, tr.ConvergedCW)
+		fmt.Fprintf(w, "=> converged at stage %d to CW %d\n\n", tr.ConvergedAt, tr.ConvergedCW)
 	} else {
-		fmt.Println("=> no convergence")
+		fmt.Fprintln(w, "=> no convergence")
 	}
+	return nil
 }
 
-func finalProfile(game *selfishmac.Game, strats []selfishmac.Strategy, noise selfishmac.ObservationNoise, stages int) []int {
+func finalProfile(game *selfishmac.Game, strats []selfishmac.Strategy, noise selfishmac.ObservationNoise, stages int) ([]int, error) {
 	eng, err := selfishmac.NewEngine(game, strats, selfishmac.WithNoise(noise), selfishmac.WithSeed(7))
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	tr, err := eng.Run(stages)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return tr.FinalProfile()
+	return tr.FinalProfile(), nil
 }
 
 func sum(xs []float64) float64 {

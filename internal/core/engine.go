@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"selfishmac/internal/rng"
 )
@@ -18,8 +19,12 @@ type StageRecord struct {
 	Profile []int
 	// UtilityRates are the per-node utility rates u_i (per microsecond).
 	UtilityRates []float64
-	// Throughput is the normalized channel throughput of the stage.
+	// Throughput is the normalized channel throughput of the stage (zero
+	// when the stage model reports none).
 	Throughput float64
+	// Active marks which nodes were present this stage (nil when the run
+	// has no churn — everyone is always present).
+	Active []bool
 }
 
 // Trace is the outcome of running the repeated game.
@@ -33,24 +38,112 @@ type Trace struct {
 	ConvergedCW int
 }
 
-// DiscountedUtility returns player i's total discounted utility over the
-// trace: Σ_k δ^k · u_i(k) · T.
-func (tr *Trace) DiscountedUtility(i int, discount, stageDuration float64) float64 {
-	var total, pow float64
-	pow = 1
-	for _, st := range tr.Stages {
-		total += pow * st.UtilityRates[i] * stageDuration
-		pow *= discount
-	}
-	return total
-}
-
 // FinalProfile returns the last played CW profile (nil for an empty trace).
 func (tr *Trace) FinalProfile() []int {
 	if len(tr.Stages) == 0 {
 		return nil
 	}
 	return tr.Stages[len(tr.Stages)-1].Profile
+}
+
+// StageFunc plays stage k at the chosen profile. It returns the stage's
+// record, whose Profile the Loop fills in, and views[i], player i's
+// observation of the stage, which the Loop appends to that player's
+// history. A record's Active mask restricts convergence to the players
+// present.
+type StageFunc func(k int, profile []int) (rec StageRecord, views [][]int, err error)
+
+// Loop is the one stage loop of the repeated game, shared by the
+// single-hop Engine (§IV), the multi-hop engine (§VI) and closed-loop
+// experiments. Each stage it asks every strategy for a CW, clamps it to
+// [1, WMax], plays the stage through Stage, appends each player's view
+// and utility rate to that player's history, and tracks the uniform tail
+// of the trace for ConvergedAt/ConvergedCW.
+type Loop struct {
+	Strategies []Strategy
+	Stage      StageFunc
+	// LocalViews passes 0 as the player index to ChooseCW, for views
+	// that put the player's own CW first.
+	LocalViews bool
+	// WMax, when positive, caps every chosen CW.
+	WMax int
+	// StopWindow, when positive, ends the run once the profile has been
+	// uniform and constant for that many consecutive stages.
+	StopWindow int
+}
+
+// Run plays up to maxStages stages and returns the trace. Errors from
+// Stage are returned as they are.
+func (l Loop) Run(maxStages int) (*Trace, error) {
+	n := len(l.Strategies)
+	trace := &Trace{ConvergedAt: -1}
+	// observedBy[i] is the history as seen by player i, utilitiesOf[i]
+	// its realized utility rates, one entry per stage.
+	observedBy := make([][][]int, n)
+	utilitiesOf := make([][]float64, n)
+
+	uniformRun := 0 // consecutive trailing stages with one constant uniform profile
+	lastUniform := 0
+	for k := 0; k < maxStages; k++ {
+		profile := make([]int, n)
+		for i, s := range l.Strategies {
+			self := i
+			if l.LocalViews {
+				self = 0
+			}
+			w := max(s.ChooseCW(self, observedBy[i], utilitiesOf[i]), 1)
+			if l.WMax > 0 {
+				w = min(w, l.WMax)
+			}
+			profile[i] = w
+		}
+		rec, views, err := l.Stage(k, profile)
+		if err != nil {
+			return nil, err
+		}
+		rec.Profile = profile
+		trace.Stages = append(trace.Stages, rec)
+		for i := range observedBy {
+			observedBy[i] = append(observedBy[i], views[i])
+			utilitiesOf[i] = append(utilitiesOf[i], rec.UtilityRates[i])
+		}
+
+		switch cw, ok := uniformProfile(profile, rec.Active); {
+		case !ok:
+			uniformRun = 0
+		case uniformRun > 0 && cw == lastUniform:
+			uniformRun++
+		default:
+			uniformRun, lastUniform = 1, cw
+		}
+		if l.StopWindow > 0 && uniformRun >= l.StopWindow {
+			break
+		}
+	}
+
+	// Derive convergence from the tail of the trace.
+	if uniformRun > 0 {
+		trace.ConvergedAt = len(trace.Stages) - uniformRun
+		trace.ConvergedCW = lastUniform
+	}
+	return trace, nil
+}
+
+// uniformProfile reports whether the profile is uniform — over the active
+// players only when an activity mask is present — and the common CW.
+func uniformProfile(p []int, active []bool) (int, bool) {
+	cw, seen := 0, false
+	for i, w := range p {
+		if active != nil && !active[i] {
+			continue
+		}
+		if !seen {
+			cw, seen = w, true
+		} else if w != cw {
+			return 0, false
+		}
+	}
+	return cw, seen
 }
 
 // Engine runs the repeated MAC game: each stage it collects every
@@ -61,8 +154,7 @@ type Engine struct {
 	strategies []Strategy
 	noise      ObservationNoise
 	src        *rng.Source
-	stopOnConv bool
-	convWindow int
+	stopWindow int
 }
 
 // EngineOption configures an Engine.
@@ -80,13 +172,14 @@ func WithSeed(seed uint64) EngineOption {
 }
 
 // WithStopOnConvergence makes Run return early once the profile has been
-// uniform and unchanged for window consecutive stages (window >= 1).
+// uniform and unchanged for window consecutive stages (window >= 1; any
+// smaller value means 3).
 func WithStopOnConvergence(window int) EngineOption {
 	return func(e *Engine) {
-		e.stopOnConv = true
-		if window >= 1 {
-			e.convWindow = window
+		if window < 1 {
+			window = 3
 		}
+		e.stopWindow = window
 	}
 }
 
@@ -103,106 +196,39 @@ func NewEngine(g *Game, strategies []Strategy, opts ...EngineOption) (*Engine, e
 			return nil, fmt.Errorf("core: nil strategy for player %d", i)
 		}
 	}
-	e := &Engine{
-		game:       g,
-		strategies: strategies,
-		src:        rng.New(1),
-		convWindow: 3,
-	}
+	e := &Engine{game: g, strategies: strategies, src: rng.New(1)}
 	for _, opt := range opts {
 		opt(e)
 	}
 	return e, nil
 }
 
-// Run plays up to maxStages stages and returns the trace.
+// Run plays up to maxStages stages and returns the trace. Each stage is
+// a Bianchi solve of the clamped profile; every player observes the full
+// profile, its own CW exactly and the others' through the noise model.
 func (e *Engine) Run(maxStages int) (*Trace, error) {
 	if maxStages < 1 {
 		return nil, fmt.Errorf("core: maxStages = %d must be >= 1", maxStages)
 	}
-	n := e.game.N()
-	trace := &Trace{ConvergedAt: -1}
-	// observedBy[i] is the history as seen by player i.
-	observedBy := make([][][]int, n)
-	utilitiesOf := make([][]float64, n)
-
-	uniformRun := 0 // consecutive trailing stages with one constant uniform profile
-	lastUniform := 0
-
-	for k := 0; k < maxStages; k++ {
-		profile := make([]int, n)
-		for i, s := range e.strategies {
-			w := s.ChooseCW(i, observedBy[i], utilitiesOf[i])
-			if w < 1 {
-				w = 1
-			}
-			if w > e.game.Config().WMax {
-				w = e.game.Config().WMax
-			}
-			profile[i] = w
-		}
+	wMax := e.game.Config().WMax
+	stage := func(k int, profile []int) (StageRecord, [][]int, error) {
 		sol, err := e.game.Model().Solve(profile)
 		if err != nil {
-			return nil, fmt.Errorf("core: stage %d profile %v: %w", k, profile, err)
+			return StageRecord{}, nil, fmt.Errorf("core: stage %d profile %v: %w", k, profile, err)
 		}
-		rates := e.game.UtilityRates(sol)
-		trace.Stages = append(trace.Stages, StageRecord{
-			Profile:      profile,
-			UtilityRates: rates,
-			Throughput:   sol.Throughput,
-		})
-
-		for i := range e.strategies {
-			obs := make([]int, n)
+		views := make([][]int, len(profile))
+		for i := range views {
+			views[i] = slices.Clone(profile)
+			if e.noise == nil {
+				continue
+			}
 			for j, w := range profile {
-				if i != j && e.noise != nil {
-					obs[j] = clampCW(e.noise(e.src, w), e.game.Config().WMax)
-				} else {
-					obs[j] = w
+				if j != i {
+					views[i][j] = min(max(e.noise(e.src, w), 1), wMax)
 				}
 			}
-			observedBy[i] = append(observedBy[i], obs)
-			utilitiesOf[i] = append(utilitiesOf[i], rates[i])
 		}
-
-		if uniform(profile) {
-			if uniformRun > 0 && profile[0] == lastUniform {
-				uniformRun++
-			} else {
-				uniformRun = 1
-			}
-			lastUniform = profile[0]
-		} else {
-			uniformRun = 0
-		}
-		if e.stopOnConv && uniformRun >= e.convWindow {
-			break
-		}
+		return StageRecord{UtilityRates: e.game.UtilityRates(sol), Throughput: sol.Throughput}, views, nil
 	}
-
-	// Derive convergence from the tail of the trace.
-	if uniformRun > 0 {
-		trace.ConvergedAt = len(trace.Stages) - uniformRun
-		trace.ConvergedCW = lastUniform
-	}
-	return trace, nil
-}
-
-func uniform(profile []int) bool {
-	for _, w := range profile[1:] {
-		if w != profile[0] {
-			return false
-		}
-	}
-	return true
-}
-
-func clampCW(w, wMax int) int {
-	if w < 1 {
-		return 1
-	}
-	if w > wMax {
-		return wMax
-	}
-	return w
+	return Loop{Strategies: e.strategies, Stage: stage, WMax: wMax, StopWindow: e.stopWindow}.Run(maxStages)
 }

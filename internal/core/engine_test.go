@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -278,13 +280,25 @@ func TestStopOnConvergence(t *testing.T) {
 	}
 }
 
+// discountedUtility returns player i's total discounted utility over the
+// trace: Σ_k δ^k · u_i(k) · T.
+func discountedUtility(tr *Trace, i int, discount, stageDuration float64) float64 {
+	var total float64
+	pow := 1.0
+	for _, st := range tr.Stages {
+		total += pow * st.UtilityRates[i] * stageDuration
+		pow *= discount
+	}
+	return total
+}
+
 func TestTraceDiscountedUtility(t *testing.T) {
 	tr := &Trace{Stages: []StageRecord{
 		{UtilityRates: []float64{2}},
 		{UtilityRates: []float64{3}},
 	}}
 	// δ=0.5, T=10: 2*10 + 0.5*3*10 = 35.
-	if got := tr.DiscountedUtility(0, 0.5, 10); math.Abs(got-35) > 1e-12 {
+	if got := discountedUtility(tr, 0, 0.5, 10); math.Abs(got-35) > 1e-12 {
 		t.Fatalf("discounted utility = %g, want 35", got)
 	}
 }
@@ -359,5 +373,60 @@ func TestEngineNoiseDeterministicBySeed(t *testing.T) {
 	}
 	if same {
 		t.Log("different seeds coincided (possible but unlikely); not failing")
+	}
+}
+
+// The noisy single-hop trace is pinned against a hand-written loop that
+// spells out the engine's choices: ChooseCW gets the player index, the
+// chosen CW is clamped to [1, WMax], and after each Bianchi solve the
+// noise is drawn for player 0's view of players 1..n-1, then player 1's
+// view of the others, and so on, each reading clamped to [1, WMax].
+func TestEngineNoisyTraceMatchesHandLoop(t *testing.T) {
+	const n, stages, seed = 4, 8, 5
+	g := mustGame(t, n, phy.Basic)
+	wMax := g.Config().WMax
+	noise := func(r *rng.Source, w int) int { return int(float64(w) * r.UniformRange(0.7, 1.3)) }
+	strategies := []Strategy{
+		TFT{Initial: 40},
+		GTFT{Initial: 60, R0: 2, Beta: 0.9},
+		TFT{Initial: 80},
+		Constant{W: 50},
+	}
+	eng, err := NewEngine(g, strategies, WithNoise(noise), WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src := rng.New(seed)
+	observed := make([][][]int, n)
+	utilities := make([][]float64, n)
+	for k := 0; k < stages; k++ {
+		profile := make([]int, n)
+		for i, s := range strategies {
+			profile[i] = min(max(s.ChooseCW(i, observed[i], utilities[i]), 1), wMax)
+		}
+		sol, err := g.Model().Solve(profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates := g.UtilityRates(sol)
+		want := StageRecord{Profile: profile, UtilityRates: rates, Throughput: sol.Throughput}
+		if !reflect.DeepEqual(got.Stages[k], want) {
+			t.Fatalf("stage %d: engine %+v, hand loop %+v", k, got.Stages[k], want)
+		}
+		for i := range strategies {
+			obs := slices.Clone(profile)
+			for j := range obs {
+				if j != i {
+					obs[j] = min(max(noise(src, profile[j]), 1), wMax)
+				}
+			}
+			observed[i] = append(observed[i], obs)
+			utilities[i] = append(utilities[i], rates[i])
+		}
 	}
 }

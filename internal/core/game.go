@@ -146,17 +146,6 @@ func (g *Game) UtilityRates(sol *bianchi.Solution) []float64 {
 	return out
 }
 
-// StageUtility returns U_i^s = u_i · T for node i.
-func (g *Game) StageUtility(sol *bianchi.Solution, i int) float64 {
-	return g.UtilityRate(sol, i) * g.cfg.StageDuration
-}
-
-// DiscountedConstant returns the total discounted utility of receiving the
-// given stage utility every stage forever: U = U^s / (1−δ).
-func (g *Game) DiscountedConstant(stageUtility float64) float64 {
-	return stageUtility / (1 - g.cfg.Discount)
-}
-
 // ProfileUtilities solves an arbitrary CW profile and returns the per-node
 // utility rates.
 func (g *Game) ProfileUtilities(w []int) ([]float64, error) {

@@ -457,26 +457,6 @@ func TestProfileUtilities(t *testing.T) {
 	}
 }
 
-func TestDiscountedConstant(t *testing.T) {
-	g := mustGame(t, 2, phy.Basic)
-	// δ = 0.9999 → 1/(1-δ) = 10000.
-	if got := g.DiscountedConstant(1); math.Abs(got-10000) > 1e-6 {
-		t.Errorf("DiscountedConstant(1) = %g, want 10000", got)
-	}
-}
-
-func TestStageUtility(t *testing.T) {
-	g := mustGame(t, 5, phy.Basic)
-	sol, err := g.Model().SolveUniform(76, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := g.UtilityRate(sol, 0)
-	if want := rate * 10e6; math.Abs(g.StageUtility(sol, 0)-want) > 1e-12 {
-		t.Errorf("StageUtility = %g, want %g", g.StageUtility(sol, 0), want)
-	}
-}
-
 func TestFindEfficientNERejectsSinglePlayer(t *testing.T) {
 	g := mustGame(t, 1, phy.Basic)
 	if _, err := g.FindEfficientNE(); err == nil {

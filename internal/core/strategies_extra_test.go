@@ -142,7 +142,7 @@ func TestDeviantMatchesAnalyticShortSighted(t *testing.T) {
 	}
 	delta := 0.98 // strong discount so the truncated horizon converges
 	T := g.Config().StageDuration
-	got := tr.DiscountedUtility(0, delta, T)
+	got := discountedUtility(tr, 0, delta, T)
 
 	dev, err := g.Deviation(ws, ne.WStar)
 	if err != nil {

@@ -215,7 +215,7 @@ func TestTheorem2EngineConsistency(t *testing.T) {
 	}
 	const delta = 0.97 // fast-converging discount for the finite trace
 	T := g.Config().StageDuration
-	devTotal := tr.DiscountedUtility(0, delta, T)
+	devTotal := discountedUtility(tr, 0, delta, T)
 
 	// Conforming run for comparison.
 	conform := []Strategy{
@@ -230,7 +230,7 @@ func TestTheorem2EngineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stayTotalTrace := tr2.DiscountedUtility(0, delta, T)
+	stayTotalTrace := discountedUtility(tr2, 0, delta, T)
 	if devTotal >= stayTotalTrace {
 		t.Fatalf("engine-realized undercut pays: %g >= %g", devTotal, stayTotalTrace)
 	}

@@ -191,8 +191,9 @@ func reactionStage(tr *core.Trace, initial int) int {
 	return len(tr.Stages)
 }
 
-// runClosedLoop plays stages where observations are CW *estimates* from
-// simulated promiscuous counts. It returns the final CW profile.
+// runClosedLoop plays stages on core's stage loop where observations are
+// CW *estimates* from simulated promiscuous counts. It returns the final
+// CW profile.
 //
 // Each stage runs on a fresh engine (macsim.Run): a stage simulates
 // seconds of MAC time, so the engine's setup is noise against it.
@@ -203,18 +204,8 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 	if err != nil {
 		return nil, err
 	}
-	observedBy := make([][][]int, n)
-	utilitiesOf := make([][]float64, n)
-	profile := make([]int, n)
-	for k := 0; k < stages; k++ {
-		for i, s := range strategies {
-			w := s.ChooseCW(i, observedBy[i], utilitiesOf[i])
-			if w < 1 {
-				w = 1
-			}
-			profile[i] = w
-		}
-		cfg := macsim.Config{
+	stage := func(k int, profile []int) (core.StageRecord, [][]int, error) {
+		res, err := macsim.Run(macsim.Config{
 			Timing:   tm,
 			MaxStage: p.MaxBackoffStage,
 			CW:       profile,
@@ -222,10 +213,9 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 			Seed:     rng.DeriveSeed(seed, "closedloop.stage", k),
 			Gain:     g.Config().Gain,
 			Cost:     g.Config().Cost,
-		}
-		res, err := macsim.Run(cfg)
+		})
 		if err != nil {
-			return nil, err
+			return core.StageRecord{}, nil, err
 		}
 		ests, err := detect.EstimateAll(detect.FromSimResult(res), p.MaxBackoffStage)
 		if err != nil {
@@ -233,7 +223,8 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 			// never transmitted); treat it as "no new information".
 			ests = nil
 		}
-		for i := range strategies {
+		rates, views := make([]float64, n), make([][]int, n)
+		for i := range views {
 			obs := make([]int, n)
 			for j := range obs {
 				switch {
@@ -244,13 +235,16 @@ func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, 
 				default:
 					obs[j] = profile[i] // no estimate: assume conformance
 				}
-				if obs[j] < 1 {
-					obs[j] = 1
-				}
+				obs[j] = max(obs[j], 1)
 			}
-			observedBy[i] = append(observedBy[i], obs)
-			utilitiesOf[i] = append(utilitiesOf[i], res.Nodes[i].PayoffRate)
+			views[i] = obs
+			rates[i] = res.Nodes[i].PayoffRate
 		}
+		return core.StageRecord{UtilityRates: rates}, views, nil
 	}
-	return append([]int(nil), profile...), nil
+	tr, err := core.Loop{Strategies: strategies, Stage: stage}.Run(stages)
+	if err != nil {
+		return nil, err
+	}
+	return tr.FinalProfile(), nil
 }

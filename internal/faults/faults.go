@@ -149,13 +149,15 @@ func cwMessage(msg search.Message) bool {
 	return msg.Type == search.StartSearch || msg.Type == search.Ready
 }
 
-// deliver pushes msg to each follower independently (bypassing the inner
-// Broadcast), and clears the staleness of every follower that receives a
-// CW-bearing message — which always carries the current W.
+// deliver pushes msg to the leader and to each follower independently
+// (bypassing the inner Broadcast), and clears the staleness of every
+// follower that receives a CW-bearing message — which always carries
+// the current W.
 func (e *FaultyEnv) deliver(msg search.Message) {
 	leader := e.inner.LeaderID()
 	for i := 0; i < e.inner.NumNodes(); i++ {
 		if i == leader {
+			e.inner.DeliverTo(i, msg) // the leader never misses its own broadcast
 			continue
 		}
 		if e.cfg.DropProb > 0 && e.drop.Float64() < e.cfg.DropProb {

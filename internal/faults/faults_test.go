@@ -309,6 +309,65 @@ func TestTransientFailuresAndOutliers(t *testing.T) {
 	}
 }
 
+// §V.C ends with every node adopting the announced W. Over a medium that
+// loses nothing, the whole profile holds W after Run and after
+// ResilientRun, including a crashed leader that became a follower and
+// the deputy that announced. Under loss the announcing leader still
+// holds W.
+func TestAnnounceSetsEveryCW(t *testing.T) {
+	g := mustGame(t, 6)
+	opts := search.Options{WMax: g.Config().WMax, MeasureK: 3}
+	allAt := func(t *testing.T, inner *search.AnalyticEnv, w int) {
+		t.Helper()
+		for i, cw := range inner.Profile() {
+			if cw != w {
+				t.Fatalf("node %d at W=%d after the announce of %d", i, cw, w)
+			}
+		}
+	}
+	t.Run("Run", func(t *testing.T) {
+		inner := mustEnv(t, g, 8)
+		env, err := New(inner, Config{Seed: 3, DupProb: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := search.Run(env, 0, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allAt(t, inner, res.W)
+	})
+	t.Run("ResilientRun", func(t *testing.T) {
+		inner := mustEnv(t, g, 8)
+		env, err := New(inner, Config{Seed: 3, DupProb: 0.2, OutlierProb: 0.1, FailProb: 0.05, LeaderCrashAfter: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := search.ResilientRun(env, 0, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.FailedOver {
+			t.Fatal("the leader crash did not fail over")
+		}
+		allAt(t, inner, res.W)
+	})
+	t.Run("lossy", func(t *testing.T) {
+		inner := mustEnv(t, g, 8)
+		env, err := New(inner, Config{Seed: 3, DropProb: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := search.ResilientRun(env, 0, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := inner.Profile()[inner.LeaderID()]; w != res.W {
+			t.Fatalf("leader at W=%d after announcing %d", w, res.W)
+		}
+	})
+}
+
 // With drop as the only fault, FaultyEnv is the lossy broadcast medium of
 // the plain paper walk: 20% per-follower loss leaves stragglers at stale
 // CWs, but the payoff plateau keeps the announced W near-optimal.

@@ -145,35 +145,28 @@ func TestEngineWithoutChurnHasNilActive(t *testing.T) {
 func TestChurnDepartedNodeIsInvisible(t *testing.T) {
 	g := &fixedGraph{adj: [][]int{{1}, {0, 2}, {1}}}
 	strats := []core.Strategy{
-		core.TFT{Initial: 50},
-		core.TFT{Initial: 50},
 		core.TFT{Initial: 10}, // the low CW that would normally spread
+		core.TFT{Initial: 50},
+		core.TFT{Initial: 50},
 	}
 	eng, err := NewEngine(g, strats, stageSim(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 2 leaves immediately and never returns (LeaveProb ~1 via 0.99,
-	// JoinProb 0); with MinActive 2 the other two stay.
+	// Node 0 draws first and leaves at stage 0 (LeaveProb 0.99) and never
+	// returns (JoinProb 0); MinActive 2 then keeps the other two present.
 	eng = eng.WithChurn(ChurnConfig{Seed: 8, LeaveProb: 0.99, JoinProb: 0, MinActive: 2})
 	tr, err := eng.Run(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a stage where node 2 is away; after it, node 1 must not have
-	// adopted 10 unless node 2 was present in an earlier stage.
-	awayFrom := -1
 	for k, st := range tr.Stages {
-		if !st.Active[2] {
-			awayFrom = k
-			break
+		if st.Active[0] {
+			t.Fatalf("stage %d: node 0 is present; the case needs it gone from stage 0", k)
 		}
 	}
-	if awayFrom < 0 {
-		t.Skip("churn stream never removed node 2; seed needs adjusting")
-	}
 	final := tr.FinalProfile()
-	if awayFrom == 0 && final[1] == 10 {
-		t.Fatal("node 1 adopted the CW of a node that was never present")
+	if final[1] == 10 || final[2] == 10 {
+		t.Fatalf("final profile %v: a node adopted the CW of a node that was never present", final)
 	}
 }

@@ -336,10 +336,10 @@ func TestDifferentialEngineStagesWithChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range stage.PayoffRates {
-			if stage.PayoffRates[i] != res.Nodes[i].PayoffRate {
+		for i := range stage.UtilityRates {
+			if stage.UtilityRates[i] != res.Nodes[i].PayoffRate {
 				t.Fatalf("stage %d node %d: engine rate %g != reference %g",
-					k, i, stage.PayoffRates[i], res.Nodes[i].PayoffRate)
+					k, i, stage.UtilityRates[i], res.Nodes[i].PayoffRate)
 			}
 		}
 	}

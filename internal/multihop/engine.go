@@ -27,37 +27,6 @@ type Engine struct {
 	churn      *ChurnConfig
 }
 
-// StageRecord is one stage of the multi-hop trace.
-type StageRecord struct {
-	// Profile is the CW profile played this stage.
-	Profile []int
-	// PayoffRates are the measured per-node payoff rates.
-	PayoffRates []float64
-	// HiddenFraction is the stage's hidden-terminal loss fraction.
-	HiddenFraction float64
-	// Active marks which nodes were present this stage (nil when the run
-	// has no churn — everyone is always present).
-	Active []bool
-}
-
-// Trace is the outcome of a multi-hop run.
-type Trace struct {
-	// Stages holds one record per stage.
-	Stages []StageRecord
-	// ConvergedAt is the first stage from which the profile is uniform
-	// and constant to the end (−1 if never), ConvergedCW the common CW.
-	ConvergedAt int
-	ConvergedCW int
-}
-
-// FinalProfile returns the last played profile (nil for empty traces).
-func (tr *Trace) FinalProfile() []int {
-	if len(tr.Stages) == 0 {
-		return nil
-	}
-	return tr.Stages[len(tr.Stages)-1].Profile
-}
-
 // NewEngine builds a multi-hop engine. sim.CW is ignored (profiles come
 // from the strategies); sim.Duration is the stage length T.
 func NewEngine(nw Topology, strategies []core.Strategy, sim SimConfig) (*Engine, error) {
@@ -80,7 +49,7 @@ func NewEngine(nw Topology, strategies []core.Strategy, sim SimConfig) (*Engine,
 	if err := probe.validate(nw.N()); err != nil {
 		return nil, fmt.Errorf("multihop: stage: %w", err)
 	}
-	return &Engine{nw: nw, strategies: strategies, sim: sim, stopWindow: 0}, nil
+	return &Engine{nw: nw, strategies: strategies, sim: sim}, nil
 }
 
 // WithStopWindow makes Run stop early after the profile has been uniform
@@ -101,36 +70,30 @@ func (e *Engine) WithChurn(cfg ChurnConfig) *Engine {
 	return e
 }
 
-// Run plays up to maxStages stages.
-func (e *Engine) Run(maxStages int) (*Trace, error) {
+// Run plays up to maxStages stages on core's stage loop. ChooseCW gets
+// player index 0 because each local view puts the node's own CW first,
+// and no upper clamp applies. Each stage evolves churn membership (its
+// own stream, which no strategy reads), then records the views under the
+// topology the stage starts from, before a mobile stage's Simulate
+// moves it.
+func (e *Engine) Run(maxStages int) (*core.Trace, error) {
 	if maxStages < 1 {
 		return nil, fmt.Errorf("multihop: maxStages = %d must be >= 1", maxStages)
 	}
 	n := e.nw.N()
+	// With churn, each stage plays on the masked view, which filters
+	// into its own reusable buffers (skipping the refill when the mask is
+	// unchanged).
 	var churn *churnState
+	var masked *maskedTopology
 	if e.churn != nil {
 		if err := e.churn.Validate(); err != nil {
 			return nil, err
 		}
 		churn = newChurnState(*e.churn, n)
-	}
-	trace := &Trace{ConvergedAt: -1}
-	// observedBy[i] is node i's history of local views, utilitiesOf[i]
-	// its realized payoff rates, one entry per stage.
-	observedBy := make([][][]int, n)
-	utilitiesOf := make([][]float64, n)
-
-	// With churn, each stage plays on the masked view, which filters
-	// into its own reusable buffers (skipping the refill when the mask is
-	// unchanged).
-	var masked *maskedTopology
-	if churn != nil {
 		masked = &maskedTopology{base: e.nw}
 	}
-
-	uniformRun, lastUniform := 0, 0
-	for k := 0; k < maxStages; k++ {
-		// Evolve membership and pick the stage's topology.
+	stage := func(k int, profile []int) (core.StageRecord, [][]int, error) {
 		nw := e.nw
 		var active []bool
 		if churn != nil {
@@ -139,19 +102,9 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 			masked.active = active
 			nw = masked
 		}
-		profile := make([]int, n)
-		for i, s := range e.strategies {
-			w := s.ChooseCW(0, observedBy[i], utilitiesOf[i])
-			if w < 1 {
-				w = 1
-			}
-			profile[i] = w
-		}
-		// Record the observations under the topology the stage starts
-		// from, before a mobile stage's Simulate moves it. A departed
-		// node observes only itself; its neighbors do not see it either
-		// (the masked rows cut it out).
-		appendLocalViews(observedBy, nw.Rows(), profile)
+		// A departed node observes only itself; its neighbors do not see
+		// it either (the masked rows cut it out).
+		views := localViews(nw.Rows(), profile)
 
 		sim := e.sim
 		sim.CW = profile
@@ -161,76 +114,34 @@ func (e *Engine) Run(maxStages int) (*Trace, error) {
 		sim.Seed = rng.DeriveSeed(e.sim.Seed, "multihop.engine.stage", k)
 		res, err := Simulate(nw, sim)
 		if err != nil {
-			return nil, fmt.Errorf("multihop: stage %d: %w", k, err)
+			return core.StageRecord{}, nil, fmt.Errorf("multihop: stage %d: %w", k, err)
 		}
 		rates := make([]float64, n)
 		for i := range rates {
 			rates[i] = res.Nodes[i].PayoffRate
 		}
-		trace.Stages = append(trace.Stages, StageRecord{
-			Profile:        profile,
-			PayoffRates:    rates,
-			HiddenFraction: res.HiddenFraction,
-			Active:         active,
-		})
-		for i, r := range rates {
-			utilitiesOf[i] = append(utilitiesOf[i], r)
-		}
-
-		if cw, ok := uniformProfile(profile, active); ok {
-			if uniformRun > 0 && cw == lastUniform {
-				uniformRun++
-			} else {
-				uniformRun = 1
-			}
-			lastUniform = cw
-		} else {
-			uniformRun = 0
-		}
-		if e.stopWindow > 0 && uniformRun >= e.stopWindow {
-			break
-		}
+		return core.StageRecord{UtilityRates: rates, Active: active}, views, nil
 	}
-	if uniformRun > 0 {
-		trace.ConvergedAt = len(trace.Stages) - uniformRun
-		trace.ConvergedCW = lastUniform
-	}
-	return trace, nil
+	return core.Loop{Strategies: e.strategies, Stage: stage, LocalViews: true, StopWindow: e.stopWindow}.Run(maxStages)
 }
 
-// appendLocalViews appends one stage's observations: node i's local view
-// is [own CW, neighbor CWs...] under adjacency rows. The views are carved
-// from one slab per stage and copy what they need, so rows may change
-// afterwards.
-func appendLocalViews(observedBy [][][]int, rows [][]int, profile []int) {
+// localViews returns one stage's observations: node i's local view is
+// [own CW, neighbor CWs...] under adjacency rows. The views are carved
+// from one slab and copy what they need, so rows may change afterwards.
+func localViews(rows [][]int, profile []int) [][]int {
 	need := 0
 	for i := range rows {
 		need += 1 + len(rows[i])
 	}
 	slab := make([]int, 0, need)
+	views := make([][]int, len(rows))
 	for i := range rows {
 		start := len(slab)
 		slab = append(slab, profile[i])
 		for _, j := range rows[i] {
 			slab = append(slab, profile[j])
 		}
-		observedBy[i] = append(observedBy[i], slab[start:len(slab):len(slab)])
+		views[i] = slab[start:len(slab):len(slab)]
 	}
-}
-
-// uniformProfile reports whether the profile is uniform — over the active
-// nodes only when an activity mask is present — and the common CW.
-func uniformProfile(p []int, active []bool) (int, bool) {
-	cw, seen := 0, false
-	for i, w := range p {
-		if active != nil && !active[i] {
-			continue
-		}
-		if !seen {
-			cw, seen = w, true
-		} else if w != cw {
-			return 0, false
-		}
-	}
-	return cw, seen
+	return views
 }

@@ -137,11 +137,11 @@ func TestEngineRecordsPayoffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, st := range tr.Stages {
-		if len(st.PayoffRates) != 5 {
-			t.Fatalf("stage %d has %d payoff entries", k, len(st.PayoffRates))
+		if len(st.UtilityRates) != 5 {
+			t.Fatalf("stage %d has %d payoff entries", k, len(st.UtilityRates))
 		}
 		var positive int
-		for _, u := range st.PayoffRates {
+		for _, u := range st.UtilityRates {
 			if u > 0 {
 				positive++
 			}
@@ -275,15 +275,15 @@ func TestEngineMobileTraceMatchesStageStartSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := StageRecord{Profile: profile, PayoffRates: make([]float64, n), HiddenFraction: res.HiddenFraction}
+		want := core.StageRecord{Profile: profile, UtilityRates: make([]float64, n)}
 		for i := range adj {
-			want.PayoffRates[i] = res.Nodes[i].PayoffRate
+			want.UtilityRates[i] = res.Nodes[i].PayoffRate
 			local := []int{profile[i]}
 			for _, j := range adj[i] {
 				local = append(local, profile[j])
 			}
 			observed[i] = append(observed[i], local)
-			utilities[i] = append(utilities[i], want.PayoffRates[i])
+			utilities[i] = append(utilities[i], want.UtilityRates[i])
 		}
 		if !reflect.DeepEqual(got.Stages[k], want) {
 			t.Fatalf("stage %d: engine trace diverged from the stage-start snapshot loop", k)

@@ -168,9 +168,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	}
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render draws the table.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))

@@ -88,8 +88,8 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("%d rows, want 2", len(tb.rows))
 	}
 	// Columns must align: header row and data rows share prefixes widths.
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -170,7 +170,7 @@ func TestTableEmptyRender(t *testing.T) {
 	if !strings.Contains(out, "only") {
 		t.Fatalf("headers missing: %q", out)
 	}
-	if tb.NumRows() != 0 {
+	if len(tb.rows) != 0 {
 		t.Fatal("phantom rows")
 	}
 }

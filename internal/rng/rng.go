@@ -182,13 +182,3 @@ func (r *Source) NormFloat64() float64 {
 		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
 }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Source) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}

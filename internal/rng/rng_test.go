@@ -174,22 +174,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(10)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative value %g", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %g, want ~1", mean)
-	}
-}
-
 func TestSplitDecorrelated(t *testing.T) {
 	parent := New(12)
 	child := parent.Split()

@@ -9,8 +9,8 @@ import (
 
 // AnalyticEnv measures payoffs exactly from the analytic game model with
 // perfect message delivery: every broadcast Ready/StartSearch sets all
-// follower CWs; the leader's payoff is computed from the resulting
-// (possibly heterogeneous) profile.
+// follower CWs, and Announce sets every CW; the leader's payoff is
+// computed from the resulting (possibly heterogeneous) profile.
 type AnalyticEnv struct {
 	game   *core.Game
 	leader int
@@ -35,15 +35,12 @@ func NewAnalyticEnv(game *core.Game, leader, w0 int) (*AnalyticEnv, error) {
 	return &AnalyticEnv{game: game, leader: leader, cw: cw}, nil
 }
 
-// Broadcast implements Env with perfect delivery.
+// Broadcast implements Env with perfect delivery: every node receives
+// msg as DeliverTo applies it.
 func (e *AnalyticEnv) Broadcast(msg Message) {
 	e.Log = append(e.Log, msg)
-	if msg.Type == StartSearch || msg.Type == Ready {
-		for i := range e.cw {
-			if i != e.leader {
-				e.cw[i] = msg.W
-			}
-		}
+	for i := range e.cw {
+		e.DeliverTo(i, msg)
 	}
 }
 
@@ -67,14 +64,21 @@ func (e *AnalyticEnv) NumNodes() int { return len(e.cw) }
 func (e *AnalyticEnv) LeaderID() int { return e.leader }
 
 // DeliverTo delivers msg to a single node, bypassing the broadcast
-// medium. faults.FaultyEnv uses it for per-follower drop; it is not
-// appended to Log (the wrapper owns bookkeeping).
+// medium. StartSearch and Ready set a follower's CW. Announce sets any
+// node's CW, the leader's included: §V.C ends with every node that hears
+// the announcement adopting W. faults.FaultyEnv uses it for per-follower
+// drop; it is not appended to Log (the wrapper owns bookkeeping).
 func (e *AnalyticEnv) DeliverTo(node int, msg Message) {
-	if node < 0 || node >= len(e.cw) || node == e.leader {
+	if node < 0 || node >= len(e.cw) {
 		return
 	}
-	if msg.Type == StartSearch || msg.Type == Ready {
+	switch msg.Type {
+	case Announce:
 		e.cw[node] = msg.W
+	case StartSearch, Ready:
+		if node != e.leader {
+			e.cw[node] = msg.W
+		}
 	}
 }
 

@@ -151,15 +151,6 @@ func Variance(xs []float64) float64 {
 	return w.Variance()
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // MinMax returns the extrema of xs. It panics on empty input because a
 // min/max of nothing is a programming error at every call site here.
 func MinMax(xs []float64) (lo, hi float64) {

@@ -199,8 +199,10 @@ type (
 	SpatialTopology = multihop.Topology
 	// MultihopEngine plays the multi-hop repeated game dynamically.
 	MultihopEngine = multihop.Engine
-	// MultihopTrace is a multi-hop repeated-game run record.
-	MultihopTrace = multihop.Trace
+	// MultihopTrace is a multi-hop repeated-game run record: the same
+	// Trace the single-hop engine returns, with each stage's Active mask
+	// set under churn.
+	MultihopTrace = core.Trace
 )
 
 // NewMultihopEngine builds a stage-based multi-hop game engine: one
