@@ -137,6 +137,9 @@ func cmdSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *points < 2 {
+		return fmt.Errorf("points %d: a log-spaced sweep needs at least 2", *points)
+	}
 	m, err := parseMode(*mode)
 	if err != nil {
 		return err

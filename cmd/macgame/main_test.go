@@ -92,6 +92,8 @@ func TestSubcommandFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"ne", "-mode", "nonsense"},
 		{"sweep", "-mode", "nonsense"},
+		{"sweep", "-points", "1"},
+		{"sweep", "-points", "0"},
 		{"simulate", "-cw", "1,x"},
 		{"game", "-strategies", "bogus:1"},
 		{"search", "-mode", "nonsense"},

@@ -41,11 +41,10 @@ func run(w io.Writer) error {
 		w0   = 8
 		seed = 7
 	)
-	opts := selfishmac.SearchOptions{
-		WMax:     game.Config().WMax,
-		MeasureK: 3, // median-of-3 rejects the payoff outliers
-		Retries:  3, // transient failures are retried
-	}
+	// The resilient runner takes the median of three measurements per
+	// operating point, which rejects the payoff outliers, and retries a
+	// failed measurement up to three times.
+	opts := selfishmac.SearchOptions{WMax: game.Config().WMax}
 	cfg := selfishmac.FaultConfig{
 		Seed:             seed,
 		DropProb:         0.3,  // each follower misses each broadcast w.p. 0.3

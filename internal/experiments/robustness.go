@@ -39,7 +39,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	var text []string
 	const w0 = 8
 
-	resilientOpts := search.Options{WMax: g.Config().WMax, MeasureK: 3, Retries: 3}
+	resilientOpts := search.Options{WMax: g.Config().WMax}
 
 	// (a) NE error and probe count vs broadcast drop probability, with a
 	// light background of outliers and transient failures.

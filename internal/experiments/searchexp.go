@@ -14,10 +14,10 @@ import (
 )
 
 // SearchAlgorithm reproduces Section V.C: the distributed efficient-NE
-// search from several starting points, in three environments (exact
-// payoffs, 20% message loss, simulator-measured payoffs — the latter only
-// via the accelerated variant to keep probe counts sane), comparing the
-// paper's unit-step walk with the accelerated variant.
+// search from several starting points over exact analytic payoffs, where
+// it compares the paper's unit-step walk with the accelerated variant, and
+// the paper walk over a broadcast medium that loses 20% of messages per
+// follower (faults.FaultyEnv with drop only).
 func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

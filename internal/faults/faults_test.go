@@ -101,7 +101,7 @@ func TestResilientRunAcceptanceScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := search.Options{WMax: g.Config().WMax, MeasureK: 3, Retries: 3}
+	opts := search.Options{WMax: g.Config().WMax}
 	for _, drop := range []float64{0.1, 0.2, 0.3} {
 		for seed := uint64(0); seed < 4; seed++ {
 			env, err := New(mustEnv(t, g, 8), Config{
@@ -145,7 +145,7 @@ func TestScenarioReplaysByteIdentical(t *testing.T) {
 		FailProb:         0.05,
 		LeaderCrashAfter: 6,
 	}
-	opts := search.Options{WMax: g.Config().WMax, MeasureK: 3, Retries: 3}
+	opts := search.Options{WMax: g.Config().WMax}
 	run := func() (search.Result, Stats) {
 		env, err := New(mustEnv(t, g, 8), cfg)
 		if err != nil {
@@ -316,7 +316,7 @@ func TestTransientFailuresAndOutliers(t *testing.T) {
 // holds W.
 func TestAnnounceSetsEveryCW(t *testing.T) {
 	g := mustGame(t, 6)
-	opts := search.Options{WMax: g.Config().WMax, MeasureK: 3}
+	opts := search.Options{WMax: g.Config().WMax}
 	allAt := func(t *testing.T, inner *search.AnalyticEnv, w int) {
 		t.Helper()
 		for i, cw := range inner.Profile() {
@@ -456,7 +456,7 @@ func FuzzFaultyResilientRun(f *testing.F) {
 	f.Add(uint64(3), 1.0, -0.1, math.NaN(), 0.0, -1, 8)
 	g := mustGame(f, 3)
 	const wMax = 64
-	opts := search.Options{WMax: wMax, MeasureK: 3, Retries: 3}
+	opts := search.Options{WMax: wMax}
 	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, outlier, fail float64, crashAfter, w0 int) {
 		cfg := Config{Seed: seed, DropProb: drop, DupProb: dup, OutlierProb: outlier,
 			FailProb: fail, LeaderCrashAfter: crashAfter}

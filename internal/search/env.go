@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"selfishmac/internal/core"
-	"selfishmac/internal/macsim"
 )
 
 // AnalyticEnv measures payoffs exactly from the analytic game model with
@@ -15,8 +14,6 @@ type AnalyticEnv struct {
 	game   *core.Game
 	leader int
 	cw     []int
-	// Log records delivered messages for assertions.
-	Log []Message
 }
 
 // NewAnalyticEnv builds an environment of game.N() nodes, all starting at
@@ -38,7 +35,6 @@ func NewAnalyticEnv(game *core.Game, leader, w0 int) (*AnalyticEnv, error) {
 // Broadcast implements Env with perfect delivery: every node receives
 // msg as DeliverTo applies it.
 func (e *AnalyticEnv) Broadcast(msg Message) {
-	e.Log = append(e.Log, msg)
 	for i := range e.cw {
 		e.DeliverTo(i, msg)
 	}
@@ -67,7 +63,7 @@ func (e *AnalyticEnv) LeaderID() int { return e.leader }
 // medium. StartSearch and Ready set a follower's CW. Announce sets any
 // node's CW, the leader's included: §V.C ends with every node that hears
 // the announcement adopting W. faults.FaultyEnv uses it for per-follower
-// drop; it is not appended to Log (the wrapper owns bookkeeping).
+// drop.
 func (e *AnalyticEnv) DeliverTo(node int, msg Message) {
 	if node < 0 || node >= len(e.cw) {
 		return
@@ -94,52 +90,3 @@ func (e *AnalyticEnv) SetLeader(node int) error {
 }
 
 var _ Env = (*AnalyticEnv)(nil)
-
-// SimEnv measures the leader's payoff by running the event-driven MAC
-// simulator for MeasureTime microseconds per probe — the protocol exactly
-// as deployed (paper: U_l = (n_s·g − n_e·e)/t_m). Measurements are noisy;
-// pair it with Options.MinImprove.
-type SimEnv struct {
-	cfg    macsim.Config
-	leader int
-	probe  uint64
-}
-
-// NewSimEnv builds a simulator-backed environment. cfg.CW must hold the
-// initial profile; cfg.Duration is the per-probe measurement time t_m.
-func NewSimEnv(cfg macsim.Config, leader int) (*SimEnv, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("search: %w", err)
-	}
-	if leader < 0 || leader >= len(cfg.CW) {
-		return nil, fmt.Errorf("search: leader %d outside [0, %d)", leader, len(cfg.CW))
-	}
-	cfg.CW = append([]int(nil), cfg.CW...)
-	return &SimEnv{cfg: cfg, leader: leader}, nil
-}
-
-// Broadcast implements Env with perfect delivery.
-func (e *SimEnv) Broadcast(msg Message) {
-	if msg.Type == StartSearch || msg.Type == Ready {
-		for i := range e.cfg.CW {
-			if i != e.leader {
-				e.cfg.CW[i] = msg.W
-			}
-		}
-	}
-}
-
-// LeaderPayoff implements Env by simulation.
-func (e *SimEnv) LeaderPayoff(w int) (float64, error) {
-	e.cfg.CW[e.leader] = w
-	cfg := e.cfg
-	e.probe++
-	cfg.Seed = e.cfg.Seed + e.probe*0x9e3779b97f4a7c15
-	res, err := macsim.Run(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Nodes[e.leader].PayoffRate, nil
-}
-
-var _ Env = (*SimEnv)(nil)

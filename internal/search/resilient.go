@@ -41,31 +41,29 @@ const (
 	probeFatal                     // unrecoverable (leader crashed, no failover)
 )
 
-// readyRepeats is how many times a Ready broadcast is repeated when the
-// environment reports a missed acknowledgement (AckEnv).
-const readyRepeats = 2
+const (
+	// readyRepeats is how many times a Ready broadcast is repeated when
+	// the environment reports a missed acknowledgement (AckEnv).
+	readyRepeats = 2
+	// measureK is how many samples ResilientRun takes per operating
+	// point; the median rejects outlier measurements.
+	measureK = 3
+	// retries is how many times a failed sample is retried before it is
+	// given up.
+	retries = 3
+)
 
 // prober wraps an Env with ResilientRun's resilience machinery:
-// per-sample retry,
-// median-of-k outlier rejection, Ready re-broadcast on missing
-// acknowledgement, leader failover, and a global probe budget.
+// per-sample retry, median-of-measureK outlier rejection, Ready
+// re-broadcast on missing acknowledgement, leader failover, and a global
+// probe budget.
 type prober struct {
 	env    Env
-	o      Options
+	budget int // Options.ProbeBudget
 	res    *Result
 	leader int
 	used   int // raw LeaderPayoff calls
 	fatal  error
-}
-
-func newProber(env Env, leader int, o Options) *prober {
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.MeasureK == 0 {
-		o.MeasureK = 1
-	}
-	return &prober{env: env, o: o, res: &Result{Leader: leader}, leader: leader}
 }
 
 // broadcast sends msg, re-sending Ready messages a missed acknowledgement
@@ -85,7 +83,7 @@ func (p *prober) broadcast(t MsgType, w int) {
 // sample performs one raw measurement with retry and failover.
 func (p *prober) sample(w int) (float64, probeStatus) {
 	for attempt := 0; ; attempt++ {
-		if p.o.ProbeBudget > 0 && p.used >= p.o.ProbeBudget {
+		if p.budget > 0 && p.used >= p.budget {
 			return 0, probeBudget
 		}
 		v, err := p.env.LeaderPayoff(w)
@@ -100,7 +98,7 @@ func (p *prober) sample(w int) (float64, probeStatus) {
 			}
 			continue // crash handling does not consume a retry
 		}
-		if attempt >= p.o.Retries {
+		if attempt >= retries {
 			return 0, probeFailed
 		}
 		p.res.Retries++
@@ -133,7 +131,7 @@ func (p *prober) failover(w int) probeStatus {
 	return probeOK
 }
 
-// measure returns the median of MeasureK samples at w. Individual failed
+// measure returns the median of measureK samples at w. Individual failed
 // samples are tolerated as long as at least one succeeds; the median of
 // the survivors rejects outlier measurements. Between samples, a missed
 // acknowledgement triggers another Ready re-broadcast, so a straggler
@@ -141,9 +139,9 @@ func (p *prober) failover(w int) probeStatus {
 // then rejects the biased sample along with the outliers.
 func (p *prober) measure(w int) (float64, probeStatus) {
 	ack, hasAck := p.env.(AckEnv)
-	samples := make([]float64, 0, p.o.MeasureK)
+	samples := make([]float64, 0, measureK)
 sampling:
-	for k := 0; k < p.o.MeasureK; k++ {
+	for k := 0; k < measureK; k++ {
 		if k > 0 && hasAck && !ack.LastBroadcastAcked() {
 			p.env.Broadcast(Message{Type: Ready, From: p.leader, W: w})
 			p.res.Rebroadcasts++
@@ -173,25 +171,22 @@ sampling:
 }
 
 // ResilientRun executes the Section V.C unit-step walk hardened for
-// deployment conditions: transient measurement errors are retried up to
-// Options.Retries times, each operating point is measured
-// median-of-k to reject payoff outliers, missed Ready acknowledgements
-// trigger re-broadcasts, a crashed leader is replaced by a deputy that
-// finishes the search, and an exhausted probe budget ends the walk with
-// the best CW so far and Result.Degraded set instead of an error.
+// deployment conditions: a failed measurement is retried up to retries
+// times, each operating point is measured median-of-measureK to reject
+// payoff outliers, missed Ready acknowledgements trigger re-broadcasts, a
+// crashed leader is replaced by a deputy that finishes the search, and an
+// exhausted probe budget ends the walk with the best CW so far and
+// Result.Degraded set instead of an error.
 //
 // An error is returned only when the walk cannot produce any answer: an
 // invalid configuration, a starting point that could not be measured at
 // all, or a leader crash without failover support.
 func ResilientRun(env Env, leader, w0 int, opts Options) (Result, error) {
-	if err := opts.Validate(); err != nil {
+	o, err := checkStart(opts, w0)
+	if err != nil {
 		return Result{}, err
 	}
-	o := opts.withDefaults()
-	if w0 < 1 || w0 > o.WMax {
-		return Result{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, o.WMax)
-	}
-	p := newProber(env, leader, o)
+	p := &prober{env: env, budget: o.ProbeBudget, res: &Result{Leader: leader}, leader: leader}
 	res := p.res
 
 	p.broadcast(StartSearch, w0)
@@ -223,7 +218,7 @@ func ResilientRun(env Env, leader, w0 int, opts Options) (Result, error) {
 			if st == probeBudget || st == probeFatal {
 				return st
 			}
-			if st == probeOK && v > best+o.MinImprove {
+			if st == probeOK && v > best {
 				best, wm = v, w
 				fails = 0
 				continue
@@ -236,7 +231,7 @@ func ResilientRun(env Env, leader, w0 int, opts Options) (Result, error) {
 			}
 			if st2 == probeOK && rb < best {
 				best = rb
-				if st == probeOK && v > best+o.MinImprove {
+				if st == probeOK && v > best {
 					best, wm = v, w
 					fails = 0
 					continue
@@ -254,16 +249,12 @@ func ResilientRun(env Env, leader, w0 int, opts Options) (Result, error) {
 	if st == probeOK && wm == w0 {
 		st = walk(-1)
 	}
-	switch {
-	case st == probeBudget:
+	switch st {
+	case probeBudget:
 		return finish(true)
-	case st == probeFatal:
+	case probeFatal:
 		res.W = wm
 		return *res, p.fatal
-	case wm > w0:
-		res.Direction = 1
-	case wm < w0:
-		res.Direction = -1
 	}
 	return finish(false)
 }
@@ -281,8 +272,8 @@ func (p *prober) startError(st probeStatus, w0 int) error {
 		return p.fatal
 	case probeBudget:
 		return fmt.Errorf("search: probe budget %d exhausted before the starting CW %d was measured",
-			p.o.ProbeBudget, w0)
+			p.budget, w0)
 	default:
-		return fmt.Errorf("search: starting CW %d unmeasurable after %d retries", w0, p.o.Retries)
+		return fmt.Errorf("search: starting CW %d unmeasurable after %d retries", w0, retries)
 	}
 }

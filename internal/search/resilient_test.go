@@ -3,7 +3,6 @@ package search
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"selfishmac/internal/phy"
@@ -15,10 +14,6 @@ func TestOptionsValidate(t *testing.T) {
 		o    Options
 	}{
 		{"negative WMax", Options{WMax: -1}},
-		{"negative MinImprove", Options{MinImprove: -0.1}},
-		{"NaN MinImprove", Options{MinImprove: math.NaN()}},
-		{"negative Retries", Options{Retries: -1}},
-		{"negative MeasureK", Options{MeasureK: -3}},
 		{"negative ProbeBudget", Options{ProbeBudget: -1}},
 	}
 	for _, tc := range cases {
@@ -51,7 +46,7 @@ func TestResilientRunMatchesRunFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hard, err := ResilientRun(tentEnv(peak), 0, 20, Options{WMax: 100, MeasureK: 3})
+		hard, err := ResilientRun(tentEnv(peak), 0, 20, Options{WMax: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,9 +56,6 @@ func TestResilientRunMatchesRunFaultFree(t *testing.T) {
 		if hard.Degraded || hard.FailedOver {
 			t.Errorf("peak %d: fault-free run flagged degraded=%v failedOver=%v",
 				peak, hard.Degraded, hard.FailedOver)
-		}
-		if hard.Direction != plain.Direction {
-			t.Errorf("peak %d: direction %d vs %d", peak, hard.Direction, plain.Direction)
 		}
 	}
 }
@@ -87,7 +79,7 @@ func (e *retryEnv) LeaderPayoff(w int) (float64, error) {
 
 func TestResilientRunRetriesTransientFailures(t *testing.T) {
 	env := &retryEnv{funcEnv: *tentEnv(15), failures: 2}
-	res, err := ResilientRun(env, 0, 10, Options{WMax: 100, Retries: 2})
+	res, err := ResilientRun(env, 0, 10, Options{WMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +95,49 @@ func TestResilientRunRetriesTransientFailures(t *testing.T) {
 	}
 }
 
+// ResilientRun measures every operating point as the median of three
+// samples and retries a failed sample up to three times. A fault-free walk
+// takes exactly three samples per probe and retries nothing. When the
+// first calls at each W fail, three failures cost the first sample its
+// three retries; eleven cost every sample three and leave the third
+// sample's last attempt, and twelve leave the starting CW unmeasured.
+func TestResilientRunConstants(t *testing.T) {
+	res, err := ResilientRun(tentEnv(30), 0, 10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.W != 30 {
+		t.Fatalf("fault-free walk found W=%d, want 30", res.W)
+	}
+	if res.Measurements != 3*res.ProbeCount() || res.Retries != 0 {
+		t.Fatalf("fault-free walk: %d measurements, %d retries for %d probes; want 3 per probe, 0 retries",
+			res.Measurements, res.Retries, res.ProbeCount())
+	}
+
+	for _, tc := range []struct{ failures, retriesPerW int }{{3, 3}, {11, 9}} {
+		env := &retryEnv{funcEnv: *tentEnv(30), failures: tc.failures}
+		res, err := ResilientRun(env, 0, 10, Options{})
+		if err != nil {
+			t.Fatalf("%d failures per W: %v", tc.failures, err)
+		}
+		if res.W != 30 {
+			t.Fatalf("%d failures per W: found W=%d, want 30", tc.failures, res.W)
+		}
+		if res.Retries != tc.retriesPerW*len(env.seen) {
+			t.Fatalf("%d failures per W: %d retries over %d distinct W, want %d each",
+				tc.failures, res.Retries, len(env.seen), tc.retriesPerW)
+		}
+	}
+	env := &retryEnv{funcEnv: *tentEnv(30), failures: 12}
+	if _, err := ResilientRun(env, 0, 10, Options{}); err == nil {
+		t.Fatal("12 failures at the starting CW produced a result")
+	}
+}
+
 func TestResilientRunGivesUpAfterRetries(t *testing.T) {
 	// Every measurement fails: the starting point is unmeasurable.
 	env := &retryEnv{funcEnv: *tentEnv(15), failures: 1 << 30}
-	if _, err := ResilientRun(env, 0, 10, Options{WMax: 100, Retries: 1}); err == nil {
+	if _, err := ResilientRun(env, 0, 10, Options{WMax: 100}); err == nil {
 		t.Fatal("permanently failing environment produced a result")
 	}
 }
@@ -127,7 +158,7 @@ func (e *outlierEnv) LeaderPayoff(w int) (float64, error) {
 
 func TestResilientRunMedianRejectsOutliers(t *testing.T) {
 	env := &outlierEnv{funcEnv: *tentEnv(25)}
-	res, err := ResilientRun(env, 0, 10, Options{WMax: 100, MeasureK: 3})
+	res, err := ResilientRun(env, 0, 10, Options{WMax: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +340,10 @@ func TestResilientRunRebroadcastsOnMissingAck(t *testing.T) {
 	if res.Rebroadcasts == 0 {
 		t.Fatal("no rebroadcasts despite permanent nack")
 	}
-	// Announce messages must not be re-broadcast: count them. Every
-	// other broadcast goes out once plus readyRepeats re-sends.
+	// Announce messages must not be re-broadcast: count them. Each probe
+	// follows one StartSearch or Ready, which goes out once plus
+	// readyRepeats re-sends, and once more before each of the probe's
+	// measureK-1 later samples.
 	announces, others := 0, 0
 	for _, m := range env.msgs {
 		if m.Type == Announce {
@@ -322,9 +355,10 @@ func TestResilientRunRebroadcastsOnMissingAck(t *testing.T) {
 	if announces != 1 {
 		t.Fatalf("%d announce messages, want exactly 1", announces)
 	}
-	if others != (1+readyRepeats)*res.Rebroadcasts/readyRepeats || res.Rebroadcasts%readyRepeats != 0 {
-		t.Fatalf("%d non-announce messages with %d rebroadcasts, want each sent 1+%d times",
-			others, res.Rebroadcasts, readyRepeats)
+	perProbe := readyRepeats + measureK - 1
+	if res.Rebroadcasts != perProbe*res.ProbeCount() || others != (1+perProbe)*res.ProbeCount() {
+		t.Fatalf("%d non-announce messages with %d rebroadcasts for %d probes, want each sent 1+%d times",
+			others, res.Rebroadcasts, res.ProbeCount(), perProbe)
 	}
 }
 
@@ -340,7 +374,7 @@ func TestResilientRunFindsEfficientNEAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ResilientRun(env, 0, 4, Options{WMax: g.Config().WMax, MeasureK: 3})
+	res, err := ResilientRun(env, 0, 4, Options{WMax: g.Config().WMax})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,9 @@
 // the best CW found.
 //
 // The protocol is simulated at the message level: an Env carries the
-// broadcast medium and the payoff measurement. Three environments are
-// provided — exact analytic payoffs, simulator-measured (noisy) payoffs,
-// and a lossy broadcast medium under which some nodes miss Ready messages
-// so the leader measures a heterogeneous profile.
+// broadcast medium and the payoff measurement. AnalyticEnv measures exact
+// payoffs from the game model over perfect delivery; internal/faults wraps
+// it with a lossy, faulty broadcast medium.
 //
 // The paper notes better algorithms exist; AcceleratedSearch implements
 // one (geometric step growth with step-halving refinement) and the bench
@@ -19,7 +18,6 @@ package search
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // MsgType enumerates the protocol's broadcast messages.
@@ -78,9 +76,6 @@ type Result struct {
 	// Probes lists every accepted measurement in order (for the resilient
 	// runners, one entry per operating point with the median payoff).
 	Probes []Probe
-	// Direction is +1 if Right-Search found the peak, -1 if Left-Search
-	// did, 0 if the start was already the peak.
-	Direction int
 	// Leader is the node that announced the result — the original leader,
 	// or the deputy after a failover.
 	Leader int
@@ -91,7 +86,7 @@ type Result struct {
 	// completed it.
 	FailedOver bool
 	// Measurements counts raw LeaderPayoff calls, including retries and
-	// the extra samples of median-of-k (>= len(Probes)).
+	// the extra samples of ResilientRun's median of three (>= len(Probes)).
 	Measurements int
 	// Retries counts measurement attempts repeated after transient errors.
 	Retries int
@@ -107,42 +102,18 @@ func (r Result) ProbeCount() int { return len(r.Probes) }
 type Options struct {
 	// WMax bounds the walk. Zero defaults to 4096.
 	WMax int
-	// MinImprove is the minimum payoff improvement that counts as
-	// progress; it makes hill climbing robust to measurement noise.
-	// Zero reproduces the paper's strict comparison.
-	MinImprove float64
-
-	// The remaining fields tune the resilient runner (ResilientRun); Run
-	// and AcceleratedSearch ignore them.
-
-	// Retries is how many times a failed payoff measurement is retried
-	// before the sample is given up. Zero defaults to 2.
-	Retries int
-	// MeasureK measures each operating point this many times and keeps
-	// the median, rejecting outlier measurements. Zero defaults to 1
-	// (a single sample, the paper's behavior).
-	MeasureK int
-	// ProbeBudget bounds the total number of raw LeaderPayoff calls
-	// (including retries and median-of-k samples). When it runs out the
-	// resilient runner announces the best CW so far and sets
-	// Result.Degraded instead of erroring. Zero means unlimited.
+	// ProbeBudget bounds ResilientRun's raw LeaderPayoff calls (including
+	// retries and median samples). When it runs out the resilient runner
+	// announces the best CW so far and sets Result.Degraded instead of
+	// erroring. Zero means unlimited; Run and AcceleratedSearch ignore it.
 	ProbeBudget int
 }
 
-// Validate rejects nonsensical option combinations. The zero value is
-// valid (every field has a documented default).
+// Validate rejects negative fields. The zero value is valid (every field
+// has a documented default).
 func (o Options) Validate() error {
 	if o.WMax < 0 {
 		return fmt.Errorf("search: negative WMax %d", o.WMax)
-	}
-	if o.MinImprove < 0 || math.IsNaN(o.MinImprove) {
-		return fmt.Errorf("search: invalid MinImprove %g", o.MinImprove)
-	}
-	if o.Retries < 0 {
-		return fmt.Errorf("search: negative Retries %d", o.Retries)
-	}
-	if o.MeasureK < 0 {
-		return fmt.Errorf("search: negative MeasureK %d", o.MeasureK)
 	}
 	if o.ProbeBudget < 0 {
 		return fmt.Errorf("search: negative ProbeBudget %d", o.ProbeBudget)
@@ -150,11 +121,19 @@ func (o Options) Validate() error {
 	return nil
 }
 
-func (o Options) withDefaults() Options {
-	if o.WMax <= 0 {
-		o.WMax = 4096
+// checkStart validates opts and the starting CW w0 for every walker and
+// returns opts with WMax defaulted.
+func checkStart(opts Options, w0 int) (Options, error) {
+	if err := opts.Validate(); err != nil {
+		return Options{}, err
 	}
-	return o
+	if opts.WMax == 0 {
+		opts.WMax = 4096
+	}
+	if w0 < 1 || w0 > opts.WMax {
+		return Options{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, opts.WMax)
+	}
+	return opts, nil
 }
 
 // Run executes the paper's algorithm verbatim from starting CW w0 with
@@ -162,12 +141,9 @@ func (o Options) withDefaults() Options {
 // gathered so far alongside the error, so callers can see where the walk
 // died.
 func Run(env Env, leader, w0 int, opts Options) (Result, error) {
-	if err := opts.Validate(); err != nil {
+	o, err := checkStart(opts, w0)
+	if err != nil {
 		return Result{}, err
-	}
-	o := opts.withDefaults()
-	if w0 < 1 || w0 > o.WMax {
-		return Result{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, o.WMax)
 	}
 	res := Result{Leader: leader}
 	measure := func(w int) (float64, error) {
@@ -195,13 +171,10 @@ func Run(env Env, leader, w0 int, opts Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		if p <= best+o.MinImprove {
+		if p <= best {
 			break
 		}
 		best, wm = p, w
-	}
-	if wm > w0 {
-		res.Direction = 1
 	}
 
 	// Step 3: Left-Search, only if Right-Search made no progress (the
@@ -214,13 +187,10 @@ func Run(env Env, leader, w0 int, opts Options) (Result, error) {
 			if err != nil {
 				return res, err
 			}
-			if p <= best+o.MinImprove {
+			if p <= best {
 				break
 			}
 			best, wm = p, w
-		}
-		if wm < w0 {
-			res.Direction = -1
 		}
 	}
 
@@ -235,12 +205,9 @@ func Run(env Env, leader, w0 int, opts Options) (Result, error) {
 // step around the best point. It uses O(log W*) probes instead of the
 // paper's O(W*) while still only requiring local payoff measurements.
 func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
-	if err := opts.Validate(); err != nil {
+	o, err := checkStart(opts, w0)
+	if err != nil {
 		return Result{}, err
-	}
-	o := opts.withDefaults()
-	if w0 < 1 || w0 > o.WMax {
-		return Result{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, o.WMax)
 	}
 	res := Result{Leader: leader}
 	cache := make(map[int]float64)
@@ -278,11 +245,10 @@ func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
 			if err != nil {
 				return res, err
 			}
-			if p <= best+o.MinImprove {
+			if p <= best {
 				break
 			}
 			best, wm = p, w
-			res.Direction = dir
 			step *= 2
 		}
 		if wm != w0 {
@@ -303,7 +269,7 @@ func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
 				if err != nil {
 					return res, err
 				}
-				if p > best+o.MinImprove {
+				if p > best {
 					best, wm = p, w
 					improved = true
 				}

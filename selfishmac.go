@@ -259,24 +259,19 @@ func DefaultSpatialSimConfig(duration float64, seed uint64) SpatialSimConfig {
 type (
 	// SearchEnv is the world the search protocol runs against.
 	SearchEnv = search.Env
-	// SearchOptions tunes the search.
+	// SearchOptions bounds the search: WMax caps the walk, and
+	// ProbeBudget caps RunResilientSearch's raw measurements.
 	SearchOptions = search.Options
 	// SearchResult is the search outcome.
 	SearchResult = search.Result
-	// AnalyticSearchEnv measures payoffs exactly.
+	// AnalyticSearchEnv measures payoffs exactly; NewFaultyEnv wraps it
+	// with a lossy, faulty broadcast medium.
 	AnalyticSearchEnv = search.AnalyticEnv
-	// SimSearchEnv measures payoffs with the MAC simulator.
-	SimSearchEnv = search.SimEnv
 )
 
 // NewAnalyticSearchEnv builds an exact-payoff search environment.
 func NewAnalyticSearchEnv(g *Game, leader, w0 int) (*AnalyticSearchEnv, error) {
 	return search.NewAnalyticEnv(g, leader, w0)
-}
-
-// NewSimSearchEnv builds a simulator-measured search environment.
-func NewSimSearchEnv(cfg SimConfig, leader int) (*SimSearchEnv, error) {
-	return search.NewSimEnv(cfg, leader)
 }
 
 // RunSearch executes the paper's Section V.C unit-step search.
@@ -315,10 +310,10 @@ func NewFaultyEnv(inner *AnalyticSearchEnv, cfg FaultConfig) (*FaultyEnv, error)
 }
 
 // RunResilientSearch executes the Section V.C walk hardened for
-// deployment: retry of failed measurements, median-of-k measurement,
-// Ready re-broadcast on missed acknowledgement, deputy failover after a
-// leader crash, and best-so-far degradation on an exhausted probe budget
-// (SearchResult.Degraded).
+// deployment: up to three retries of a failed measurement, the median of
+// three measurements per operating point, Ready re-broadcast on missed
+// acknowledgement, deputy failover after a leader crash, and best-so-far
+// degradation on an exhausted probe budget (SearchResult.Degraded).
 func RunResilientSearch(env SearchEnv, leader, w0 int, opts SearchOptions) (SearchResult, error) {
 	return search.ResilientRun(env, leader, w0, opts)
 }
