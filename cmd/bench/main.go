@@ -46,6 +46,7 @@ import (
 	"testing"
 	"time"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/calendar"
 	"selfishmac/internal/layerbench"
 	"selfishmac/internal/macsim"
@@ -119,26 +120,10 @@ type scenario struct {
 	bench     func(*testing.B)
 }
 
-func uniformCW(w, n int) []int {
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = w
-	}
-	return cw
-}
-
 // macsimScenario builds a single-collision-domain workload: n nodes at
 // the paper's efficient-NE CW for that population.
 func macsimScenario(name string, w, n int, duration float64) (scenario, error) {
-	cfg := macsim.Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       uniformCW(w, n),
-		Duration: duration,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	}
+	cfg := macsim.Config{Run: backoff.Default(phy.Basic, backoff.Uniform(w, n), duration, 1)}
 	probe, err := macsim.Run(cfg)
 	if err != nil {
 		return scenario{}, err
@@ -225,17 +210,9 @@ func detectionScenario(name string, quick bool) (scenario, error) {
 	if quick {
 		dur = 3e6
 	}
-	cw := uniformCW(expected, n)
+	cw := backoff.Uniform(expected, n)
 	cw[0] = cheatCW
-	base := macsim.Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       cw,
-		Duration: dur,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	}
+	base := macsim.Config{Run: backoff.Default(phy.Basic, cw, dur, 1)}
 	plainEng, err := macsim.NewEngine(base)
 	if err != nil {
 		return scenario{}, err
@@ -533,7 +510,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	// Sparse 50-node network (mean degree ~4): the acceptance scenario.
 	sparse := topology.Config{N: 50, Width: 1000, Height: 1000, Range: 180, Seed: 11}
 	simCfg := multihop.DefaultSimConfig(mhDur, 7)
-	simCfg.CW = uniformCW(116, 50)
+	simCfg.CW = backoff.Uniform(116, 50)
 	s, err = multihopScenario("multihop/sparse-n50-w116", sparse, simCfg)
 	if err != nil {
 		return nil, err
@@ -556,7 +533,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	// The paper's Section VII.B mobile scenario at the converged Wm.
 	paper := topology.PaperConfig(13)
 	mob := multihop.DefaultSimConfig(mhDur, 9)
-	mob.CW = uniformCW(26, paper.N)
+	mob.CW = backoff.Uniform(26, paper.N)
 	mob.MobilityEvery = 1e6
 	s, err = multihopScenario("multihop/mobile-n100-w26", paper, mob)
 	if err != nil {
@@ -575,7 +552,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	}
 	big := topology.Config{N: 500, Width: 2236, Height: 2236, Range: 250, MaxSpeed: 5, Seed: 17}
 	cfg500 := multihop.DefaultSimConfig(mh500, 17)
-	cfg500.CW = uniformCW(26, 500)
+	cfg500.CW = backoff.Uniform(26, 500)
 	cfg500.MobilityEvery = 1e6
 	s, err = multihopScenario("multihop/mobile-n500-w26", big, cfg500)
 	if err != nil {
@@ -584,7 +561,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	out = append(out, s)
 	huge := topology.Config{N: 1000, Width: 3162, Height: 3162, Range: 250, MaxSpeed: 5, Seed: 19}
 	cfg1000 := multihop.DefaultSimConfig(mh1000, 19)
-	cfg1000.CW = uniformCW(26, 1000)
+	cfg1000.CW = backoff.Uniform(26, 1000)
 	cfg1000.MobilityEvery = 5e5
 	s, err = multihopScenario("multihop/mobile-n1000-w26", huge, cfg1000)
 	if err != nil {
@@ -603,7 +580,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	}
 	giant := topology.Config{N: 5000, Width: 7071, Height: 7071, Range: 250, MaxSpeed: 5, Seed: 23}
 	cfg5000 := multihop.DefaultSimConfig(mh5000, 23)
-	cfg5000.CW = uniformCW(26, 5000)
+	cfg5000.CW = backoff.Uniform(26, 5000)
 	cfg5000.MobilityEvery = 5e5
 	s, err = multihopScenario("multihop/mobile-n5000-w26", giant, cfg5000)
 	if err != nil {
@@ -612,7 +589,7 @@ func scenarios(quick bool) ([]scenario, error) {
 	out = append(out, s)
 	colossal := topology.Config{N: 10000, Width: 10000, Height: 10000, Range: 250, MaxSpeed: 5, Seed: 29}
 	cfg10000 := multihop.DefaultSimConfig(mh10000, 29)
-	cfg10000.CW = uniformCW(26, 10000)
+	cfg10000.CW = backoff.Uniform(26, 10000)
 	cfg10000.MobilityEvery = 2.5e5
 	s, err = multihopScenario("multihop/mobile-n10000-w26", colossal, cfg10000)
 	if err != nil {

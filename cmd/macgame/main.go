@@ -218,25 +218,9 @@ func cmdSimulate(args []string) error {
 			cw = append(cw, v)
 		}
 	} else {
-		cw = make([]int, *n)
-		for i := range cw {
-			cw[i] = *w
-		}
+		cw = selfishmac.UniformCW(*w, *n)
 	}
-	p := selfishmac.DefaultPHY()
-	tm, err := p.Timing(m)
-	if err != nil {
-		return err
-	}
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   tm,
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: *duration * 1e6,
-		Seed:     *seed,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	res, err := selfishmac.Simulate(selfishmac.DefaultSimConfig(m, cw, *duration*1e6, *seed))
 	if err != nil {
 		return err
 	}
@@ -491,31 +475,20 @@ func cmdObserve(args []string) error {
 		}
 		exp = ne.WStar
 	}
-	cw := make([]int, *n)
-	for i := range cw {
-		cw[i] = exp
-	}
+	cw := selfishmac.UniformCW(exp, *n)
 	if *cheatCW > 0 {
 		if *cheater < 0 || *cheater >= *n {
 			return fmt.Errorf("cheater index %d outside [0, %d)", *cheater, *n)
 		}
 		cw[*cheater] = *cheatCW
 	}
-	p := selfishmac.DefaultPHY()
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   p.MustTiming(m),
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: *duration * 1e6,
-		Seed:     *seed,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	cfg := selfishmac.DefaultSimConfig(m, cw, *duration*1e6, *seed)
+	res, err := selfishmac.Simulate(cfg)
 	if err != nil {
 		return err
 	}
 	det := selfishmac.MisbehaviorDetector{ExpectedCW: exp, Beta: *beta}
-	verdicts, err := det.Inspect(selfishmac.ObservationsFromSim(res), p.MaxBackoffStage)
+	verdicts, err := det.Inspect(selfishmac.ObservationsFromSim(res), cfg.MaxStage)
 	if err != nil {
 		return err
 	}

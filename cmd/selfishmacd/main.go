@@ -60,7 +60,6 @@ func run(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer, onReady
 	}
 
 	srv, err := service.New(service.Config{
-		Addr:              *addr,
 		QueueCap:          *queueCap,
 		Workers:           *workers,
 		DefaultJobTimeout: *jobTimeout,
@@ -71,7 +70,7 @@ func run(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer, onReady
 		return err
 	}
 
-	ln, err := net.Listen("tcp", srv.Config().Addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}

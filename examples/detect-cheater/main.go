@@ -36,10 +36,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cw := make([]int, 10)
-	for i := range cw {
-		cw[i] = ne.WStar
-	}
+	cw := selfishmac.UniformCW(ne.WStar, 10)
 	const cheater = 3
 	cw[cheater] = ne.WStar / 4
 	fmt.Fprintf(w, "announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
@@ -53,16 +50,8 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "window for 10%% CW accuracy at tau*=%.4f: %d virtual slots\n", ne.TauStar, slots)
 
 	// Simulate the network and collect the observations.
-	p := selfishmac.DefaultPHY()
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   p.MustTiming(selfishmac.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: 120e6, // 120 s
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	cfg := selfishmac.DefaultSimConfig(selfishmac.Basic, cw, 120e6, 1) // 120 s
+	res, err := selfishmac.Simulate(cfg)
 	if err != nil {
 		return err
 	}
@@ -70,7 +59,7 @@ func run(w io.Writer) error {
 
 	// Estimate every peer's CW and apply the GTFT-style tolerance test.
 	det := selfishmac.MisbehaviorDetector{ExpectedCW: ne.WStar, Beta: 0.8, MinSlots: slots}
-	verdicts, err := det.Inspect(selfishmac.ObservationsFromSim(res), p.MaxBackoffStage)
+	verdicts, err := det.Inspect(selfishmac.ObservationsFromSim(res), cfg.MaxStage)
 	if err != nil {
 		return err
 	}

@@ -55,24 +55,8 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := selfishmac.DefaultPHY()
-	tm, err := p.Timing(selfishmac.Basic)
-	if err != nil {
-		return err
-	}
-	cw := make([]int, 5)
-	for i := range cw {
-		cw[i] = ne.WStar
-	}
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   tm,
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: 100e6, // 100 s
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	cw := selfishmac.UniformCW(ne.WStar, 5)
+	res, err := selfishmac.Simulate(selfishmac.DefaultSimConfig(selfishmac.Basic, cw, 100e6, 1)) // 100 s
 	if err != nil {
 		return err
 	}

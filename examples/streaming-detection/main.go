@@ -39,13 +39,11 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = ne.WStar
-	}
+	cw := selfishmac.UniformCW(ne.WStar, n)
 	const cheater = 0
 	cw[cheater] = ne.WStar / 8
 	fmt.Fprintf(w, "announced NE CW: %d; node %d secretly runs %d\n\n", ne.WStar, cheater, cw[cheater])
+	cfg := selfishmac.DefaultSimConfig(selfishmac.Basic, cw, 60e6, 1) // 60 s
 
 	// The monitor flags a peer the moment a window's estimate Ŵ drops
 	// under Beta·W*. OnFlag fires synchronously from the engine hot loop.
@@ -56,7 +54,7 @@ func run(w io.Writer) error {
 	mon, err := selfishmac.NewStreamMonitor(selfishmac.StreamMonitorConfig{
 		Nodes:       n,
 		WindowSlots: 1500,
-		MaxStage:    selfishmac.DefaultPHY().MaxBackoffStage,
+		MaxStage:    cfg.MaxStage,
 		ExpectedCW:  ne.WStar,
 		Beta:        0.6,
 		OnFlag: func(ev selfishmac.StreamFlagEvent) {
@@ -73,17 +71,8 @@ func run(w io.Writer) error {
 
 	// Attach the monitor through the Observer hook and run: the trajectory
 	// is bit-identical with or without it.
-	p := selfishmac.DefaultPHY()
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   p.MustTiming(selfishmac.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: 60e6, // 60 s
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-		Observer: mon,
-	})
+	cfg.Observer = mon
+	res, err := selfishmac.Simulate(cfg)
 	if err != nil {
 		return err
 	}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/num"
 	"selfishmac/internal/phy"
 )
@@ -279,7 +280,7 @@ func (m *Model) solveUniformUncached(w, n int) (*Solution, error) {
 		p = 1 - math.Pow(1-tau, float64(n-1))
 	}
 	sol := &Solution{
-		W:   uniformProfile(w, n),
+		W:   backoff.Uniform(w, n),
 		Tau: uniformFloats(tau, n),
 		P:   uniformFloats(p, n),
 	}
@@ -365,7 +366,7 @@ func (m *Model) solveDeviationUncached(wDev, wBase, n int) (*Solution, error) {
 	pBase := num.Clamp(1-(1-tDev)*oBase, 0, 1)
 
 	sol := &Solution{
-		W:          append([]int{wDev}, uniformProfile(wBase, n-1)...),
+		W:          append([]int{wDev}, backoff.Uniform(wBase, n-1)...),
 		Tau:        append([]float64{tDev}, uniformFloats(tBase, n-1)...),
 		P:          append([]float64{pDev}, uniformFloats(pBase, n-1)...),
 		Iterations: iters,
@@ -403,14 +404,6 @@ func (m *Model) OptimalTau(n int) (float64, error) {
 		return 0, fmt.Errorf("bianchi: OptimalTau(n=%d): %w", n, err)
 	}
 	return root, nil
-}
-
-func uniformProfile(w, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = w
-	}
-	return out
 }
 
 func uniformFloats(v float64, n int) []float64 {

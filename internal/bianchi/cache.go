@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 )
 
@@ -137,7 +138,7 @@ func (m *Model) deviationKey(wDev, wBase, n int) solveKey {
 // point.
 func uniformSolution(w, n int, pt cachedPoint) *Solution {
 	sol := &Solution{
-		W:          uniformProfile(w, n),
+		W:          backoff.Uniform(w, n),
 		Tau:        uniformFloats(pt.tauBase, n),
 		P:          uniformFloats(pt.pBase, n),
 		Iterations: pt.iters,
@@ -150,7 +151,7 @@ func uniformSolution(w, n int, pt cachedPoint) *Solution {
 // point.
 func deviationSolution(wDev, wBase, n int, pt cachedPoint) *Solution {
 	sol := &Solution{
-		W:          append([]int{wDev}, uniformProfile(wBase, n-1)...),
+		W:          append([]int{wDev}, backoff.Uniform(wBase, n-1)...),
 		Tau:        append([]float64{pt.tauDev}, uniformFloats(pt.tauBase, n-1)...),
 		P:          append([]float64{pt.pDev}, uniformFloats(pt.pBase, n-1)...),
 		Iterations: pt.iters,

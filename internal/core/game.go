@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/num"
 	"selfishmac/internal/phy"
@@ -124,6 +125,20 @@ func NewGame(cfg Config) (*Game, error) {
 
 // Config returns the game's configuration.
 func (g *Game) Config() Config { return g.cfg }
+
+// SimRun returns the simulator run for this game: its timing, backoff
+// cap, gain and cost, with the given CW profile, duration and seed.
+func (g *Game) SimRun(cw []int, duration float64, seed uint64) backoff.Run {
+	return backoff.Run{
+		Timing:   g.model.Timing,
+		MaxStage: g.model.MaxStage,
+		CW:       cw,
+		Duration: duration,
+		Seed:     seed,
+		Gain:     g.cfg.Gain,
+		Cost:     g.cfg.Cost,
+	}
+}
 
 // Model exposes the underlying channel model.
 func (g *Game) Model() *bianchi.Model { return g.model }

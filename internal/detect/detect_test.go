@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/phy"
@@ -98,13 +99,15 @@ func TestEstimateAllFromSimulation(t *testing.T) {
 	p := phy.Default()
 	trueCW := []int{32, 64, 128, 256, 512}
 	res, err := macsim.Run(macsim.Config{
-		Timing:   p.MustTiming(phy.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       trueCW,
-		Duration: 200e6,
-		Seed:     3,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   p.MustTiming(phy.Basic),
+			MaxStage: p.MaxBackoffStage,
+			CW:       trueCW,
+			Duration: 200e6,
+			Seed:     3,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +139,15 @@ func TestDetectorFlagsCheater(t *testing.T) {
 	expected := 336
 	cw := []int{expected / 4, expected, expected, expected, expected}
 	res, err := macsim.Run(macsim.Config{
-		Timing:   p.MustTiming(phy.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       cw,
-		Duration: 300e6,
-		Seed:     5,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   p.MustTiming(phy.Basic),
+			MaxStage: p.MaxBackoffStage,
+			CW:       cw,
+			Duration: 300e6,
+			Seed:     5,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +240,7 @@ func TestRequiredSlotsCalibration(t *testing.T) {
 	}
 	// Convert slots to duration via the solved mean slot time.
 	duration := float64(slots) * sol.Tslot
-	res, err := macsim.RunUniform(p.MustTiming(phy.Basic), p.MaxBackoffStage, 336, 20, duration, 1, 0.01, 11)
+	res, err := macsim.Run(macsim.Config{Run: backoff.Default(phy.Basic, backoff.Uniform(336, 20), duration, 11)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/core"
 	"selfishmac/internal/detect"
 	"selfishmac/internal/macsim"
@@ -174,7 +175,6 @@ func Detection(ctx context.Context, s Settings) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	p := phy.Default()
 	const n, expected = 10, 336
 	tb := plot.Table{
 		Title:   fmt.Sprintf("Extension: CW misbehavior detection (n=%d, expected CW=%d, beta=0.8)", n, expected),
@@ -189,24 +189,14 @@ func Detection(ctx context.Context, s Settings) (*Report, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cw := make([]int, n)
-			for i := range cw {
-				cw[i] = expected
-			}
+			cw := backoff.Uniform(expected, n)
 			cw[0] = cheat
-			res, err := macsim.Run(macsim.Config{
-				Timing:   p.MustTiming(phy.Basic),
-				MaxStage: p.MaxBackoffStage,
-				CW:       cw,
-				Duration: window,
-				Seed:     rng.DeriveSeed(s.Seed, "D1", cases),
-				Gain:     1,
-				Cost:     0.01,
-			})
+			run := backoff.Default(phy.Basic, cw, window, rng.DeriveSeed(s.Seed, "D1", cases))
+			res, err := macsim.Run(macsim.Config{Run: run})
 			if err != nil {
 				return nil, err
 			}
-			verdicts, err := det.Inspect(detect.FromSimResult(res), p.MaxBackoffStage)
+			verdicts, err := det.Inspect(detect.FromSimResult(res), run.MaxStage)
 			if err != nil {
 				return nil, err
 			}

@@ -199,25 +199,12 @@ func reactionStage(tr *core.Trace, initial int) int {
 // seconds of MAC time, so the engine's setup is noise against it.
 func runClosedLoop(g *core.Game, strategies []core.Strategy, stageTime float64, stages int, seed uint64) ([]int, error) {
 	n := len(strategies)
-	p := g.Config().PHY
-	tm, err := p.Timing(g.Config().Mode)
-	if err != nil {
-		return nil, err
-	}
 	stage := func(k int, profile []int) (core.StageRecord, [][]int, error) {
-		res, err := macsim.Run(macsim.Config{
-			Timing:   tm,
-			MaxStage: p.MaxBackoffStage,
-			CW:       profile,
-			Duration: stageTime,
-			Seed:     rng.DeriveSeed(seed, "closedloop.stage", k),
-			Gain:     g.Config().Gain,
-			Cost:     g.Config().Cost,
-		})
+		res, err := macsim.Run(macsim.Config{Run: g.SimRun(profile, stageTime, rng.DeriveSeed(seed, "closedloop.stage", k))})
 		if err != nil {
 			return core.StageRecord{}, nil, err
 		}
-		ests, err := detect.EstimateAll(detect.FromSimResult(res), p.MaxBackoffStage)
+		ests, err := detect.EstimateAll(detect.FromSimResult(res), g.Model().MaxStage)
 		if err != nil {
 			// A stage can be too short for any estimate (a node that
 			// never transmitted); treat it as "no new information".

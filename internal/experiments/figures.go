@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/parallel"
@@ -132,7 +133,7 @@ func figure(ctx context.Context, id, title string, mode phy.AccessMode, s Settin
 	if simIdx < 0 {
 		return nil, fmt.Errorf("%s: simulated overlay: population 20 missing", id)
 	}
-	sim, err := simulatedCurve(ctx, id, mode, games[simIdx], 20, s)
+	sim, err := simulatedCurve(ctx, id, games[simIdx], 20, s)
 	if err != nil {
 		return nil, err
 	}
@@ -185,18 +186,13 @@ func (r ucReplicator) Replicate(seed uint64, out []float64) error {
 // simulatedCurve measures U/C at ~9 log-spaced CW values with the MAC
 // simulator and returns the series plus the maximum relative deviation
 // from the analytic curve (computed on the replicated means). The
-// simulator runs with the *configured* gain and cost (it used to
+// simulator runs with the game's timing, gain and cost (it used to
 // hardcode g = 1, e = 0.01, silently diverging from the analytic overlay
 // for any non-default config). Each operating point is replicated over
 // its own derived seed stream by internal/replicate — reusable engines,
 // deterministic at any worker count, adaptive precision when the
 // settings enable it.
-func simulatedCurve(ctx context.Context, id string, mode phy.AccessMode, g *core.Game, n int, s Settings) (*simCurve, error) {
-	p := phy.Default()
-	tm, err := p.Timing(mode)
-	if err != nil {
-		return nil, err
-	}
+func simulatedCurve(ctx context.Context, id string, g *core.Game, n int, s Settings) (*simCurve, error) {
 	cfg := g.Config()
 	ne, err := g.FindPaperNE()
 	if err != nil {
@@ -225,18 +221,11 @@ func simulatedCurve(ctx context.Context, id string, mode phy.AccessMode, g *core
 	}
 	for i, w := range grid {
 		rres, err := replicate.Run(ctx, s.plan(fmt.Sprintf("%s.sim.w%d", id, w), 1), func() (replicate.Replicator, error) {
-			eng, err := macsim.NewEngine(macsim.Config{
-				Timing:   tm,
-				MaxStage: p.MaxBackoffStage,
-				CW:       uniformCW(w, n),
-				Duration: duration,
-				Gain:     cfg.Gain,
-				Cost:     cfg.Cost,
-			})
+			eng, err := macsim.NewEngine(macsim.Config{Run: g.SimRun(backoff.Uniform(w, n), duration, 0)})
 			if err != nil {
 				return nil, err
 			}
-			return ucReplicator{eng: eng, scale: tm.Slot / cfg.Gain}, nil
+			return ucReplicator{eng: eng, scale: g.Model().Timing.Slot / cfg.Gain}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -259,15 +248,6 @@ func simulatedCurve(ctx context.Context, id string, mode phy.AccessMode, g *core
 		}
 	}
 	return out, nil
-}
-
-// uniformCW builds an n-node uniform CW profile.
-func uniformCW(w, n int) []int {
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = w
-	}
-	return cw
 }
 
 // payoffCurve evaluates U/C on a log grid of CW values in [1, wMax],

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/parallel"
@@ -87,10 +88,6 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	tm, err := phy.Default().Timing(mode)
-	if err != nil {
-		return nil, err
-	}
 	games := make([]*core.Game, len(tablePopulations))
 	for k, n := range tablePopulations {
 		g, err := core.NewGame(core.DefaultConfig(n, mode))
@@ -100,7 +97,7 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 		games[k] = g
 	}
 	rows := make([]NERow, len(tablePopulations))
-	err = parallel.ForEach(ctx, len(tablePopulations), s.workerCount(), func(_, k int) error {
+	err := parallel.ForEach(ctx, len(tablePopulations), s.workerCount(), func(_, k int) error {
 		n := tablePopulations[k]
 		g := games[k]
 		theory, err := g.FindPaperNE()
@@ -111,7 +108,7 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 		if err != nil {
 			return err
 		}
-		mean, variance, err := simulatedBestCW(ctx, id, g, tm, n, theory.WStar, s)
+		mean, variance, err := simulatedBestCW(ctx, id, g, n, theory.WStar, s)
 		if err != nil {
 			return err
 		}
@@ -142,14 +139,12 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 // T3/n=5 never reuse a stream), fanned out over the worker pool. The
 // mode timing is hoisted to the table level (neTable) rather than
 // re-derived per population.
-func simulatedBestCW(ctx context.Context, id string, g *core.Game, tm phy.Timing, n, wStar int, s Settings) (mean, variance float64, err error) {
-	cfg := g.Config()
+func simulatedBestCW(ctx context.Context, id string, g *core.Game, n, wStar int, s Settings) (mean, variance float64, err error) {
 	grid := cwGrid(wStar)
 	results := make([]*macsim.Result, len(grid))
 	stream := fmt.Sprintf("%s.sim.n%d", id, n)
 	err = parallel.ForEach(ctx, len(grid), s.workerCount(), func(_, gi int) error {
-		res, err := macsim.RunUniform(tm, cfg.PHY.MaxBackoffStage, grid[gi], n,
-			s.SingleHopSimTime, cfg.Gain, cfg.Cost, rng.DeriveSeed(s.Seed, stream, gi))
+		res, err := macsim.Run(macsim.Config{Run: g.SimRun(backoff.Uniform(grid[gi], n), s.SingleHopSimTime, rng.DeriveSeed(s.Seed, stream, gi))})
 		if err != nil {
 			return err
 		}

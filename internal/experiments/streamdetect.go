@@ -71,11 +71,6 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 	}
 	betas := []float64{0.5, 0.7, 0.9}
 
-	p := g.Config().PHY
-	tm, err := p.Timing(g.Config().Mode)
-	if err != nil {
-		return nil, err
-	}
 	tb := plot.Table{
 		Title: fmt.Sprintf("Streaming detection: population mixes vs Beta (n=%d, Wc*=%d, window=%d slots)",
 			n, ne.WStar, streamDetectWindow),
@@ -100,18 +95,12 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 			cheater[node] = true
 		}
 		for _, beta := range betas {
-			simCfg := macsim.Config{
-				Timing:   tm,
-				MaxStage: p.MaxBackoffStage,
-				CW:       profile, // the engine clones its config slices
-				Duration: s.SingleHopSimTime,
-				Gain:     g.Config().Gain,
-				Cost:     g.Config().Cost,
-			}
+			// The engine clones its config slices.
+			simCfg := macsim.Config{Run: g.SimRun(profile, s.SingleHopSimTime, 0)}
 			monCfg := stream.Config{
 				Nodes:       n,
 				WindowSlots: streamDetectWindow,
-				MaxStage:    p.MaxBackoffStage,
+				MaxStage:    simCfg.MaxStage,
 				ExpectedCW:  ne.WStar,
 				Beta:        beta,
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 )
 
@@ -13,7 +14,7 @@ import (
 
 func TestTcOfSelectsLongestCollidingFrame(t *testing.T) {
 	tm := phy.Default().MustTiming(phy.Basic)
-	cfg := Config{Timing: tm, CW: []int{16, 16, 16, 16}}
+	cfg := Config{Run: backoff.Run{Timing: tm, CW: []int{16, 16, 16, 16}}}
 
 	// nil PerNodeTc: always the shared Timing.Tc, whoever collides.
 	for _, set := range [][]int{{0, 1}, {1, 2, 3}, {0}} {
@@ -43,7 +44,7 @@ func TestTcOfSelectsLongestCollidingFrame(t *testing.T) {
 
 func TestTsOfPerNodeOverride(t *testing.T) {
 	tm := phy.Default().MustTiming(phy.Basic)
-	cfg := Config{Timing: tm, CW: []int{16, 16}}
+	cfg := Config{Run: backoff.Run{Timing: tm, CW: []int{16, 16}}}
 	if got := cfg.tsOf(1); got != tm.Ts {
 		t.Fatalf("tsOf with nil PerNodeTs = %g, want Timing.Ts %g", got, tm.Ts)
 	}
@@ -63,13 +64,15 @@ func TestTsOfPerNodeOverride(t *testing.T) {
 func TestHeterogeneousPerNodeTsPayoffPath(t *testing.T) {
 	tm := phy.Default().MustTiming(phy.Basic)
 	cfg := Config{
-		Timing:    tm,
-		MaxStage:  6,
-		CW:        []int{32, 64, 128},
-		Duration:  20e6,
-		Seed:      33,
-		Gain:      2,
-		Cost:      0.05,
+		Run: backoff.Run{
+			Timing:   tm,
+			MaxStage: 6,
+			CW:       []int{32, 64, 128},
+			Duration: 20e6,
+			Seed:     33,
+			Gain:     2,
+			Cost:     0.05,
+		},
 		PerNodeTs: []float64{tm.Ts, 2 * tm.Ts, 0.5 * tm.Ts},
 	}
 	res, err := Run(cfg)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/calendar"
 	"selfishmac/internal/phy"
 )
@@ -24,29 +25,36 @@ func diffConfigs(t testing.TB) []Config {
 	rtscts := phy.Default().MustTiming(phy.RTSCTS)
 	mk := func(tm phy.Timing, maxStage int, cw []int, dur float64, seed uint64) Config {
 		return Config{
-			Timing: tm, MaxStage: maxStage, CW: cw,
-			Duration: dur, Seed: seed, Gain: 1, Cost: 0.01,
+			Run: backoff.Run{
+				Timing:   tm,
+				MaxStage: maxStage,
+				CW:       cw,
+				Duration: dur,
+				Seed:     seed,
+				Gain:     1,
+				Cost:     0.01,
+			},
 		}
 	}
 	cfgs := []Config{
 		// Uniform profiles across populations, both modes.
-		mk(basic, 6, uniform(32, 2), 2e6, 1),
-		mk(basic, 6, uniform(76, 5), 2e6, 2),
-		mk(basic, 6, uniform(336, 20), 2e6, 3),
-		mk(basic, 6, uniform(879, 50), 2e6, 4),
-		mk(rtscts, 6, uniform(22, 5), 2e6, 5),
-		mk(rtscts, 6, uniform(116, 50), 2e6, 6),
+		mk(basic, 6, backoff.Uniform(32, 2), 2e6, 1),
+		mk(basic, 6, backoff.Uniform(76, 5), 2e6, 2),
+		mk(basic, 6, backoff.Uniform(336, 20), 2e6, 3),
+		mk(basic, 6, backoff.Uniform(879, 50), 2e6, 4),
+		mk(rtscts, 6, backoff.Uniform(22, 5), 2e6, 5),
+		mk(rtscts, 6, backoff.Uniform(116, 50), 2e6, 6),
 		// Heterogeneous CW (the mean-field-breaking case).
 		mk(basic, 6, []int{32, 64, 128, 256, 512}, 2e6, 7),
 		mk(basic, 6, []int{1, 1000}, 1e6, 8),
 		mk(rtscts, 6, []int{16, 16, 333, 501, 7, 90}, 2e6, 9),
 		// Degenerate windows and stage caps.
-		mk(basic, 0, uniform(1, 2), 5e5, 10), // pure collision
-		mk(basic, 0, uniform(16, 4), 1e6, 11),
-		mk(basic, 16, uniform(4, 6), 1e6, 12),
+		mk(basic, 0, backoff.Uniform(1, 2), 5e5, 10), // pure collision
+		mk(basic, 0, backoff.Uniform(16, 4), 1e6, 11),
+		mk(basic, 16, backoff.Uniform(4, 6), 1e6, 12),
 		mk(basic, 3, []int{2, 3, 5, 7}, 1e6, 13),
 		// Single node, tiny duration (boundary: one event may overshoot).
-		mk(basic, 6, uniform(16, 1), 100, 14),
+		mk(basic, 6, backoff.Uniform(16, 1), 100, 14),
 	}
 	// Per-node Ts/Tc overrides, heterogeneous and mixed with CW spread.
 	het := mk(basic, 6, []int{64, 64, 64}, 2e6, 15)
@@ -60,7 +68,7 @@ func diffConfigs(t testing.TB) []Config {
 	het3.PerNodeTc = []float64{2 * rtscts.Tc, rtscts.Tc, 3 * rtscts.Tc, rtscts.Tc}
 	cfgs = append(cfgs, het3)
 	// Gain/cost variations feed the payoff formula.
-	gc := mk(basic, 6, uniform(64, 3), 1e6, 18)
+	gc := mk(basic, 6, backoff.Uniform(64, 3), 1e6, 18)
 	gc.Gain, gc.Cost = 2.5, 0.3
 	cfgs = append(cfgs, gc)
 	// Calendar-wrap forcers: the calendar is sized to the stage-0
@@ -70,19 +78,11 @@ func diffConfigs(t testing.TB) []Config {
 	// 2 << 12 against a 64-bucket ring); the wide-spread profile mixes an
 	// always-colliding pair with bystanders sharing the ring.
 	cfgs = append(cfgs,
-		mk(basic, 12, uniform(2, 8), 1e6, 19),
+		mk(basic, 12, backoff.Uniform(2, 8), 1e6, 19),
 		mk(basic, 10, []int{1, 1, 700, 1200}, 1e6, 20),
 		mk(rtscts, 14, []int{3, 3, 3, 64}, 5e5, 21),
 	)
 	return cfgs
-}
-
-func uniform(w, n int) []int {
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = w
-	}
-	return cw
 }
 
 func TestDifferentialFastMatchesReference(t *testing.T) {
@@ -108,13 +108,15 @@ func TestDifferentialFastMatchesReference(t *testing.T) {
 // match the reference.
 func TestDifferentialCappedRingHugeWindow(t *testing.T) {
 	cfg := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 16,
-		CW:       []int{1 << 20, 1 << 20},
-		Duration: 1e5,
-		Seed:     21,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 16,
+			CW:       []int{1 << 20, 1 << 20},
+			Duration: 1e5,
+			Seed:     21,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -137,13 +139,15 @@ func TestDifferentialCappedRingHugeWindow(t *testing.T) {
 // once and still matches the reference.
 func TestDifferentialHugeIdleGap(t *testing.T) {
 	cfg := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       []int{1 << 50, 1 << 50},
-		Duration: 1e18,
-		Seed:     5,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       []int{1 << 50, 1 << 50},
+			Duration: 1e18,
+			Seed:     5,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	want, err := RunReference(cfg)
 	if err != nil {
@@ -165,12 +169,14 @@ func TestDifferentialHugeIdleGap(t *testing.T) {
 // need a particular collision pattern to surface show up across seeds.
 func TestDifferentialSeedSweep(t *testing.T) {
 	base := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       []int{16, 32, 48, 64, 96, 128, 256, 333},
-		Duration: 1e6,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       []int{16, 32, 48, 64, 96, 128, 256, 333},
+			Duration: 1e6,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	for seed := uint64(0); seed < 25; seed++ {
 		cfg := base
@@ -193,13 +199,15 @@ func TestDifferentialSeedSweep(t *testing.T) {
 // the calendar engine performs zero allocations.
 func TestFastEngineHotLoopAllocationFree(t *testing.T) {
 	e, err := NewEngine(Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       uniform(336, 20),
-		Duration: 1e6,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       backoff.Uniform(336, 20),
+			Duration: 1e6,
+			Seed:     1,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,13 +239,15 @@ func (w *wrapProbe) OnEvent(slot int64, _ []int) {
 // pairs allocate nothing.
 func TestFloorRingWrapsMatchesReference(t *testing.T) {
 	cfg := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 12,
-		CW:       uniform(2, 8),
-		Duration: 1e6,
-		Seed:     19,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 12,
+			CW:       backoff.Uniform(2, 8),
+			Duration: 1e6,
+			Seed:     19,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	probe := &wrapProbe{}
 	cfg.Observer = probe
@@ -277,13 +287,15 @@ func TestFloorRingWrapsMatchesReference(t *testing.T) {
 // reset must fully restore the engine: repeated runs are bit-identical.
 func TestFastEngineResetReproducible(t *testing.T) {
 	e, err := NewEngine(Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       []int{32, 64, 128},
-		Duration: 1e6,
-		Seed:     9,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       []int{32, 64, 128},
+			Duration: 1e6,
+			Seed:     9,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 )
 
@@ -48,17 +49,17 @@ func TestDifferentialEngineMatchesRun(t *testing.T) {
 func TestDifferentialFreshEnginePerStage(t *testing.T) {
 	basic := phy.Default().MustTiming(phy.Basic)
 	mk := func(cw []int, dur float64, seed uint64) Config {
-		return Config{Timing: basic, MaxStage: 6, CW: cw, Duration: dur, Seed: seed, Gain: 1, Cost: 0.01}
+		return Config{Run: backoff.Run{Timing: basic, MaxStage: 6, CW: cw, Duration: dur, Seed: seed, Gain: 1, Cost: 0.01}}
 	}
 	stages := []Config{
-		mk(uniform(128, 6), 1e6, 1),
+		mk(backoff.Uniform(128, 6), 1e6, 1),
 		mk([]int{128, 64, 128, 128, 32, 128}, 1e6, 2),
-		mk(uniform(16, 6), 5e5, 3),
-		mk(uniform(336, 6), 1e6, 4),
-		mk(uniform(64, 9), 1e6, 5), // node count change
-		{Timing: basic, MaxStage: 16, CW: uniform(1<<20, 2), Duration: 1e5,
-			Seed: 6, Gain: 1, Cost: 0.01}, // past the bucket cap: a wrapping ring
-		mk(uniform(48, 9), 1e6, 7),
+		mk(backoff.Uniform(16, 6), 5e5, 3),
+		mk(backoff.Uniform(336, 6), 1e6, 4),
+		mk(backoff.Uniform(64, 9), 1e6, 5), // node count change
+		{Run: backoff.Run{Timing: basic, MaxStage: 16, CW: backoff.Uniform(1<<20, 2), Duration: 1e5,
+			Seed: 6, Gain: 1, Cost: 0.01}}, // past the bucket cap: a wrapping ring
+		mk(backoff.Uniform(48, 9), 1e6, 7),
 	}
 	for si, cfg := range stages {
 		eng, err := NewEngine(cfg)
@@ -83,8 +84,17 @@ func TestDifferentialFreshEnginePerStage(t *testing.T) {
 // after NewEngine cannot change results.
 func TestEngineCopiesConfig(t *testing.T) {
 	cw := []int{32, 64, 96}
-	cfg := Config{Timing: phy.Default().MustTiming(phy.Basic), MaxStage: 6,
-		CW: cw, Duration: 1e6, Seed: 3, Gain: 1, Cost: 0.01}
+	cfg := Config{
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       cw,
+			Duration: 1e6,
+			Seed:     3,
+			Gain:     1,
+			Cost:     0.01,
+		},
+	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +114,15 @@ func TestEngineCopiesConfig(t *testing.T) {
 // profile do — and each alternating run equals a fresh Run.
 func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	cfg := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       uniform(336, 20),
-		Duration: 1e6,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       backoff.Uniform(336, 20),
+			Duration: 1e6,
+			Seed:     1,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
@@ -125,7 +137,7 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("Reset+Run allocated %.1f objects per run, want 0", allocs)
 	}
 	alt := cfg
-	alt.CW = uniform(128, 20)
+	alt.CW = backoff.Uniform(128, 20)
 	cfgs := [2]Config{cfg, alt}
 	var engs [2]*Engine
 	for i, c := range cfgs {

@@ -31,7 +31,6 @@ import (
 	"math"
 
 	"selfishmac/internal/backoff"
-	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
 )
 
@@ -52,22 +51,11 @@ type Observer interface {
 	OnEvent(slot int64, transmitters []int)
 }
 
-// Config parameterises one simulation run.
+// Config parameterises one simulation run: the shared DCF run
+// parameters (embedded by value, so the engines read cfg.MaxStage and
+// cfg.Timing directly) plus what only the single-hop simulator takes.
 type Config struct {
-	// Timing carries sigma, Ts, Tc, E[P] for the access mode under test.
-	Timing phy.Timing
-	// MaxStage is the backoff-doubling cap m.
-	MaxStage int
-	// CW is the per-node initial contention window (length = node count).
-	CW []int
-	// Duration is the simulated time in microseconds.
-	Duration float64
-	// Seed drives the deterministic PRNG.
-	Seed uint64
-	// Gain and Cost are the per-packet utility parameters g and e used
-	// for the measured payoff (paper Section V.C: U = (ns·g − ne·e)/t).
-	Gain float64
-	Cost float64
+	backoff.Run
 	// PerNodeTs optionally overrides the success hold per transmitter
 	// (e.g. heterogeneous packet sizes in the rate-control extension).
 	// nil uses Timing.Ts for everyone; otherwise length must equal CW's.
@@ -87,49 +75,28 @@ type Config struct {
 // with errors.Is.
 var ErrInvalidConfig = errors.New("macsim: invalid config")
 
-// Validate checks the configuration. Every float must be finite: NaN
-// slips through ordered comparisons, and an infinite duration never ends
-// the run. Each check is written so that NaN fails it, and the
-// math.MaxFloat64 bound rejects +Inf.
+// Validate checks the configuration: the shared run checks
+// (backoff.Run.Validate), at least one node, and per-node holds that
+// match the profile and are positive and finite.
 func (c Config) Validate() error {
 	var errs []error
 	if len(c.CW) == 0 {
 		errs = append(errs, errors.New("no nodes"))
 	}
-	for i, w := range c.CW {
-		if w < 1 {
-			errs = append(errs, fmt.Errorf("node %d CW %d < 1", i, w))
+	if err := c.Run.Validate(); err != nil {
+		errs = append(errs, err)
+	}
+	for _, d := range [...]struct {
+		name string
+		v    []float64
+	}{{"PerNodeTs", c.PerNodeTs}, {"PerNodeTc", c.PerNodeTc}} {
+		if d.v != nil && len(d.v) != len(c.CW) {
+			errs = append(errs, fmt.Errorf("%s has %d entries for %d nodes", d.name, len(d.v), len(c.CW)))
 		}
-	}
-	if !(c.Duration > 0 && c.Duration <= math.MaxFloat64) {
-		errs = append(errs, fmt.Errorf("duration %g must be positive and finite", c.Duration))
-	}
-	if c.MaxStage < 0 || c.MaxStage > 16 {
-		errs = append(errs, fmt.Errorf("max backoff stage %d outside [0, 16]", c.MaxStage))
-	}
-	for _, v := range []float64{c.Timing.Slot, c.Timing.Ts, c.Timing.Tc} {
-		if !(v > 0 && v <= math.MaxFloat64) {
-			errs = append(errs, fmt.Errorf("timing %+v needs positive, finite Slot, Ts and Tc", c.Timing))
-			break
-		}
-	}
-	if !(c.Gain >= 0 && c.Gain <= math.MaxFloat64) || !(c.Cost >= 0 && c.Cost <= math.MaxFloat64) {
-		errs = append(errs, fmt.Errorf("gain %g and cost %g must be non-negative and finite", c.Gain, c.Cost))
-	}
-	if c.PerNodeTs != nil && len(c.PerNodeTs) != len(c.CW) {
-		errs = append(errs, fmt.Errorf("PerNodeTs has %d entries for %d nodes", len(c.PerNodeTs), len(c.CW)))
-	}
-	if c.PerNodeTc != nil && len(c.PerNodeTc) != len(c.CW) {
-		errs = append(errs, fmt.Errorf("PerNodeTc has %d entries for %d nodes", len(c.PerNodeTc), len(c.CW)))
-	}
-	for i, d := range c.PerNodeTs {
-		if !(d > 0 && d <= math.MaxFloat64) {
-			errs = append(errs, fmt.Errorf("PerNodeTs[%d] = %g must be positive and finite", i, d))
-		}
-	}
-	for i, d := range c.PerNodeTc {
-		if !(d > 0 && d <= math.MaxFloat64) {
-			errs = append(errs, fmt.Errorf("PerNodeTc[%d] = %g must be positive and finite", i, d))
+		for i, x := range d.v {
+			if !(x > 0 && x <= math.MaxFloat64) {
+				errs = append(errs, fmt.Errorf("%s[%d] = %g must be positive and finite", d.name, i, x))
+			}
 		}
 	}
 	if len(errs) == 0 {
@@ -330,21 +297,4 @@ func finalize(cfg *Config, res *Result, elapsed float64) {
 		}
 		res.Throughput += st.Throughput
 	}
-}
-
-// RunUniform is a convenience wrapper simulating n nodes all at CW w.
-func RunUniform(tm phy.Timing, maxStage, w, n int, duration float64, gain, cost float64, seed uint64) (*Result, error) {
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = w
-	}
-	return Run(Config{
-		Timing:   tm,
-		MaxStage: maxStage,
-		CW:       cw,
-		Duration: duration,
-		Seed:     seed,
-		Gain:     gain,
-		Cost:     cost,
-	})
 }

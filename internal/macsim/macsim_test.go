@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/stats"
@@ -18,15 +19,7 @@ func basicTiming(t testing.TB) phy.Timing {
 
 func defaultConfig(t testing.TB, cw []int) Config {
 	t.Helper()
-	return Config{
-		Timing:   basicTiming(t),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       cw,
-		Duration: 50e6, // 50 s
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	}
+	return Config{Run: backoff.Default(phy.Basic, cw, 50e6, 1)} // 50 s
 }
 
 func TestValidate(t *testing.T) {
@@ -168,7 +161,7 @@ func TestMatchesBianchiUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range mc.cells {
-			res, err := RunUniform(tm, phy.Default().MaxBackoffStage, tc.w, tc.n, 100e6, 1, 0.01, 42)
+			res, err := Run(Config{Run: backoff.Default(mode, backoff.Uniform(tc.w, tc.n), 100e6, 42)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,13 +295,15 @@ func TestDegenerateAllCollide(t *testing.T) {
 
 func BenchmarkRun20Nodes(b *testing.B) {
 	cfg := Config{
-		Timing:   phy.Default().MustTiming(phy.Basic),
-		MaxStage: 6,
-		CW:       make([]int, 20),
-		Duration: 10e6,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       make([]int, 20),
+			Duration: 10e6,
+			Seed:     1,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	for i := range cfg.CW {
 		cfg.CW[i] = 336
@@ -334,13 +329,15 @@ func TestInvariantsProperty(t *testing.T) {
 			cw[i] = 1 + int((r>>33)%uint64(4+int(wRaw)%500))
 		}
 		res, err := Run(Config{
-			Timing:   tm,
-			MaxStage: 6,
-			CW:       cw,
-			Duration: 3e6,
-			Seed:     seed,
-			Gain:     1,
-			Cost:     0.01,
+			Run: backoff.Run{
+				Timing:   tm,
+				MaxStage: 6,
+				CW:       cw,
+				Duration: 3e6,
+				Seed:     seed,
+				Gain:     1,
+				Cost:     0.01,
+			},
 		})
 		if err != nil {
 			return false
@@ -372,7 +369,7 @@ func TestInvariantsProperty(t *testing.T) {
 
 // Uniform profiles must be fair: Jain's index of per-node successes near 1.
 func TestUniformFairness(t *testing.T) {
-	res, err := RunUniform(basicTiming(t), 6, 128, 10, 100e6, 1, 0.01, 17)
+	res, err := Run(Config{Run: backoff.Default(phy.Basic, backoff.Uniform(128, 10), 100e6, 17)})
 	if err != nil {
 		t.Fatal(err)
 	}

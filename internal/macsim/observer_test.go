@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/phy"
 )
 
@@ -88,9 +89,15 @@ func TestDifferentialObserverStreamFastMatchesReference(t *testing.T) {
 // the hook enabled is byte-identical to the Result without it.
 func TestObserverDoesNotPerturbResult(t *testing.T) {
 	base := Config{
-		Timing: phy.Default().MustTiming(phy.Basic), MaxStage: 6,
-		CW: []int{32, 64, 128, 16, 336}, Duration: 2e6, Seed: 42,
-		Gain: 1, Cost: 0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.Basic),
+			MaxStage: 6,
+			CW:       []int{32, 64, 128, 16, 336},
+			Duration: 2e6,
+			Seed:     42,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	plain, err := Run(base)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/core"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
@@ -28,13 +29,15 @@ type diffCase struct {
 
 func simCfg(mode phy.AccessMode, cw []int, dur float64, seed uint64) SimConfig {
 	return SimConfig{
-		Timing:   phy.Default().MustTiming(mode),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       cw,
-		Duration: dur,
-		Seed:     seed,
-		Gain:     1,
-		Cost:     1e-4,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(mode),
+			MaxStage: phy.Default().MaxBackoffStage,
+			CW:       cw,
+			Duration: dur,
+			Seed:     seed,
+			Gain:     1,
+			Cost:     1e-4,
+		},
 	}
 }
 
@@ -130,46 +133,46 @@ func diffCases(t *testing.T) []diffCase {
 	var oneSlot []diffCase
 	for _, h := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {1, 3}} {
 		for seed := uint64(1); seed <= 5; seed++ {
-			cfg := holds(mob(simCfg(phy.Basic, uniformCW(4, 60), 1e6, seed), 2e4), h[0], h[1])
+			cfg := holds(mob(simCfg(phy.Basic, backoff.Uniform(4, 60), 1e6, seed), 2e4), h[0], h[1])
 			oneSlot = append(oneSlot, diffCase{fmt.Sprintf("one-slot-holds-ts%d-tc%d-seed%d", h[0], h[1], seed), mobile60, cfg})
 		}
 	}
 
 	return append(oneSlot, []diffCase{
-		{"line5-uniform", line, simCfg(phy.RTSCTS, uniformCW(32, 5), 4e6, 1)},
+		{"line5-uniform", line, simCfg(phy.RTSCTS, backoff.Uniform(32, 5), 4e6, 1)},
 		{"line5-heterogeneous", line, simCfg(phy.RTSCTS, []int{8, 64, 16, 128, 32}, 4e6, 2)},
-		{"star6-basic", star, simCfg(phy.Basic, uniformCW(64, 6), 4e6, 3)},
-		{"pair-plus-isolated", pairPlusIsolated, simCfg(phy.RTSCTS, uniformCW(16, 3), 2e6, 4)},
-		{"hidden-triple", hiddenTriple, simCfg(phy.RTSCTS, uniformCW(32, 3), 4e6, 5)},
+		{"star6-basic", star, simCfg(phy.Basic, backoff.Uniform(64, 6), 4e6, 3)},
+		{"pair-plus-isolated", pairPlusIsolated, simCfg(phy.RTSCTS, backoff.Uniform(16, 3), 2e6, 4)},
+		{"hidden-triple", hiddenTriple, simCfg(phy.RTSCTS, backoff.Uniform(32, 3), 4e6, 5)},
 		{"hidden-triple-aggressive", hiddenTriple, simCfg(phy.RTSCTS, []int{2, 8, 2}, 2e6, 6)},
 		{"heterogeneous-cw", line, het},
-		{"sparse50-static", sparse50, simCfg(phy.RTSCTS, uniformCW(116, 50), 2e6, 8)},
-		{"dense20-static", dense20, simCfg(phy.RTSCTS, uniformCW(48, 20), 2e6, 9)},
-		{"mobile50", mobile50, mob(simCfg(phy.RTSCTS, uniformCW(64, 50), 2e6, 10), 1e5)},
-		{"mobile100-paper", mobile100, mob(simCfg(phy.RTSCTS, uniformCW(26, 100), 1e6, 11), 5e4)},
-		{"mobile50-fast-mobility", mobile50, mob(simCfg(phy.RTSCTS, uniformCW(32, 50), 5e5, 12), 1e3)},
-		{"churn-masked-20", churnMasked(mask20, 15), simCfg(phy.RTSCTS, uniformCW(40, 20), 2e6, 13)},
+		{"sparse50-static", sparse50, simCfg(phy.RTSCTS, backoff.Uniform(116, 50), 2e6, 8)},
+		{"dense20-static", dense20, simCfg(phy.RTSCTS, backoff.Uniform(48, 20), 2e6, 9)},
+		{"mobile50", mobile50, mob(simCfg(phy.RTSCTS, backoff.Uniform(64, 50), 2e6, 10), 1e5)},
+		{"mobile100-paper", mobile100, mob(simCfg(phy.RTSCTS, backoff.Uniform(26, 100), 1e6, 11), 5e4)},
+		{"mobile50-fast-mobility", mobile50, mob(simCfg(phy.RTSCTS, backoff.Uniform(32, 50), 5e5, 12), 1e3)},
+		{"churn-masked-20", churnMasked(mask20, 15), simCfg(phy.RTSCTS, backoff.Uniform(40, 20), 2e6, 13)},
 		{"churn-masked-8", churnMasked(mask8, 16), simCfg(phy.Basic, []int{16, 32, 8, 64, 16, 128, 24, 48}, 2e6, 14)},
-		{"degenerate-w1", hiddenTriple, simCfg(phy.RTSCTS, uniformCW(1, 3), 1e6, 17)},
-		{"short-run", line, simCfg(phy.RTSCTS, uniformCW(64, 5), 200, 18)},
+		{"degenerate-w1", hiddenTriple, simCfg(phy.RTSCTS, backoff.Uniform(1, 3), 1e6, 17)},
+		{"short-run", line, simCfg(phy.RTSCTS, backoff.Uniform(64, 5), 200, 18)},
 		// Grid-index paths at scale: large-n networks route every
 		// adjacency snapshot (static, mobile re-snapshots, churn filters)
 		// through the cell grid; the reference loop pins the trajectory.
-		{"sparse500-static", sparse500, simCfg(phy.RTSCTS, uniformCW(64, 500), 5e5, 24)},
-		{"mobile500", mobile500, mob(simCfg(phy.RTSCTS, uniformCW(32, 500), 2e5, 25), 5e4)},
-		{"mobile1000-grid", mobile1000, mob(simCfg(phy.RTSCTS, uniformCW(26, 1000), 1e5, 26), 2e4)},
-		{"range-exceeds-area", bigRange, simCfg(phy.RTSCTS, uniformCW(48, 12), 1e6, 27)},
-		{"churn-masked-300", churnMasked300, simCfg(phy.RTSCTS, uniformCW(64, 300), 2e5, 28)},
+		{"sparse500-static", sparse500, simCfg(phy.RTSCTS, backoff.Uniform(64, 500), 5e5, 24)},
+		{"mobile500", mobile500, mob(simCfg(phy.RTSCTS, backoff.Uniform(32, 500), 2e5, 25), 5e4)},
+		{"mobile1000-grid", mobile1000, mob(simCfg(phy.RTSCTS, backoff.Uniform(26, 1000), 1e5, 26), 2e4)},
+		{"range-exceeds-area", bigRange, simCfg(phy.RTSCTS, backoff.Uniform(48, 12), 1e6, 27)},
+		{"churn-masked-300", churnMasked300, simCfg(phy.RTSCTS, backoff.Uniform(64, 300), 2e5, 28)},
 		// The calendar at scale: thousands of concurrent calendar entries,
 		// constant lazy-shift repair under carrier-sense churn, mobility
 		// steps at n=5000, and the n=10000 static grid path.
-		{"sparse5000-static", sparse5000, simCfg(phy.RTSCTS, uniformCW(26, 5000), 1e5, 33)},
-		{"mobile5000", mobile5000, mob(simCfg(phy.RTSCTS, uniformCW(26, 5000), 5e4, 34), 2e4)},
-		{"grid10000-static", grid10000, simCfg(phy.RTSCTS, uniformCW(26, 10000), 5e4, 35)},
+		{"sparse5000-static", sparse5000, simCfg(phy.RTSCTS, backoff.Uniform(26, 5000), 1e5, 33)},
+		{"mobile5000", mobile5000, mob(simCfg(phy.RTSCTS, backoff.Uniform(26, 5000), 5e4, 34), 2e4)},
+		{"grid10000-static", grid10000, simCfg(phy.RTSCTS, backoff.Uniform(26, 10000), 5e4, 35)},
 		// CW << MaxStage past the ring's bucket cap: the capped ring wraps.
-		{"huge-cw-capped-ring", line, simCfg(phy.RTSCTS, uniformCW(3000, 5), 4e6, 36)},
-		{"clique8-cw2", clique, simCfg(phy.Basic, uniformCW(2, 8), 2e6, 38)},
-		{"clique8-cw2-one-slot-holds", clique, holds(simCfg(phy.Basic, uniformCW(2, 8), 2e6, 39), 1, 2)},
+		{"huge-cw-capped-ring", line, simCfg(phy.RTSCTS, backoff.Uniform(3000, 5), 4e6, 36)},
+		{"clique8-cw2", clique, simCfg(phy.Basic, backoff.Uniform(2, 8), 2e6, 38)},
+		{"clique8-cw2-one-slot-holds", clique, holds(simCfg(phy.Basic, backoff.Uniform(2, 8), 2e6, 39), 1, 2)},
 	}...)
 }
 
@@ -191,10 +194,10 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 		every float64
 		pause float64 // random-waypoint pause; > 0 warms the network up first
 	}{
-		{"mobile1000-delta", 1000, 3162, 41, simCfg(phy.RTSCTS, uniformCW(26, 1000), 5e5, 41), 2e4, 0},
-		{"mobile1000-fast-mobility", 1000, 3162, 42, simCfg(phy.RTSCTS, uniformCW(64, 1000), 2e5, 42), 2e3, 0},
-		{"mobile5000-delta", 5000, 7071, 43, simCfg(phy.RTSCTS, uniformCW(26, 5000), 2e5, 43), 2e4, 0},
-		{"paused1000-patch", 1000, 3162, 44, simCfg(phy.RTSCTS, uniformCW(26, 1000), 5e5, 44), 2e4, 600},
+		{"mobile1000-delta", 1000, 3162, 41, simCfg(phy.RTSCTS, backoff.Uniform(26, 1000), 5e5, 41), 2e4, 0},
+		{"mobile1000-fast-mobility", 1000, 3162, 42, simCfg(phy.RTSCTS, backoff.Uniform(64, 1000), 2e5, 42), 2e3, 0},
+		{"mobile5000-delta", 5000, 7071, 43, simCfg(phy.RTSCTS, backoff.Uniform(26, 5000), 2e5, 43), 2e4, 0},
+		{"paused1000-patch", 1000, 3162, 44, simCfg(phy.RTSCTS, backoff.Uniform(26, 1000), 5e5, 44), 2e4, 600},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,7 +263,7 @@ func TestDifferentialSimulateMatchesReference(t *testing.T) {
 // both engines (same number of mobility steps, same waypoint stream), or
 // downstream stages of a repeated game would diverge.
 func TestDifferentialMobilityNetworkState(t *testing.T) {
-	cfg := simCfg(phy.RTSCTS, uniformCW(48, 30), 2e6, 19)
+	cfg := simCfg(phy.RTSCTS, backoff.Uniform(48, 30), 2e6, 19)
 	cfg.MobilityEvery = 7e4
 	ref := randomNetwork(t, 30, 250, 20)
 	if _, err := SimulateReference(ref, cfg); err != nil {

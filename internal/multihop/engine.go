@@ -28,7 +28,8 @@ type Engine struct {
 }
 
 // NewEngine builds a multi-hop engine. sim.CW is ignored (profiles come
-// from the strategies); sim.Duration is the stage length T.
+// from the strategies), so every other field is checked up front;
+// sim.Duration is the stage length T.
 func NewEngine(nw Topology, strategies []core.Strategy, sim SimConfig) (*Engine, error) {
 	if nw == nil {
 		return nil, errors.New("multihop: nil network")
@@ -41,12 +42,8 @@ func NewEngine(nw Topology, strategies []core.Strategy, sim SimConfig) (*Engine,
 			return nil, fmt.Errorf("multihop: nil strategy for node %d", i)
 		}
 	}
-	probe := sim
-	probe.CW = make([]int, nw.N())
-	for i := range probe.CW {
-		probe.CW[i] = 16
-	}
-	if err := probe.validate(nw.N()); err != nil {
+	sim.CW = nil
+	if err := sim.check(nil); err != nil {
 		return nil, fmt.Errorf("multihop: stage: %w", err)
 	}
 	return &Engine{nw: nw, strategies: strategies, sim: sim}, nil

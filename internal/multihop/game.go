@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
 	"selfishmac/internal/parallel"
@@ -248,7 +249,7 @@ func MeasureQuasiOptimality(ctx context.Context, nw *topology.Network, cfg Quasi
 		}
 		rres, err := replicate.Run(ctx, plan, func() (replicate.Replicator, error) {
 			sim := cfg.Sim
-			sim.CW = uniformCWProfile(w, n)
+			sim.CW = backoff.Uniform(w, n)
 			s, err := NewSimulator(nw, sim)
 			if err != nil {
 				return nil, err
@@ -371,7 +372,7 @@ func PHNSweep(ctx context.Context, nw *topology.Network, sim SimConfig, cws []in
 	out := make([]float64, len(cws))
 	err := parallel.ForEach(ctx, len(cws), workers, func(_, k int) error {
 		s := sim
-		s.CW = uniformCWProfile(cws[k], nw.N())
+		s.CW = backoff.Uniform(cws[k], nw.N())
 		r, err := Simulate(nw, s)
 		if err != nil {
 			return err
@@ -386,27 +387,9 @@ func PHNSweep(ctx context.Context, nw *topology.Network, sim SimConfig, cws []in
 }
 
 // DefaultSimConfig returns the paper-flavored spatial simulation settings:
-// RTS/CTS access (Section VI considers RTS/CTS networks), Table I utility
-// parameters, and a given duration/seed.
+// the Table I run (backoff.Default) under RTS/CTS access (Section VI
+// considers RTS/CTS networks), with no profile and a given
+// duration/seed.
 func DefaultSimConfig(duration float64, seed uint64) SimConfig {
-	p := phy.Default()
-	return SimConfig{
-		Timing:   p.MustTiming(phy.RTSCTS),
-		MaxStage: p.MaxBackoffStage,
-		Duration: duration,
-		Seed:     seed,
-		Gain:     1,
-		Cost:     0.01,
-	}
-}
-
-// uniformCWProfile returns an n-slot profile all at w. Each parallel
-// simulator run needs its own profile slice (SimConfig.CW is retained by
-// the run), so this is per-call, never shared.
-func uniformCWProfile(w, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = w
-	}
-	return out
+	return SimConfig{Run: backoff.Default(phy.RTSCTS, nil, duration, seed)}
 }

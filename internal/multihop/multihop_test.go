@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
 	"selfishmac/internal/macsim"
@@ -41,116 +42,161 @@ func paperNetwork(t testing.TB, seed uint64) *topology.Network {
 	return nw
 }
 
-func uniformCW(w, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = w
-	}
-	return out
-}
-
 func TestSimulateValidation(t *testing.T) {
 	nw := cliqueNetwork(t, 3)
 	cfg := DefaultSimConfig(1e6, 1)
-	cfg.CW = uniformCW(32, 2) // wrong length
+	cfg.CW = backoff.Uniform(32, 2) // wrong length
 	if _, err := Simulate(nw, cfg); err == nil {
 		t.Error("wrong-length profile accepted")
 	}
-	cfg.CW = uniformCW(0, 3)
+	cfg.CW = backoff.Uniform(0, 3)
 	if _, err := Simulate(nw, cfg); err == nil {
 		t.Error("CW 0 accepted")
 	}
-	cfg.CW = uniformCW(32, 3)
+	cfg.CW = backoff.Uniform(32, 3)
 	cfg.Duration = 0
 	if _, err := Simulate(nw, cfg); err == nil {
 		t.Error("zero duration accepted")
 	}
 }
 
-// TestSimConfigValidate is the config surface's table: every invalid
-// field — non-finite floats included, which ordered comparisons let
-// through — is rejected by every entry point with an error wrapping
-// ErrInvalidSimConfig, and the valid baseline is accepted by all of them.
+// TestSimConfigValidate is the one table of invalid run parameters for
+// both simulators. Every row is rejected by every entry point of the
+// spatial simulator with an error wrapping ErrInvalidSimConfig and, for
+// the shared run parameters (backoff.Run), by every entry point of the
+// single-hop simulator with one wrapping macsim.ErrInvalidConfig. The
+// valid baselines are accepted by all of them.
 func TestSimConfigValidate(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	tests := []struct {
 		name     string
 		mutate   func(*SimConfig)
 		cwOnly   bool // NewEngine ignores CW, so it cannot reject it
+		spatial  bool // a check only the spatial simulator makes
 		wantFail bool
 	}{
-		{"valid", func(*SimConfig) {}, false, false},
-		{"valid mobility", func(c *SimConfig) { c.MobilityEvery = 1e5 }, false, false},
-		{"CW wrong length", func(c *SimConfig) { c.CW = c.CW[:2] }, true, true},
-		{"CW zero", func(c *SimConfig) { c.CW[1] = 0 }, true, true},
-		{"MaxStage negative", func(c *SimConfig) { c.MaxStage = -1 }, false, true},
-		{"MaxStage too large", func(c *SimConfig) { c.MaxStage = 17 }, false, true},
-		{"Duration zero", func(c *SimConfig) { c.Duration = 0 }, false, true},
-		{"Duration NaN", func(c *SimConfig) { c.Duration = nan }, false, true},
-		{"Duration +Inf", func(c *SimConfig) { c.Duration = inf }, false, true},
-		{"Timing.Slot NaN", func(c *SimConfig) { c.Timing.Slot = nan }, false, true},
-		{"Timing.Slot +Inf", func(c *SimConfig) { c.Timing.Slot = inf }, false, true},
-		{"Timing.Ts NaN", func(c *SimConfig) { c.Timing.Ts = nan }, false, true},
-		{"Timing.Ts zero", func(c *SimConfig) { c.Timing.Ts = 0 }, false, true},
-		{"Timing.Tc NaN", func(c *SimConfig) { c.Timing.Tc = nan }, false, true},
-		{"Timing.Tc +Inf", func(c *SimConfig) { c.Timing.Tc = inf }, false, true},
-		{"Gain NaN", func(c *SimConfig) { c.Gain = nan }, false, true},
-		{"Gain +Inf", func(c *SimConfig) { c.Gain = inf }, false, true},
-		{"Gain negative", func(c *SimConfig) { c.Gain = -1 }, false, true},
-		{"Cost NaN", func(c *SimConfig) { c.Cost = nan }, false, true},
-		{"Cost +Inf", func(c *SimConfig) { c.Cost = inf }, false, true},
-		{"MobilityEvery NaN", func(c *SimConfig) { c.MobilityEvery = nan }, false, true},
-		{"MobilityEvery +Inf", func(c *SimConfig) { c.MobilityEvery = inf }, false, true},
-		{"MobilityEvery negative", func(c *SimConfig) { c.MobilityEvery = -1 }, false, true},
+		{"valid", func(*SimConfig) {}, false, false, false},
+		{"valid mobility", func(c *SimConfig) { c.MobilityEvery = 1e5 }, false, true, false},
+		{"CW wrong length", func(c *SimConfig) { c.CW = c.CW[:2] }, true, true, true},
+		{"CW zero", func(c *SimConfig) { c.CW[1] = 0 }, true, false, true},
+		{"MaxStage negative", func(c *SimConfig) { c.MaxStage = -1 }, false, false, true},
+		{"MaxStage too large", func(c *SimConfig) { c.MaxStage = 17 }, false, false, true},
+		{"Duration zero", func(c *SimConfig) { c.Duration = 0 }, false, false, true},
+		{"Duration NaN", func(c *SimConfig) { c.Duration = nan }, false, false, true},
+		{"Duration +Inf", func(c *SimConfig) { c.Duration = inf }, false, false, true},
+		{"Duration past 2^62 slots", func(c *SimConfig) { c.Duration = 1e300 }, false, false, true},
+		{"Timing.Slot zero", func(c *SimConfig) { c.Timing.Slot = 0 }, false, false, true},
+		{"Timing.Slot NaN", func(c *SimConfig) { c.Timing.Slot = nan }, false, false, true},
+		{"Timing.Slot +Inf", func(c *SimConfig) { c.Timing.Slot = inf }, false, false, true},
+		{"Timing.Slot past 2^62 slots", func(c *SimConfig) { c.Timing.Slot = 1e-300 }, false, false, true},
+		{"Timing.Ts NaN", func(c *SimConfig) { c.Timing.Ts = nan }, false, false, true},
+		{"Timing.Ts zero", func(c *SimConfig) { c.Timing.Ts = 0 }, false, false, true},
+		{"Timing.Ts +Inf", func(c *SimConfig) { c.Timing.Ts = inf }, false, false, true},
+		{"Timing.Ts past 2^62 slots", func(c *SimConfig) { c.Timing.Ts = 1e300 }, false, false, true},
+		{"Timing.Tc NaN", func(c *SimConfig) { c.Timing.Tc = nan }, false, false, true},
+		{"Timing.Tc +Inf", func(c *SimConfig) { c.Timing.Tc = inf }, false, false, true},
+		{"Timing.Tc past 2^62 slots", func(c *SimConfig) { c.Timing.Tc = 1e300 }, false, false, true},
+		{"Gain NaN", func(c *SimConfig) { c.Gain = nan }, false, false, true},
+		{"Gain +Inf", func(c *SimConfig) { c.Gain = inf }, false, false, true},
+		{"Gain negative", func(c *SimConfig) { c.Gain = -1 }, false, false, true},
+		{"Cost NaN", func(c *SimConfig) { c.Cost = nan }, false, false, true},
+		{"Cost +Inf", func(c *SimConfig) { c.Cost = inf }, false, false, true},
+		{"Cost -Inf", func(c *SimConfig) { c.Cost = -inf }, false, false, true},
+		{"Cost negative", func(c *SimConfig) { c.Cost = -1 }, false, false, true},
+		{"MobilityEvery NaN", func(c *SimConfig) { c.MobilityEvery = nan }, false, true, true},
+		{"MobilityEvery +Inf", func(c *SimConfig) { c.MobilityEvery = inf }, false, true, true},
+		{"MobilityEvery negative", func(c *SimConfig) { c.MobilityEvery = -1 }, false, true, true},
+		{"MobilityEvery past 2^62 slots", func(c *SimConfig) { c.MobilityEvery = 1e300 }, false, true, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			newCfg := func() SimConfig {
 				cfg := DefaultSimConfig(1e5, 1)
-				cfg.CW = uniformCW(32, 3)
+				cfg.CW = backoff.Uniform(32, 3)
 				tt.mutate(&cfg)
 				return cfg
 			}
 			net := func() *topology.Network { return cliqueNetwork(t, 3) }
 			mobile := newCfg().MobilityEvery > 0
-			entries := map[string]func() error{
-				"Simulate": func() error {
+			type entry struct {
+				call     func() error
+				sentinel error
+			}
+			entries := map[string]entry{
+				"Simulate": {func() error {
 					_, err := Simulate(net(), newCfg())
 					return err
-				},
-				"SimulateReference": func() error {
+				}, ErrInvalidSimConfig},
+				"SimulateReference": {func() error {
 					_, err := SimulateReference(net(), newCfg())
 					return err
-				},
+				}, ErrInvalidSimConfig},
 			}
 			// The reusable simulator rejects mobility by design, so the
 			// valid mobile baseline only runs through the one-shot entries.
 			if !(mobile && !tt.wantFail) {
-				entries["NewSimulator"] = func() error {
+				entries["NewSimulator"] = entry{func() error {
 					_, err := NewSimulator(net(), newCfg())
 					return err
-				}
+				}, ErrInvalidSimConfig}
 			}
 			if !tt.cwOnly {
-				entries["NewEngine"] = func() error {
+				entries["NewEngine"] = entry{func() error {
 					strategies := []core.Strategy{core.Constant{W: 32}, core.Constant{W: 32}, core.Constant{W: 32}}
 					_, err := NewEngine(net(), strategies, newCfg())
 					return err
-				}
+				}, ErrInvalidSimConfig}
 			}
-			for name, call := range entries {
-				err := call()
+			if !tt.spatial {
+				single := func() macsim.Config { return macsim.Config{Run: newCfg().Run} }
+				entries["macsim.Validate"] = entry{func() error { return single().Validate() }, macsim.ErrInvalidConfig}
+				entries["macsim.Run"] = entry{func() error {
+					_, err := macsim.Run(single())
+					return err
+				}, macsim.ErrInvalidConfig}
+				entries["macsim.RunReference"] = entry{func() error {
+					_, err := macsim.RunReference(single())
+					return err
+				}, macsim.ErrInvalidConfig}
+				entries["macsim.NewEngine"] = entry{func() error {
+					_, err := macsim.NewEngine(single())
+					return err
+				}, macsim.ErrInvalidConfig}
+			}
+			for name, e := range entries {
+				err := e.call()
 				if !tt.wantFail {
 					if err != nil {
 						t.Errorf("%s rejected a valid config: %v", name, err)
 					}
 					continue
 				}
-				if !errors.Is(err, ErrInvalidSimConfig) {
-					t.Errorf("%s: got %v, want an error wrapping ErrInvalidSimConfig", name, err)
+				if !errors.Is(err, e.sentinel) {
+					t.Errorf("%s: got %v, want an error wrapping %v", name, err, e.sentinel)
 				}
 			}
 		})
+	}
+}
+
+// The validators run on every Simulate, Run and engine construction, so
+// on a valid config they allocate nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	cfg := DefaultSimConfig(1e6, 1)
+	cfg.CW = backoff.Uniform(32, 10)
+	cfg.MobilityEvery = 1e5
+	single := macsim.Config{Run: cfg.Run}
+	for name, validate := range map[string]func() error{
+		"backoff.Run":        cfg.Run.Validate,
+		"macsim.Config":      single.Validate,
+		"multihop.SimConfig": func() error { return cfg.Validate(10) },
+	} {
+		if err := validate(); err != nil {
+			t.Fatalf("%s rejected a valid config: %v", name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = validate() }); allocs != 0 {
+			t.Errorf("%s.Validate allocates %g times per call, want 0", name, allocs)
+		}
 	}
 }
 
@@ -158,7 +204,7 @@ func TestSimulateDeterministic(t *testing.T) {
 	nw1 := paperNetwork(t, 3)
 	nw2 := paperNetwork(t, 3)
 	cfg := DefaultSimConfig(2e6, 9)
-	cfg.CW = uniformCW(32, nw1.N())
+	cfg.CW = backoff.Uniform(32, nw1.N())
 	a, err := Simulate(nw1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +226,7 @@ func TestCliqueMatchesSingleHop(t *testing.T) {
 	const n, w = 10, 64
 	nw := cliqueNetwork(t, n)
 	cfg := DefaultSimConfig(60e6, 11)
-	cfg.CW = uniformCW(w, n)
+	cfg.CW = backoff.Uniform(w, n)
 	res, err := Simulate(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +261,12 @@ func TestCliqueMatchesMacsim(t *testing.T) {
 	const n, w = 8, 48
 	nw := cliqueNetwork(t, n)
 	cfg := DefaultSimConfig(60e6, 13)
-	cfg.CW = uniformCW(w, n)
+	cfg.CW = backoff.Uniform(w, n)
 	spatial, err := Simulate(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := macsim.RunUniform(cfg.Timing, cfg.MaxStage, w, n, cfg.Duration, cfg.Gain, cfg.Cost, 13)
+	ev, err := macsim.Run(macsim.Config{Run: cfg.Run}) // the same run, seed 13
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +332,13 @@ func TestCliqueLadderMatchesMacsim(t *testing.T) {
 						w := wcStar[mode.mode][n] * sc.num / sc.den
 						t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
 							for s, seed := range seeds {
-								cfg := simCfg(mode.mode, uniformCW(w, n), 60e6, seed)
+								cfg := simCfg(mode.mode, backoff.Uniform(w, n), 60e6, seed)
 								cfg.Cost = 0.01
 								mh, err := Simulate(clique, cfg)
 								if err != nil {
 									t.Fatal(err)
 								}
-								ms, err := macsim.RunUniform(cfg.Timing, cfg.MaxStage, w, n, cfg.Duration, cfg.Gain, cfg.Cost, seed)
+								ms, err := macsim.Run(macsim.Config{Run: cfg.Run})
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -351,7 +397,7 @@ func TestHiddenTerminalsDetected(t *testing.T) {
 		t.Fatal("no line topology found in seed search")
 	}
 	cfg := DefaultSimConfig(30e6, 2)
-	cfg.CW = uniformCW(16, 3)
+	cfg.CW = backoff.Uniform(16, 3)
 	res, err := Simulate(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +417,7 @@ func TestIsolatedNodeNeverTransmits(t *testing.T) {
 		t.Fatal("random placement made the nodes neighbors")
 	}
 	cfg := DefaultSimConfig(5e6, 3)
-	cfg.CW = uniformCW(16, 2)
+	cfg.CW = backoff.Uniform(16, 2)
 	res, err := Simulate(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -712,7 +758,7 @@ func TestSimulateAllocsIndependentOfGC(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const twins = 10
 	cfg := DefaultSimConfig(1e6, 5)
-	cfg.CW = uniformCW(32, 100)
+	cfg.CW = backoff.Uniform(32, 100)
 	cfg.MobilityEvery = 1e5
 	calls := func(gc bool) []uint64 {
 		nets := make([]*topology.Network, twins)
@@ -750,7 +796,7 @@ func TestMobilityDuringSimulation(t *testing.T) {
 	nw := paperNetwork(t, 31)
 	before := nw.Positions()
 	cfg := DefaultSimConfig(3e6, 7)
-	cfg.CW = uniformCW(32, nw.N())
+	cfg.CW = backoff.Uniform(32, nw.N())
 	cfg.MobilityEvery = 1e6 // re-snapshot every simulated second
 	if _, err := Simulate(nw, cfg); err != nil {
 		t.Fatal(err)
@@ -770,7 +816,7 @@ func TestMobilityDuringSimulation(t *testing.T) {
 func BenchmarkSimulatePaperNetwork(b *testing.B) {
 	nw := paperNetwork(b, 3)
 	cfg := DefaultSimConfig(1e6, 1)
-	cfg.CW = uniformCW(26, nw.N())
+	cfg.CW = backoff.Uniform(26, nw.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(nw, cfg); err != nil {

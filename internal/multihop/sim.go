@@ -23,7 +23,6 @@ import (
 	"slices"
 
 	"selfishmac/internal/backoff"
-	"selfishmac/internal/phy"
 	"selfishmac/internal/rng"
 	"selfishmac/internal/topology"
 )
@@ -42,22 +41,12 @@ type Topology interface {
 	Rows() [][]int
 }
 
-// SimConfig parameterises one spatial simulation run.
+// SimConfig parameterises one spatial simulation run: the shared DCF
+// run parameters (embedded by value, so the engine reads cfg.MaxStage and
+// cfg.Timing directly; the paper's multi-hop analysis uses RTS/CTS
+// timing) plus the mobility period only this simulator takes.
 type SimConfig struct {
-	// Timing carries sigma, Ts, Tc, E[P]; the paper's multi-hop analysis
-	// uses the RTS/CTS mechanism.
-	Timing phy.Timing
-	// MaxStage is the backoff-doubling cap m.
-	MaxStage int
-	// CW is the per-node initial contention window.
-	CW []int
-	// Duration is simulated time in microseconds.
-	Duration float64
-	// Seed drives the deterministic PRNG.
-	Seed uint64
-	// Gain and Cost are g and e for the measured payoff.
-	Gain float64
-	Cost float64
+	backoff.Run
 	// MobilityEvery, when positive, advances the random-waypoint model
 	// every MobilityEvery microseconds of MAC time, by that same span of
 	// mobility time, and refreshes the adjacency. The paper's scenario is
@@ -71,52 +60,38 @@ type SimConfig struct {
 // failed run with errors.Is.
 var ErrInvalidSimConfig = errors.New("multihop: invalid sim config")
 
-// finite reports whether x is neither NaN nor infinite.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// validate checks the configuration against the network size. Every
-// float field must be finite: NaN slips through ordered comparisons, and
-// an infinite duration or mobility period truncates to a nonsense slot
-// count.
-func (c SimConfig) validate(n int) error {
-	var errs []error
+// Validate checks the configuration against a network of n nodes: one
+// window per node, plus the checks of check.
+func (c SimConfig) Validate(n int) error {
 	if len(c.CW) != n {
-		errs = append(errs, fmt.Errorf("CW profile has %d entries for %d nodes", len(c.CW), n))
+		return c.check(fmt.Errorf("CW profile has %d entries for %d nodes", len(c.CW), n))
 	}
-	for i, w := range c.CW {
-		if w < 1 {
-			errs = append(errs, fmt.Errorf("node %d CW %d < 1", i, w))
-		}
+	return c.check(nil)
+}
+
+// check joins profileErr with the shared run checks
+// (backoff.Run.Validate) and the mobility period's, under
+// ErrInvalidSimConfig. The period, like the duration, must be finite and
+// fit backoff.FitsSlots.
+func (c SimConfig) check(profileErr error) error {
+	runErr := c.Run.Validate()
+	var mobErr error
+	if !(c.MobilityEvery >= 0 && c.MobilityEvery <= math.MaxFloat64) {
+		mobErr = fmt.Errorf("MobilityEvery %g must be non-negative and finite", c.MobilityEvery)
+	} else if c.Timing.Slot > 0 && !backoff.FitsSlots(c.MobilityEvery, c.Timing.Slot) {
+		mobErr = fmt.Errorf("MobilityEvery %g spans 2^62 or more slots of %g", c.MobilityEvery, c.Timing.Slot)
 	}
-	if !(c.Duration > 0) || !finite(c.Duration) {
-		errs = append(errs, fmt.Errorf("duration %g must be positive and finite", c.Duration))
+	if err := errors.Join(profileErr, runErr, mobErr); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSimConfig, err)
 	}
-	if c.MaxStage < 0 || c.MaxStage > 16 {
-		errs = append(errs, fmt.Errorf("max backoff stage %d outside [0, 16]", c.MaxStage))
-	}
-	for _, v := range []float64{c.Timing.Slot, c.Timing.Ts, c.Timing.Tc} {
-		if !(v > 0) || !finite(v) {
-			errs = append(errs, fmt.Errorf("timing %+v needs positive, finite Slot, Ts and Tc", c.Timing))
-			break
-		}
-	}
-	if !(c.Gain >= 0) || !(c.Cost >= 0) || !finite(c.Gain) || !finite(c.Cost) {
-		errs = append(errs, fmt.Errorf("gain %g and cost %g must be non-negative and finite", c.Gain, c.Cost))
-	}
-	if !(c.MobilityEvery >= 0) || !finite(c.MobilityEvery) {
-		errs = append(errs, fmt.Errorf("MobilityEvery %g must be non-negative and finite", c.MobilityEvery))
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrInvalidSimConfig, errors.Join(errs...))
+	return nil
 }
 
 // mobileOf checks cfg against the topology and returns the network to
 // move when cfg enables mobility (nil otherwise). *topology.Network is
 // the only topology that moves.
 func mobileOf(nw Topology, cfg SimConfig) (*topology.Network, error) {
-	if err := cfg.validate(nw.N()); err != nil {
+	if err := cfg.Validate(nw.N()); err != nil {
 		return nil, err
 	}
 	if cfg.MobilityEvery == 0 {

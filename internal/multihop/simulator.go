@@ -29,7 +29,7 @@ type Simulator struct {
 // simulator bound to the network's current topology snapshot. The
 // simulator deep-copies cfg.CW, so the caller may reuse or mutate it.
 func NewSimulator(nw Topology, cfg SimConfig) (*Simulator, error) {
-	if err := cfg.validate(nw.N()); err != nil {
+	if err := cfg.Validate(nw.N()); err != nil {
 		return nil, err
 	}
 	if cfg.MobilityEvery > 0 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/calendar"
 	"selfishmac/internal/phy"
 )
@@ -57,10 +58,10 @@ func TestDifferentialSimulatorMatchesSimulate(t *testing.T) {
 // profile.
 func TestSimulatorPerWindowMatchesSimulate(t *testing.T) {
 	nw := randomNetwork(t, 20, 300, 31)
-	cfg := simCfg(phy.RTSCTS, uniformCW(64, 20), 1e6, 1)
+	cfg := simCfg(phy.RTSCTS, backoff.Uniform(64, 20), 1e6, 1)
 	for _, w := range []int{32, 116, 64} {
 		ref := cfg
-		ref.CW = uniformCW(w, 20)
+		ref.CW = backoff.Uniform(w, 20)
 		sim, err := NewSimulator(nw, ref)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +80,7 @@ func TestSimulatorPerWindowMatchesSimulate(t *testing.T) {
 			t.Fatalf("w=%d: simulator diverged from fresh Simulate", w)
 		}
 	}
-	for name, cw := range map[string][]int{"wrong-length": uniformCW(32, 19), "zero-window": uniformCW(0, 20)} {
+	for name, cw := range map[string][]int{"wrong-length": backoff.Uniform(32, 19), "zero-window": backoff.Uniform(0, 20)} {
 		bad := cfg
 		bad.CW = cw
 		if _, err := NewSimulator(nw, bad); err == nil {
@@ -95,8 +96,8 @@ func TestSimulatorPerWindowMatchesSimulate(t *testing.T) {
 func TestDifferentialSimulatorsShareNetwork(t *testing.T) {
 	nw := randomNetwork(t, 30, 300, 37)
 	configs := []SimConfig{
-		simCfg(phy.RTSCTS, uniformCW(32, 30), 5e5, 2),
-		simCfg(phy.Basic, uniformCW(116, 30), 1e6, 3),
+		simCfg(phy.RTSCTS, backoff.Uniform(32, 30), 5e5, 2),
+		simCfg(phy.Basic, backoff.Uniform(116, 30), 1e6, 3),
 		simCfg(phy.RTSCTS, []int{8, 64, 16, 128, 32, 8, 64, 16, 128, 32, 8, 64, 16, 128, 32, 8, 64, 16, 128, 32, 8, 64, 16, 128, 32, 8, 64, 16, 128, 32}, 2e5, 4),
 	}
 	sims := make([]*Simulator, len(configs))
@@ -130,8 +131,8 @@ func TestSimulatorsShareNetworkAllocationFree(t *testing.T) {
 	nw := randomNetwork(t, 50, 180, 11)
 	var sims [2]*Simulator
 	for i, cfg := range []SimConfig{
-		simCfg(phy.RTSCTS, uniformCW(116, 50), 5e5, 1),
-		simCfg(phy.RTSCTS, uniformCW(58, 50), 8e5, 2),
+		simCfg(phy.RTSCTS, backoff.Uniform(116, 50), 5e5, 1),
+		simCfg(phy.RTSCTS, backoff.Uniform(58, 50), 8e5, 2),
 	} {
 		sim, err := NewSimulator(nw, cfg)
 		if err != nil {
@@ -180,7 +181,7 @@ func TestSimulatorCopiesConfig(t *testing.T) {
 // Mobility must be rejected at construction, not discovered mid-run.
 func TestSimulatorRejectsMobility(t *testing.T) {
 	nw := randomNetwork(t, 10, 300, 5)
-	cfg := simCfg(phy.RTSCTS, uniformCW(32, 10), 1e6, 1)
+	cfg := simCfg(phy.RTSCTS, backoff.Uniform(32, 10), 1e6, 1)
 	cfg.MobilityEvery = 1e5
 	if _, err := NewSimulator(nw, cfg); err == nil {
 		t.Fatal("NewSimulator accepted a mobile config")
@@ -193,7 +194,7 @@ func TestSimulatorRejectsMobility(t *testing.T) {
 // the adjacency snapshot).
 func TestSimulatorSteadyStateAllocationFree(t *testing.T) {
 	nw := randomNetwork(t, 50, 180, 11)
-	cfg := simCfg(phy.RTSCTS, uniformCW(116, 50), 5e5, 1)
+	cfg := simCfg(phy.RTSCTS, backoff.Uniform(116, 50), 5e5, 1)
 	sim, err := NewSimulator(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +230,8 @@ func TestFireCalendarSelection(t *testing.T) {
 		{pair, []int{calendar.MaxBuckets>>6 + 1, 16}, calendar.MaxBuckets},
 		{pair, []int{1 << 40, 16}, calendar.MaxBuckets},
 		{pair, []int{math.MaxInt, 16}, calendar.MaxBuckets},
-		{nw, uniformCW(64, 20), 8192},
-		{nw, uniformCW(3000, 20), calendar.MaxBuckets},
+		{nw, backoff.Uniform(64, 20), 8192},
+		{nw, backoff.Uniform(3000, 20), calendar.MaxBuckets},
 	} {
 		cfg := simCfg(phy.RTSCTS, tc.cw, 5e5, 1)
 		sim, err := NewSimulator(tc.topo, cfg)

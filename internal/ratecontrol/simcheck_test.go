@@ -8,6 +8,7 @@ package ratecontrol
 import (
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/stats"
@@ -40,13 +41,15 @@ func TestDeviatorUtilityMatchesSimulation(t *testing.T) {
 		ts[i], tc[i] = g.HoldTimes(L)
 	}
 	res, err := macsim.Run(macsim.Config{
-		Timing:    cfg.PHY.MustTiming(phy.Basic),
-		MaxStage:  cfg.PHY.MaxBackoffStage,
-		CW:        cw,
-		Duration:  300e6,
-		Seed:      7,
-		Gain:      cfg.GainPerBit * lDev, // per-packet gain of the deviator
-		Cost:      cfg.CostPerAttempt,
+		Run: backoff.Run{
+			Timing:   cfg.PHY.MustTiming(phy.Basic),
+			MaxStage: cfg.PHY.MaxBackoffStage,
+			CW:       cw,
+			Duration: 300e6,
+			Seed:     7,
+			Gain:     cfg.GainPerBit * lDev, // per-packet gain of the deviator
+			Cost:     cfg.CostPerAttempt,
+		},
 		PerNodeTs: ts,
 		PerNodeTc: tc,
 	})
@@ -80,13 +83,15 @@ func TestUniformUtilityMatchesSimulation(t *testing.T) {
 		cw[i], ts[i], tc[i] = w, tsL, tcL
 	}
 	res, err := macsim.Run(macsim.Config{
-		Timing:    cfg.PHY.MustTiming(phy.Basic),
-		MaxStage:  cfg.PHY.MaxBackoffStage,
-		CW:        cw,
-		Duration:  300e6,
-		Seed:      9,
-		Gain:      cfg.GainPerBit * L,
-		Cost:      cfg.CostPerAttempt,
+		Run: backoff.Run{
+			Timing:   cfg.PHY.MustTiming(phy.Basic),
+			MaxStage: cfg.PHY.MaxBackoffStage,
+			CW:       cw,
+			Duration: 300e6,
+			Seed:     9,
+			Gain:     cfg.GainPerBit * L,
+			Cost:     cfg.CostPerAttempt,
+		},
 		PerNodeTs: ts,
 		PerNodeTc: tc,
 	})

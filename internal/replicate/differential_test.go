@@ -15,6 +15,7 @@ import (
 	"context"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
@@ -63,12 +64,14 @@ func requireIdentical(t *testing.T, workers int, got *replicate.Result, want []s
 func TestDifferentialReplicateMacsim(t *testing.T) {
 	p := phy.Default()
 	cfg := macsim.Config{
-		Timing:   p.MustTiming(phy.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       []int{336, 128, 336, 64, 336, 336, 200, 336, 16, 336},
-		Duration: 1e6,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   p.MustTiming(phy.Basic),
+			MaxStage: p.MaxBackoffStage,
+			CW:       []int{336, 128, 336, 64, 336, 336, 200, 336, 16, 336},
+			Duration: 1e6,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	metrics := len(cfg.CW)
 	const stream = "diff.macsim"
@@ -122,12 +125,14 @@ func TestDifferentialReplicateMultihop(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := multihop.SimConfig{
-		Timing:   phy.Default().MustTiming(phy.RTSCTS),
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       make([]int, 30),
-		Duration: 5e5,
-		Gain:     1,
-		Cost:     0.01,
+		Run: backoff.Run{
+			Timing:   phy.Default().MustTiming(phy.RTSCTS),
+			MaxStage: phy.Default().MaxBackoffStage,
+			CW:       make([]int, 30),
+			Duration: 5e5,
+			Gain:     1,
+			Cost:     0.01,
+		},
 	}
 	for i := range cfg.CW {
 		cfg.CW[i] = 26 + 4*(i%5)

@@ -57,20 +57,25 @@ var (
 	// Config validation sentinels, in the Validate/ApplyDefaults idiom:
 	// ApplyDefaults corrects zero and negative fields to usable values,
 	// Validate rejects what defaults cannot fix.
-	ErrEmptyAddr       = errors.New("service: empty listen address")
 	ErrBadQueueCap     = errors.New("service: queue capacity must be >= 1")
 	ErrBadWorkers      = errors.New("service: worker count must be >= 1")
 	ErrBadTimeout      = errors.New("service: timeouts must be positive")
 	ErrTimeoutInverted = errors.New("service: default job timeout exceeds the maximum")
 )
 
-// Config tunes the daemon. The zero value is not runnable as-is; call
-// ApplyDefaults first (New does both).
+// The server's fixed limits.
+const (
+	// maxBodyBytes bounds the accepted request body size.
+	maxBodyBytes = 1 << 20
+	// progressKeep bounds the per-job progress lines retained (older
+	// lines are dropped, the total count is kept).
+	progressKeep = 512
+)
+
+// Config tunes the daemon. The server itself never listens (cmd/selfishmacd
+// owns the address), so tests can drive Handler() directly. The zero
+// value is not runnable as-is; call ApplyDefaults first (New does both).
 type Config struct {
-	// Addr is the HTTP listen address (host:port). cmd/selfishmacd
-	// defaults it; the embedded server itself never listens, so tests can
-	// drive Handler() directly.
-	Addr string
 	// QueueCap bounds how many jobs may wait in the queue (running jobs
 	// excluded). A full queue rejects submissions with ErrQueueFull.
 	QueueCap int
@@ -83,19 +88,11 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown waits for running jobs to
 	// finish before hard-cancelling them.
 	DrainTimeout time.Duration
-	// MaxBodyBytes bounds the accepted request body size.
-	MaxBodyBytes int64
-	// ProgressKeep bounds the per-job progress lines retained (older
-	// lines are dropped, the total count is kept).
-	ProgressKeep int
 }
 
 // ApplyDefaults fills zero or negative fields with production defaults,
 // leaving valid user-set values untouched.
 func (c *Config) ApplyDefaults() {
-	if c.Addr == "" {
-		c.Addr = "127.0.0.1:8377"
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -111,21 +108,12 @@ func (c *Config) ApplyDefaults() {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.ProgressKeep <= 0 {
-		c.ProgressKeep = 512
-	}
 }
 
 // Validate rejects configurations ApplyDefaults cannot repair. It
 // reports every violation (errors.Join), each matchable with errors.Is.
 func (c Config) Validate() error {
 	var errs []error
-	if c.Addr == "" {
-		errs = append(errs, ErrEmptyAddr)
-	}
 	if c.QueueCap < 1 {
 		errs = append(errs, fmt.Errorf("%w (got %d)", ErrBadQueueCap, c.QueueCap))
 	}

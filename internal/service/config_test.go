@@ -10,9 +10,6 @@ import (
 func TestApplyDefaultsFillsZeroFields(t *testing.T) {
 	var c Config
 	c.ApplyDefaults()
-	if c.Addr == "" {
-		t.Error("Addr not defaulted")
-	}
 	if c.QueueCap != 64 {
 		t.Errorf("QueueCap = %d, want 64", c.QueueCap)
 	}
@@ -22,9 +19,6 @@ func TestApplyDefaultsFillsZeroFields(t *testing.T) {
 	if c.DefaultJobTimeout <= 0 || c.MaxJobTimeout <= 0 || c.DrainTimeout <= 0 {
 		t.Errorf("timeouts not defaulted: %+v", c)
 	}
-	if c.MaxBodyBytes <= 0 || c.ProgressKeep <= 0 {
-		t.Errorf("limits not defaulted: %+v", c)
-	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("defaulted config does not validate: %v", err)
 	}
@@ -32,14 +26,11 @@ func TestApplyDefaultsFillsZeroFields(t *testing.T) {
 
 func TestApplyDefaultsKeepsUserValues(t *testing.T) {
 	c := Config{
-		Addr:              "0.0.0.0:9999",
 		QueueCap:          3,
 		Workers:           2,
 		DefaultJobTimeout: time.Minute,
 		MaxJobTimeout:     2 * time.Minute,
 		DrainTimeout:      time.Second,
-		MaxBodyBytes:      1024,
-		ProgressKeep:      7,
 	}
 	want := c
 	c.ApplyDefaults()
@@ -57,7 +48,6 @@ func TestValidateSentinels(t *testing.T) {
 		mutate func(*Config)
 		want   error
 	}{
-		{"empty addr", func(c *Config) { c.Addr = "" }, ErrEmptyAddr},
 		{"zero queue", func(c *Config) { c.QueueCap = 0 }, ErrBadQueueCap},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, ErrBadWorkers},
 		{"zero job timeout", func(c *Config) { c.DefaultJobTimeout = 0 }, ErrBadTimeout},
@@ -82,9 +72,9 @@ func TestValidateSentinels(t *testing.T) {
 }
 
 func TestValidateReportsEveryViolation(t *testing.T) {
-	c := Config{Addr: "", QueueCap: -1, Workers: 0, DefaultJobTimeout: -time.Second}
+	c := Config{QueueCap: -1, Workers: 0, DefaultJobTimeout: -time.Second}
 	err := c.Validate()
-	for _, want := range []error{ErrEmptyAddr, ErrBadQueueCap, ErrBadWorkers, ErrBadTimeout} {
+	for _, want := range []error{ErrBadQueueCap, ErrBadWorkers, ErrBadTimeout} {
 		if !errors.Is(err, want) {
 			t.Errorf("joined error misses %v (got %v)", want, err)
 		}

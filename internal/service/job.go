@@ -54,7 +54,6 @@ type Job struct {
 	progressMu    sync.Mutex
 	progress      []string // retained JSON lines (tail)
 	progressTotal int      // lines ever emitted
-	progressKeep  int
 }
 
 // JobView is the JSON shape of a job's status.
@@ -107,8 +106,8 @@ func (j *Job) addProgress(line string) {
 	defer j.progressMu.Unlock()
 	j.progressTotal++
 	j.progress = append(j.progress, line)
-	if keep := j.progressKeep; keep > 0 && len(j.progress) > keep {
-		j.progress = j.progress[len(j.progress)-keep:]
+	if len(j.progress) > progressKeep {
+		j.progress = j.progress[len(j.progress)-progressKeep:]
 	}
 }
 

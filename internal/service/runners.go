@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/experiments"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
@@ -60,28 +61,15 @@ func boundRun(kind string, nodes, maxNodes int, durationUs *float64) error {
 	return nil
 }
 
-// accessTiming parses a job's access mode, "basic" or "rtscts", into the
-// default PHY's timing.
-func accessTiming(mode string) (phy.Timing, error) {
-	var m phy.AccessMode
+// accessMode parses a job's access mode, "basic" or "rtscts".
+func accessMode(mode string) (phy.AccessMode, error) {
 	switch mode {
 	case "basic":
-		m = phy.Basic
+		return phy.Basic, nil
 	case "rtscts":
-		m = phy.RTSCTS
-	default:
-		return phy.Timing{}, fmt.Errorf("service: unknown mode %q (want basic or rtscts)", mode)
+		return phy.RTSCTS, nil
 	}
-	return phy.Default().Timing(m)
-}
-
-// uniformCW is an n-node profile at window w.
-func uniformCW(n, w int) []int {
-	cw := make([]int, n)
-	for i := range cw {
-		cw[i] = w
-	}
-	return cw
+	return 0, fmt.Errorf("service: unknown mode %q (want basic or rtscts)", mode)
 }
 
 // ScheduleParams is the replication schedule shared by the "replicate"
@@ -287,7 +275,7 @@ func runReplicateJob(ctx context.Context, raw json.RawMessage, progress func(v a
 	}
 	topo := topology.Config{N: p.Nodes, Width: p.Width, Height: p.Height, Range: p.Range, Seed: p.TopoSeed}
 	cfg := multihop.DefaultSimConfig(p.DurationUs, rng.DeriveSeed(p.BaseSeed, "service.replicate.sim", 0))
-	cfg.CW = uniformCW(p.Nodes, p.CW)
+	cfg.CW = backoff.Uniform(p.CW, p.Nodes)
 	return runReplicated(ctx, p.ScheduleParams, "service.replicate", replicateMetricNames, func() (replicate.Replicator, error) {
 		nw, err := topology.New(topo)
 		if err != nil {
@@ -362,19 +350,12 @@ func runSinglehopJob(ctx context.Context, raw json.RawMessage, progress func(v a
 	if err := p.resolve(); err != nil {
 		return nil, err
 	}
-	timing, err := accessTiming(p.Mode)
+	mode, err := accessMode(p.Mode)
 	if err != nil {
 		return nil, err
 	}
-	cfg := macsim.Config{
-		Timing:   timing,
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       uniformCW(p.Nodes, p.CW),
-		Duration: p.DurationUs,
-		Seed:     rng.DeriveSeed(p.BaseSeed, "service.singlehop.sim", 0),
-		Gain:     1,
-		Cost:     0.01,
-	}
+	cfg := macsim.Config{Run: backoff.Default(mode, backoff.Uniform(p.CW, p.Nodes), p.DurationUs,
+		rng.DeriveSeed(p.BaseSeed, "service.singlehop.sim", 0))}
 	return runReplicated(ctx, p.ScheduleParams, "service.singlehop", singlehopMetricNames, func() (replicate.Replicator, error) {
 		eng, err := macsim.NewEngine(cfg)
 		if err != nil {
@@ -575,16 +556,21 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 	if err := p.resolve(); err != nil {
 		return nil, err
 	}
-	timing, err := accessTiming(p.Mode)
+	mode, err := accessMode(p.Mode)
 	if err != nil {
 		return nil, err
 	}
+	cw := backoff.Uniform(p.ExpectedCW, p.Nodes)
+	for i := 0; i < p.Cheaters; i++ {
+		cw[i] = p.CheaterCW
+	}
+	cfg := macsim.Config{Run: backoff.Default(mode, cw, p.DurationUs, rng.DeriveSeed(p.Seed, "service.detect.sim", 0))}
 
 	flagged := 0
 	mon, err := stream.NewMonitor(stream.Config{
 		Nodes:       p.Nodes,
 		WindowSlots: p.WindowSlots,
-		MaxStage:    phy.Default().MaxBackoffStage,
+		MaxStage:    cfg.MaxStage,
 		ExpectedCW:  p.ExpectedCW,
 		Beta:        p.Beta,
 		OnFlag: func(ev stream.FlagEvent) {
@@ -606,20 +592,7 @@ func runDetectJob(ctx context.Context, raw json.RawMessage, progress func(v any)
 		return nil, fmt.Errorf("service: detect monitor: %w", err)
 	}
 
-	cw := uniformCW(p.Nodes, p.ExpectedCW)
-	for i := 0; i < p.Cheaters; i++ {
-		cw[i] = p.CheaterCW
-	}
-	cfg := macsim.Config{
-		Timing:   timing,
-		MaxStage: phy.Default().MaxBackoffStage,
-		CW:       cw,
-		Duration: p.DurationUs,
-		Seed:     rng.DeriveSeed(p.Seed, "service.detect.sim", 0),
-		Gain:     1,
-		Cost:     0.01,
-		Observer: mon,
-	}
+	cfg.Observer = mon
 	eng, err := macsim.NewEngine(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("service: detect engine: %w", err)

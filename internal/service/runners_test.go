@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/topology"
 )
@@ -63,7 +64,7 @@ func TestReplicateJobReplicationAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := multihop.DefaultSimConfig(durationUs, 1)
-		cfg.CW = uniformCW(topo.N, 64)
+		cfg.CW = backoff.Uniform(64, topo.N)
 		sim, err := multihop.NewSimulator(nw, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -124,16 +124,15 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	}
 	seq := s.seq.Add(1)
 	j := &Job{
-		ID:           fmt.Sprintf("j%06d", seq),
-		Kind:         req.Kind,
-		Priority:     prio,
-		Params:       req.Params,
-		Timeout:      timeout,
-		seq:          seq,
-		state:        StateQueued,
-		created:      time.Now(),
-		done:         make(chan struct{}),
-		progressKeep: s.cfg.ProgressKeep,
+		ID:       fmt.Sprintf("j%06d", seq),
+		Kind:     req.Kind,
+		Priority: prio,
+		Params:   req.Params,
+		Timeout:  timeout,
+		seq:      seq,
+		state:    StateQueued,
+		created:  time.Now(),
+		done:     make(chan struct{}),
 	}
 	// Register before push: a worker may pop it immediately.
 	s.mu.Lock()
@@ -321,7 +320,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req SubmitRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

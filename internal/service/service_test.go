@@ -302,6 +302,29 @@ func TestHTTPQueueFullIs429WithRetryAfter(t *testing.T) {
 	}
 }
 
+// The submit body is bounded at maxBodyBytes (1 MiB): a body of exactly
+// that size is decoded and accepted, one byte more is a 400.
+func TestSubmitBodyBound(t *testing.T) {
+	s := newTestServer(t, nil)
+	s.RegisterRunner("echo", func(_ context.Context, params json.RawMessage, _ func(v any)) (any, error) {
+		return len(params), nil
+	})
+	submit := func(size int) *httptest.ResponseRecorder {
+		const frame = `{"kind":"echo","params":""}`
+		body := frame[:len(frame)-2] + strings.Repeat("x", size-len(frame)) + `"}`
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	if rec := submit(maxBodyBytes); rec.Code != http.StatusAccepted {
+		t.Fatalf("%d-byte body: %d %s, want 202", maxBodyBytes, rec.Code, rec.Body)
+	}
+	rec := submit(maxBodyBytes + 1)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("%d-byte body: %d %s, want 400 for a body too large", maxBodyBytes+1, rec.Code, rec.Body)
+	}
+}
+
 func TestHTTPLifecycle(t *testing.T) {
 	s := newTestServer(t, nil)
 	s.RegisterRunner("echo", func(_ context.Context, params json.RawMessage, progress func(v any)) (any, error) {
@@ -583,9 +606,10 @@ func TestSubmitTimeoutClampsInSeconds(t *testing.T) {
 }
 
 func TestProgressTailBounded(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.ProgressKeep = 3 })
+	const emitted = progressKeep + 7
+	s := newTestServer(t, nil)
 	s.RegisterRunner("chatty", func(_ context.Context, _ json.RawMessage, progress func(v any)) (any, error) {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < emitted; i++ {
 			progress(map[string]int{"i": i})
 		}
 		return nil, nil
@@ -596,19 +620,19 @@ func TestProgressTailBounded(t *testing.T) {
 	}
 	waitTerminal(t, j)
 	lines, first, total := j.progressTail(0)
-	if total != 10 {
-		t.Errorf("total = %d, want 10", total)
+	if total != emitted {
+		t.Errorf("total = %d, want %d", total, emitted)
 	}
-	if len(lines) != 3 || first != 7 {
-		t.Errorf("tail = %d lines from %d, want 3 from 7", len(lines), first)
+	if len(lines) != progressKeep || first != 7 {
+		t.Errorf("tail = %d lines from %d, want %d from 7", len(lines), first, progressKeep)
 	}
-	if !strings.Contains(lines[2], `"i":9`) {
-		t.Errorf("last line = %q", lines[2])
+	if want := fmt.Sprintf(`"i":%d`, emitted-1); !strings.Contains(lines[len(lines)-1], want) {
+		t.Errorf("last line = %q, want it to hold %s", lines[len(lines)-1], want)
 	}
 	// since beyond the tail start narrows the window further.
-	lines, first, _ = j.progressTail(9)
-	if len(lines) != 1 || first != 9 {
-		t.Errorf("tail(9) = %d lines from %d, want 1 from 9", len(lines), first)
+	lines, first, _ = j.progressTail(emitted - 1)
+	if len(lines) != 1 || first != emitted-1 {
+		t.Errorf("tail(%d) = %d lines from %d, want 1 from %d", emitted-1, len(lines), first, emitted-1)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/detect"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/phy"
@@ -16,11 +17,7 @@ import (
 // detectCfg is the shared scenario: six saturated nodes, node 0 cheating
 // with a quarter of the conforming window.
 func detectCfg(seed uint64) macsim.Config {
-	return macsim.Config{
-		Timing: phy.Default().MustTiming(phy.Basic), MaxStage: 6,
-		CW: []int{16, 64, 64, 64, 64, 64}, Duration: 3e6, Seed: seed,
-		Gain: 1, Cost: 0.01,
-	}
+	return macsim.Config{Run: backoff.Default(phy.Basic, []int{16, 64, 64, 64, 64, 64}, 3e6, seed)}
 }
 
 func monitorCfg() Config {

@@ -36,6 +36,7 @@ package selfishmac
 import (
 	"context"
 
+	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
 	"selfishmac/internal/detect"
@@ -163,6 +164,10 @@ func WithStopOnConvergence(window int) EngineOption { return core.WithStopOnConv
 
 // Single-hop simulator (the NS-2 stand-in).
 type (
+	// DCFRun is the run both simulators take: timing, backoff cap, CW
+	// profile, duration, seed, gain and cost. SimConfig and
+	// SpatialSimConfig embed it.
+	DCFRun = backoff.Run
 	// SimConfig parameterises a single-collision-domain simulation.
 	SimConfig = macsim.Config
 	// SimResult is its outcome.
@@ -170,6 +175,16 @@ type (
 	// SimNodeStats is one node's measured statistics.
 	SimNodeStats = macsim.NodeStats
 )
+
+// DefaultSimConfig returns the paper's Table I single-hop run for an
+// access mode (m = 6, g = 1, e = 0.01) with the given CW profile,
+// duration in microseconds and seed.
+func DefaultSimConfig(mode AccessMode, cw []int, duration float64, seed uint64) SimConfig {
+	return SimConfig{Run: backoff.Default(mode, cw, duration, seed)}
+}
+
+// UniformCW returns an n-node CW profile with every window at w.
+func UniformCW(w, n int) []int { return backoff.Uniform(w, n) }
 
 // Simulate runs the event-driven saturated single-hop DCF simulator.
 func Simulate(cfg SimConfig) (*SimResult, error) { return macsim.Run(cfg) }

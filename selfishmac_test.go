@@ -53,20 +53,7 @@ func TestFacadeRepeatedGame(t *testing.T) {
 }
 
 func TestFacadeSimulator(t *testing.T) {
-	p := selfishmac.DefaultPHY()
-	tm, err := p.Timing(selfishmac.Basic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   tm,
-		MaxStage: p.MaxBackoffStage,
-		CW:       []int{76, 76, 76, 76, 76},
-		Duration: 10e6,
-		Seed:     1,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	res, err := selfishmac.Simulate(selfishmac.DefaultSimConfig(selfishmac.Basic, selfishmac.UniformCW(76, 5), 10e6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +152,7 @@ func TestVersion(t *testing.T) {
 
 func TestFacadeDetection(t *testing.T) {
 	p := selfishmac.DefaultPHY()
-	res, err := selfishmac.Simulate(selfishmac.SimConfig{
-		Timing:   p.MustTiming(selfishmac.Basic),
-		MaxStage: p.MaxBackoffStage,
-		CW:       []int{40, 160, 160, 160},
-		Duration: 60e6,
-		Seed:     2,
-		Gain:     1,
-		Cost:     0.01,
-	})
+	res, err := selfishmac.Simulate(selfishmac.DefaultSimConfig(selfishmac.Basic, []int{40, 160, 160, 160}, 60e6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
