@@ -373,7 +373,7 @@ func cmdMultihop(args []string) error {
 		return err
 	}
 	wm := selfishmac.ConvergedCW(profile)
-	_, stages, converged := selfishmac.TFTConverge(nw.AdjacencyLists(), profile, 10*nw.N())
+	_, stages, converged := selfishmac.TFTConverge(nw.Rows(), profile, 10*nw.N())
 	fmt.Printf("network: %d nodes, mean degree %.1f, connected=%v\n", nw.N(), nw.MeanDegree(), nw.Connected())
 	fmt.Printf("local-NE CW profile: min=%d (converged Wm), TFT stages=%d converged=%v\n", wm, stages, converged)
 

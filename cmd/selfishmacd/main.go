@@ -44,14 +44,16 @@ func main() {
 func run(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer, onReady func(addr string)) error {
 	fs := flag.NewFlagSet("selfishmacd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		addr          = fs.String("addr", "127.0.0.1:8377", "HTTP listen address (host:port, port 0 picks a free port)")
-		queueCap      = fs.Int("queue-cap", 64, "max queued jobs before submissions get 429")
-		workers       = fs.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
-		jobTimeout    = fs.Duration("job-timeout", 15*time.Minute, "default per-job deadline")
-		maxJobTimeout = fs.Duration("max-job-timeout", 2*time.Hour, "largest per-job deadline a submission may request")
-		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before hard-cancelling")
-	)
+	// The flag defaults are the service's own defaults, except -workers,
+	// whose 0 lets the service pick GOMAXPROCS.
+	var cfg service.Config
+	cfg.ApplyDefaults()
+	addr := fs.String("addr", "127.0.0.1:8377", "HTTP listen address (host:port, port 0 picks a free port)")
+	fs.IntVar(&cfg.QueueCap, "queue-cap", cfg.QueueCap, "max queued jobs before submissions get 429")
+	fs.IntVar(&cfg.Workers, "workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
+	fs.DurationVar(&cfg.DefaultJobTimeout, "job-timeout", cfg.DefaultJobTimeout, "default per-job deadline")
+	fs.DurationVar(&cfg.MaxJobTimeout, "max-job-timeout", cfg.MaxJobTimeout, "largest per-job deadline a submission may request")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "how long shutdown waits for running jobs before hard-cancelling")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,13 +61,7 @@ func run(args []string, sigs <-chan os.Signal, stdout, stderr io.Writer, onReady
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	srv, err := service.New(service.Config{
-		QueueCap:          *queueCap,
-		Workers:           *workers,
-		DefaultJobTimeout: *jobTimeout,
-		MaxJobTimeout:     *maxJobTimeout,
-		DrainTimeout:      *drainTimeout,
-	})
+	srv, err := service.New(cfg)
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func run(w io.Writer, args []string) error {
 
 	// Theorem 3: TFT converges to Wm = min_i W_i within the diameter.
 	wm := selfishmac.ConvergedCW(profile)
-	final, stages, converged := selfishmac.TFTConverge(nw.AdjacencyLists(), profile, 10*nw.N())
+	final, stages, converged := selfishmac.TFTConverge(nw.Rows(), profile, 10*nw.N())
 	uniform := true
 	for _, w := range final {
 		if w != wm {

@@ -202,17 +202,7 @@ func simulatedCurve(ctx context.Context, id string, g *core.Game, n int, s Setti
 	if duration > 200e6 {
 		duration = 200e6 // the curve needs shape, not 1000 s per point
 	}
-	seen := map[int]bool{}
-	var grid []int
-	for i := 0; i < 9; i++ {
-		f := float64(i) / 8
-		w := int(math.Round(math.Pow(float64(ne.WStar*6), f)))
-		if w < 1 || seen[w] {
-			continue
-		}
-		seen[w] = true
-		grid = append(grid, w)
-	}
+	grid := logGrid(ne.WStar*6, 9)
 	out := &simCurve{
 		xs:   make([]float64, len(grid)),
 		ys:   make([]float64, len(grid)),
@@ -250,25 +240,26 @@ func simulatedCurve(ctx context.Context, id string, g *core.Game, n int, s Setti
 	return out, nil
 }
 
+// logGrid returns the log-spaced CW grid round(wMax^(i/(points−1))),
+// i = 0 … points−1, without repeats. For wMax >= 1 it ascends from 1 to
+// wMax, so a repeat can only follow its twin.
+func logGrid(wMax, points int) []int {
+	var grid []int
+	for i := 0; i < points; i++ {
+		w := int(math.Round(math.Pow(float64(wMax), float64(i)/float64(points-1))))
+		if len(grid) == 0 || w != grid[len(grid)-1] {
+			grid = append(grid, w)
+		}
+	}
+	return grid
+}
+
 // payoffCurve evaluates U/C on a log grid of CW values in [1, wMax],
 // fanning the independent solves over the worker pool. The different
 // series lengths per n are intentional (each spans its own peak), so the
 // CSV writes per-series x columns.
 func payoffCurve(ctx context.Context, g *core.Game, wMax, points, workers int) (xs, ys []float64, err error) {
-	seen := map[int]bool{}
-	var grid []int
-	for i := 0; i < points; i++ {
-		f := float64(i) / float64(points-1)
-		w := int(math.Round(math.Pow(float64(wMax), f)))
-		if w < 1 {
-			w = 1
-		}
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		grid = append(grid, w)
-	}
+	grid := logGrid(wMax, points)
 	xs = make([]float64, len(grid))
 	ys = make([]float64, len(grid))
 	// One fixed-point solve is microseconds of work; batch several per

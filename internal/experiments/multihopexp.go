@@ -62,8 +62,7 @@ func MultihopQuasiOptimality(ctx context.Context, s Settings) (*Report, error) {
 		return nil, err
 	}
 	wm := multihop.ConvergedCW(profile)
-	adj := nw.AdjacencyLists()
-	_, stages, converged := multihop.TFTConverge(adj, profile, 10*nw.N())
+	_, stages, converged := multihop.TFTConverge(nw.Rows(), profile, 10*nw.N())
 
 	// Cross-check Theorem 3 dynamically: run the stage-based multi-hop
 	// engine with TFT players from the same initial profile and verify it

@@ -233,7 +233,7 @@ func TestDifferentialDeltaVsRebuildPath(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("view path diverged from the rebuilding reference")
 			}
-			if !reflect.DeepEqual(deltaNet.AdjacencyLists(), plainNet.AdjacencyLists()) {
+			if !reflect.DeepEqual(deltaNet.BruteForceAdjacencyLists(), plainNet.BruteForceAdjacencyLists()) {
 				t.Fatal("post-run networks diverged: the view path stepped mobility differently")
 			}
 		})
@@ -273,7 +273,7 @@ func TestDifferentialMobilityNetworkState(t *testing.T) {
 	if _, err := Simulate(fast, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fast.AdjacencyLists(), ref.AdjacencyLists()) {
+	if !reflect.DeepEqual(fast.BruteForceAdjacencyLists(), ref.BruteForceAdjacencyLists()) {
 		t.Fatal("post-run adjacency diverged: mobility stepping differs between engines")
 	}
 }
@@ -346,6 +346,46 @@ func TestDifferentialEngineStagesWithChurn(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDifferentialLocalCWProfile pins each node's local-game CW to the
+// degree the brute-force scan counts: CWFor(deg+1) on the fresh paper
+// network, after a plain Step (the view must resync) and after the
+// view's own StepDelta.
+func TestDifferentialLocalCWProfile(t *testing.T) {
+	sel, err := NewLocalCWSelector(core.DefaultConfig(2, phy.RTSCTS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := topology.New(topology.PaperConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		profile, err := LocalCWProfile(nw, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range nw.BruteForceAdjacencyLists() {
+			want, err := sel.CWFor(len(row) + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if profile[i] != want {
+				t.Fatalf("after %s: node %d CW %d, want CWFor(%d) = %d", when, i, profile[i], len(row)+1, want)
+			}
+		}
+	}
+	check("New")
+	if err := nw.Step(300); err != nil {
+		t.Fatal(err)
+	}
+	check("Step")
+	if _, err := nw.AdjacencyView().StepDelta(60); err != nil {
+		t.Fatal(err)
+	}
+	check("StepDelta")
 }
 
 func TestDifferentialCaseCount(t *testing.T) {

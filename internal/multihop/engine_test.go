@@ -263,7 +263,7 @@ func TestEngineMobileTraceMatchesStageStartSnapshots(t *testing.T) {
 	utilities := make([][]float64, n)
 	linksChanged := false
 	for k := 0; k < stages; k++ {
-		adj := nw.AdjacencyLists()
+		adj := nw.AdjacencyInto(nil) // a stage-start copy: Simulate moves nw
 		profile := make([]int, n)
 		for i, s := range strategies {
 			profile[i] = max(1, s.ChooseCW(0, observed[i], utilities[i]))
@@ -288,7 +288,7 @@ func TestEngineMobileTraceMatchesStageStartSnapshots(t *testing.T) {
 		if !reflect.DeepEqual(got.Stages[k], want) {
 			t.Fatalf("stage %d: engine trace diverged from the stage-start snapshot loop", k)
 		}
-		if !slices.EqualFunc(adj, nw.AdjacencyLists(), slices.Equal[[]int]) {
+		if !slices.EqualFunc(adj, nw.Rows(), slices.Equal[[]int]) {
 			linksChanged = true
 		}
 	}

@@ -61,11 +61,13 @@ func (s *LocalCWSelector) CWFor(nPlayers int) (int, error) {
 }
 
 // LocalCWProfile returns each node's initial CW: the efficient NE of its
-// local (deg+1)-player game.
+// local (deg+1)-player game, with deg read from the network's adjacency
+// view.
 func LocalCWProfile(nw *topology.Network, sel *LocalCWSelector) ([]int, error) {
-	out := make([]int, nw.N())
-	for i := range out {
-		w, err := sel.CWFor(nw.Degree(i) + 1)
+	rows := nw.Rows()
+	out := make([]int, len(rows))
+	for i, row := range rows {
+		w, err := sel.CWFor(len(row) + 1)
 		if err != nil {
 			return nil, err
 		}

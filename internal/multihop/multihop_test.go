@@ -385,11 +385,9 @@ func TestHiddenTerminalsDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cand.IsLink(0, 1) && cand.IsLink(1, 2) && !cand.IsLink(0, 2) {
-			nw, found = cand, true
-		} else if cand.IsLink(0, 2) && cand.IsLink(2, 1) && !cand.IsLink(0, 1) {
-			nw, found = cand, true
-		} else if cand.IsLink(1, 0) && cand.IsLink(0, 2) && !cand.IsLink(1, 2) {
+		// A line has one middle node of degree 2 and two ends of degree 1.
+		rows := cand.Rows()
+		if len(rows[0])+len(rows[1])+len(rows[2]) == 4 {
 			nw, found = cand, true
 		}
 	}
@@ -413,7 +411,7 @@ func TestIsolatedNodeNeverTransmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw.IsLink(0, 1) {
+	if len(nw.Rows()[0]) > 0 {
 		t.Fatal("random placement made the nodes neighbors")
 	}
 	cfg := DefaultSimConfig(5e6, 3)
@@ -488,11 +486,9 @@ func TestLocalCWProfileAndConvergedCW(t *testing.T) {
 		}
 	}
 	// Wm corresponds to the node with the smallest neighborhood.
-	minDeg := nw.Degree(0)
-	for i := 1; i < nw.N(); i++ {
-		if d := nw.Degree(i); d < minDeg {
-			minDeg = d
-		}
+	minDeg := nw.N()
+	for _, row := range nw.Rows() {
+		minDeg = min(minDeg, len(row))
 	}
 	wantWm, err := sel.CWFor(minDeg + 1)
 	if err != nil {
@@ -565,8 +561,7 @@ func TestTFTConvergeOnPaperNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := nw.AdjacencyLists()
-	final, _, converged := TFTConverge(adj, w0, 1000)
+	final, _, converged := TFTConverge(nw.Rows(), w0, 1000)
 	if !converged {
 		t.Fatal("paper network TFT did not converge")
 	}

@@ -191,6 +191,9 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 		nodes[i].draw(src, cfg.MaxStage)
 	}
 	adj := nw.Rows()
+	// After a mobility step the oracle rebuilds into its own rows, never
+	// into the view's, so it stays independent of the view's patching.
+	var own [][]int
 
 	res := &SimResult{Nodes: make([]NodeStats, n)}
 	tsSlots := int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
@@ -221,7 +224,8 @@ func SimulateReference(nw Topology, cfg SimConfig) (*SimResult, error) {
 			if err := mobile.Step(cfg.MobilityEvery / 1e6); err != nil {
 				return nil, fmt.Errorf("multihop: mobility step: %w", err)
 			}
-			adj = mobile.AdjacencyLists()
+			own = mobile.AdjacencyInto(own)
+			adj = own
 			nextMobility += mobilityEverySlots
 		}
 

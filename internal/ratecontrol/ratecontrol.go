@@ -152,33 +152,21 @@ func (g *Game) Config() Config { return g.cfg }
 // Tau returns the per-slot transmission probability (from the CW game).
 func (g *Game) Tau() float64 { return g.tau }
 
-// ts returns the channel hold of a solo transmission with payload L bits.
-func (g *Game) ts(L float64) float64 {
-	p := g.cfg.PHY
-	h := p.HeaderTime()
-	pl := p.TxTime(L)
-	if g.cfg.Mode == phy.RTSCTS {
-		return p.RTSTime() + p.SIFS + p.CTSTime() + h + pl + p.SIFS + p.ACKTime() + p.DIFS
-	}
-	return h + pl + p.SIFS + p.ACKTime() + p.DIFS
-}
-
-// tc returns the channel hold of a collision whose longest payload is L.
-// Under RTS/CTS only the RTS frames collide, so the payload drops out —
-// the structural reason the rate-control externality is mild there.
-func (g *Game) tc(L float64) float64 {
-	p := g.cfg.PHY
-	if g.cfg.Mode == phy.RTSCTS {
-		return p.RTSTime() + p.DIFS
-	}
-	return p.HeaderTime() + p.TxTime(L) + p.SIFS
-}
-
 // HoldTimes returns the channel holds (success, collision-contribution)
 // of a transmission with payload L bits — the inputs the MAC simulator's
-// per-node duration overrides need to replay a payload profile.
+// per-node duration overrides need to replay a payload profile. They are
+// phy's Ts and Tc with PayloadBits = L. Under RTS/CTS only the RTS frames
+// collide, so the payload drops out of tc — the structural reason the
+// rate-control externality is mild there. A payload phy rejects (L <= 0)
+// has no holds: both are NaN.
 func (g *Game) HoldTimes(L float64) (ts, tc float64) {
-	return g.ts(L), g.tc(L)
+	p := g.cfg.PHY
+	p.PayloadBits = L
+	tm, err := p.Timing(g.cfg.Mode)
+	if err != nil {
+		return math.NaN(), math.NaN()
+	}
+	return tm.Ts, tm.Tc
 }
 
 // pOK is the probability a payload of L bits survives the channel's bit
@@ -199,8 +187,6 @@ func (g *Game) pOK(L float64) float64 {
 //	collision, deviator idle  rest of Ptr            → Tc(Lbase)
 func (g *Game) tslot(Ldev, Lbase float64) float64 {
 	n := float64(g.cfg.N)
-	tm := g.cfg.PHY
-	_ = tm
 	soloDev := g.psuccSolo
 	soloBase := (n - 1) * g.psuccSolo
 	collDev := g.tau * g.p // p = 1-(1-tau)^(n-1): someone else too
@@ -209,11 +195,14 @@ func (g *Game) tslot(Ldev, Lbase float64) float64 {
 	if collBase < 0 {
 		collBase = 0
 	}
+	tsDev, _ := g.HoldTimes(Ldev)
+	tsBase, tcBase := g.HoldTimes(Lbase)
+	_, tcMax := g.HoldTimes(math.Max(Ldev, Lbase))
 	return g.allIdle*g.cfg.PHY.SlotTime +
-		soloDev*g.ts(Ldev) +
-		soloBase*g.ts(Lbase) +
-		collDev*g.tc(math.Max(Ldev, Lbase)) +
-		collBase*g.tc(Lbase)
+		soloDev*tsDev +
+		soloBase*tsBase +
+		collDev*tcMax +
+		collBase*tcBase
 }
 
 // DeviatorUtility is the deviator's utility rate when it uses Ldev

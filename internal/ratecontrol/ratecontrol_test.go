@@ -49,23 +49,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestChannelHoldsMatchPHY(t *testing.T) {
-	g := mustGame(t, 10, 336, phy.Basic)
-	// With the paper's payload, ts/tc must equal the phy-derived values.
-	tm := phy.Default().MustTiming(phy.Basic)
-	if got := g.ts(8184); math.Abs(got-tm.Ts) > 1e-9 {
-		t.Errorf("ts(8184) = %g, want %g", got, tm.Ts)
-	}
-	if got := g.tc(8184); math.Abs(got-tm.Tc) > 1e-9 {
-		t.Errorf("tc(8184) = %g, want %g", got, tm.Tc)
-	}
-	// RTS/CTS collision cost must be payload-independent.
-	gr := mustGame(t, 10, 47, phy.RTSCTS)
-	if gr.tc(256) != gr.tc(32768) {
-		t.Errorf("RTS/CTS tc depends on payload: %g vs %g", gr.tc(256), gr.tc(32768))
-	}
-}
-
 func TestUniformUtilityInteriorOptimum(t *testing.T) {
 	g := mustGame(t, 10, 336, phy.Basic)
 	lSoc, uSoc, err := g.SocialOptimum()
@@ -222,7 +205,7 @@ func TestTslotConsistency(t *testing.T) {
 	// the longest hold.
 	L := 8184.0
 	ts := g.tslot(L, L)
-	if ts < g.cfg.PHY.SlotTime || ts > g.ts(L) {
+	if hold, _ := g.HoldTimes(L); ts < g.cfg.PHY.SlotTime || ts > hold {
 		t.Fatalf("tslot = %g outside [sigma, Ts]", ts)
 	}
 	// Deviating longer must strictly increase the mean slot duration.
@@ -232,6 +215,14 @@ func TestTslotConsistency(t *testing.T) {
 	// And the deviator's payload must matter less than everyone's.
 	if g.tslot(2*L, L) >= g.tslot(2*L, 2*L) {
 		t.Fatalf("single deviator stretched tslot more than the whole field")
+	}
+	// Under RTS/CTS only the RTS frames collide: the collision hold
+	// ignores the payload.
+	gr := mustGame(t, 10, 47, phy.RTSCTS)
+	_, short := gr.HoldTimes(256)
+	_, long := gr.HoldTimes(32768)
+	if short != long {
+		t.Fatalf("RTS/CTS collision hold depends on payload: %g vs %g", short, long)
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 // the network's neighbor lists that mobility steps refresh in place,
 // either by *patching* the rows incident to nodes that moved (sparse
 // change) or by one bulk refill (dense change), whichever is cheaper for
-// the step (see bulkMovedPercent).
+// the step (see bulkMovedPercent). It is the network's one link source:
+// Connected, MeanDegree and every caller outside this package read its
+// rows (Network.Rows), so the degrees of the local games, the TFT graph
+// and the simulators' receiver picks all come from one structure.
 //
 // The view's contract mirrors the grid's determinism contract: every row
 // is in exactly the ascending-index order BruteForceAdjacencyLists
@@ -17,7 +20,7 @@ import (
 // construction — unmoved neighbors' rows are edited with the same
 // sorted-insert/sorted-delete primitives the cell buckets use, and a
 // moved node's own row is wholesale-replaced with a fresh sorted grid
-// query — and the bulk refill is AdjacencyInto itself.
+// query (appendNeighbors) — and the bulk refill is AdjacencyInto itself.
 //
 // Staleness is tracked through the network's position generation
 // (posGen, bumped by every mutation that moves a node): if the network
@@ -92,7 +95,7 @@ func (v *Adjacency) sync() {
 // network moved. The structure is owned by the view and shared by every
 // caller: StepDelta patches it in place, and the first Rows after any
 // other network mutation refills it in place. Per-row contents and
-// ordering are identical to Network.AdjacencyLists; the one
+// ordering are identical to BruteForceAdjacencyLists; the one
 // representational difference is that a row emptied by patching is
 // empty-but-non-nil rather than nil (callers test len, as the engines
 // do).
@@ -176,7 +179,7 @@ func (v *Adjacency) StepDelta(dt float64) (*Delta, error) {
 // node's row.
 func (v *Adjacency) patch() {
 	for _, i := range v.delta.Moved {
-		fresh := v.nw.AppendNeighbors(i, v.scratch[:0])
+		fresh := v.nw.appendNeighbors(i, v.scratch[:0])
 		v.scratch = fresh
 		old := v.rows[i]
 		if slices.Equal(old, fresh) {

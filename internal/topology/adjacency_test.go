@@ -340,8 +340,8 @@ func TestNetworkRowsAreTheViewRows(t *testing.T) {
 		if &rows[0] != &view.Rows()[0] {
 			t.Fatalf("%s: Network.Rows is not the view's rows", when)
 		}
-		if !slices.EqualFunc(rows, nw.AdjacencyLists(), slices.Equal[[]int]) {
-			t.Fatalf("%s: rows differ from AdjacencyLists", when)
+		if !slices.EqualFunc(rows, nw.BruteForceAdjacencyLists(), slices.Equal[[]int]) {
+			t.Fatalf("%s: rows differ from brute force", when)
 		}
 	}
 	check("initial")
@@ -353,4 +353,95 @@ func TestNetworkRowsAreTheViewRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after Step")
+}
+
+// bfsConnected reports whether rows describe a connected graph, by a
+// breadth-first search from node 0.
+func bfsConnected(rows [][]int) bool {
+	if len(rows) <= 1 {
+		return true
+	}
+	seen := make([]bool, len(rows))
+	seen[0] = true
+	queue, count := []int{0}, 1
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range rows[u] {
+			if !seen[v] {
+				seen[v] = true
+				count++
+				queue = append(queue, v)
+			}
+		}
+	}
+	return count == len(rows)
+}
+
+// TestDifferentialNetworkQueries pins the network's link queries —
+// Connected, MeanDegree and Rows — to the brute-force scan on static,
+// continuous and paused random-waypoint networks, after New, a plain
+// Step (which moves the network outside the view), the view's StepDelta
+// and SetPositions. Each query reads its own twin network, so it is the
+// first reader after every change: one that skipped the view's resync
+// would answer for the previous snapshot. Packing every node into one
+// point, then restoring the spread layout, flips both connectivity and
+// degree, so a stale answer cannot match by chance.
+func TestDifferentialNetworkQueries(t *testing.T) {
+	kinds := []struct {
+		name string
+		cfg  Config
+	}{
+		{"static", Config{N: 40, Width: 1000, Height: 1000, Range: 150, Seed: 3}},
+		{"continuous", Config{N: 40, Width: 1000, Height: 1000, Range: 150, MaxSpeed: 20, Seed: 4}},
+		{"paused", Config{N: 40, Width: 1000, Height: 1000, Range: 150, MinSpeed: 5, MaxSpeed: 20, Pause: 30, Seed: 5}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			conn, deg, rows := mustNetwork(t, k.cfg), mustNetwork(t, k.cfg), mustNetwork(t, k.cfg)
+			twins := []*Network{conn, deg, rows}
+			check := func(when string) {
+				t.Helper()
+				brute := conn.BruteForceAdjacencyLists()
+				sum := 0
+				for _, row := range brute {
+					sum += len(row)
+				}
+				if got, want := conn.Connected(), bfsConnected(brute); got != want {
+					t.Fatalf("after %s: Connected = %v, brute force %v", when, got, want)
+				}
+				if got, want := deg.MeanDegree(), float64(sum)/float64(len(brute)); got != want {
+					t.Fatalf("after %s: MeanDegree = %g, brute force %g", when, got, want)
+				}
+				if !slices.EqualFunc(rows.Rows(), brute, slices.Equal[[]int]) {
+					t.Fatalf("after %s: Rows differ from brute force", when)
+				}
+			}
+			each := func(what string, op func(nw *Network) error) {
+				t.Helper()
+				for _, nw := range twins {
+					if err := op(nw); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(what)
+			}
+			check("New")
+			each("Step", func(nw *Network) error { return nw.Step(10) })
+			each("StepDelta", func(nw *Network) error {
+				_, err := nw.AdjacencyView().StepDelta(10)
+				return err
+			})
+			spread := conn.Positions()
+			packed := make([]Point, len(spread))
+			for i := range packed {
+				packed[i] = Point{X: k.cfg.Width / 2, Y: k.cfg.Height / 2}
+			}
+			each("SetPositions packed", func(nw *Network) error { return nw.SetPositions(packed) })
+			each("SetPositions spread", func(nw *Network) error { return nw.SetPositions(spread) })
+			if conn.Connected() {
+				t.Fatal("the spread layout is connected, so packing flips nothing")
+			}
+		})
+	}
 }

@@ -3,27 +3,27 @@ package topology
 import "sort"
 
 // grid.go implements the cell-indexed spatial structure behind the
-// O(n·deg) neighbor queries. The deployment area is covered by
+// O(n·deg) adjacency builds. The deployment area is covered by
 // Range-sized cells (cell extents are >= Range by construction), every
-// node is bucketed by the cell containing its position, and a neighbor
-// query scans only the 3x3 cell block around the query node — any node
-// within Range is guaranteed to lie in one of those cells.
+// node is bucketed by the cell containing its position, and a build
+// scans only the 3x3 cell block around each node — any node within
+// Range is guaranteed to lie in one of those cells.
 //
 // Determinism contract: buckets store node indices in ascending order;
-// queries filter the candidate buckets and sort the surviving neighbors,
-// so neighbor lists come back in exactly the ascending-index order the
+// the builds (AdjacencyInto, emptyRows, and appendNeighbors for the
+// view's patch) filter the candidate buckets and sort the surviving
+// neighbors, so rows come back in exactly the ascending-index order the
 // original O(n²) linear scan produced, and link membership itself is
-// decided by the very same IsLink predicate. The multihop differential matrix
-// (event-skipping engine vs reference loop, bit-identical) relies on
-// this; BruteForceAdjacencyLists keeps the linear scan available as the
-// pinned reference.
+// decided by the very same isLink predicate. The multihop differential
+// matrix (event-skipping engine vs reference loop, bit-identical) relies
+// on this; BruteForceAdjacencyLists keeps the linear scan available as
+// the pinned reference.
 //
 // Mobility updates are incremental: Step re-buckets a node only when it
 // crosses a cell boundary, so a mobility re-snapshot costs O(moved)
 // bucket edits plus an O(n·deg) refill instead of an O(n²) rebuild.
-// Queries touch no shared mutable state, so concurrent readers (the
-// parallel sweep pools share one static network) remain safe; mutators
-// (Step, SetPositions) require exclusive access as before.
+// Builds only read the grid, so concurrent refills into separate buffers
+// remain safe; mutators (Step, SetPositions) require exclusive access.
 type cellGrid struct {
 	cols, rows   int
 	cellW, cellH float64

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,46 +15,23 @@ import (
 // mobility. The multihop differential matrix relies on this equivalence
 // to keep Simulate byte-identical to SimulateReference.
 
-// bruteNeighbors derives one node's neighbor list from the pinned
-// brute-force reference.
-func bruteNeighbors(nw *Network, i int) []int {
-	return nw.BruteForceAdjacencyLists()[i]
-}
-
-// bruteHidden recomputes HiddenNodes from the brute-force scan.
-func bruteHidden(nw *Network, t, r int) []int {
-	var out []int
-	for _, h := range bruteNeighbors(nw, r) {
-		if h != t && !nw.IsLink(t, h) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// checkGridAgainstBrute asserts every query path agrees with the brute
-// scan on the network's current snapshot.
+// checkGridAgainstBrute asserts every grid build — a cold AdjacencyInto,
+// the per-node query the view's patch uses, and the view's rows —
+// agrees with the brute scan on the network's current snapshot.
 func checkGridAgainstBrute(t *testing.T, nw *Network) {
 	t.Helper()
 	brute := nw.BruteForceAdjacencyLists()
-	adj := nw.AdjacencyLists()
+	adj := nw.AdjacencyInto(nil)
+	rows := nw.Rows()
 	for i := 0; i < nw.N(); i++ {
 		if !reflect.DeepEqual(adj[i], brute[i]) {
 			t.Fatalf("node %d: grid adjacency %v != brute %v", i, adj[i], brute[i])
 		}
-		if got := nw.Neighbors(i); !reflect.DeepEqual(got, brute[i]) {
-			t.Fatalf("node %d: grid Neighbors %v != brute %v", i, got, brute[i])
+		if got := nw.appendNeighbors(i, nil); !reflect.DeepEqual(got, brute[i]) {
+			t.Fatalf("node %d: grid query %v != brute %v", i, got, brute[i])
 		}
-		if d := nw.Degree(i); d != len(brute[i]) {
-			t.Fatalf("node %d: grid degree %d != brute %d", i, d, len(brute[i]))
-		}
-	}
-	// Hidden-terminal sets run over the grid path too.
-	for i := 0; i < nw.N() && i < 5; i++ {
-		for _, r := range brute[i] {
-			if got, want := nw.HiddenNodes(i, r), bruteHidden(nw, i, r); !reflect.DeepEqual(got, want) {
-				t.Fatalf("hidden(%d->%d): grid %v != brute %v", i, r, got, want)
-			}
+		if !slices.Equal(rows[i], brute[i]) {
+			t.Fatalf("node %d: view row %v != brute %v", i, rows[i], brute[i])
 		}
 	}
 }
@@ -121,7 +99,7 @@ func TestDifferentialGridPopulationScale(t *testing.T) {
 	for i := 0; i < cfg.N; i += 97 { // ~100 sampled nodes post-step
 		var want []int
 		for j := 0; j < cfg.N; j++ {
-			if j != i && nw.IsLink(i, j) {
+			if nw.isLink(i, j) {
 				want = append(want, j)
 			}
 		}
@@ -151,7 +129,7 @@ func TestDifferentialGridCellBoundaries(t *testing.T) {
 	}
 	checkGridAgainstBrute(t, nw)
 	// Boundary nodes at exact Range distance must be linked (<=, not <).
-	if !nw.IsLink(0, 1) {
+	if !nw.isLink(0, 1) {
 		t.Fatal("nodes at exactly Range distance must be neighbors")
 	}
 }
@@ -174,9 +152,9 @@ func TestDifferentialGridProperty(t *testing.T) {
 			}
 		}
 		brute := nw.BruteForceAdjacencyLists()
-		adj := nw.AdjacencyLists()
+		adj, rows := nw.AdjacencyInto(nil), nw.Rows()
 		for i := range adj {
-			if !reflect.DeepEqual(adj[i], brute[i]) || nw.Degree(i) != len(brute[i]) {
+			if !reflect.DeepEqual(adj[i], brute[i]) || !slices.Equal(rows[i], brute[i]) {
 				return false
 			}
 		}
@@ -188,14 +166,14 @@ func TestDifferentialGridProperty(t *testing.T) {
 }
 
 // TestAdjacencyIntoRefill pins the reusable snapshot path: refilling the
-// same buffer across mobility steps must match a fresh AdjacencyLists
+// same buffer across mobility steps must match a cold build
 // element-for-element, and must not allocate per-node slices once warm.
 func TestAdjacencyIntoRefill(t *testing.T) {
 	nw := mustNetwork(t, PaperConfig(43))
 	var buf [][]int
 	for s := 0; s < 5; s++ {
 		buf = nw.AdjacencyInto(buf)
-		fresh := nw.AdjacencyLists()
+		fresh := nw.AdjacencyInto(nil)
 		for i := range fresh {
 			if len(buf[i]) != len(fresh[i]) {
 				t.Fatalf("step %d node %d: refill len %d != fresh %d", s, i, len(buf[i]), len(fresh[i]))
@@ -246,8 +224,11 @@ func TestSetPositionsValidates(t *testing.T) {
 	if err := nw.SetPositions([]Point{{0, 0}}); err == nil {
 		t.Fatal("wrong-length position set accepted")
 	}
-	if err := nw.SetPositions([]Point{{0, 0}, {101, 0}}); err == nil {
-		t.Fatal("out-of-area position accepted")
+	nan := math.NaN()
+	for _, bad := range []Point{{101, 0}, {0, -1}, {nan, 0}, {0, nan}, {math.Inf(1), 0}} {
+		if err := nw.SetPositions([]Point{{0, 0}, bad}); err == nil {
+			t.Fatalf("out-of-area position %v accepted", bad)
+		}
 	}
 	if err := nw.SetPositions([]Point{{0, 0}, {100, 100}}); err != nil {
 		t.Fatalf("boundary position rejected: %v", err)

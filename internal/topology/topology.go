@@ -94,9 +94,10 @@ func (c Config) Validate() error {
 }
 
 // Network is a set of (possibly mobile) nodes with unit-disk links.
-// Neighbor queries run over a cell grid (grid.go): O(deg) per node
-// instead of the O(n) pairwise scan, with results in the same ascending
-// index order the linear scan produced.
+// Its links are read through one adjacency view (Rows), built over a
+// cell grid (grid.go): O(deg) per node instead of the O(n) pairwise
+// scan, with rows in the same ascending index order the linear scan
+// produced.
 type Network struct {
 	cfg       Config
 	pos       []Point
@@ -264,7 +265,8 @@ func (nw *Network) SetPositions(pts []Point) error {
 		return fmt.Errorf("topology: %d positions for %d nodes", len(pts), nw.cfg.N)
 	}
 	for i, p := range pts {
-		if p.X < 0 || p.X > nw.cfg.Width || p.Y < 0 || p.Y > nw.cfg.Height {
+		// Written so that NaN, which fails every comparison, is rejected.
+		if !(p.X >= 0 && p.X <= nw.cfg.Width && p.Y >= 0 && p.Y <= nw.cfg.Height) {
 			return fmt.Errorf("topology: position %d (%g, %g) outside the %g x %g area",
 				i, p.X, p.Y, nw.cfg.Width, nw.cfg.Height)
 		}
@@ -275,11 +277,11 @@ func (nw *Network) SetPositions(pts []Point) error {
 	return nil
 }
 
-// IsLink reports whether i and j are within transmission range. The
+// isLink reports whether i and j are within transmission range. The
 // comparison is on squared distances — the same predicate as
 // dist <= Range without the square root, which the adjacency scans pay
 // once per candidate pair.
-func (nw *Network) IsLink(i, j int) bool {
+func (nw *Network) isLink(i, j int) bool {
 	return i != j && nw.inRange(nw.pos[i], nw.pos[j])
 }
 
@@ -291,25 +293,19 @@ func (nw *Network) inRange(p, q Point) bool {
 	return dx*dx+dy*dy <= nw.rangeSq
 }
 
-// Neighbors returns the indices of node i's neighbors (fresh slice, in
-// ascending index order).
-func (nw *Network) Neighbors(i int) []int {
-	return nw.AppendNeighbors(i, nil)
-}
-
-// AppendNeighbors appends node i's neighbors to out in ascending index
+// appendNeighbors appends node i's neighbors to out in ascending index
 // order and returns the extended slice. It scans only the 3x3 cell block
 // around the node, filtering each candidate bucket sequentially and then
 // sorting the survivors — far fewer elements than the candidates — so
 // the output order matches the linear scan exactly. Reusing out across
-// calls makes the query allocation-free.
-func (nw *Network) AppendNeighbors(i int, out []int) []int {
+// calls makes the query allocation-free; the view's patch does.
+func (nw *Network) appendNeighbors(i int, out []int) []int {
 	var heads [9][]int
 	m := nw.g.neighborhood(nw.pos[i], &heads)
 	start := len(out)
 	for k := 0; k < m; k++ {
 		for _, j := range heads[k] {
-			if nw.IsLink(i, j) {
+			if nw.isLink(i, j) {
 				out = append(out, j)
 			}
 		}
@@ -318,33 +314,14 @@ func (nw *Network) AppendNeighbors(i int, out []int) []int {
 	return out
 }
 
-// Degree returns node i's neighbor count.
-func (nw *Network) Degree(i int) int {
-	var heads [9][]int
-	m := nw.g.neighborhood(nw.pos[i], &heads)
-	d := 0
-	for k := 0; k < m; k++ {
-		for _, j := range heads[k] {
-			if nw.IsLink(i, j) {
-				d++
-			}
-		}
-	}
-	return d
-}
-
-// AdjacencyLists returns the full neighbor structure (fresh slices).
-func (nw *Network) AdjacencyLists() [][]int {
-	return nw.AdjacencyInto(nil)
-}
-
 // AdjacencyInto refills dst with the full neighbor structure and returns
 // it, reusing dst's per-node slices (truncated and re-appended, so their
 // capacity persists across snapshots). Passing the previous snapshot back
 // in makes repeated refills — the adjacency view's builds and bulk
 // refreshes — allocation-free in steady state. A dst without room for
 // every node is replaced by rows carved out of one degree-sized slab
-// (emptyRows). Contents and ordering are identical to AdjacencyLists.
+// (emptyRows). Contents and ordering are identical to
+// BruteForceAdjacencyLists.
 func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 	n := nw.cfg.N
 	if cap(dst) >= n {
@@ -366,7 +343,7 @@ func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 		start := len(dst[i])
 		for k := 0; k < m; k++ {
 			for _, j := range heads[k] {
-				if j > i && nw.IsLink(i, j) {
+				if j > i && nw.isLink(i, j) {
 					dst[i] = append(dst[i], j)
 				}
 			}
@@ -393,7 +370,7 @@ func (nw *Network) emptyRows() [][]int {
 		m := nw.g.neighborhood(nw.pos[i], &heads)
 		for k := 0; k < m; k++ {
 			for _, j := range heads[k] {
-				if j > i && nw.IsLink(i, j) {
+				if j > i && nw.isLink(i, j) {
 					deg[i]++
 					deg[j]++
 					total += 2
@@ -422,7 +399,7 @@ func (nw *Network) BruteForceAdjacencyLists() [][]int {
 	for i := range out {
 		var nbrs []int
 		for j := range nw.pos {
-			if nw.IsLink(i, j) {
+			if nw.isLink(i, j) {
 				nbrs = append(nbrs, j)
 			}
 		}
@@ -431,22 +408,22 @@ func (nw *Network) BruteForceAdjacencyLists() [][]int {
 	return out
 }
 
-// Connected reports whether the current snapshot graph is connected.
+// Connected reports whether the current snapshot graph is connected. It
+// walks the network's shared adjacency view (Rows).
 func (nw *Network) Connected() bool {
 	n := nw.cfg.N
 	if n <= 1 {
 		return true
 	}
+	rows := nw.Rows()
 	visited := make([]bool, n)
 	queue := make([]int, 1, n)
-	var scratch []int
 	visited[0] = true
 	count := 1
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		scratch = nw.AppendNeighbors(u, scratch[:0])
-		for _, v := range scratch {
+		for _, v := range rows[u] {
 			if !visited[v] {
 				visited[v] = true
 				count++
@@ -457,25 +434,12 @@ func (nw *Network) Connected() bool {
 	return count == n
 }
 
-// HiddenNodes returns the nodes that can interfere at receiver r but are
-// invisible to transmitter t: neighbors of r that are neither neighbors
-// of t nor t itself. These are the classic hidden terminals for the
-// transmission t → r.
-func (nw *Network) HiddenNodes(t, r int) []int {
-	var out []int
-	for _, h := range nw.Neighbors(r) {
-		if h != t && !nw.IsLink(t, h) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// MeanDegree returns the average neighbor count.
+// MeanDegree returns the average neighbor count over the network's shared
+// adjacency view (Rows).
 func (nw *Network) MeanDegree() float64 {
 	var sum int
-	for i := 0; i < nw.cfg.N; i++ {
-		sum += nw.Degree(i)
+	for _, row := range nw.Rows() {
+		sum += len(row)
 	}
 	return float64(sum) / float64(nw.cfg.N)
 }

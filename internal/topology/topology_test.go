@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,28 +105,42 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestLinksSymmetricIrreflexive(t *testing.T) {
-	nw := mustNetwork(t, PaperConfig(11))
-	for i := 0; i < nw.N(); i++ {
-		if nw.IsLink(i, i) {
-			t.Fatalf("node %d linked to itself", i)
-		}
-		for j := i + 1; j < nw.N(); j++ {
-			if nw.IsLink(i, j) != nw.IsLink(j, i) {
-				t.Fatalf("asymmetric link %d-%d", i, j)
+// symmetricIrreflexive reports whether no row lists its own node and
+// every link appears in both endpoints' rows.
+func symmetricIrreflexive(rows [][]int) bool {
+	for i, row := range rows {
+		for _, j := range row {
+			if j == i || !slices.Contains(rows[j], i) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
+func TestLinksSymmetricIrreflexive(t *testing.T) {
+	nw := mustNetwork(t, PaperConfig(11))
+	if !symmetricIrreflexive(nw.Rows()) {
+		t.Fatal("rows list a self-link or an asymmetric link")
+	}
+}
+
+// TestNeighborsMatchDegreeAndRange checks each row against the range
+// definition: every listed neighbor is within Range, and the row's
+// length (the node's degree) counts every node within Range.
 func TestNeighborsMatchDegreeAndRange(t *testing.T) {
 	nw := mustNetwork(t, PaperConfig(13))
-	for i := 0; i < nw.N(); i++ {
-		nbrs := nw.Neighbors(i)
-		if len(nbrs) != nw.Degree(i) {
-			t.Fatalf("node %d: %d neighbors vs degree %d", i, len(nbrs), nw.Degree(i))
+	for i, row := range nw.Rows() {
+		deg := 0
+		for j := 0; j < nw.N(); j++ {
+			if j != i && nw.Position(i).DistTo(nw.Position(j)) <= 250 {
+				deg++
+			}
 		}
-		for _, j := range nbrs {
+		if len(row) != deg {
+			t.Fatalf("node %d: %d neighbors vs %d nodes in range", i, len(row), deg)
+		}
+		for _, j := range row {
 			if d := nw.Position(i).DistTo(nw.Position(j)); d > 250 {
 				t.Fatalf("neighbor %d-%d at distance %g > range", i, j, d)
 			}
@@ -133,12 +148,13 @@ func TestNeighborsMatchDegreeAndRange(t *testing.T) {
 	}
 }
 
+// TestAdjacencyListsConsistent checks that the view's rows, a cold
+// AdjacencyInto build and the per-node grid query agree row for row.
 func TestAdjacencyListsConsistent(t *testing.T) {
 	nw := mustNetwork(t, PaperConfig(17))
-	adj := nw.AdjacencyLists()
-	for i, nbrs := range adj {
-		want := nw.Neighbors(i)
-		if len(nbrs) != len(want) {
+	rows, cold := nw.Rows(), nw.AdjacencyInto(nil)
+	for i := range rows {
+		if !slices.Equal(rows[i], cold[i]) || !slices.Equal(rows[i], nw.appendNeighbors(i, nil)) {
 			t.Fatalf("node %d adjacency mismatch", i)
 		}
 	}
@@ -166,24 +182,6 @@ func TestConnectedSingleNode(t *testing.T) {
 	nw := mustNetwork(t, Config{N: 1, Width: 10, Height: 10, Range: 1, Seed: 1})
 	if !nw.Connected() {
 		t.Fatal("single node must count as connected")
-	}
-}
-
-func TestHiddenNodes(t *testing.T) {
-	// t --- r --- h: h is hidden from t (in range of r, out of range of t).
-	nw := mustNetwork(t, Config{N: 3, Width: 1000, Height: 10, Range: 250, Seed: 1})
-	if err := nw.SetPositions([]Point{{0, 0}, {200, 0}, {400, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	hidden := nw.HiddenNodes(0, 1)
-	if len(hidden) != 1 || hidden[0] != 2 {
-		t.Fatalf("hidden nodes for 0->1 = %v, want [2]", hidden)
-	}
-	// From the middle node, nothing is hidden for 1 -> 0 except... node 2
-	// is a neighbor of 1 but not of 0, so for transmission 1->0 the
-	// receiver is 0; hidden = neighbors(0) \ neighbors(1) \ {1} = {}.
-	if h := nw.HiddenNodes(1, 0); len(h) != 0 {
-		t.Fatalf("hidden nodes for 1->0 = %v, want none", h)
 	}
 }
 
@@ -279,8 +277,8 @@ func TestDistTo(t *testing.T) {
 	}
 }
 
-// Property: after arbitrary mobility, links remain symmetric and the
-// hidden-node sets are consistent with the link structure.
+// Property: after arbitrary mobility, the rows stay symmetric and
+// irreflexive, and every listed link is within range.
 func TestMobilityInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, steps uint8) bool {
 		cfg := PaperConfig(seed)
@@ -294,22 +292,15 @@ func TestMobilityInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		for i := 0; i < nw.N(); i++ {
-			for j := 0; j < nw.N(); j++ {
-				if i != j && nw.IsLink(i, j) != nw.IsLink(j, i) {
+		rows := nw.Rows()
+		for i, row := range rows {
+			for _, j := range row {
+				if !nw.isLink(i, j) {
 					return false
 				}
 			}
 		}
-		// Hidden nodes must be neighbors of r and not of t.
-		for _, r := range nw.Neighbors(0) {
-			for _, h := range nw.HiddenNodes(0, r) {
-				if !nw.IsLink(r, h) || nw.IsLink(0, h) || h == 0 {
-					return false
-				}
-			}
-		}
-		return true
+		return symmetricIrreflexive(rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestFacadeMultihop(t *testing.T) {
 		t.Fatal(err)
 	}
 	wm := selfishmac.ConvergedCW(profile)
-	final, _, converged := selfishmac.TFTConverge(nw.AdjacencyLists(), profile, 1000)
+	final, _, converged := selfishmac.TFTConverge(nw.Rows(), profile, 1000)
 	if !converged {
 		t.Fatal("TFT did not converge")
 	}
