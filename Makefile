@@ -42,7 +42,7 @@ test-fuzz:
 	go test -run='^$$' -fuzz='^FuzzMonitor$$' -fuzztime=$(FUZZTIME) ./internal/stream
 	go test -run='^$$' -fuzz='^FuzzRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzResilientRunTerminates$$' -fuzztime=$(FUZZTIME) ./internal/search
-	go test -run='^$$' -fuzz='^FuzzFaultyResilientRun$$' -fuzztime=$(FUZZTIME) ./internal/faults
+	go test -run='^$$' -fuzz='^FuzzFaultyResilientRun$$' -fuzztime=$(FUZZTIME) ./internal/search
 	go test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=$(FUZZTIME) ./internal/service
 	go test -run='^$$' -fuzz='^FuzzJobRoutes$$' -fuzztime=$(FUZZTIME) ./internal/service
 	go test -run='^$$' -fuzz='^FuzzRunConfig$$' -fuzztime=$(FUZZTIME) ./internal/multihop

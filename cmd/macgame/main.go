@@ -416,17 +416,9 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, *w0)
+	env, err := selfishmac.NewAnalyticSearchEnv(game, 0, *w0, selfishmac.FaultConfig{Seed: *seed, DropProb: *drop})
 	if err != nil {
 		return err
-	}
-	var env selfishmac.SearchEnv = inner
-	if *drop != 0 {
-		lossy, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: *seed, DropProb: *drop})
-		if err != nil {
-			return err
-		}
-		env = lossy
 	}
 	opts := selfishmac.SearchOptions{WMax: game.Config().WMax}
 	var res selfishmac.SearchResult

@@ -1,5 +1,5 @@
-// Fault-tolerant NE search: the Section V.C protocol run through the
-// deterministic fault-injection layer. The scenario combines 30% per-node
+// Fault-tolerant NE search: the Section V.C protocol run over the search
+// environment's deterministic fault injection. The scenario combines 30% per-node
 // broadcast loss, 10% gross payoff outliers, 5% transient measurement
 // failures, and a leader crash five measurements in — and the resilient
 // runner (median-of-3 measurement, retry, Ready re-broadcast, deputy
@@ -54,12 +54,8 @@ func run(w io.Writer) error {
 		LeaderCrashAfter: 5,    // the leader's search agent dies mid-walk
 	}
 
-	search := func() (selfishmac.SearchResult, *selfishmac.FaultyEnv, error) {
-		inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
-		if err != nil {
-			return selfishmac.SearchResult{}, nil, err
-		}
-		env, err := selfishmac.NewFaultyEnv(inner, cfg)
+	search := func() (selfishmac.SearchResult, *selfishmac.AnalyticSearchEnv, error) {
+		env, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0, cfg)
 		if err != nil {
 			return selfishmac.SearchResult{}, nil, err
 		}
@@ -90,11 +86,7 @@ func run(w io.Writer) error {
 
 	// A probe budget turns exhaustion into graceful degradation instead
 	// of an error: best-so-far with the Degraded flag.
-	inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
-	if err != nil {
-		return err
-	}
-	env, err = selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: seed, DropProb: 0.2})
+	env, err = selfishmac.NewAnalyticSearchEnv(game, 0, w0, selfishmac.FaultConfig{Seed: seed, DropProb: 0.2})
 	if err != nil {
 		return err
 	}

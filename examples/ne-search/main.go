@@ -40,7 +40,7 @@ func run(w io.Writer) error {
 	opts := selfishmac.SearchOptions{WMax: game.Config().WMax}
 
 	// Paper's unit-step walk with exact payoff measurement.
-	env1, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
+	env1, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0, selfishmac.FaultConfig{})
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "paper walk from W0=%d:        found W=%d in %d probes\n", w0, paper.W, paper.ProbeCount())
 
 	// Accelerated variant: geometric expansion + step-halving refinement.
-	env2, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
+	env2, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0, selfishmac.FaultConfig{})
 	if err != nil {
 		return err
 	}
@@ -68,11 +68,7 @@ func run(w io.Writer) error {
 	// Lossy broadcast medium: 20% of Ready messages are missed per node,
 	// so the leader measures heterogeneous profiles. The payoff plateau
 	// keeps the announced value near-optimal anyway.
-	inner, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0)
-	if err != nil {
-		return err
-	}
-	lossyEnv, err := selfishmac.NewFaultyEnv(inner, selfishmac.FaultConfig{Seed: 42, DropProb: 0.2})
+	lossyEnv, err := selfishmac.NewAnalyticSearchEnv(game, 0, w0, selfishmac.FaultConfig{Seed: 42, DropProb: 0.2})
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"selfishmac/internal/core"
-	"selfishmac/internal/faults"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/parallel"
 	"selfishmac/internal/phy"
@@ -44,17 +43,9 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	// (a) NE error and probe count vs broadcast drop probability, with a
 	// light background of outliers and transient failures.
 	drops := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	type dropRow struct {
-		res   search.Result
-		stats faults.Stats
-	}
-	dropRows := make([]dropRow, len(drops))
+	dropRes := make([]search.Result, len(drops))
 	err = parallel.ForEach(ctx, len(drops), s.workerCount(), func(_, i int) error {
-		inner, err := search.NewAnalyticEnv(g, 0, w0)
-		if err != nil {
-			return err
-		}
-		env, err := faults.New(inner, faults.Config{
+		env, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 			Seed:        rng.DeriveSeed(s.Seed, "A9.drop", i),
 			DropProb:    drops[i],
 			DupProb:     0.05,
@@ -64,12 +55,8 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		res, err := search.ResilientRun(env, 0, w0, resilientOpts)
-		if err != nil {
-			return err
-		}
-		dropRows[i] = dropRow{res: res, stats: env.Stats}
-		return nil
+		dropRes[i], err = search.ResilientRun(env, 0, w0, resilientOpts)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -82,7 +69,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	var csv strings.Builder
 	csv.WriteString("drop_prob,found_w,abs_err,probes,measurements,rebroadcasts,degraded\n")
 	for i, drop := range drops {
-		r := dropRows[i].res
+		r := dropRes[i]
 		absErr := r.W - ne.WStar
 		if absErr < 0 {
 			absErr = -absErr
@@ -105,11 +92,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	noises := []float64{0, 0.1, 0.2, 0.3}
 	noiseRes := make([]search.Result, len(noises))
 	err = parallel.ForEach(ctx, len(noises), s.workerCount(), func(_, i int) error {
-		inner, err := search.NewAnalyticEnv(g, 0, w0)
-		if err != nil {
-			return err
-		}
-		env, err := faults.New(inner, faults.Config{
+		env, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 			Seed:        rng.DeriveSeed(s.Seed, "A9.noise", i),
 			OutlierProb: noises[i],
 		})
@@ -139,11 +122,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	text = append(text, tbN.Render())
 
 	// (c) Leader crash mid-search: the deputy must finish the walk.
-	innerCrash, err := search.NewAnalyticEnv(g, 0, w0)
-	if err != nil {
-		return nil, err
-	}
-	crashEnv, err := faults.New(innerCrash, faults.Config{
+	crashEnv, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 		Seed:             rng.DeriveSeed(s.Seed, "A9.crash", 0),
 		DropProb:         0.2,
 		LeaderCrashAfter: 5,
@@ -167,11 +146,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	rep.Metric("crash_deputy", float64(crashRes.Leader))
 
 	// (d) Probe budget exhaustion: best-so-far with the Degraded flag.
-	innerBudget, err := search.NewAnalyticEnv(g, 0, w0)
-	if err != nil {
-		return nil, err
-	}
-	budgetEnv, err := faults.New(innerBudget, faults.Config{
+	budgetEnv, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 		Seed:     rng.DeriveSeed(s.Seed, "A9.budget", 0),
 		DropProb: 0.2,
 	})

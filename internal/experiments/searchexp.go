@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"selfishmac/internal/core"
-	"selfishmac/internal/faults"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/plot"
 	"selfishmac/internal/rng"
@@ -17,7 +16,7 @@ import (
 // search from several starting points over exact analytic payoffs, where
 // it compares the paper's unit-step walk with the accelerated variant, and
 // the paper walk over a broadcast medium that loses 20% of messages per
-// follower (faults.FaultyEnv with drop only).
+// follower (search.AnalyticEnv with drop as its only fault).
 func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -54,7 +53,7 @@ func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		env, err := search.NewAnalyticEnv(g, 0, w0)
+		env, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +64,7 @@ func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 		if err := record("exact", "paper", w0, res); err != nil {
 			return nil, err
 		}
-		envF, err := search.NewAnalyticEnv(g, 0, w0)
+		envF, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +79,8 @@ func SearchAlgorithm(ctx context.Context, s Settings) (*Report, error) {
 
 	// Lossy broadcast medium.
 	for _, w0 := range []int{8, ne.WStar + 40} {
-		inner, err := search.NewAnalyticEnv(g, 0, w0)
-		if err != nil {
-			return nil, err
-		}
-		lossy, err := faults.New(inner, faults.Config{Seed: rng.DeriveSeed(s.Seed, "A1.lossy", w0), DropProb: 0.2})
+		lossy, err := search.NewAnalyticEnv(g, 0, w0,
+			search.FaultConfig{Seed: rng.DeriveSeed(s.Seed, "A1.lossy", w0), DropProb: 0.2})
 		if err != nil {
 			return nil, err
 		}

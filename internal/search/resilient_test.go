@@ -12,25 +12,28 @@ func TestOptionsValidate(t *testing.T) {
 	cases := []struct {
 		name string
 		o    Options
+		ok   bool
 	}{
-		{"negative WMax", Options{WMax: -1}},
-		{"negative ProbeBudget", Options{ProbeBudget: -1}},
+		{"negative WMax", Options{WMax: -1}, false},
+		{"negative ProbeBudget", Options{ProbeBudget: -1}, false},
+		{"WMax 0", Options{WMax: 0, ProbeBudget: 50}, true},
+		{"ProbeBudget 0", Options{WMax: 100, ProbeBudget: 0}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.o.Validate(); err == nil {
-				t.Errorf("Validate accepted %+v", tc.o)
-			}
-			// Every entry point must reject the same options.
+			// Every entry point must accept and reject the same options.
+			errs := map[string]error{"Validate": tc.o.Validate()}
 			env := tentEnv(5)
-			if _, err := Run(env, 0, 4, tc.o); err == nil {
-				t.Error("Run accepted invalid options")
-			}
-			if _, err := AcceleratedSearch(env, 0, 4, tc.o); err == nil {
-				t.Error("AcceleratedSearch accepted invalid options")
-			}
-			if _, err := ResilientRun(env, 0, 4, tc.o); err == nil {
-				t.Error("ResilientRun accepted invalid options")
+			_, errs["Run"] = Run(env, 0, 4, tc.o)
+			_, errs["AcceleratedSearch"] = AcceleratedSearch(env, 0, 4, tc.o)
+			_, errs["ResilientRun"] = ResilientRun(env, 0, 4, tc.o)
+			for name, err := range errs {
+				if tc.ok && err != nil {
+					t.Errorf("%s rejected %+v: %v", name, tc.o, err)
+				}
+				if !tc.ok && !errors.Is(err, ErrInvalidConfig) {
+					t.Errorf("%s(%+v) = %v, want ErrInvalidConfig", name, tc.o, err)
+				}
 			}
 		})
 	}
@@ -370,7 +373,7 @@ func TestResilientRunFindsEfficientNEAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewAnalyticEnv(g, 0, 4)
+	env, err := NewAnalyticEnv(g, 0, 4, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,10 @@
 // the best CW found.
 //
 // The protocol is simulated at the message level: an Env carries the
-// broadcast medium and the payoff measurement. AnalyticEnv measures exact
-// payoffs from the game model over perfect delivery; internal/faults wraps
-// it with a lossy, faulty broadcast medium.
+// broadcast medium and the payoff measurement. AnalyticEnv is the one
+// production Env: it measures payoffs from the game model, and its
+// FaultConfig turns on a lossy, faulty broadcast medium (the zero value
+// is perfect delivery and exact payoffs).
 //
 // The paper notes better algorithms exist; AcceleratedSearch implements
 // one (geometric step growth with step-halving refinement) and the bench
@@ -109,14 +110,14 @@ type Options struct {
 	ProbeBudget int
 }
 
-// Validate rejects negative fields. The zero value is valid (every field
-// has a documented default).
+// Validate rejects negative fields; every error wraps ErrInvalidConfig.
+// The zero value is valid (every field has a documented default).
 func (o Options) Validate() error {
 	if o.WMax < 0 {
-		return fmt.Errorf("search: negative WMax %d", o.WMax)
+		return fmt.Errorf("%w: negative WMax %d", ErrInvalidConfig, o.WMax)
 	}
 	if o.ProbeBudget < 0 {
-		return fmt.Errorf("search: negative ProbeBudget %d", o.ProbeBudget)
+		return fmt.Errorf("%w: negative ProbeBudget %d", ErrInvalidConfig, o.ProbeBudget)
 	}
 	return nil
 }
@@ -131,7 +132,7 @@ func checkStart(opts Options, w0 int) (Options, error) {
 		opts.WMax = 4096
 	}
 	if w0 < 1 || w0 > opts.WMax {
-		return Options{}, fmt.Errorf("search: starting CW %d outside [1, %d]", w0, opts.WMax)
+		return Options{}, fmt.Errorf("%w: starting CW %d outside [1, %d]", ErrInvalidConfig, w0, opts.WMax)
 	}
 	return opts, nil
 }
@@ -290,3 +291,8 @@ func AcceleratedSearch(env Env, leader, w0 int, opts Options) (Result, error) {
 
 // ErrNoEnv is returned by constructors given a nil dependency.
 var ErrNoEnv = errors.New("search: nil dependency")
+
+// ErrInvalidConfig is wrapped by every error that Options.Validate,
+// FaultConfig.Validate and the walkers' starting-CW check return, so
+// callers can tell rejected input from a failed search with errors.Is.
+var ErrInvalidConfig = errors.New("search: invalid config")

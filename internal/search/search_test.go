@@ -1,6 +1,7 @@
 package search
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -93,13 +94,33 @@ func TestRunMessageSequence(t *testing.T) {
 	}
 }
 
+// Every walker accepts a starting CW in [1, WMax] and rejects one
+// outside it with ErrInvalidConfig.
 func TestRunBoundsValidation(t *testing.T) {
-	env := tentEnv(5)
-	if _, err := Run(env, 0, 0, Options{}); err == nil {
-		t.Error("w0=0 accepted")
+	walkers := map[string]func(Env, int, int, Options) (Result, error){
+		"Run": Run, "AcceleratedSearch": AcceleratedSearch, "ResilientRun": ResilientRun,
 	}
-	if _, err := Run(env, 0, 5000, Options{WMax: 100}); err == nil {
-		t.Error("w0 above WMax accepted")
+	for _, tc := range []struct {
+		w0   int
+		opts Options
+		ok   bool
+	}{
+		{0, Options{}, false},
+		{5000, Options{WMax: 100}, false},
+		{4097, Options{}, false},
+		{1, Options{WMax: 100}, true},
+		{100, Options{WMax: 100}, true},
+		{4096, Options{}, true},
+	} {
+		for name, walk := range walkers {
+			_, err := walk(tentEnv(5), 0, tc.w0, tc.opts)
+			if tc.ok && err != nil {
+				t.Errorf("%s: w0=%d with %+v rejected: %v", name, tc.w0, tc.opts, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s: w0=%d with %+v: err %v, want ErrInvalidConfig", name, tc.w0, tc.opts, err)
+			}
+		}
 	}
 }
 
@@ -166,7 +187,7 @@ func TestRunFindsEfficientNEAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewAnalyticEnv(g, 0, 4)
+	env, err := NewAnalyticEnv(g, 0, 4, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +214,7 @@ func TestRunLeftSearchFromAbove(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := ne.WStar + 30
-	env, err := NewAnalyticEnv(g, 2, start)
+	env, err := NewAnalyticEnv(g, 2, start, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +246,7 @@ func TestAcceleratedUsesFarFewerProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	envSlow, err := NewAnalyticEnv(g, 0, 16)
+	envSlow, err := NewAnalyticEnv(g, 0, 16, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +254,7 @@ func TestAcceleratedUsesFarFewerProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	envFast, err := NewAnalyticEnv(g, 0, 16)
+	envFast, err := NewAnalyticEnv(g, 0, 16, FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +276,10 @@ func TestAcceleratedUsesFarFewerProbes(t *testing.T) {
 
 func TestAnalyticEnvValidation(t *testing.T) {
 	g := mustGame(t, 3, phy.Basic)
-	if _, err := NewAnalyticEnv(nil, 0, 8); err == nil {
+	if _, err := NewAnalyticEnv(nil, 0, 8, FaultConfig{}); err == nil {
 		t.Error("nil game accepted")
 	}
-	if _, err := NewAnalyticEnv(g, 3, 8); err == nil {
+	if _, err := NewAnalyticEnv(g, 3, 8, FaultConfig{}); err == nil {
 		t.Error("out-of-range leader accepted")
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"selfishmac/internal/bianchi"
 	"selfishmac/internal/core"
 	"selfishmac/internal/detect"
-	"selfishmac/internal/faults"
 	"selfishmac/internal/macsim"
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
@@ -279,14 +278,19 @@ type (
 	SearchOptions = search.Options
 	// SearchResult is the search outcome.
 	SearchResult = search.Result
-	// AnalyticSearchEnv measures payoffs exactly; NewFaultyEnv wraps it
-	// with a lossy, faulty broadcast medium.
+	// AnalyticSearchEnv is the search's broadcast medium and payoff
+	// oracle: payoffs from the game model, delivery and measurement
+	// subject to its FaultConfig.
 	AnalyticSearchEnv = search.AnalyticEnv
 )
 
-// NewAnalyticSearchEnv builds an exact-payoff search environment.
-func NewAnalyticSearchEnv(g *Game, leader, w0 int) (*AnalyticSearchEnv, error) {
-	return search.NewAnalyticEnv(g, leader, w0)
+// NewAnalyticSearchEnv builds a search environment of g.N() nodes at CW
+// w0. The zero FaultConfig gives perfect delivery and exact payoffs; any
+// other injects the configured faults, every fault stream derived from
+// faults.Seed, so a scenario replays byte-identically from its seed
+// alone.
+func NewAnalyticSearchEnv(g *Game, leader, w0 int, faults FaultConfig) (*AnalyticSearchEnv, error) {
+	return search.NewAnalyticEnv(g, leader, w0, faults)
 }
 
 // RunSearch executes the paper's Section V.C unit-step search.
@@ -301,28 +305,18 @@ func RunAcceleratedSearch(env SearchEnv, leader, w0 int, opts SearchOptions) (Se
 
 // Fault injection and resilient search (deployment robustness).
 type (
-	// FaultConfig selects which protocol faults a FaultyEnv injects:
-	// per-follower broadcast drop, duplication, payoff outliers,
+	// FaultConfig selects which protocol faults an AnalyticSearchEnv
+	// injects: per-follower broadcast drop, duplication, payoff outliers,
 	// transient measurement failures, and crash-stop of the leader. The
 	// zero value injects nothing; drop alone makes a lossy broadcast
 	// medium.
-	FaultConfig = faults.Config
-	// FaultStats counts every injected fault.
-	FaultStats = faults.Stats
-	// FaultyEnv wraps an AnalyticSearchEnv with deterministic,
-	// seed-replayable fault injection.
-	FaultyEnv = faults.FaultyEnv
+	FaultConfig = search.FaultConfig
+	// FaultStats counts every broadcast and every injected fault.
+	FaultStats = search.FaultStats
 	// MultihopChurnConfig models node churn during a multi-hop run
 	// (MultihopEngine.WithChurn).
 	MultihopChurnConfig = multihop.ChurnConfig
 )
-
-// NewFaultyEnv wraps inner with the configured fault injection. Every
-// fault stream is derived from cfg.Seed, so a scenario replays
-// byte-identically from its seed alone.
-func NewFaultyEnv(inner *AnalyticSearchEnv, cfg FaultConfig) (*FaultyEnv, error) {
-	return faults.New(inner, cfg)
-}
 
 // RunResilientSearch executes the Section V.C walk hardened for
 // deployment: up to three retries of a failed measurement, the median of

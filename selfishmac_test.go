@@ -131,7 +131,7 @@ func TestFacadeSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := selfishmac.NewAnalyticSearchEnv(game, 0, 4)
+	env, err := selfishmac.NewAnalyticSearchEnv(game, 0, 4, selfishmac.FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
