@@ -46,6 +46,7 @@ test-fuzz:
 	go test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=$(FUZZTIME) ./internal/service
 	go test -run='^$$' -fuzz='^FuzzJobRoutes$$' -fuzztime=$(FUZZTIME) ./internal/service
 	go test -run='^$$' -fuzz='^FuzzRunConfig$$' -fuzztime=$(FUZZTIME) ./internal/multihop
+	go test -run='^$$' -fuzz='^FuzzPlan$$' -fuzztime=$(FUZZTIME) ./internal/replicate
 
 # The worker pool and the shared solver cache make the suite
 # concurrency-heavy; run it under the race detector too, at GOMAXPROCS=2

@@ -417,7 +417,7 @@ func replicateScenario(name string, topoCfg topology.Config, cfg multihop.SimCon
 		if err != nil {
 			return nil, err
 		}
-		return replicate.Func(func(seed uint64, out []float64) error {
+		return func(seed uint64, out []float64) error {
 			sim.Reset(seed)
 			res, err := sim.Run()
 			if err != nil {
@@ -425,11 +425,12 @@ func replicateScenario(name string, topoCfg topology.Config, cfg multihop.SimCon
 			}
 			out[0] = res.GlobalPayoffRate()
 			return nil
-		}), nil
+		}, nil
 	}
 	runAt := func(workers int) (*replicate.Result, error) {
 		return replicate.Run(context.Background(),
-			replicate.Plan{BaseSeed: 3, Stream: "bench.scaling", Metrics: 1, MaxReps: reps, Workers: workers}, factory)
+			replicate.Plan{BaseSeed: 3, Stream: "bench.scaling", Metrics: 1,
+				Schedule: replicate.Schedule{MaxReps: reps, Workers: workers}}, factory)
 	}
 	op := func(workers int) func() error {
 		return func() error {

@@ -381,7 +381,7 @@ func cmdMultihop(args []string) error {
 		Sim:              selfishmac.DefaultSpatialSimConfig(*duration*1e6, *seed),
 		Wm:               wm,
 		SweepMultipliers: []float64{0.4, 0.6, 0.8, 1.25, 1.6, 2.2, 3},
-		MaxReps:          *replicas,
+		Schedule:         selfishmac.ReplicationSchedule{MaxReps: *replicas},
 	})
 	if err != nil {
 		return err

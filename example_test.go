@@ -125,7 +125,7 @@ func ExampleMeasureQuasiOptimality() {
 		Sim:              selfishmac.DefaultSpatialSimConfig(2e6, 1),
 		Wm:               selfishmac.ConvergedCW(profile),
 		SweepMultipliers: []float64{0.5, 2},
-		MaxReps:          2,
+		Schedule:         selfishmac.ReplicationSchedule{MaxReps: 2},
 	})
 	if err != nil {
 		fmt.Println(err)

@@ -79,7 +79,7 @@ func run(w io.Writer, args []string) error {
 		Sim:              selfishmac.DefaultSpatialSimConfig(*duration*1e6, *seed),
 		Wm:               wm,
 		SweepMultipliers: []float64{0.4, 0.6, 0.8, 1.25, 1.6, 2.2, 3},
-		MaxReps:          2,
+		Schedule:         selfishmac.ReplicationSchedule{MaxReps: 2},
 	})
 	if err != nil {
 		return err

@@ -64,7 +64,7 @@ func ClosedLoop(ctx context.Context, s Settings) (*Report, error) {
 		// closed-loop runs on derived seeds (replication 0 reuses the
 		// stream of the previous single-run implementation), reported as
 		// the mean final minimum CW with its CI95 half-width.
-		measure := replicate.Func(func(seed uint64, out []float64) error {
+		measure := func(seed uint64, out []float64) error {
 			strats := make([]core.Strategy, n)
 			for i := range strats {
 				strats[i] = tc.mk()
@@ -81,7 +81,7 @@ func ClosedLoop(ctx context.Context, s Settings) (*Report, error) {
 			}
 			out[0] = float64(minW)
 			return nil
-		})
+		}
 		rres, err := replicate.Run(ctx, s.plan("D2."+tc.metric, 1), func() (replicate.Replicator, error) { return measure, nil })
 		if err != nil {
 			return nil, err

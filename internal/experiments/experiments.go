@@ -11,8 +11,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sort"
 	"strings"
 
@@ -94,45 +95,31 @@ type Settings struct {
 	// derived from it with rng.DeriveSeed, so no two components share a
 	// stream regardless of how many points or replicas they draw.
 	Seed uint64
-	// Workers bounds the goroutines each experiment may fan out over its
-	// independent sweep points, figure series and replicas. 0 (the
-	// default) means GOMAXPROCS. Results are bit-identical at every
+	// Schedule is the replication schedule of every simulation-backed
+	// experiment point, passed as is to its internal/replicate Plan: with
+	// RelTolerance set, a point replicates in deterministic rounds, from
+	// MinReps up to MaxReps independent seeds, until the CI95 half-width
+	// of its headline metric drops below RelTolerance of the mean; with
+	// RelTolerance 0, every point runs exactly MaxReps replications.
+	// Schedule.Workers also bounds the goroutines each experiment fans
+	// out over its independent sweep points and figure series (0 or
+	// negative means GOMAXPROCS). Results are bit-identical at every
 	// worker count, including 1 (fully serial).
-	Workers int
-	// ReplicateMin, ReplicateMax and ReplicateRelCI are the replication
-	// schedule of every simulation-backed experiment point: the MinReps,
-	// MaxReps and RelTolerance of its internal/replicate Plan. With
-	// ReplicateRelCI set, a point replicates in deterministic rounds,
-	// from ReplicateMin up to ReplicateMax independent seeds, until the
-	// CI95 half-width of its headline metric drops below ReplicateRelCI
-	// of the mean. With ReplicateRelCI 0, every point runs exactly
-	// ReplicateMax replications.
-	ReplicateMin   int
-	ReplicateMax   int
-	ReplicateRelCI float64
+	replicate.Schedule
 }
 
-// workerCount resolves the Workers setting (0 → GOMAXPROCS) for the
-// pool helpers in this package and in internal/multihop.
-func (s Settings) workerCount() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// ErrInvalidSettings is wrapped by every error Settings.Validate returns.
+var ErrInvalidSettings = errors.New("experiments: invalid settings")
 
 // plan is the replication plan of one simulation-backed measurement:
 // the settings' seed and schedule on the given seed stream, adaptive
 // stopping driven by metric 0.
 func (s Settings) plan(stream string, metrics int) replicate.Plan {
 	return replicate.Plan{
-		BaseSeed:     s.Seed,
-		Stream:       stream,
-		Metrics:      metrics,
-		RelTolerance: s.ReplicateRelCI,
-		MinReps:      s.ReplicateMin,
-		MaxReps:      s.ReplicateMax,
-		Workers:      s.workerCount(),
+		BaseSeed: s.Seed,
+		Stream:   stream,
+		Metrics:  metrics,
+		Schedule: s.Schedule,
 	}
 }
 
@@ -145,9 +132,7 @@ func DefaultSettings() Settings {
 		MultihopNodes:    100,
 		FigurePoints:     60,
 		Seed:             1,
-		ReplicateMin:     3,
-		ReplicateMax:     8,
-		ReplicateRelCI:   0.02,
+		Schedule:         replicate.Schedule{MinReps: 3, MaxReps: 8, RelTolerance: 0.02},
 	}
 }
 
@@ -159,29 +144,35 @@ func QuickSettings() Settings {
 		MultihopNodes:    40,
 		FigurePoints:     25,
 		Seed:             1,
-		ReplicateMin:     2,
-		ReplicateMax:     3,
-		ReplicateRelCI:   0.1,
+		Schedule:         replicate.Schedule{MinReps: 2, MaxReps: 3, RelTolerance: 0.1},
 	}
 }
 
-// Validate rejects unusable settings.
+// Validate rejects unusable settings with an error wrapping
+// ErrInvalidSettings: a sim time that is not positive and finite, fewer
+// than 2 multihop nodes or 5 figure points, a schedule
+// replicate.Schedule.Validate rejects, or MinReps outside [1, MaxReps].
 func (s Settings) Validate() error {
-	if s.SingleHopSimTime <= 0 || s.MultihopSimTime <= 0 {
-		return fmt.Errorf("experiments: non-positive sim times %g/%g", s.SingleHopSimTime, s.MultihopSimTime)
+	if !positiveFinite(s.SingleHopSimTime) || !positiveFinite(s.MultihopSimTime) {
+		return fmt.Errorf("%w: sim times %g/%g must be positive and finite", ErrInvalidSettings, s.SingleHopSimTime, s.MultihopSimTime)
 	}
 	if s.MultihopNodes < 2 {
-		return fmt.Errorf("experiments: %d multihop nodes < 2", s.MultihopNodes)
+		return fmt.Errorf("%w: %d multihop nodes < 2", ErrInvalidSettings, s.MultihopNodes)
 	}
 	if s.FigurePoints < 5 {
-		return fmt.Errorf("experiments: %d figure points < 5", s.FigurePoints)
+		return fmt.Errorf("%w: %d figure points < 5", ErrInvalidSettings, s.FigurePoints)
 	}
-	if s.ReplicateMin < 1 || s.ReplicateMax < s.ReplicateMin || s.ReplicateRelCI < 0 {
-		return fmt.Errorf("experiments: replication schedule %d/%d/%g needs 1 <= ReplicateMin <= ReplicateMax and ReplicateRelCI >= 0",
-			s.ReplicateMin, s.ReplicateMax, s.ReplicateRelCI)
+	if err := s.Schedule.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidSettings, err)
+	}
+	if s.MinReps < 1 || s.MinReps > s.MaxReps {
+		return fmt.Errorf("%w: replication schedule %d/%d needs 1 <= MinReps <= MaxReps", ErrInvalidSettings, s.MinReps, s.MaxReps)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is in (0, +Inf); false for NaN.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Runner is a named experiment entry point. Run observes ctx: a
 // cancelled context makes the runner return promptly with an error

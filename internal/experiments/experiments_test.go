@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,28 +10,47 @@ import (
 )
 
 func TestSettingsValidation(t *testing.T) {
-	if err := DefaultSettings().Validate(); err != nil {
-		t.Errorf("default settings invalid: %v", err)
-	}
-	if err := QuickSettings().Validate(); err != nil {
-		t.Errorf("quick settings invalid: %v", err)
-	}
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Settings)
+		ok     bool
 	}{
-		{"zero sim time", func(s *Settings) { s.SingleHopSimTime = 0 }},
-		{"tiny figure", func(s *Settings) { s.FigurePoints = 2 }},
-		{"single multihop node", func(s *Settings) { s.MultihopNodes = 1 }},
-		{"ReplicateMin 0", func(s *Settings) { s.ReplicateMin = 0 }},
-		{"ReplicateMax below ReplicateMin", func(s *Settings) { s.ReplicateMax = s.ReplicateMin - 1 }},
-		{"negative ReplicateRelCI", func(s *Settings) { s.ReplicateRelCI = -0.1 }},
+		{"quick", func(*Settings) {}, true},
+		{"default", func(s *Settings) { *s = DefaultSettings() }, true},
+		{"FigurePoints 5", func(s *Settings) { s.FigurePoints = 5 }, true},
+		{"MultihopNodes 2", func(s *Settings) { s.MultihopNodes = 2 }, true},
+		{"MinReps == MaxReps", func(s *Settings) { s.MinReps = s.MaxReps }, true},
+		{"RelTolerance 0", func(s *Settings) { s.RelTolerance = 0 }, true},
+		{"negative Workers", func(s *Settings) { s.Workers = -1 }, true},
+		{"zero sim time", func(s *Settings) { s.SingleHopSimTime = 0 }, false},
+		{"NaN single-hop sim time", func(s *Settings) { s.SingleHopSimTime = nan }, false},
+		{"+Inf single-hop sim time", func(s *Settings) { s.SingleHopSimTime = inf }, false},
+		{"zero multihop sim time", func(s *Settings) { s.MultihopSimTime = 0 }, false},
+		{"NaN multihop sim time", func(s *Settings) { s.MultihopSimTime = nan }, false},
+		{"+Inf multihop sim time", func(s *Settings) { s.MultihopSimTime = inf }, false},
+		{"tiny figure", func(s *Settings) { s.FigurePoints = 4 }, false},
+		{"single multihop node", func(s *Settings) { s.MultihopNodes = 1 }, false},
+		{"MinReps 0", func(s *Settings) { s.MinReps = 0 }, false},
+		{"MaxReps below MinReps", func(s *Settings) { s.MaxReps = s.MinReps - 1 }, false},
+		{"negative RelTolerance", func(s *Settings) { s.RelTolerance = -0.1 }, false},
+		{"NaN RelTolerance", func(s *Settings) { s.RelTolerance = nan }, false},
+		{"+Inf RelTolerance", func(s *Settings) { s.RelTolerance = inf }, false},
 	} {
-		bad := QuickSettings()
-		tc.mutate(&bad)
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			s := QuickSettings()
+			tc.mutate(&s)
+			err := s.Validate()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrInvalidSettings) {
+				t.Fatalf("got %v, want an error wrapping ErrInvalidSettings", err)
+			}
+		})
 	}
 }
 

@@ -46,7 +46,6 @@ func figure(ctx context.Context, id, title string, mode phy.AccessMode, s Settin
 		Height: 22,
 	}
 	rep := &Report{ID: id, Title: title}
-	workers := s.workerCount()
 	// Hoist game construction (and the Bianchi model each game owns) out
 	// of the fan-out: the per-grid-point work below is pure solver-cache
 	// lookups on these shared games.
@@ -64,7 +63,7 @@ func figure(ctx context.Context, id, title string, mode phy.AccessMode, s Settin
 		games[k], nes[k] = g, ne
 	}
 	series := make([]figureSeries, len(tablePopulations))
-	err := parallel.ForEach(ctx, len(tablePopulations), workers, func(_, k int) error {
+	err := parallel.ForEach(ctx, len(tablePopulations), s.Workers, func(_, k int) error {
 		n := tablePopulations[k]
 		out := &series[k]
 		g, ne := games[k], nes[k]
@@ -73,7 +72,7 @@ func figure(ctx context.Context, id, title string, mode phy.AccessMode, s Settin
 		if wMax < 64 {
 			wMax = 64
 		}
-		xs, ys, err := payoffCurve(ctx, g, wMax, s.FigurePoints, workers)
+		xs, ys, err := payoffCurve(ctx, g, wMax, s.FigurePoints, s.Workers)
 		if err != nil {
 			return err
 		}
@@ -170,19 +169,6 @@ type simCurve struct {
 	repsTotal         int
 }
 
-// ucReplicator adapts a reusable macsim.Engine to replicate.Replicator:
-// one replication is Reset(seed)+Run, reported as normalized U/C.
-type ucReplicator struct {
-	eng   *macsim.Engine
-	scale float64 // Slot/Gain: payoff rate -> U/C
-}
-
-func (r ucReplicator) Replicate(seed uint64, out []float64) error {
-	r.eng.Reset(seed)
-	out[0] = r.eng.Run().GlobalPayoffRate() * r.scale
-	return nil
-}
-
 // simulatedCurve measures U/C at ~9 log-spaced CW values with the MAC
 // simulator and returns the series plus the maximum relative deviation
 // from the analytic curve (computed on the replicated means). The
@@ -203,6 +189,7 @@ func simulatedCurve(ctx context.Context, id string, g *core.Game, n int, s Setti
 		duration = 200e6 // the curve needs shape, not 1000 s per point
 	}
 	grid := logGrid(ne.WStar*6, 9)
+	scale := g.Model().Timing.Slot / cfg.Gain // payoff rate -> U/C
 	out := &simCurve{
 		xs:   make([]float64, len(grid)),
 		ys:   make([]float64, len(grid)),
@@ -215,7 +202,12 @@ func simulatedCurve(ctx context.Context, id string, g *core.Game, n int, s Setti
 			if err != nil {
 				return nil, err
 			}
-			return ucReplicator{eng: eng, scale: g.Model().Timing.Slot / cfg.Gain}, nil
+			// One replication is Reset(seed)+Run, reported as normalized U/C.
+			return func(seed uint64, out []float64) error {
+				eng.Reset(seed)
+				out[0] = eng.Run().GlobalPayoffRate() * scale
+				return nil
+			}, nil
 		})
 		if err != nil {
 			return nil, err

@@ -84,10 +84,7 @@ func MultihopQuasiOptimality(ctx context.Context, s Settings) (*Report, error) {
 		Sim:              multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M1.sweep", 0)),
 		Wm:               wm,
 		SweepMultipliers: []float64{0.4, 0.6, 0.8, 1.25, 1.6, 2.2, 3},
-		MinReps:          s.ReplicateMin,
-		MaxReps:          s.ReplicateMax,
-		RelTolerance:     s.ReplicateRelCI,
-		Workers:          s.workerCount(),
+		Schedule:         s.Schedule,
 	})
 	if err != nil {
 		return nil, err
@@ -174,7 +171,7 @@ func HiddenNodeInvariance(ctx context.Context, s Settings) (*Report, error) {
 		return nil, err
 	}
 	cws := []int{8, 16, 26, 40, 64, 104, 160}
-	fracs, err := multihop.PHNSweep(ctx, nw, multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M2.phn", 0)), cws, s.workerCount())
+	fracs, err := multihop.PHNSweep(ctx, nw, multihop.DefaultSimConfig(s.MultihopSimTime, rng.DeriveSeed(s.Seed, "M2.phn", 0)), cws, s.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func neTable(ctx context.Context, id string, mode phy.AccessMode, paper map[int]
 		games[k] = g
 	}
 	rows := make([]NERow, len(tablePopulations))
-	err := parallel.ForEach(ctx, len(tablePopulations), s.workerCount(), func(_, k int) error {
+	err := parallel.ForEach(ctx, len(tablePopulations), s.Workers, func(_, k int) error {
 		n := tablePopulations[k]
 		g := games[k]
 		theory, err := g.FindPaperNE()
@@ -143,7 +143,7 @@ func simulatedBestCW(ctx context.Context, id string, g *core.Game, n, wStar int,
 	grid := cwGrid(wStar)
 	results := make([]*macsim.Result, len(grid))
 	stream := fmt.Sprintf("%s.sim.n%d", id, n)
-	err = parallel.ForEach(ctx, len(grid), s.workerCount(), func(_, gi int) error {
+	err = parallel.ForEach(ctx, len(grid), s.Workers, func(_, gi int) error {
 		res, err := macsim.Run(macsim.Config{Run: g.SimRun(backoff.Uniform(grid[gi], n), s.SingleHopSimTime, rng.DeriveSeed(s.Seed, stream, gi))})
 		if err != nil {
 			return err

@@ -44,7 +44,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	// light background of outliers and transient failures.
 	drops := []float64{0, 0.1, 0.2, 0.3, 0.4}
 	dropRes := make([]search.Result, len(drops))
-	err = parallel.ForEach(ctx, len(drops), s.workerCount(), func(_, i int) error {
+	err = parallel.ForEach(ctx, len(drops), s.Workers, func(_, i int) error {
 		env, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 			Seed:        rng.DeriveSeed(s.Seed, "A9.drop", i),
 			DropProb:    drops[i],
@@ -91,7 +91,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	// median-of-3 has to reject the gross errors.
 	noises := []float64{0, 0.1, 0.2, 0.3}
 	noiseRes := make([]search.Result, len(noises))
-	err = parallel.ForEach(ctx, len(noises), s.workerCount(), func(_, i int) error {
+	err = parallel.ForEach(ctx, len(noises), s.Workers, func(_, i int) error {
 		env, err := search.NewAnalyticEnv(g, 0, w0, search.FaultConfig{
 			Seed:        rng.DeriveSeed(s.Seed, "A9.noise", i),
 			OutlierProb: noises[i],
@@ -186,7 +186,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 	churnRows := make([]churnRow, len(churnRates))
 	for i, rate := range churnRates {
 		// Metrics: converged-at stage, converged CW, stages run.
-		measure := replicate.Func(func(seed uint64, out []float64) error {
+		measure := func(seed uint64, out []float64) error {
 			nw, err := topology.New(topoCfg)
 			if err != nil {
 				return err
@@ -217,7 +217,7 @@ func Robustness(ctx context.Context, s Settings) (*Report, error) {
 			out[1] = float64(tr.ConvergedCW)
 			out[2] = float64(len(tr.Stages))
 			return nil
-		})
+		}
 		rres, err := replicate.Run(ctx, s.plan(fmt.Sprintf("A9.churn%02.0f", rate*100), 3), func() (replicate.Replicator, error) { return measure, nil })
 		if err != nil {
 			return nil, err

@@ -157,17 +157,15 @@ func StreamingDetection(ctx context.Context, s Settings) (*Report, error) {
 	return rep, nil
 }
 
-// streamDetectRep is the per-worker replicator: one reusable engine with
-// a monitor attached to its observer hook. Reset + Run pairs replay the
-// cell's configuration under each replication seed at zero steady-state
-// allocations (the replicate pool builds one per worker).
-type streamDetectRep struct {
-	eng     *macsim.Engine
-	mon     *stream.Monitor
-	cheater []bool
-}
-
-func newStreamDetectRep(simCfg macsim.Config, monCfg stream.Config, cheater []bool) (*streamDetectRep, error) {
+// newStreamDetectRep builds the per-worker replicator: one reusable
+// engine with a monitor attached to its observer hook. Reset + Run pairs
+// replay the cell's configuration under each replication seed at zero
+// steady-state allocations (the replicate pool builds one per worker).
+// A replication runs one monitored simulation and reports
+// [latency slots, TPR, FPR]. Latency is the earliest first-flag slot over
+// the cheater nodes, censored at the run's total slot count when no
+// cheater was flagged, and 0 for the all-honest mix (nothing to detect).
+func newStreamDetectRep(simCfg macsim.Config, monCfg stream.Config, cheater []bool) (replicate.Replicator, error) {
 	mon, err := stream.NewMonitor(monCfg)
 	if err != nil {
 		return nil, err
@@ -177,46 +175,40 @@ func newStreamDetectRep(simCfg macsim.Config, monCfg stream.Config, cheater []bo
 	if err != nil {
 		return nil, err
 	}
-	return &streamDetectRep{eng: eng, mon: mon, cheater: cheater}, nil
-}
+	return func(seed uint64, out []float64) error {
+		mon.Reset()
+		eng.Reset(seed)
+		res := eng.Run()
+		mon.Finish(res.Slots)
 
-// Replicate runs one monitored simulation and reports
-// [latency slots, TPR, FPR]. Latency is the earliest first-flag slot over
-// the cheater nodes, censored at the run's total slot count when no
-// cheater was flagged, and 0 for the all-honest mix (nothing to detect).
-func (r *streamDetectRep) Replicate(seed uint64, out []float64) error {
-	r.mon.Reset()
-	r.eng.Reset(seed)
-	res := r.eng.Run()
-	r.mon.Finish(res.Slots)
-
-	cheaters, detected := 0, 0
-	latency := float64(res.Slots)
-	var honestFlags, honest int64
-	for i, cheat := range r.cheater {
-		if cheat {
-			cheaters++
-			if s := r.mon.FirstFlagSlot(i); s >= 0 {
-				detected++
-				if float64(s) < latency {
-					latency = float64(s)
+		cheaters, detected := 0, 0
+		latency := float64(res.Slots)
+		var honestFlags, honest int64
+		for i, cheat := range cheater {
+			if cheat {
+				cheaters++
+				if s := mon.FirstFlagSlot(i); s >= 0 {
+					detected++
+					if float64(s) < latency {
+						latency = float64(s)
+					}
 				}
+				continue
 			}
-			continue
+			honest++
+			honestFlags += mon.NodeFlags(i)
 		}
-		honest++
-		honestFlags += r.mon.NodeFlags(i)
-	}
-	if cheaters == 0 {
-		out[0], out[1] = 0, 1
-	} else {
-		out[0] = latency
-		out[1] = float64(detected) / float64(cheaters)
-	}
-	if w := r.mon.Windows(); w > 0 && honest > 0 {
-		out[2] = float64(honestFlags) / float64(w*honest)
-	} else {
-		out[2] = 0
-	}
-	return nil
+		if cheaters == 0 {
+			out[0], out[1] = 0, 1
+		} else {
+			out[0] = latency
+			out[1] = float64(detected) / float64(cheaters)
+		}
+		if w := mon.Windows(); w > 0 && honest > 0 {
+			out[2] = float64(honestFlags) / float64(w*honest)
+		} else {
+			out[2] = 0
+		}
+		return nil
+	}, nil
 }

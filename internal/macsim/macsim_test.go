@@ -27,25 +27,16 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	// The shared backoff.Run mutations (CW, MaxStage, Duration, Timing,
+	// Gain and Cost, each zero, negative, NaN or infinite) run through
+	// Validate, Run, RunReference and NewEngine in
+	// multihop.TestSimConfigValidate; these rows are the checks only a
+	// macsim.Config makes.
 	mutations := []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"no nodes", func(c *Config) { c.CW = nil }},
-		{"cw 0", func(c *Config) { c.CW = []int{0} }},
-		{"zero duration", func(c *Config) { c.Duration = 0 }},
-		{"bad stage", func(c *Config) { c.MaxStage = -1 }},
-		{"bad timing", func(c *Config) { c.Timing.Slot = 0 }},
-		{"negative cost", func(c *Config) { c.Cost = -1 }},
-		{"NaN duration", func(c *Config) { c.Duration = math.NaN() }},
-		{"+Inf duration", func(c *Config) { c.Duration = math.Inf(1) }},
-		{"NaN slot", func(c *Config) { c.Timing.Slot = math.NaN() }},
-		{"+Inf Ts", func(c *Config) { c.Timing.Ts = math.Inf(1) }},
-		{"+Inf Tc", func(c *Config) { c.Timing.Tc = math.Inf(1) }},
-		{"NaN gain", func(c *Config) { c.Gain = math.NaN() }},
-		{"+Inf gain", func(c *Config) { c.Gain = math.Inf(1) }},
-		{"-Inf cost", func(c *Config) { c.Cost = math.Inf(-1) }},
-		{"NaN cost", func(c *Config) { c.Cost = math.NaN() }},
 		{"NaN PerNodeTs", func(c *Config) { c.PerNodeTs = []float64{c.Timing.Ts, math.NaN()} }},
 		{"+Inf PerNodeTc", func(c *Config) { c.PerNodeTc = []float64{math.Inf(1), c.Timing.Tc} }},
 	}

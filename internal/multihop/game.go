@@ -150,22 +150,11 @@ type QuasiOptConfig struct {
 	// SweepMultipliers are the relative common-CW values tried in the
 	// sweep. 1.0 (= Wm itself) is implicitly included.
 	SweepMultipliers []float64
-	// MinReps, MaxReps, RelTolerance and Workers are the replication
-	// schedule of every operating point, passed unchanged to
-	// internal/replicate's Plan: each point averages independent seeds
-	// (derived deterministically from Sim.Seed) to suppress sampling
-	// noise in the per-node ratios. With RelTolerance 0 exactly MaxReps
-	// replications run; with RelTolerance > 0 a point replicates in
-	// rounds, from MinReps up to MaxReps, until the CI95 half-width of
-	// its global payoff rate drops below RelTolerance of its mean. A plan
-	// the replication layer rejects (MaxReps < 1, say) is an error
-	// wrapping replicate.ErrInvalidPlan. Workers bounds the goroutines a
-	// point's runs fan out over (0 or negative means GOMAXPROCS); results
-	// are bit-identical at every worker count.
-	MinReps      int
-	MaxReps      int
-	RelTolerance float64
-	Workers      int
+	// Schedule replicates every operating point over seeds derived from
+	// Sim.Seed; its adaptive target is the global payoff rate. A schedule
+	// the replication layer rejects is an error wrapping
+	// replicate.ErrInvalidPlan.
+	replicate.Schedule
 }
 
 // QuasiOptResult reports how close the converged NE is to optimal.
@@ -240,14 +229,11 @@ func MeasureQuasiOptimality(ctx context.Context, nw *topology.Network, cfg Quasi
 			return nil, fmt.Errorf("multihop: quasi-optimality sweep interrupted at CW %d: %w", w, err)
 		}
 		plan := replicate.Plan{
-			BaseSeed:     cfg.Sim.Seed,
-			Stream:       "multihop.quasiopt",
-			Metrics:      n + 1,
-			Target:       n,
-			RelTolerance: cfg.RelTolerance,
-			MinReps:      cfg.MinReps,
-			MaxReps:      cfg.MaxReps,
-			Workers:      cfg.Workers,
+			BaseSeed: cfg.Sim.Seed,
+			Stream:   "multihop.quasiopt",
+			Metrics:  n + 1,
+			Target:   n,
+			Schedule: cfg.Schedule,
 		}
 		rres, err := replicate.Run(ctx, plan, func() (replicate.Replicator, error) {
 			sim := cfg.Sim
@@ -256,7 +242,23 @@ func MeasureQuasiOptimality(ctx context.Context, nw *topology.Network, cfg Quasi
 			if err != nil {
 				return nil, err
 			}
-			return quasiOptReplicator{s}, nil
+			// One replication is Reset(seed)+Run, reported as n per-node
+			// payoff rates followed by their sum (the global rate, the
+			// adaptive-stopping target).
+			return func(seed uint64, out []float64) error {
+				s.Reset(seed)
+				r, err := s.Run()
+				if err != nil {
+					return err
+				}
+				var gp float64
+				for i := range r.Nodes {
+					out[i] = r.Nodes[i].PayoffRate
+					gp += r.Nodes[i].PayoffRate
+				}
+				out[len(r.Nodes)] = gp
+				return nil
+			}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -293,28 +295,6 @@ func MeasureQuasiOptimality(ctx context.Context, nw *topology.Network, cfg Quasi
 		res.GlobalRatio = res.GlobalAtWm / res.GlobalMax
 	}
 	return res, nil
-}
-
-// quasiOptReplicator adapts a reusable Simulator to replicate.Replicator:
-// one replication is Reset(seed)+Run, reported as n per-node payoff rates
-// followed by their sum (the global rate, the adaptive-stopping target).
-type quasiOptReplicator struct {
-	sim *Simulator
-}
-
-func (q quasiOptReplicator) Replicate(seed uint64, out []float64) error {
-	q.sim.Reset(seed)
-	r, err := q.sim.Run()
-	if err != nil {
-		return err
-	}
-	var gp float64
-	for i := range r.Nodes {
-		out[i] = r.Nodes[i].PayoffRate
-		gp += r.Nodes[i].PayoffRate
-	}
-	out[len(r.Nodes)] = gp
-	return nil
 }
 
 // sweepCWs maps multipliers to distinct integer CW values >= 1, sorted,

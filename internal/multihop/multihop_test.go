@@ -648,7 +648,7 @@ func TestQuasiOptimalitySmall(t *testing.T) {
 		Sim:              DefaultSimConfig(10e6, 5),
 		Wm:               ConvergedCW(profile),
 		SweepMultipliers: []float64{0.5, 0.75, 1.5, 2, 3},
-		MaxReps:          3,
+		Schedule:         replicate.Schedule{MaxReps: 3},
 	}
 	res, err := MeasureQuasiOptimality(context.Background(), nw, cfg)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // cancelling an adaptive run after round k returns exactly the moments an
 // uncancelled run had after its k-th round — at every worker count.
 func TestCancelPrefixBitIdentical(t *testing.T) {
-	base := Plan{BaseSeed: 7, Stream: "t.cancel", Metrics: 2, Target: 0,
-		RelTolerance: 1e-9, MinReps: 3, MaxReps: 60, BatchSize: 4}
+	base := Plan{BaseSeed: 7, Stream: "t.cancel", Metrics: 2, Target: 0, BatchSize: 4,
+		Schedule: Schedule{MinReps: 3, MaxReps: 60, RelTolerance: 1e-9}}
 
 	// Reference: run to exhaustion, snapshotting the fold after each round.
 	var perRound []RoundStatus
@@ -70,7 +70,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	built := false
-	res, err := Run(ctx, Plan{BaseSeed: 1, Stream: "t.dead", Metrics: 1, MaxReps: 4, Workers: 1}, func() (Replicator, error) {
+	res, err := Run(ctx, Plan{BaseSeed: 1, Stream: "t.dead", Metrics: 1, Schedule: Schedule{MaxReps: 4, Workers: 1}}, func() (Replicator, error) {
 		built = true
 		return twoMetricFunc(1), nil
 	})
@@ -89,7 +89,7 @@ func TestCancelBeforeStart(t *testing.T) {
 // retried on another seed; the round completes with every replication
 // attempted once and the lowest-index error surfaces.
 func TestFailingReplicationAttemptedOnce(t *testing.T) {
-	p := Plan{BaseSeed: 1, Stream: "t.once", Metrics: 1, MaxReps: 4, Workers: 1}
+	p := Plan{BaseSeed: 1, Stream: "t.once", Metrics: 1, Schedule: Schedule{MaxReps: 4, Workers: 1}}
 	attempts := map[uint64]int{}
 	_, err := runFunc(p, func(seed uint64, out []float64) error {
 		attempts[seed]++
@@ -115,9 +115,9 @@ func TestFailingReplicationAttemptedOnce(t *testing.T) {
 // reps and a CI that matches the final fold on the last round.
 func TestOnRoundStreamsCISoFar(t *testing.T) {
 	var got []RoundStatus
-	p := Plan{BaseSeed: 5, Stream: "t.progress", Metrics: 2, Target: 0,
-		RelTolerance: 0.02, MinReps: 2, MaxReps: 40, BatchSize: 3, Workers: 2,
-		OnRound: func(st RoundStatus) { got = append(got, st) }}
+	p := Plan{BaseSeed: 5, Stream: "t.progress", Metrics: 2, Target: 0, BatchSize: 3,
+		OnRound:  func(st RoundStatus) { got = append(got, st) },
+		Schedule: Schedule{MinReps: 2, MaxReps: 40, RelTolerance: 0.02, Workers: 2}}
 	res, err := runFunc(p, twoMetricFunc(4))
 	if err != nil {
 		t.Fatal(err)

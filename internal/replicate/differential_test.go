@@ -89,30 +89,26 @@ func TestDifferentialReplicateMacsim(t *testing.T) {
 	})
 	for _, workers := range []int{1, 4} {
 		got, err := replicate.Run(context.Background(),
-			replicate.Plan{BaseSeed: 42, Stream: stream, Metrics: metrics, MaxReps: diffReps, Workers: workers},
+			replicate.Plan{BaseSeed: 42, Stream: stream, Metrics: metrics, Schedule: replicate.Schedule{MaxReps: diffReps, Workers: workers}},
 			func() (replicate.Replicator, error) {
 				eng, err := macsim.NewEngine(cfg)
 				if err != nil {
 					return nil, err
 				}
-				return macsimReplicator{eng}, nil
+				return func(seed uint64, out []float64) error {
+					eng.Reset(seed)
+					res := eng.Run()
+					for i := range out {
+						out[i] = res.Nodes[i].PayoffRate
+					}
+					return nil
+				}, nil
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireIdentical(t, workers, got, want)
 	}
-}
-
-type macsimReplicator struct{ eng *macsim.Engine }
-
-func (r macsimReplicator) Replicate(seed uint64, out []float64) error {
-	r.eng.Reset(seed)
-	res := r.eng.Run()
-	for i := range out {
-		out[i] = res.Nodes[i].PayoffRate
-	}
-	return nil
 }
 
 // TestDifferentialReplicateMultihop: fixed-R over reusable spatial
@@ -154,32 +150,28 @@ func TestDifferentialReplicateMultihop(t *testing.T) {
 	})
 	for _, workers := range []int{1, 4} {
 		got, err := replicate.Run(context.Background(),
-			replicate.Plan{BaseSeed: 7, Stream: stream, Metrics: metrics, MaxReps: diffReps, Workers: workers},
+			replicate.Plan{BaseSeed: 7, Stream: stream, Metrics: metrics, Schedule: replicate.Schedule{MaxReps: diffReps, Workers: workers}},
 			func() (replicate.Replicator, error) {
 				sim, err := multihop.NewSimulator(nw, cfg)
 				if err != nil {
 					return nil, err
 				}
-				return multihopReplicator{sim}, nil
+				return func(seed uint64, out []float64) error {
+					sim.Reset(seed)
+					res, err := sim.Run()
+					if err != nil {
+						return err
+					}
+					for i := range res.Nodes {
+						out[i] = res.Nodes[i].PayoffRate
+					}
+					out[len(res.Nodes)] = res.GlobalPayoffRate()
+					return nil
+				}, nil
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireIdentical(t, workers, got, want)
 	}
-}
-
-type multihopReplicator struct{ sim *multihop.Simulator }
-
-func (r multihopReplicator) Replicate(seed uint64, out []float64) error {
-	r.sim.Reset(seed)
-	res, err := r.sim.Run()
-	if err != nil {
-		return err
-	}
-	for i := range res.Nodes {
-		out[i] = res.Nodes[i].PayoffRate
-	}
-	out[len(res.Nodes)] = res.GlobalPayoffRate()
-	return nil
 }

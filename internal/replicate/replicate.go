@@ -43,23 +43,67 @@ import (
 )
 
 // Replicator runs one replication on the given seed and writes one value
-// per metric into out (len(out) == Plan.Metrics). Implementations are
-// typically reusable engines: Replicate resets them in place, so a single
-// Replicator must not be shared between goroutines — the controller
-// builds one per worker.
-type Replicator interface {
-	Replicate(seed uint64, out []float64) error
+// per metric into out (len(out) == Plan.Metrics). A replicator is
+// typically a closure over a reusable engine that it resets in place, so
+// one must not be shared between goroutines: the controller asks the
+// factory for one per worker. A factory that returns the same function
+// to every worker shares it, so that function must be safe for
+// concurrent use when Workers > 1.
+type Replicator func(seed uint64, out []float64) error
+
+// Schedule is how many replications one measurement runs and on how many
+// goroutines. Plan, experiments.Settings and multihop.QuasiOptConfig
+// embed it, so the schedule is declared and validated once.
+type Schedule struct {
+	// MinReps and MaxReps bound the replication count. With no tolerance
+	// configured the schedule is fixed-R: exactly MaxReps replications
+	// run. Adaptive schedules never decide on fewer than max(MinReps, 2)
+	// samples.
+	MinReps int
+	MaxReps int
+	// RelTolerance, when positive, stops the batch once the 95% CI
+	// half-width of the target metric is <= RelTolerance * |mean|. It
+	// must be finite and non-negative.
+	RelTolerance float64
+	// Workers bounds the goroutines running replications (0 or negative
+	// means GOMAXPROCS; 1 forces the serial path). Results are
+	// bit-identical at every worker count.
+	Workers int
 }
 
-// Func adapts a stateless function to the Replicator interface. A
-// factory that returns the same Func to every worker shares it between
-// goroutines, so it must be safe for concurrent use when Workers > 1.
-type Func func(seed uint64, out []float64) error
+// Validate rejects a schedule no run can follow: MaxReps < 1, a negative
+// MinReps, or a NaN, negative or infinite RelTolerance. The error wraps
+// ErrInvalidPlan.
+func (s Schedule) Validate() error {
+	return invalid(s.problems())
+}
 
-// Replicate implements Replicator.
-func (f Func) Replicate(seed uint64, out []float64) error { return f(seed, out) }
+// problems lists the schedule's validation failures.
+func (s Schedule) problems() []error {
+	var errs []error
+	if s.MaxReps < 1 {
+		errs = append(errs, fmt.Errorf("MaxReps = %d must be >= 1", s.MaxReps))
+	}
+	if s.MinReps < 0 {
+		errs = append(errs, fmt.Errorf("MinReps = %d must be >= 0", s.MinReps))
+	}
+	// NaN passes every ordered comparison, and +Inf would "converge" on
+	// any CI, so both are rejected outright.
+	if !(s.RelTolerance >= 0) || math.IsInf(s.RelTolerance, 1) {
+		errs = append(errs, fmt.Errorf("RelTolerance = %g must be finite and non-negative", s.RelTolerance))
+	}
+	return errs
+}
 
-// Plan describes one replication batch.
+// invalid wraps validation failures in ErrInvalidPlan (nil for none).
+func invalid(errs []error) error {
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidPlan, errors.Join(errs...))
+}
+
+// Plan describes one replication batch: a Schedule on one seed stream.
 type Plan struct {
 	// BaseSeed and Stream scope the per-replication seed stream:
 	// replication i runs on rng.DeriveSeed(BaseSeed, Stream, i).
@@ -70,21 +114,10 @@ type Plan struct {
 	// Target indexes the metric whose confidence interval drives adaptive
 	// stopping (ignored for fixed-R plans).
 	Target int
-	// RelTolerance, when positive, stops the batch once the 95% CI
-	// half-width of the target metric is <= RelTolerance * |mean|. It
-	// must be finite and non-negative.
-	RelTolerance float64
-	// MinReps and MaxReps bound the replication count. With no tolerance
-	// configured the plan is fixed-R: exactly MaxReps replications run.
-	// Adaptive plans never decide on fewer than max(MinReps, 2) samples.
-	MinReps int
-	MaxReps int
+	Schedule
 	// BatchSize is the number of replications added per adaptive round
 	// after the first (which runs MinReps). 0 defaults to MinReps.
 	BatchSize int
-	// Workers bounds the goroutines running replications (0 or negative
-	// means GOMAXPROCS; 1 forces the serial path).
-	Workers int
 	// OnRound, when non-nil, is called after each round's fold with a
 	// progress snapshot. Calls happen serially on the controller
 	// goroutine, in round order, after errors are checked and before the
@@ -121,19 +154,11 @@ func (p Plan) normalized() (Plan, error) {
 	if p.Target < 0 || p.Target >= p.Metrics {
 		errs = append(errs, fmt.Errorf("Target = %d outside [0, %d)", p.Target, p.Metrics))
 	}
-	if p.MaxReps < 1 {
-		errs = append(errs, fmt.Errorf("MaxReps = %d must be >= 1", p.MaxReps))
+	if p.BatchSize < 0 {
+		errs = append(errs, fmt.Errorf("BatchSize = %d must be >= 0", p.BatchSize))
 	}
-	if p.MinReps < 0 || p.BatchSize < 0 {
-		errs = append(errs, errors.New("negative MinReps/BatchSize"))
-	}
-	// NaN passes every ordered comparison, and +Inf would "converge" on
-	// any CI, so both are rejected outright.
-	if !(p.RelTolerance >= 0) || math.IsInf(p.RelTolerance, 1) {
-		errs = append(errs, fmt.Errorf("RelTolerance = %g must be finite and non-negative", p.RelTolerance))
-	}
-	if len(errs) > 0 {
-		return p, fmt.Errorf("%w: %w", ErrInvalidPlan, errors.Join(errs...))
+	if err := invalid(append(errs, p.Schedule.problems()...)); err != nil {
+		return p, err
 	}
 	if p.adaptive() {
 		if p.MinReps < 2 {
@@ -187,7 +212,7 @@ func (r *Result) Summary(m int) stats.Summary { return r.Moments[m].Snapshot() }
 // Run executes the plan. factory builds one Replicator per worker (each
 // built exactly once, before any replication runs, and kept for the whole
 // batch — this is where reusable engines pay off); a stateless function
-// is passed as a factory returning Func(f). The returned Result is
+// is passed as a factory returning f itself. The returned Result is
 // bit-identical at every worker count. Each replication is attempted
 // once: a failed round returns the lowest-index replication error.
 //
@@ -292,7 +317,7 @@ func runRound(ctx context.Context, p Plan, workers []Replicator, values []float6
 	_ = parallel.ForEach(ctx, hi-lo, len(workers), func(w, k int) error {
 		i := lo + k
 		out := values[i*p.Metrics : (i+1)*p.Metrics : (i+1)*p.Metrics]
-		errs[i] = workers[w].Replicate(rng.DeriveSeed(p.BaseSeed, p.Stream, i), out)
+		errs[i] = workers[w](rng.DeriveSeed(p.BaseSeed, p.Stream, i), out)
 		return nil
 	})
 }

@@ -19,11 +19,11 @@ func noisyMetric(seed uint64, spread float64) float64 {
 }
 
 // runFunc runs the plan with f shared by every worker.
-func runFunc(p Plan, f Func) (*Result, error) {
+func runFunc(p Plan, f Replicator) (*Result, error) {
 	return Run(context.Background(), p, func() (Replicator, error) { return f, nil })
 }
 
-func twoMetricFunc(spread float64) Func {
+func twoMetricFunc(spread float64) Replicator {
 	return func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, spread)
 		out[1] = -2 * noisyMetric(seed^0xabcd, spread)
@@ -36,11 +36,11 @@ func twoMetricFunc(spread float64) Func {
 // be bit-identical at workers 1, 2, 4 and 8, for fixed and adaptive plans.
 func TestWorkerCountBitIdentity(t *testing.T) {
 	plans := []Plan{
-		{BaseSeed: 3, Stream: "t.fixed", Metrics: 2, MaxReps: 17},
-		{BaseSeed: 3, Stream: "t.adapt", Metrics: 2, Target: 0,
-			RelTolerance: 0.01, MinReps: 3, MaxReps: 40, BatchSize: 4},
-		{BaseSeed: 9, Stream: "t.target1", Metrics: 2, Target: 1,
-			RelTolerance: 0.035, MinReps: 2, MaxReps: 64, BatchSize: 5}, // converges after 10 rounds
+		{BaseSeed: 3, Stream: "t.fixed", Metrics: 2, Schedule: Schedule{MaxReps: 17}},
+		{BaseSeed: 3, Stream: "t.adapt", Metrics: 2, Target: 0, BatchSize: 4,
+			Schedule: Schedule{MinReps: 3, MaxReps: 40, RelTolerance: 0.01}},
+		{BaseSeed: 9, Stream: "t.target1", Metrics: 2, Target: 1, BatchSize: 5,
+			Schedule: Schedule{MinReps: 2, MaxReps: 64, RelTolerance: 0.035}}, // converges after 10 rounds
 	}
 	for pi, base := range plans {
 		var want *Result
@@ -73,8 +73,8 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 // one round and never reports convergence, whatever MinReps says.
 func TestFixedPlanRunsExactly(t *testing.T) {
 	for _, p := range []Plan{
-		{BaseSeed: 1, Stream: "t.count", Metrics: 1, MaxReps: 13, Workers: 4},
-		{BaseSeed: 1, Stream: "t.count", Metrics: 1, MinReps: 2, MaxReps: 5},
+		{BaseSeed: 1, Stream: "t.count", Metrics: 1, Schedule: Schedule{MaxReps: 13, Workers: 4}},
+		{BaseSeed: 1, Stream: "t.count", Metrics: 1, Schedule: Schedule{MinReps: 2, MaxReps: 5}},
 	} {
 		var calls atomic.Int64
 		res, err := runFunc(p, func(seed uint64, out []float64) error {
@@ -100,8 +100,8 @@ func TestFixedPlanRunsExactly(t *testing.T) {
 // point; high-variance ones run to MaxReps without convergence; and the
 // tolerance is actually honored at the stopping point.
 func TestAdaptiveStopping(t *testing.T) {
-	base := Plan{BaseSeed: 5, Stream: "t.stop", Metrics: 1, Target: 0,
-		RelTolerance: 0.02, MinReps: 3, MaxReps: 30, BatchSize: 4, Workers: 2}
+	base := Plan{BaseSeed: 5, Stream: "t.stop", Metrics: 1, Target: 0, BatchSize: 4,
+		Schedule: Schedule{MinReps: 3, MaxReps: 30, RelTolerance: 0.02, Workers: 2}}
 
 	quiet, err := runFunc(base, func(seed uint64, out []float64) error {
 		out[0] = noisyMetric(seed, 0.01) // CI≈1e-3 ≪ 2% of 10
@@ -153,7 +153,7 @@ func TestAdaptiveStopping(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		_, err := runFunc(Plan{BaseSeed: 1, Stream: "t.err", Metrics: 1, MaxReps: 10, Workers: workers}, func(seed uint64, out []float64) error {
+		_, err := runFunc(Plan{BaseSeed: 1, Stream: "t.err", Metrics: 1, Schedule: Schedule{MaxReps: 10, Workers: workers}}, func(seed uint64, out []float64) error {
 			// Replications 3 and 7 fail (identified via their seeds).
 			if seed == rng.DeriveSeed(1, "t.err", 3) || seed == rng.DeriveSeed(1, "t.err", 7) {
 				return boom
@@ -173,13 +173,13 @@ func TestErrorPropagation(t *testing.T) {
 // Each worker must get its own Replicator, built exactly once.
 func TestFactoryPerWorker(t *testing.T) {
 	var built atomic.Int64
-	p := Plan{BaseSeed: 1, Stream: "t.factory", Metrics: 1, MaxReps: 20, Workers: 4}
+	p := Plan{BaseSeed: 1, Stream: "t.factory", Metrics: 1, Schedule: Schedule{MaxReps: 20, Workers: 4}}
 	_, err := Run(context.Background(), p, func() (Replicator, error) {
 		built.Add(1)
-		return Func(func(seed uint64, out []float64) error {
+		return func(seed uint64, out []float64) error {
 			out[0] = noisyMetric(seed, 1)
 			return nil
-		}), nil
+		}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,13 +200,13 @@ func TestPlanValidation(t *testing.T) {
 		name string
 		plan Plan
 	}{
-		{"no metrics", Plan{Metrics: 0, MaxReps: 3}},
-		{"target out of range", Plan{Metrics: 2, Target: 2, MaxReps: 3}},
-		{"no reps", Plan{Metrics: 1, MaxReps: 0}},
-		{"negative MinReps", Plan{Metrics: 1, MaxReps: 3, MinReps: -1}},
-		{"negative RelTolerance", Plan{Metrics: 1, MaxReps: 3, RelTolerance: -0.1}},
-		{"NaN RelTolerance", Plan{Metrics: 1, MaxReps: 50, RelTolerance: math.NaN()}},
-		{"+Inf RelTolerance", Plan{Metrics: 1, MaxReps: 50, RelTolerance: math.Inf(1)}},
+		{"no metrics", Plan{Metrics: 0, Schedule: Schedule{MaxReps: 3}}},
+		{"target out of range", Plan{Metrics: 2, Target: 2, Schedule: Schedule{MaxReps: 3}}},
+		{"no reps", Plan{Metrics: 1, Schedule: Schedule{MaxReps: 0}}},
+		{"negative MinReps", Plan{Metrics: 1, Schedule: Schedule{MinReps: -1, MaxReps: 3}}},
+		{"negative RelTolerance", Plan{Metrics: 1, Schedule: Schedule{MaxReps: 3, RelTolerance: -0.1}}},
+		{"NaN RelTolerance", Plan{Metrics: 1, Schedule: Schedule{MaxReps: 50, RelTolerance: math.NaN()}}},
+		{"+Inf RelTolerance", Plan{Metrics: 1, Schedule: Schedule{MaxReps: 50, RelTolerance: math.Inf(1)}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,7 +222,7 @@ func TestPlanValidation(t *testing.T) {
 	}
 	// MaxReps=1 with a tolerance: no CI is ever computable; the plan must
 	// still terminate after its single replication.
-	res, err := runFunc(Plan{Metrics: 1, MaxReps: 1, RelTolerance: 0.1, Stream: "t.one"},
+	res, err := runFunc(Plan{Metrics: 1, Stream: "t.one", Schedule: Schedule{MaxReps: 1, RelTolerance: 0.1}},
 		func(seed uint64, out []float64) error { out[0] = 1; return nil })
 	if err != nil {
 		t.Fatal(err)

@@ -150,15 +150,17 @@ type ReplicateResult struct {
 func runReplicated(ctx context.Context, sched ScheduleParams, stream string, metrics []string,
 	factory func() (replicate.Replicator, error), progress func(v any)) (any, error) {
 	plan := replicate.Plan{
-		BaseSeed:     sched.BaseSeed,
-		Stream:       stream,
-		Metrics:      len(metrics),
-		Target:       0,
-		RelTolerance: max(sched.RelCI, 0), // RelCI <= 0 disables adaptive stopping
-		MinReps:      sched.MinReps,
-		MaxReps:      sched.MaxReps,
-		BatchSize:    sched.BatchSize,
-		Workers:      sched.Workers,
+		BaseSeed: sched.BaseSeed,
+		Stream:   stream,
+		Metrics:  len(metrics),
+		Target:   0,
+		Schedule: replicate.Schedule{
+			MinReps:      sched.MinReps,
+			MaxReps:      sched.MaxReps,
+			RelTolerance: max(sched.RelCI, 0), // RelCI <= 0 disables adaptive stopping
+			Workers:      sched.Workers,
+		},
+		BatchSize: sched.BatchSize,
 		OnRound: func(st replicate.RoundStatus) {
 			pr := ReplicateProgress{Round: st.Round, Reps: st.Reps}
 			for m, sum := range st.Summaries {
@@ -246,23 +248,23 @@ func (p *ReplicateParams) resolve() error {
 	return nil
 }
 
-// replicateMetricNames matches svcReplicator's metric layout.
+// replicateMetricNames matches spatialReplicator's metric layout.
 var replicateMetricNames = []string{"global_payoff_rate", "hidden_fraction"}
 
-// svcReplicator adapts a reusable multihop Simulator to the replication
-// layer: metric 0 is the network-wide payoff rate (the adaptive target),
-// metric 1 the hidden-terminal loss fraction.
-type svcReplicator struct{ sim *multihop.Simulator }
-
-func (r svcReplicator) Replicate(seed uint64, out []float64) error {
-	r.sim.Reset(seed)
-	res, err := r.sim.Run()
-	if err != nil {
-		return err
+// spatialReplicator is a "replicate" job's replicator over one reusable
+// multihop Simulator: metric 0 is the network-wide payoff rate (the
+// adaptive target), metric 1 the hidden-terminal loss fraction.
+func spatialReplicator(sim *multihop.Simulator) replicate.Replicator {
+	return func(seed uint64, out []float64) error {
+		sim.Reset(seed)
+		res, err := sim.Run()
+		if err != nil {
+			return err
+		}
+		out[0] = res.GlobalPayoffRate()
+		out[1] = res.HiddenFraction
+		return nil
 	}
-	out[0] = res.GlobalPayoffRate()
-	out[1] = res.HiddenFraction
-	return nil
 }
 
 func runReplicateJob(ctx context.Context, raw json.RawMessage, progress func(v any)) (any, error) {
@@ -285,7 +287,7 @@ func runReplicateJob(ctx context.Context, raw json.RawMessage, progress func(v a
 		if err != nil {
 			return nil, err
 		}
-		return svcReplicator{sim}, nil
+		return spatialReplicator(sim), nil
 	}, progress)
 }
 
@@ -326,21 +328,10 @@ func (p *SinglehopParams) resolve() error {
 	return boundRun("singlehop", p.Nodes, maxMacsimNodes, &p.DurationUs)
 }
 
-// singlehopMetricNames matches macsimReplicator's metric layout.
+// singlehopMetricNames is a "singlehop" job's metric layout: metric 0
+// is the global payoff rate (the adaptive target), metric 1 the global
+// payload-airtime throughput.
 var singlehopMetricNames = []string{"global_payoff_rate", "throughput"}
-
-// macsimReplicator adapts a reusable macsim Engine to the replication
-// layer: metric 0 is the global payoff rate (the adaptive target),
-// metric 1 the global payload-airtime throughput.
-type macsimReplicator struct{ eng *macsim.Engine }
-
-func (r macsimReplicator) Replicate(seed uint64, out []float64) error {
-	r.eng.Reset(seed)
-	res := r.eng.Run()
-	out[0] = res.GlobalPayoffRate()
-	out[1] = res.Throughput
-	return nil
-}
 
 func runSinglehopJob(ctx context.Context, raw json.RawMessage, progress func(v any)) (any, error) {
 	var p SinglehopParams
@@ -361,7 +352,13 @@ func runSinglehopJob(ctx context.Context, raw json.RawMessage, progress func(v a
 		if err != nil {
 			return nil, err
 		}
-		return macsimReplicator{eng}, nil
+		return func(seed uint64, out []float64) error {
+			eng.Reset(seed)
+			res := eng.Run()
+			out[0] = res.GlobalPayoffRate()
+			out[1] = res.Throughput
+			return nil
+		}, nil
 	}, progress)
 }
 

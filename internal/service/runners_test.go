@@ -69,12 +69,12 @@ func TestReplicateJobReplicationAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := svcReplicator{sim}
+		r := spatialReplicator(sim)
 		out := make([]float64, len(replicateMetricNames))
 		seed := uint64(0)
 		allocs := testing.AllocsPerRun(10, func() {
 			seed++
-			if err := r.Replicate(seed, out); err != nil {
+			if err := r(seed, out); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -149,13 +149,8 @@ func TestDifferentialStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// monitoredReplicator is the worker unit for the replicate tests: one
+// newMonitoredReplicator is the worker unit for the replicate tests: one
 // reusable engine with its own monitor attached.
-type monitoredReplicator struct {
-	eng *macsim.Engine
-	mon *Monitor
-}
-
 func newMonitoredReplicator() (replicate.Replicator, error) {
 	mon, err := NewMonitor(monitorCfg())
 	if err != nil {
@@ -167,19 +162,17 @@ func newMonitoredReplicator() (replicate.Replicator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &monitoredReplicator{eng: eng, mon: mon}, nil
-}
-
-func (r *monitoredReplicator) Replicate(seed uint64, out []float64) error {
-	r.mon.Reset()
-	r.eng.Reset(seed)
-	res := r.eng.Run()
-	r.mon.Finish(res.Slots)
-	out[0] = r.mon.EstimateSummary(0).Mean   // cheater's mean windowed Ŵ
-	out[1] = float64(r.mon.FirstFlagSlot(0)) // detection latency
-	out[2] = float64(r.mon.Flags())          // total flag events
-	out[3] = r.mon.EstimateSummary(1).Mean   // an honest node, for contrast
-	return nil
+	return func(seed uint64, out []float64) error {
+		mon.Reset()
+		eng.Reset(seed)
+		res := eng.Run()
+		mon.Finish(res.Slots)
+		out[0] = mon.EstimateSummary(0).Mean   // cheater's mean windowed Ŵ
+		out[1] = float64(mon.FirstFlagSlot(0)) // detection latency
+		out[2] = float64(mon.Flags())          // total flag events
+		out[3] = mon.EstimateSummary(1).Mean   // an honest node, for contrast
+		return nil
+	}, nil
 }
 
 // The replication fold over monitored runs must be bit-identical at any
@@ -187,7 +180,7 @@ func (r *monitoredReplicator) Replicate(seed uint64, out []float64) error {
 func TestMonitoredReplicationWorkerInvariance(t *testing.T) {
 	plan := replicate.Plan{
 		BaseSeed: 99, Stream: "stream.test", Metrics: 4,
-		MinReps: 8, MaxReps: 8, Workers: 1,
+		Schedule: replicate.Schedule{MinReps: 8, MaxReps: 8, Workers: 1},
 	}
 	serial, err := replicate.Run(context.Background(), plan, newMonitoredReplicator)
 	if err != nil {

@@ -44,6 +44,7 @@ import (
 	"selfishmac/internal/multihop"
 	"selfishmac/internal/phy"
 	"selfishmac/internal/ratecontrol"
+	"selfishmac/internal/replicate"
 	"selfishmac/internal/rng"
 	"selfishmac/internal/search"
 	"selfishmac/internal/stream"
@@ -202,8 +203,14 @@ type (
 	SpatialSimResult = multihop.SimResult
 	// LocalCWSelector caches per-neighborhood efficient-NE CWs.
 	LocalCWSelector = multihop.LocalCWSelector
-	// QuasiOptConfig parameterises the Section VII.B measurement.
+	// QuasiOptConfig parameterises the Section VII.B measurement. It
+	// embeds a ReplicationSchedule: set it as
+	// Schedule: ReplicationSchedule{MaxReps: 2} in a composite literal.
 	QuasiOptConfig = multihop.QuasiOptConfig
+	// ReplicationSchedule is how many seeds each measured point averages
+	// (MinReps, MaxReps, RelTolerance) and on how many goroutines
+	// (Workers); results are bit-identical at every worker count.
+	ReplicationSchedule = replicate.Schedule
 	// QuasiOptResult reports how close the converged NE is to optimal.
 	QuasiOptResult = multihop.QuasiOptResult
 	// SpatialTopology is the read view of a network the spatial simulator
