@@ -40,6 +40,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -197,6 +198,56 @@ func multihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConf
 	}, nil
 }
 
+// warmMultihopScenario times ops on one persistent mobile network, the
+// shape of the benchmark's mobile-n10000 workload: each op simulates
+// cfg.Duration of MAC time on the network the previous op left, with a
+// mobility step every cfg.MobilityEvery, each prepared ahead on a second
+// goroutine while the engine runs. Unlike multihopScenario's rows, an op
+// pays no topology.New and no cold adjacency build. The reference row
+// walks its own twin network. The fast twin's first op runs here, as
+// the warm-up and the probe; the check runs the reference twin's first
+// op and requires the same result.
+func warmMultihopScenario(name string, topoCfg topology.Config, cfg multihop.SimConfig) (scenario, error) {
+	fastNet, err := topology.New(topoCfg)
+	if err != nil {
+		return scenario{}, err
+	}
+	refNet, err := topology.New(topoCfg)
+	if err != nil {
+		return scenario{}, err
+	}
+	probe, err := multihop.Simulate(fastNet, cfg)
+	if err != nil {
+		return scenario{}, err
+	}
+	var events int64
+	for _, nd := range probe.Nodes {
+		events += nd.Attempts
+	}
+	return scenario{
+		name:   name,
+		events: events,
+		runFast: func() error {
+			_, err := multihop.Simulate(fastNet, cfg)
+			return err
+		},
+		runRef: func() error {
+			_, err := multihop.SimulateReference(refNet, cfg)
+			return err
+		},
+		check: func() error {
+			ref, err := multihop.SimulateReference(refNet, cfg)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(probe, ref) {
+				return errors.New("Simulate and SimulateReference disagree")
+			}
+			return nil
+		},
+	}, nil
+}
+
 // detectionScenario measures the streaming-detection observer's cost on
 // the single-hop hot loop: the same reusable engine (10 nodes at the
 // efficient-NE window, one Wc*/8 cheater) is timed with a stream.Monitor
@@ -262,7 +313,9 @@ func detectionScenario(name string, quick bool) (scenario, error) {
 // directed links of the warmed-up snapshot. warmup seconds of simulated
 // mobility run before measuring, so configurations with pause phases
 // are sampled at their steady-state moving fraction rather than the
-// everyone-mid-first-leg initial state.
+// everyone-mid-first-leg initial state. The check then steps both twins
+// until their buffers stop growing (warmAllocs) and requires the same
+// rows from both.
 func deltaStepScenario(name string, topoCfg topology.Config, dt, warmup float64) (scenario, error) {
 	va, err := topology.New(topoCfg)
 	if err != nil {
@@ -287,23 +340,75 @@ func deltaStepScenario(name string, topoCfg topology.Config, dt, warmup float64)
 	}
 	var buf [][]int
 	buf = vb.AdjacencyInto(buf)
+	delta := func() error {
+		_, err := view.StepDelta(dt)
+		return err
+	}
+	rebuild := func() error {
+		if err := vb.Step(dt); err != nil {
+			return err
+		}
+		buf = vb.AdjacencyInto(buf)
+		return nil
+	}
 	return scenario{
 		name:      name,
 		events:    events,
 		fastLabel: "delta",
 		refLabel:  "rebuild",
-		runFast: func() error {
-			_, err := view.StepDelta(dt)
-			return err
-		},
-		runRef: func() error {
-			if err := vb.Step(dt); err != nil {
+		runFast:   delta,
+		runRef:    rebuild,
+		check: func() error {
+			if err := warmAllocs(delta, rebuild); err != nil {
 				return err
 			}
-			buf = vb.AdjacencyInto(buf)
+			// slices.Equal holds a row the view emptied equal to a nil one.
+			if !slices.EqualFunc(view.Rows(), buf, slices.Equal[[]int]) {
+				return errors.New("delta and rebuild rows differ after the warm-up")
+			}
 			return nil
 		},
 	}, nil
+}
+
+const (
+	// warmZeroOps is how many consecutive allocation-free single ops
+	// warmAllocs waits for, and warmMaxOps how many ops it runs at most.
+	warmZeroOps = 10
+	warmMaxOps  = 20000
+)
+
+// warmAllocs runs the ops in lockstep until each has run warmZeroOps
+// single ops in a row without a malloc. An op that walks state forward
+// (a mobility step) grows a buffer each time the walk reaches a new
+// high-water mark, often for its first few hundred ops, so without the
+// warm-up its allocs/op would be that growth averaged over however many
+// iterations the timing picked. On the n=1000 rows the check reaches
+// the run after ~600 (refill) and ~250 (patch) ops.
+func warmAllocs(ops ...func() error) error {
+	zero := make([]int, len(ops))
+	var ms runtime.MemStats
+	for range warmMaxOps {
+		done := true
+		for k, op := range ops {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if err := op(); err != nil {
+				return err
+			}
+			runtime.ReadMemStats(&ms)
+			if ms.Mallocs == before {
+				zero[k]++
+			} else {
+				zero[k] = 0
+			}
+			done = done && zero[k] >= warmZeroOps
+		}
+		if done {
+			return nil
+		}
+	}
+	return fmt.Errorf("still allocating after %d warm-up ops", warmMaxOps)
 }
 
 // adjacencyScenario measures the topology-layer neighbor build alone:
@@ -597,6 +702,19 @@ func scenarios(quick bool) ([]scenario, error) {
 		return nil, err
 	}
 	out = append(out, s)
+	// The same shape on one persistent network, as the benchmark's
+	// mobile-n10000 workload runs it: 0.5 s ops of 0.25 s steps. The row
+	// above pays topology.New and a cold adjacency build per op; this
+	// one pays only the engine and the mobility steps.
+	warm := cfg10000
+	if quick {
+		warm.MobilityEvery = 2.5e4
+	}
+	s, err = warmMultihopScenario("multihop/mobile-n10000-w26-warm", colossal, warm)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, s)
 
 	// Adjacency maintenance at the topology layer: one mobility step +
 	// adjacency refresh through the view (delta) vs Step + AdjacencyInto
@@ -694,8 +812,9 @@ const allocPasses = 3
 // worker starting) and never under-counts; the least is the op's own
 // count as soon as one window saw no runtime allocation. A row timed at
 // a handful of iterations would otherwise carry such a stray in its
-// average. Ops that walk state forward (the topology delta rows) keep
-// the loop's amortised average, which is the lower reading for them.
+// average. Ops that walk state forward (the topology delta rows) are
+// warmed past their buffer growth first (warmAllocs), so their single
+// ops read their steady state too.
 func measureOp(name, engine string, events int64, fn func() error) (EngineResult, error) {
 	var opErr error
 	res, err := measure(name, engine, events, func(b *testing.B) {
@@ -781,7 +900,10 @@ func run(ctx context.Context, args []string) error {
 		Note: "ns/op, allocs/op, bytes/op and events/sec for the event-skipping simulator " +
 			"engines (fast) vs the pinned reference loops, and for the replication pool vs " +
 			"one worker. Layer rows (backoff/draw) time one package benchmark alone. " +
-			"Regenerate with `make bench-json`.",
+			"The multihop/mobile-* rows build their network per op, so their fast ops " +
+			"include topology.New and a cold adjacency build; multihop/mobile-n10000-w26-warm " +
+			"runs the same ops on one persistent network, as the benchmark's mobile-n10000 " +
+			"workload does. Regenerate with `make bench-json`.",
 	}
 	interrupted := false
 	for _, sc := range suite {

@@ -52,6 +52,7 @@ func TestBenchWritesJSON(t *testing.T) {
 		"multihop/mobile-n1000-w26":              {"fast", "reference"},
 		"multihop/mobile-n5000-w26":              {"fast", "reference"},
 		"multihop/mobile-n10000-w26":             {"fast", "reference"},
+		"multihop/mobile-n10000-w26-warm":        {"fast", "reference"},
 		"topology/delta-vs-rebuild-n1000":        {"delta", "rebuild"},
 		"topology/delta-vs-rebuild-n1000-paused": {"delta", "rebuild"},
 		"topology/adjacency-n500":                {"fast", "reference"},
@@ -80,6 +81,16 @@ func TestBenchWritesJSON(t *testing.T) {
 		}
 		if row := byName[name]; row.Iterations < layerMinIters {
 			t.Errorf("layer row %s: %d iterations at -benchtime 1x, want the %d floor", name, row.Iterations, layerMinIters)
+		}
+	}
+	// The topology delta rows are warmed past their buffer growth before
+	// timing, so both sides read their steady state: no allocation.
+	for _, name := range []string{
+		"topology/delta-vs-rebuild-n1000/delta", "topology/delta-vs-rebuild-n1000/rebuild",
+		"topology/delta-vs-rebuild-n1000-paused/delta", "topology/delta-vs-rebuild-n1000-paused/rebuild",
+	} {
+		if row := byName[name]; row.AllocsPerOp != 0 {
+			t.Errorf("%s: %d allocs/op after the warm-up, want 0", name, row.AllocsPerOp)
 		}
 	}
 	for s, labels := range wantScenarios {

@@ -54,6 +54,18 @@ import (
 // a bulk refill, whichever the step's churn favours) and which cost
 // nothing on a static network after the first snapshot.
 //
+// A step's new positions depend only on the network's mobility PRNG,
+// never on a MAC event, so each step is prepared ahead on a second
+// goroutine while the engine simulates the slots before it: the view's
+// PrepareStep moves the nodes and runs the step's neighbor queries
+// without writing the rows the engine reads, and at the due slot the
+// engine waits for it, applies it (ApplyStep writes the rows) and
+// re-reads Rows. Each goroutine lives for one prepare: it is started at
+// run start for the first step due inside the run and right after each
+// apply for the next one, and only for a step due before totalSlots,
+// which the run always reaches and applies — so when run returns no
+// prepare is in flight and nothing touches the network.
+//
 // Determinism contract: PRNG draws happen in exactly the reference order
 // — per event slot, expired nodes act in ascending node order (isolated
 // redraw or receiver pick), then transmitters redraw in ascending order —
@@ -68,6 +80,11 @@ type simState struct {
 	mobile *topology.Network // nil unless the run moves the network
 	cfg    SimConfig
 	n      int
+
+	// view is the mobile network's adjacency view, and prepared carries
+	// the result of the step being prepared on its own goroutine.
+	view     *topology.Adjacency
+	prepared chan error
 
 	// adj is the active adjacency, the topology's Rows, never written by
 	// the engine.
@@ -105,6 +122,10 @@ func (st *simState) init(nw Topology, mobile *topology.Network, cfg SimConfig) {
 	st.blocked = make([]int64, n)
 	st.res.Nodes = make([]NodeStats, n)
 	st.adj = nw.Rows()
+	if mobile != nil {
+		st.view = mobile.AdjacencyView()
+		st.prepared = make(chan error, 1)
+	}
 
 	st.tsSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Ts))
 	st.tcSlots = int64(cfg.Timing.SlotsCeil(cfg.Timing.Tc))
@@ -162,14 +183,30 @@ func (st *simState) reset(seed uint64) {
 	}
 }
 
-// stepMobility advances the mobility model by one MobilityEvery interval
-// through the network's adjacency view, which refreshes the rows in
-// place.
-func (st *simState) stepMobility() error {
-	if _, err := st.mobile.AdjacencyView().StepDelta(st.cfg.MobilityEvery / 1e6); err != nil {
+// prepareStep starts preparing the next mobility step on its own
+// goroutine; stepMobility collects it. The rows were read (Rows) on this
+// goroutine before, so PrepareStep only reads them.
+func (st *simState) prepareStep() {
+	view, dt, done := st.view, st.cfg.MobilityEvery/1e6, st.prepared
+	go func() { done <- view.PrepareStep(dt) }()
+}
+
+// stepMobility advances the mobility model by one MobilityEvery
+// interval: it waits for the prepared step, applies it to the view's
+// rows and re-reads them, then starts preparing the step due at slot
+// next if it falls inside the run. It returns with no prepare in flight
+// on error.
+func (st *simState) stepMobility(next int64) error {
+	if err := <-st.prepared; err != nil {
+		return err
+	}
+	if _, err := st.view.ApplyStep(); err != nil {
 		return err
 	}
 	st.adj = st.mobile.Rows()
+	if next < st.totalSlots {
+		st.prepareStep()
+	}
 	return nil
 }
 
@@ -184,6 +221,9 @@ func (st *simState) run() (*SimResult, error) {
 	totalSlots := st.totalSlots
 	nextMobility := st.nextMobility
 	var totalAttempts, totalHidden int64
+	if nextMobility > 0 && nextMobility < totalSlots {
+		st.prepareStep()
+	}
 
 	for {
 		// Jump to the next event horizon: the calendar advances to the
@@ -198,22 +238,22 @@ func (st *simState) run() (*SimResult, error) {
 			// No further MAC event inside the run; apply the mobility
 			// steps the reference loop would still have performed.
 			for nextMobility > 0 && nextMobility < totalSlots {
-				if err := st.stepMobility(); err != nil {
+				nextMobility += st.mobilityEverySlots
+				if err := st.stepMobility(nextMobility); err != nil {
 					return nil, fmt.Errorf("multihop: mobility step: %w", err)
 				}
 				adj = st.adj
-				nextMobility += st.mobilityEverySlots
 			}
 			break
 		}
 		// Mobility catch-up: one step per due point, all before phase 1
 		// of this slot — exactly when the reference would have stepped.
 		for nextMobility > 0 && t >= nextMobility {
-			if err := st.stepMobility(); err != nil {
+			nextMobility += st.mobilityEverySlots
+			if err := st.stepMobility(nextMobility); err != nil {
 				return nil, fmt.Errorf("multihop: mobility step: %w", err)
 			}
 			adj = st.adj
-			nextMobility += st.mobilityEverySlots
 		}
 
 		// Phase 1: expired nodes act in ascending node order.

@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"selfishmac/internal/backoff"
 	"selfishmac/internal/bianchi"
@@ -785,6 +786,101 @@ func TestSimulateAllocsIndependentOfGC(t *testing.T) {
 	if plain, collected := calls(false), calls(true); !reflect.DeepEqual(plain, collected) {
 		t.Fatalf("allocations per call depend on GC: %v without, %v with collections", plain, collected)
 	}
+}
+
+// TestSimulatePreparedStepsDeterministic pins the engine's mobility
+// pipeline: each step is prepared on a second goroutine while the
+// engine simulates the slots before it. On twin mobile networks, under
+// full churn (every step a bulk refill) and pauses (patches), Simulate
+// and mobile Engine stages at GOMAXPROCS 1 and 2 must give identical
+// results and leave identical networks, and no goroutine may outlive a
+// call.
+func TestSimulatePreparedStepsDeterministic(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  topology.Config
+	}{
+		{"churn", topology.Config{N: 300, Width: 1700, Height: 1700, Range: 250, MaxSpeed: 5, Seed: 61}},
+		{"paused", topology.Config{N: 300, Width: 1700, Height: 1700, Range: 250, MinSpeed: 5, MaxSpeed: 20, Pause: 120, Seed: 61}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				runs  []*SimResult
+				trace *core.Trace
+				nw    *topology.Network
+			}
+			play := func(procs int) outcome {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				base := runtime.NumGoroutine()
+				nw, err := topology.New(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range 50 {
+					if err := nw.Step(20); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := nw.AdjacencyInto(nil)
+				var out outcome
+				for seed := uint64(1); seed <= 3; seed++ {
+					cfg := DefaultSimConfig(1e6, seed)
+					cfg.CW = backoff.Uniform(26, tc.cfg.N)
+					cfg.MobilityEvery = 5e4
+					res, err := Simulate(nw, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					settleGoroutines(t, base)
+					out.runs = append(out.runs, res)
+				}
+				strategies := make([]core.Strategy, tc.cfg.N)
+				for i := range strategies {
+					strategies[i] = core.GTFT{Initial: 16 + (i*37)%240, R0: 2, Beta: 0.9}
+				}
+				sim := stageSim(2e5)
+				sim.MobilityEvery = 5e4
+				eng, err := NewEngine(nw, strategies, sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.trace, err = eng.Run(4); err != nil {
+					t.Fatal(err)
+				}
+				settleGoroutines(t, base)
+				if reflect.DeepEqual(nw.AdjacencyInto(nil), before) {
+					t.Fatal("no link changed: the case does not exercise mobility")
+				}
+				out.nw = nw
+				return out
+			}
+			one, two := play(1), play(2)
+			if !reflect.DeepEqual(one.runs, two.runs) {
+				t.Fatal("Simulate results differ between GOMAXPROCS 1 and 2")
+			}
+			if !reflect.DeepEqual(one.trace, two.trace) {
+				t.Fatal("mobile Engine traces differ between GOMAXPROCS 1 and 2")
+			}
+			if !reflect.DeepEqual(one.nw, two.nw) {
+				t.Fatal("networks differ between GOMAXPROCS 1 and 2")
+			}
+		})
+	}
+}
+
+// settleGoroutines fails unless the goroutine count falls back to base.
+// A prepare goroutine sends its result before it exits, so the count is
+// polled for a moment; a goroutine left running fails.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for range 1000 {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), base)
 }
 
 func TestMobilityDuringSimulation(t *testing.T) {

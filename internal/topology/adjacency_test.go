@@ -9,7 +9,7 @@ import (
 )
 
 // adjacency_test.go pins the incremental view's contract: rows patched by
-// StepDelta are byte-identical — contents, ordering, nil-ness — to the
+// StepDelta (or its two halves, PrepareStep and ApplyStep) are byte-identical — contents, ordering, nil-ness — to the
 // brute-force reference recomputed from scratch after every mobility
 // step, the reported deltas are exactly the set difference between
 // consecutive snapshots, and the steady-state patch path allocates
@@ -321,6 +321,127 @@ func TestAdjacencyViewRejectsNegativeStep(t *testing.T) {
 	}
 	if _, err := nw.AdjacencyView().StepDelta(math.Inf(-1)); err == nil {
 		t.Fatal("negative-infinite dt accepted")
+	}
+}
+
+// TestAdjacencyPrepareApplyMatchesStepDelta pins the split of a step:
+// one twin steps through StepDelta, the other through PrepareStep on a
+// second goroutine, while this goroutine reads every row, then
+// ApplyStep. The prepare must leave the rows exactly as they were, and
+// after every step the twins must agree on rows, delta and positions,
+// under full churn (the bulk refill) and pauses (the patch). Under -race
+// the concurrent row reads make any write to the rows during a prepare
+// a reported race.
+func TestAdjacencyPrepareApplyMatchesStepDelta(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		bulk bool // every step must take the bulk refill, else the patch
+	}{
+		{"bulk", Config{N: 300, Width: 1200, Height: 1200, Range: 250, MaxSpeed: 10, Seed: 21}, true},
+		{"patch", Config{N: 300, Width: 1200, Height: 1200, Range: 250, MinSpeed: 5, MaxSpeed: 20, Pause: 120, Seed: 21}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, split := twinNetworks(t, tc.cfg)
+			for range 50 { // past every node's first leg, into the pause regime
+				if err := whole.Step(20); err != nil {
+					t.Fatal(err)
+				}
+				if err := split.Step(20); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wv, sv := whole.AdjacencyView(), split.AdjacencyView()
+			changed := 0
+			for step := 0; step < 40; step++ {
+				want, err := wv.StepDelta(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				rows := sv.Rows()
+				before := make([][]int, len(rows))
+				for i, r := range rows {
+					before[i] = slices.Clone(r)
+				}
+				done := make(chan error, 1)
+				go func() { done <- sv.PrepareStep(1) }()
+				sum := 0
+				for _, r := range rows {
+					for _, j := range r {
+						sum += j
+					}
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				if sum < 0 {
+					t.Fatal("negative node index")
+				}
+				if !reflect.DeepEqual(rows, before) || !reflect.DeepEqual(sv.Rows(), before) {
+					t.Fatalf("step %d: PrepareStep changed the rows", step)
+				}
+				got, err := sv.ApplyStep()
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if bulk := 100*len(got.Moved) >= bulkMovedPercent*tc.cfg.N; len(got.Moved) > 0 && bulk != tc.bulk {
+					t.Fatalf("step %d: %d of %d nodes moved, outside the case's refresh", step, len(got.Moved), tc.cfg.N)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: split delta %+v, StepDelta's %+v", step, got, want)
+				}
+				if !reflect.DeepEqual(sv.Rows(), wv.Rows()) {
+					t.Fatalf("step %d: split rows diverged from StepDelta's", step)
+				}
+				if !reflect.DeepEqual(split.Positions(), whole.Positions()) {
+					t.Fatalf("step %d: split positions diverged from StepDelta's", step)
+				}
+				changed += len(got.Gained) + len(got.Lost)
+			}
+			if changed == 0 {
+				t.Fatal("no step changed a link")
+			}
+		})
+	}
+}
+
+// TestAdjacencyStepHalvesInOrder pins the halves' sequencing: an
+// ApplyStep needs a prepared step, a second PrepareStep before it is
+// refused without moving the network, and a refused negative step leaves
+// nothing pending.
+func TestAdjacencyStepHalvesInOrder(t *testing.T) {
+	nw, err := New(Config{N: 40, Width: 400, Height: 400, Range: 120, MaxSpeed: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := nw.AdjacencyView()
+	if _, err := view.ApplyStep(); err == nil {
+		t.Fatal("ApplyStep without a prepared step accepted")
+	}
+	if err := view.PrepareStep(-1); err == nil {
+		t.Fatal("negative dt accepted")
+	}
+	if _, err := view.ApplyStep(); err == nil {
+		t.Fatal("a refused PrepareStep left a step pending")
+	}
+	if err := view.PrepareStep(1); err != nil {
+		t.Fatal(err)
+	}
+	pos := nw.Positions()
+	if err := view.PrepareStep(1); err == nil {
+		t.Fatal("second PrepareStep before ApplyStep accepted")
+	}
+	if !reflect.DeepEqual(nw.Positions(), pos) {
+		t.Fatal("refused PrepareStep moved the network")
+	}
+	if _, err := view.ApplyStep(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normRows(view.Rows()), normRows(nw.BruteForceAdjacencyLists())) {
+		t.Fatal("rows diverged from brute force after the split step")
 	}
 }
 

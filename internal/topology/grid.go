@@ -1,6 +1,9 @@
 package topology
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // grid.go implements the cell-indexed spatial structure behind the
 // O(n·deg) adjacency builds. The deployment area is covered by
@@ -10,8 +13,8 @@ import "sort"
 // Range is guaranteed to lie in one of those cells.
 //
 // Determinism contract: buckets store node indices in ascending order;
-// the builds (AdjacencyInto, emptyRows, and appendNeighbors for the
-// view's patch) filter the candidate buckets and sort the surviving
+// the builds (emptyRows, and appendLinks for AdjacencyInto and the
+// view's refill and patch) filter the candidate buckets and sort the surviving
 // neighbors, so rows come back in exactly the ascending-index order the
 // original O(n²) linear scan produced, and link membership itself is
 // decided by the very same isLink predicate. The multihop differential
@@ -138,11 +141,11 @@ func (g *cellGrid) neighborhood(p Point, heads *[9][]int) int {
 // sortNeighbors sorts a freshly gathered neighbor run ascending in
 // place. Runs are a handful of already-sorted per-bucket stretches and
 // rarely exceed the mean degree, where insertion sort beats both an
-// element-wise bucket merge and sort.Ints; unusually dense runs fall
-// back to sort.Ints to dodge the quadratic tail.
-func sortNeighbors(b []int) {
+// element-wise bucket merge and slices.Sort; unusually dense runs fall
+// back to slices.Sort to dodge the quadratic tail.
+func sortNeighbors[T int | int32](b []T) {
 	if len(b) > 64 {
-		sort.Ints(b)
+		slices.Sort(b)
 		return
 	}
 	for i := 1; i < len(b); i++ {

@@ -27,7 +27,7 @@ func checkGridAgainstBrute(t *testing.T, nw *Network) {
 		if !reflect.DeepEqual(adj[i], brute[i]) {
 			t.Fatalf("node %d: grid adjacency %v != brute %v", i, adj[i], brute[i])
 		}
-		if got := nw.appendNeighbors(i, nil); !reflect.DeepEqual(got, brute[i]) {
+		if got := appendLinks(nw, i, -1, []int(nil)); !reflect.DeepEqual(got, brute[i]) {
 			t.Fatalf("node %d: grid query %v != brute %v", i, got, brute[i])
 		}
 		if !slices.Equal(rows[i], brute[i]) {

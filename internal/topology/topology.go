@@ -293,20 +293,23 @@ func (nw *Network) inRange(p, q Point) bool {
 	return dx*dx+dy*dy <= nw.rangeSq
 }
 
-// appendNeighbors appends node i's neighbors to out in ascending index
-// order and returns the extended slice. It scans only the 3x3 cell block
-// around the node, filtering each candidate bucket sequentially and then
-// sorting the survivors — far fewer elements than the candidates — so
-// the output order matches the linear scan exactly. Reusing out across
-// calls makes the query allocation-free; the view's patch does.
-func (nw *Network) appendNeighbors(i int, out []int) []int {
+// appendLinks appends node i's neighbors j > above to out in ascending
+// index order and returns the extended slice: above = -1 gives the whole
+// row, above = i the links a symmetric build records from i's side. It
+// scans only the 3x3 cell block around the node, filtering each
+// candidate bucket sequentially and then sorting the survivors — far
+// fewer elements than the candidates — so the output order matches the
+// linear scan exactly. It only reads the network, and reusing out across
+// calls makes it allocation-free: every refill and the view's patch go
+// through it, into rows ([]int) or the view's scratch ([]int32).
+func appendLinks[T int | int32](nw *Network, i, above int, out []T) []T {
 	var heads [9][]int
 	m := nw.g.neighborhood(nw.pos[i], &heads)
 	start := len(out)
 	for k := 0; k < m; k++ {
 		for _, j := range heads[k] {
-			if nw.isLink(i, j) {
-				out = append(out, j)
+			if j > above && nw.isLink(i, j) {
+				out = append(out, T(j))
 			}
 		}
 	}
@@ -314,14 +317,29 @@ func (nw *Network) appendNeighbors(i int, out []int) []int {
 	return out
 }
 
+// mirror appends i to the row of each of its links j > i, up. A
+// symmetric build calls it in ascending i after appending up to row i
+// itself, so every row receives its j < i entries in ascending order
+// before its own j > i run.
+func mirror[T int | int32](rows [][]int, i int, up []T) {
+	for _, j := range up {
+		rows[j] = append(rows[j], i)
+	}
+}
+
 // AdjacencyInto refills dst with the full neighbor structure and returns
 // it, reusing dst's per-node slices (truncated and re-appended, so their
 // capacity persists across snapshots). Passing the previous snapshot back
-// in makes repeated refills — the adjacency view's builds and bulk
-// refreshes — allocation-free in steady state. A dst without room for
-// every node is replaced by rows carved out of one degree-sized slab
-// (emptyRows). Contents and ordering are identical to
+// in makes repeated refills — the adjacency view's resyncs, the
+// reference engine's rebuilds — allocation-free in steady state. A dst
+// without room for every node is replaced by rows carved out of one
+// degree-sized slab (emptyRows). Contents and ordering are identical to
 // BruteForceAdjacencyLists.
+//
+// The build is symmetric: node i only tests candidates j > i
+// (appendLinks), recording each link in both directions (mirror), at
+// half the distance checks of a per-node query. The view's bulk refill
+// is the same scan and the same scatter, split in two (Adjacency).
 func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 	n := nw.cfg.N
 	if cap(dst) >= n {
@@ -332,26 +350,10 @@ func (nw *Network) AdjacencyInto(dst [][]int) [][]int {
 	} else {
 		dst = nw.emptyRows()
 	}
-	// Symmetric build: node i only tests candidates j > i, recording each
-	// link in both directions. The j < i entries of row i were appended by
-	// the earlier iterations in ascending i order, so after sorting the
-	// fresh j > i suffix every row is fully ascending — identical to the
-	// per-node query — at half the distance checks.
-	var heads [9][]int
 	for i := 0; i < n; i++ {
-		m := nw.g.neighborhood(nw.pos[i], &heads)
 		start := len(dst[i])
-		for k := 0; k < m; k++ {
-			for _, j := range heads[k] {
-				if j > i && nw.isLink(i, j) {
-					dst[i] = append(dst[i], j)
-				}
-			}
-		}
-		sortNeighbors(dst[i][start:])
-		for _, j := range dst[i][start:] {
-			dst[j] = append(dst[j], i)
-		}
+		dst[i] = appendLinks(nw, i, i, dst[i])
+		mirror(dst, i, dst[i][start:])
 	}
 	return dst
 }

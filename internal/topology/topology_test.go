@@ -154,7 +154,7 @@ func TestAdjacencyListsConsistent(t *testing.T) {
 	nw := mustNetwork(t, PaperConfig(17))
 	rows, cold := nw.Rows(), nw.AdjacencyInto(nil)
 	for i := range rows {
-		if !slices.Equal(rows[i], cold[i]) || !slices.Equal(rows[i], nw.appendNeighbors(i, nil)) {
+		if !slices.Equal(rows[i], cold[i]) || !slices.Equal(rows[i], appendLinks(nw, i, -1, []int(nil))) {
 			t.Fatalf("node %d adjacency mismatch", i)
 		}
 	}
